@@ -61,13 +61,13 @@ from .invariants import (
     killing_form,
     polarize,
     power_trace,
+    symmetric_tensor,
     trace_form,
 )
 from .forms import (
     EtaContext,
     conjugation_invariance,
     contraction_suite,
-    cup_cocycle,
     endomorphism_pullback,
     eta,
     gram_matrix,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .cohomology import BarChain, cocycle_space
 from .errors import LeftChart
-from .forms import EtaContext, cup_cocycle, eta
+from .forms import EtaContext, eta
 from .matgroup import (
     GroupSpec,
     Representation,
@@ -31,9 +31,8 @@ from .matgroup import (
     matrix_exp,
     matrix_inverse,
 )
-from .invariants import InvariantPolynomial, killing_form, polarize
+from .invariants import InvariantPolynomial, killing_form, symmetric_tensor
 from .numeric import DEFAULT_TOL, Tolerances
-from .cohomology import pair
 from .words import Presentation, Word
 
 __all__ = [
@@ -127,13 +126,13 @@ def eta_coefficients(chart: Chart, phi: InvariantPolynomial, cycle: BarChain,
 
     Returns ``coeffs(t) -> {(i, j): eta(sigma_i(t), sigma_j(t))}`` over i < j,
     with the directions re-extracted at the retracted point."""
-    phi_pol = polarize(phi, chart.center.basis)
+    tensor = symmetric_tensor(phi, chart.center.basis)
 
     def coeffs(t) -> dict:
         rho_t = retract(chart, t)
         tangents = [transported_direction(chart, t, i, inner_step, base=rho_t)
                     for i in range(chart.dim)]
-        ctx = EtaContext(rho_t, phi, phi_pol, cycle)
+        ctx = EtaContext(rho_t, phi, tensor, cycle)
         out = {}
         for i in range(chart.dim):
             for j in range(i + 1, chart.dim):
@@ -234,13 +233,13 @@ def free_group_demo(p: int, group: GroupSpec, phi: InvariantPolynomial | None = 
 
     a, b = Word.generator(0), Word.generator(1)
     non_cycle = BarChain.of(2, {(a, b): 1})
-    phi_pol = polarize(phi, basis)
+    tensor = symmetric_tensor(phi, basis)
 
     def coeffs(t):
         rho_t = retract(chart, t)
         tangents = [transported_direction(chart, t, i, base=rho_t)
                     for i in range(chart.dim)]
-        ctx = EtaContext(rho_t, phi, phi_pol, non_cycle)
+        ctx = EtaContext(rho_t, phi, tensor, non_cycle)
         return {(i, j): eta(ctx, tangents[i], tangents[j])
                 for i in range(chart.dim) for j in range(i + 1, chart.dim)}
 
@@ -250,11 +249,9 @@ def free_group_demo(p: int, group: GroupSpec, phi: InvariantPolynomial | None = 
     from .cohomology import bar_boundary
     three = BarChain.of(3, {(a, b, a): 1, (b, a * b, b): 1})
     cycle = bar_boundary(three)
-    ctx0 = EtaContext(rho, phi, phi_pol, cycle)
     s, t_ = rng_dirs[0], rng_dirs[1]
-    cycle_value = abs(eta(ctx0, s, t_))
-    chain_value = abs(pair(cup_cocycle(
-        EtaContext(rho, phi, phi_pol, non_cycle), s, t_), non_cycle))
+    cycle_value = abs(eta(EtaContext(rho, phi, tensor, cycle), s, t_))
+    chain_value = abs(eta(EtaContext(rho, phi, tensor, non_cycle), s, t_))
     return {
         "check": "free-group-chain-level",
         "max_d": fd["max_d"],

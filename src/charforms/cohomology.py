@@ -16,12 +16,11 @@ from .errors import NotSurfacePresentation, RankInstability
 from .matgroup import (
     Representation,
     TangentVector,
-    adjoint_operator,
     coboundary,
     evaluate_groupring,
 )
 from .numeric import DEFAULT_TOL, Tolerances, nullspace_basis, orth_basis
-from .words import GroupRingElement, Presentation, Word, fox_derivative
+from .words import Presentation, Word, fox_derivative
 
 __all__ = [
     "CocycleSpace",
@@ -29,6 +28,7 @@ __all__ = [
     "FundamentalCycle",
     "fox_jacobian",
     "cocycle_space",
+    "ad_fox",
     "extend_cocycle",
     "fundamental_two_cycle",
     "bar_boundary",
@@ -146,27 +146,37 @@ def cocycle_space(rho: Representation, tol: Tolerances = DEFAULT_TOL) -> Cocycle
     )
 
 
+def ad_fox(rho: Representation, w: Word):
+    """Ad rho(w) and the Ad-evaluated Fox derivative J_w of shape (d, p * d).
+
+    J_w is the linear map sigma -> sigma(w) from stacked generator values,
+    built by the cocycle rule sigma(uv) = sigma(u) + Ad rho(u) sigma(v).
+    """
+    ad, ad_inv = rho._generator_ad()
+    d = rho.dim_g
+    jac = np.zeros((d, rho.p * d), dtype=np.complex128)
+    acc = np.eye(d, dtype=np.complex128)
+    for g, s in w.letters:
+        block = jac[:, g * d:(g + 1) * d]
+        if s == 1:
+            block += acc
+            acc = acc @ ad[g]
+        else:
+            acc = acc @ ad_inv[g]
+            block -= acc
+    return acc, jac
+
+
 def extend_cocycle(rho: Representation, sigma: TangentVector):
     """Extend generator values to a function on words by the cocycle rule
     sigma(uv) = sigma(u) + Ad rho(u) sigma(v)."""
-    ad, ad_inv = rho._generator_ad()
-    d = rho.dim_g
+    x = sigma.stacked
     cache: dict = {}
 
     def value(w: Word) -> np.ndarray:
-        if w in cache:
-            return cache[w]
-        total = np.zeros(d, dtype=np.complex128)
-        acc = np.eye(d, dtype=np.complex128)
-        for g, s in w.letters:
-            if s == 1:
-                total = total + acc @ sigma.values[g]
-                acc = acc @ ad[g]
-            else:
-                total = total - acc @ (ad_inv[g] @ sigma.values[g])
-                acc = acc @ ad_inv[g]
-        cache[w] = total
-        return total
+        if w not in cache:
+            cache[w] = ad_fox(rho, w)[1] @ x
+        return cache[w]
 
     return value
 

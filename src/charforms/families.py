@@ -15,11 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .charts import _coeff_get
 from .cohomology import BarChain, fox_jacobian, fundamental_two_cycle
 from .errors import InvalidInput, NotTangent
 from .forms import EtaContext, eta
-from .invariants import InvariantPolynomial, polarize
-from .matgroup import GroupSpec, Representation, TangentVector, matrix_inverse
+from .invariants import InvariantPolynomial, symmetric_tensor
+from .matgroup import (
+    GroupSpec,
+    Representation,
+    TangentVector,
+    lie_algebra_basis,
+    matrix_inverse,
+)
 from .numeric import DEFAULT_TOL, Tolerances
 from .words import Presentation
 
@@ -219,19 +226,13 @@ def family_tangent(family: FamilySpec, s, k: int,
 
 
 def _coefficients_at(family: FamilySpec, phi: InvariantPolynomial,
-                     phi_pol, cycle: BarChain, s,
+                     tensor, cycle: BarChain, s,
                      tol: Tolerances) -> dict:
     rho = family.rep_at(s, tol)
     tangents = [family_tangent(family, s, k, tol) for k in range(family.m)]
-    ctx = EtaContext(rho, phi, phi_pol, cycle)
+    ctx = EtaContext(rho, phi, tensor, cycle)
     return {(k, l): eta(ctx, tangents[k], tangents[l])
             for k in range(family.m) for l in range(k + 1, family.m)}
-
-
-def _coeff_get(c: dict, i: int, j: int):
-    if i == j:
-        return 0.0
-    return c[(i, j)] if i < j else -c[(j, i)]
 
 
 def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
@@ -251,8 +252,7 @@ def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
         cycle = fundamental_two_cycle(family.presentation).chain
     if h is None:
         h = tol.fd_step
-    phi_pol = polarize(phi, family.rep_at(
-        np.zeros(family.m), tol).basis)
+    tensor = symmetric_tensor(phi, lie_algebra_basis(family.group))
     m = family.m
 
     axes = [np.linspace(-r / 2, r / 2, grid) for r in family.domain_radius]
@@ -260,7 +260,7 @@ def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
     scale = 0.0
     for point in itertools.product(*axes):
         s = np.asarray(point, dtype=np.complex128)
-        c = _coefficients_at(family, phi, phi_pol, cycle, s, tol)
+        c = _coefficients_at(family, phi, tensor, cycle, s, tol)
         samples.append({"s": [complex(z) for z in s],
                         "coefficients": {f"{k},{l}": v for (k, l), v in c.items()}})
         for v in c.values():
@@ -277,8 +277,8 @@ def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
         for direction in (1.0, 1.0j):
             e = np.zeros(m, dtype=np.complex128)
             e[i] = step * direction
-            cp = _coefficients_at(family, phi, phi_pol, cycle, base + e, tol)
-            cm = _coefficients_at(family, phi, phi_pol, cycle, base - e, tol)
+            cp = _coefficients_at(family, phi, tensor, cycle, base + e, tol)
+            cm = _coefficients_at(family, phi, tensor, cycle, base - e, tol)
             vals.append((_coeff_get(cp, j, k) - _coeff_get(cm, j, k))
                         / (2 * step * direction))
         devs.append(abs(vals[0] - vals[1]))
@@ -332,7 +332,7 @@ def compare_base_change(family: FamilySpec, phi: InvariantPolynomial,
     if cycle is None:
         cycle = fundamental_two_cycle(family.presentation).chain
     pulled = base_change(family, subs, new_params, new_radius)
-    phi_pol = polarize(phi, family.rep_at(np.zeros(family.m), tol).basis)
+    tensor = symmetric_tensor(phi, lie_algebra_basis(family.group))
     m_new = len(new_params)
     if points is None:
         if rng is None:
@@ -342,8 +342,8 @@ def compare_base_change(family: FamilySpec, phi: InvariantPolynomial,
     worst = 0.0
     for u in points:
         s = np.array([phi_k(u) for phi_k in subs], dtype=np.complex128)
-        direct = _coefficients_at(pulled, phi, phi_pol, cycle, u, tol)
-        orig = _coefficients_at(family, phi, phi_pol, cycle, s, tol)
+        direct = _coefficients_at(pulled, phi, tensor, cycle, u, tol)
+        orig = _coefficients_at(family, phi, tensor, cycle, s, tol)
         jac = np.array([[subs[k].diff(a)(u) for a in range(m_new)]
                         for k in range(family.m)], dtype=np.complex128)
         for a in range(m_new):

@@ -10,35 +10,34 @@ conjugation invariance and pullback along group endomorphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .cohomology import (
     BarChain,
+    ad_fox,
     cocycle_space,
     extend_cocycle,
     fundamental_two_cycle,
-    pair,
 )
 from .errors import DegreeMismatch, NotEndomorphism
 from .matgroup import (
     Representation,
     TangentVector,
     _ad_matrix,
-    adjoint_operator,
     coboundary,
     conjugate_representation,
     evaluate_word,
     matrix_inverse,
 )
-from .invariants import InvariantPolynomial, polarize
+from .invariants import InvariantPolynomial, symmetric_tensor
 from .numeric import DEFAULT_TOL, Tolerances, svd_rank
 from .words import Word
 
 __all__ = [
     "EtaContext",
     "make_context",
-    "cup_cocycle",
     "eta",
     "contraction_suite",
     "gram_matrix",
@@ -48,16 +47,60 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _slot_operators(rho: Representation, cycle: BarChain):
+    """Coefficients c_t and slot operators of the cycle terms (g_1..g_n; c_t).
+
+    slots[i, t] = Ad rho(g_1 ... g_i-1) J_{g_i}, shape (n, terms, d, p * d),
+    maps stacked generator values of the i-th cocycle to the i-th argument
+    of tilde-Phi in term t.  J and Ad are computed once per distinct word.
+    """
+    words: dict = {}
+    d, n = rho.dim_g, cycle.degree
+    coeffs = np.array([c for _, c in cycle.terms], dtype=np.float64)
+    slots = np.empty((n, len(cycle.terms), d, rho.p * d), dtype=np.complex128)
+    for t, (gammas, _) in enumerate(cycle.terms):
+        acc = np.eye(d, dtype=np.complex128)
+        for i, w in enumerate(gammas):
+            if w not in words:
+                words[w] = ad_fox(rho, w)
+            ad_w, jac_w = words[w]
+            slots[i, t] = acc @ jac_w
+            acc = acc @ ad_w
+    return coeffs, slots
+
+
+@dataclass(frozen=True, eq=False)
 class EtaContext:
+    """A form at rho: the cycle to pair against and the coefficient tensor
+    of tilde-Phi (``invariants.symmetric_tensor`` of ``phi`` in rho's basis).
+
+    The slot operators and, in degree 2, the assembled matrix Omega are built
+    on first use and live as long as the context.
+    """
+
     rho: Representation
     phi: InvariantPolynomial
-    phi_polarized: object  # symmetric n-linear evaluator on coordinate vectors
+    tensor: np.ndarray
     cycle: BarChain
 
     @property
     def degree(self) -> int:
         return self.phi.degree
+
+    @cached_property
+    def slots(self):
+        return _slot_operators(self.rho, self.cycle)
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """Degree 2: eta(s, t) = s.stacked @ omega @ t.stacked, with
+        omega = sum_t c_t A_1[t]^T K A_2[t]."""
+        if self.degree != 2:
+            raise DegreeMismatch("omega requires a degree-2 context")
+        coeffs, (a1, a2) = self.slots
+        pd = a1.shape[-1]
+        weighted = (coeffs[:, None, None] * a1).reshape(-1, pd)
+        return weighted.T @ (self.tensor @ a2).reshape(-1, pd)
 
 
 def make_context(rho: Representation, phi: InvariantPolynomial,
@@ -72,41 +115,23 @@ def make_context(rho: Representation, phi: InvariantPolynomial,
     if cycle.degree != phi.degree:
         raise DegreeMismatch(
             f"cycle degree {cycle.degree} != polynomial degree {phi.degree}")
-    return EtaContext(rho, phi, polarize(phi, rho.basis), cycle)
+    return EtaContext(rho, phi, symmetric_tensor(phi, rho.basis), cycle)
 
 
-def cup_cocycle(ctx: EtaContext, *sigmas: TangentVector):
-    """Evaluator of the cup product of n cocycles weighted by polarized Phi.
-
-    (g_1,...,g_n) -> Phi~(s_1(g_1), Ad(g_1) s_2(g_2), ...,
-                          Ad(g_1...g_{n-1}) s_n(g_n)).
-    Vanishes whenever an argument is the identity (cocycles kill e).
-    """
-    n = ctx.degree
-    if len(sigmas) != n:
-        raise DegreeMismatch(f"expected {n} cocycles, got {len(sigmas)}")
-    exts = [extend_cocycle(ctx.rho, s) for s in sigmas]
-
-    def evaluator(*gammas: Word) -> complex:
-        if len(gammas) != n:
-            raise DegreeMismatch(f"expected {n} words, got {len(gammas)}")
-        args = []
-        acc = None
-        for i, g in enumerate(gammas):
-            v = exts[i](g)
-            if acc is not None:
-                v = acc @ v
-            args.append(v)
-            if i < n - 1:
-                ad_g = adjoint_operator(ctx.rho, g)
-                acc = ad_g if acc is None else acc @ ad_g
-        return ctx.phi_polarized(*args)
-
-    return evaluator
+_INDICES = "abcdefghijklmnopqrs"
 
 
 def eta(ctx: EtaContext, *sigmas: TangentVector) -> complex:
-    return pair(cup_cocycle(ctx, *sigmas), ctx.cycle)
+    """Pairing of the cup product of the cocycles, weighted by tilde-Phi,
+    with the cycle: sum_t c_t tilde-Phi(A_1[t] s_1, ..., A_n[t] s_n)."""
+    n = ctx.degree
+    if len(sigmas) != n:
+        raise DegreeMismatch(f"expected {n} cocycles, got {len(sigmas)}")
+    coeffs, slots = ctx.slots
+    args = [slots[i] @ s.stacked for i, s in enumerate(sigmas)]
+    idx = _INDICES[:n]
+    spec = f"t,{idx}," + ",".join("t" + a for a in idx) + "->"
+    return complex(np.einsum(spec, coeffs, ctx.tensor, *args))
 
 
 def random_cocycle(space, rng) -> TangentVector:
@@ -144,18 +169,14 @@ def contraction_suite(ctx: EtaContext, trials: int, rng,
 
 
 def gram_matrix(ctx: EtaContext, basis, tol: Tolerances = DEFAULT_TOL):
-    """Antisymmetric matrix G_ij = eta(s_i, s_j) and its SVD rank (degree 2)."""
+    """Matrix G_ij = eta(s_i, s_j) = H^T Omega H and its SVD rank (degree 2)."""
     if ctx.degree != 2:
         raise DegreeMismatch("gram_matrix requires a degree-2 context")
-    k = len(basis)
-    g = np.zeros((k, k), dtype=np.complex128)
-    for i in range(k):
-        for j in range(i + 1, k):
-            val = eta(ctx, basis[i], basis[j])
-            g[i, j] = val
-            g[j, i] = eta(ctx, basis[j], basis[i])
-    rank = svd_rank(g, tol)
-    return g, rank
+    h = np.zeros((ctx.omega.shape[0], len(basis)), dtype=np.complex128)
+    for j, s in enumerate(basis):
+        h[:, j] = s.stacked
+    g = h.T @ ctx.omega @ h
+    return g, svd_rank(g, tol)
 
 
 def conjugation_invariance(ctx: EtaContext, g, trials: int, rng,
@@ -168,7 +189,7 @@ def conjugation_invariance(ctx: EtaContext, g, trials: int, rng,
     rho_c = conjugate_representation(rho, g)
     ad_g = _ad_matrix(rho.basis, np.asarray(g, dtype=np.complex128),
                       matrix_inverse(np.asarray(g, dtype=np.complex128), tol))
-    ctx_c = EtaContext(rho_c, ctx.phi, ctx.phi_polarized, ctx.cycle)
+    ctx_c = EtaContext(rho_c, ctx.phi, ctx.tensor, ctx.cycle)
     space = cocycle_space(rho, tol)
     worst = 0.0
     for _ in range(trials):
@@ -213,7 +234,7 @@ def endomorphism_pullback(ctx: EtaContext, images, pairs=None, trials: int = 5,
                 f"relator maps to a word with residual {res:.3e} at rho")
     new_images = [evaluate_word(rho, w) for w in images]
     rho_new = Representation(rho.presentation, rho.group, new_images, tol=rho.tol)
-    ctx_new = EtaContext(rho_new, ctx.phi, ctx.phi_polarized, ctx.cycle)
+    ctx_new = EtaContext(rho_new, ctx.phi, ctx.tensor, ctx.cycle)
     if pairs is None:
         if rng is None:
             raise ValueError("supply cocycle pairs or an rng")

@@ -25,6 +25,7 @@ __all__ = [
     "combination",
     "evaluate",
     "polarize",
+    "symmetric_tensor",
     "check_invariance",
     "polynomial_to_json",
     "polynomial_from_json",
@@ -114,6 +115,28 @@ def polarize(phi: InvariantPolynomial, basis: LieAlgebraBasis):
         return total / fact
 
     return evaluator
+
+
+def symmetric_tensor(phi: InvariantPolynomial, basis: LieAlgebraBasis) -> np.ndarray:
+    """Coefficients of tilde-Phi in the fixed basis, shape (dim g,) * degree.
+
+    tilde-Phi(x_1, ..., x_n) = sum T[a_1, ..., a_n] x_1[a_1] ... x_n[a_n]
+    with T symmetric: the symmetrized tr(B_a1 ... B_an) for trace forms and
+    power traces, tr(ad B_a ad B_b) for the Killing form.
+    """
+    if phi.kind == "combo":
+        return sum(c * symmetric_tensor(t, basis) for c, t in phi.terms)
+    if phi.kind == "killing":
+        ads = np.stack([_ad_of(basis, b) for b in basis.matrices])
+        return np.einsum("aij,bji->ab", ads, ads)
+    mats = np.stack(basis.matrices)
+    n, d = phi.degree, basis.dim
+    prods = mats
+    for _ in range(n - 1):
+        prods = np.einsum("xij,ajk->xaik", prods, mats).reshape(-1, *mats.shape[1:])
+    raw = np.einsum("xii->x", prods).reshape((d,) * n)
+    perms = list(itertools.permutations(range(n)))
+    return sum(raw.transpose(p) for p in perms) / len(perms)
 
 
 def check_invariance(phi: InvariantPolynomial, basis: LieAlgebraBasis,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergence, SingularMatrix
+from .errors import InvalidInput, NoConvergence
 from .numeric import (
     DEFAULT_TOL,
     Tolerances,
@@ -21,7 +21,6 @@ from .numeric import (
     matrix_inverse,
     nullspace_basis,
     solve_lsq,
-    svd_rank,
 )
 from .words import GroupRingElement, Presentation, Word
 
@@ -53,9 +52,9 @@ class GroupSpec:
 
     def __post_init__(self):
         if self.kind not in ("GL", "SL"):
-            raise ValueError(f"unknown group kind {self.kind!r}")
+            raise InvalidInput(f"unknown group kind {self.kind!r}")
         if self.n < 2:
-            raise ValueError("matrix size must be >= 2")
+            raise InvalidInput("matrix size must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -154,10 +153,10 @@ class Representation:
         self.images = tuple(as_cmatrix(m) for m in images)
         self.tol = tol
         if len(self.images) != presentation.p:
-            raise ValueError("need exactly one image per generator")
+            raise InvalidInput("need exactly one image per generator")
         for m in self.images:
             if m.shape != (group.n, group.n):
-                raise ValueError(f"image shape {m.shape} != ({group.n},{group.n})")
+                raise InvalidInput(f"image shape {m.shape} != ({group.n},{group.n})")
         self.basis = lie_algebra_basis(group)
         self._inverses = tuple(matrix_inverse(m, tol) for m in self.images)
         self._ad_gen = None
@@ -177,11 +176,11 @@ class Representation:
         if self.group.kind == "SL":
             for m in self.images:
                 if abs(np.linalg.det(m) - 1.0) > 1e-10:
-                    raise ValueError("SL image has |det - 1| > 1e-10")
+                    raise InvalidInput("SL image has |det - 1| > 1e-10")
         for r in self.presentation.relators:
             res = np.linalg.norm(evaluate_word(self, r) - np.eye(self.group.n))
             if res > 10 * max(self.tol.newton_tol, 1e-12):
-                raise ValueError(f"relator residual {res:.3e} exceeds tolerance")
+                raise InvalidInput(f"relator residual {res:.3e} exceeds tolerance")
 
     def image(self, k: int, sign: int = 1) -> np.ndarray:
         return self.images[k] if sign == 1 else self._inverses[k]
@@ -412,7 +411,10 @@ def representation_to_json(rho: Representation) -> dict:
 
 def representation_from_json(data: dict, presentation: Presentation,
                              tol: Tolerances = DEFAULT_TOL) -> Representation:
-    group = GroupSpec(data["group"]["kind"], int(data["group"]["n"]))
-    images = [matrix_from_json(data["images"][name])
-              for name in presentation.generator_names]
+    try:
+        group = GroupSpec(data["group"]["kind"], int(data["group"]["n"]))
+        images = [matrix_from_json(data["images"][name])
+                  for name in presentation.generator_names]
+    except KeyError as exc:
+        raise InvalidInput(f"representation is missing {exc}") from exc
     return Representation(presentation, group, images, tol=tol)

@@ -135,3 +135,37 @@ def test_malformed_json(tmp_path, capsys):
     code = main(["validate", "--input", str(bad)])
     assert code == 2
     assert json.loads(capsys.readouterr().out)["error"] == "InvalidInput"
+
+
+def _point_input(tmp_path, rep, **changes):
+    data = {"presentation": rep.presentation.to_json(),
+            "representation": representation_to_json(rep)}
+    data["representation"].update(changes)
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _assert_invalid_input(capsys, argv):
+    code = main(argv)
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "InvalidInput"
+
+
+def test_off_variety_point_is_invalid_input(genus2_rep, tmp_path, capsys):
+    images = representation_to_json(genus2_rep)["images"]
+    images["a1"], images["b1"] = images["b1"], images["a1"]
+    path = _point_input(tmp_path, genus2_rep, images=images)
+    _assert_invalid_input(capsys, ["cohomology", "--input", path])
+
+
+def test_missing_generator_image_is_invalid_input(genus2_rep, tmp_path, capsys):
+    images = representation_to_json(genus2_rep)["images"]
+    del images["b1"]
+    path = _point_input(tmp_path, genus2_rep, images=images)
+    _assert_invalid_input(capsys, ["cohomology", "--input", path])
+
+
+def test_unknown_group_kind_is_invalid_input(genus2_rep, tmp_path, capsys):
+    path = _point_input(tmp_path, genus2_rep, group={"kind": "SO", "n": 2})
+    _assert_invalid_input(capsys, ["cohomology", "--input", path])

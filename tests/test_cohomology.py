@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charforms import (
     BarChain,
@@ -15,7 +17,9 @@ from charforms import (
     parse_word,
     verify_cycle,
 )
-from charforms.cohomology import bar_boundary, normal_form
+from charforms.cohomology import ad_fox, bar_boundary, normal_form
+from charforms.matgroup import adjoint_operator, evaluate_groupring
+from charforms.words import fox_derivative
 from charforms.errors import NotSurfacePresentation, RankInstability
 from charforms.numeric import Tolerances
 
@@ -101,6 +105,21 @@ class TestExtendCocycle:
         for sigma in space.basis_z1:
             ext = extend_cocycle(genus2_rep, sigma)
             assert np.linalg.norm(ext(genus2_rep.presentation.relators[0])) < 1e-10
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(letters=st.lists(st.tuples(st.integers(0, 3), st.sampled_from((1, -1))),
+                        max_size=8))
+def test_ad_fox_is_evaluated_fox_derivative(genus2_rep, letters):
+    """J_w from the cocycle rule equals the Ad-evaluated exact Fox
+    derivatives of w, block by block, and Ad rho(w) comes along."""
+    w = Word.of(letters)
+    ad_w, jac = ad_fox(genus2_rep, w)
+    fox = np.concatenate([evaluate_groupring(genus2_rep, fox_derivative(w, k))
+                          for k in range(genus2_rep.p)], axis=1)
+    ad_ref = adjoint_operator(genus2_rep, w)
+    assert np.abs(jac - fox).max() <= 1e-12 * max(1.0, np.abs(fox).max())
+    assert np.abs(ad_w - ad_ref).max() <= 1e-12 * np.abs(ad_ref).max()
 
 
 class TestNormalForm:

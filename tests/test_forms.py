@@ -1,18 +1,31 @@
+import importlib
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import charforms
 from charforms import (
+    BarChain,
     GroupSpec,
     Presentation,
+    Representation,
     Word,
+    adjoint_operator,
     cocycle_space,
     conjugation_invariance,
     contraction_suite,
     eta,
+    extend_cocycle,
     gram_matrix,
     killing_form,
     make_context,
+    pair,
     parse_word,
+    polarize,
+    power_trace,
     trace_form,
 )
 from charforms.errors import DegreeMismatch, NotEndomorphism
@@ -20,6 +33,10 @@ from charforms.forms import endomorphism_pullback, random_cocycle
 from charforms.matgroup import TangentVector, coboundary, matrix_exp
 
 SL2 = GroupSpec("SL", 2)
+
+# Deterministic example streams: a property failure reproduces on every run.
+PROPERTY = settings(max_examples=10, deadline=None, derandomize=True,
+                    database=None)
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +120,148 @@ def oracle_eta(mats, sigma_mats, tau_mats, genus):
 def _to_matrices(rho, sigma):
     return [sum(sigma.values[k][j] * _SL2_BASIS[j] for j in range(3))
             for k in range(rho.p)]
+
+
+# ---------------------------------------------------------------------------
+# Degree-n reference: the per-tuple cup-product evaluator, paired term by
+# term with the chain.  It extends each cocycle word by word, rebuilds Ad
+# along every tuple and evaluates tilde-Phi by polarization.
+
+
+def cup_cocycle(ctx, *sigmas):
+    """(g_1..g_n) -> Phi~(s_1(g_1), Ad(g_1) s_2(g_2), ...,
+    Ad(g_1...g_n-1) s_n(g_n))."""
+    rho = ctx.rho
+    phi_pol = polarize(ctx.phi, rho.basis)
+    exts = [extend_cocycle(rho, s) for s in sigmas]
+
+    def evaluator(*gammas):
+        args = []
+        acc = np.eye(rho.dim_g, dtype=complex)
+        for ext, g in zip(exts, gammas):
+            args.append(acc @ ext(g))
+            acc = acc @ adjoint_operator(rho, g)
+        return phi_pol(*args)
+
+    return evaluator
+
+
+def reference_eta(ctx, *sigmas):
+    """The pairing and the sum of the moduli of its terms (the scale that
+    rounding errors are relative to)."""
+    ev = cup_cocycle(ctx, *sigmas)
+    scale = sum(abs(c * ev(*tup)) for tup, c in ctx.cycle.terms)
+    return pair(ev, ctx.cycle), scale
+
+
+def _random_point(genus, seed, kind="SL", n=2, free=0):
+    """Seeded point: exponentials of complex Lie-algebra elements of size 0.3.
+
+    A surface point repeats (A, B, B, A) per pair of handles and closes an
+    odd genus with (C, C^2), so the relator holds to rounding; ``free`` > 0
+    gives that many independent images on the free group instead.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        x = 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        if kind == "SL":
+            x -= (np.trace(x) / n) * np.eye(n)
+        return matrix_exp(x)
+
+    group = GroupSpec(kind, n)
+    if free:
+        names = [chr(ord("a") + i) for i in range(free)]
+        return Representation(Presentation.free(names), group,
+                              [draw() for _ in names]), rng
+    a, b, c = draw(), draw(), draw()
+    images = []
+    for _ in range(genus // 2):
+        images += [a, b, b, a]
+    if genus % 2:
+        images += [c, c @ c]
+    return Representation(Presentation.surface(genus), group, images), rng
+
+
+_seeds = st.integers(0, 2**32 - 1)
+_letters = st.tuples(st.integers(0, 1), st.sampled_from((1, -1)))
+_words = st.lists(_letters, min_size=1, max_size=4).map(Word.of).filter(
+    lambda w: not w.is_identity())
+_chains3 = st.dictionaries(st.tuples(_words, _words, _words),
+                           st.integers(-3, 3).filter(bool),
+                           min_size=1, max_size=4)
+
+
+class TestAssembledForm:
+    """The assembled evaluator against the two independent references."""
+
+    @PROPERTY
+    @given(genus=st.integers(1, 3), seed=_seeds)
+    def test_gram_matches_oracle(self, genus, seed):
+        rho, _ = _random_point(genus, seed)
+        basis = cocycle_space(rho).basis_h1
+        g, _ = gram_matrix(make_context(rho, trace_form()), basis)
+        mats = [_to_matrices(rho, s) for s in basis]
+        ora = np.array([[oracle_eta(list(rho.images), mi, mj, genus)
+                         for mj in mats] for mi in mats])
+        assert np.abs(g - ora).max() <= 1e-11 * np.abs(ora).max()
+
+    @PROPERTY
+    @given(seed=_seeds, terms=_chains3)
+    def test_power_trace_3_on_free_group(self, seed, terms):
+        rho, rng = _random_point(0, seed, "SL", 3, free=2)
+        ctx = make_context(rho, power_trace(3), BarChain.of(3, terms))
+        sigmas = [TangentVector.of(rng.standard_normal((2, 8))
+                                   + 1j * rng.standard_normal((2, 8)))
+                  for _ in range(3)]
+        ref, scale = reference_eta(ctx, *sigmas)
+        assert abs(eta(ctx, *sigmas) - ref) <= 1e-11 * scale
+
+    @PROPERTY
+    @given(seed=_seeds)
+    def test_killing_on_genus2_gl2(self, seed):
+        rho, rng = _random_point(2, seed, "GL", 2)
+        ctx = make_context(rho, killing_form())
+        space = cocycle_space(rho)
+        s, t = random_cocycle(space, rng), random_cocycle(space, rng)
+        ref, scale = reference_eta(ctx, s, t)
+        assert abs(eta(ctx, s, t) - ref) <= 1e-11 * scale
+
+
+def _count_calls(monkeypatch, calls, name, fn):
+    """Count calls of ``fn`` at every charforms binding site."""
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    for mod in [charforms] + [importlib.import_module(f"charforms.{m}") for m in (
+            "cohomology", "invariants", "forms", "charts", "families", "cli")]:
+        for attr, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, attr, counted)
+
+
+def test_gram_assembles_once_per_context(monkeypatch):
+    """Deterministic cost guard: the Gram matrix on a 32-dimensional H^1
+    and a later eta on the same context build the slot operators once and
+    never evaluate Phi or extend a cocycle pair by pair."""
+    rho, _ = _random_point(3, 0, "SL", 3)
+    basis = cocycle_space(rho).basis_h1
+    assert len(basis) == 32
+    calls = Counter()
+    forms = charforms.forms
+    _count_calls(monkeypatch, calls, "evaluate", charforms.invariants.evaluate)
+    _count_calls(monkeypatch, calls, "extend_cocycle",
+                 charforms.cohomology.extend_cocycle)
+    _count_calls(monkeypatch, calls, "slots", forms._slot_operators)
+    ctx = make_context(rho, trace_form())
+    g, rank = gram_matrix(ctx, basis)
+    again, _ = gram_matrix(ctx, basis)
+    pairwise = eta(ctx, basis[0], basis[1])
+    assert rank == 32
+    assert np.array_equal(g, again)
+    assert pairwise == pytest.approx(g[0, 1], abs=1e-12 * np.abs(g).max())
+    assert calls == Counter(slots=1)
 
 
 class TestOracleEquivalence:
