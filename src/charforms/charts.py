@@ -29,10 +29,9 @@ from .matgroup import (
     TangentVector,
     find_representation,
     matrix_exp,
-    matrix_inverse,
 )
 from .invariants import InvariantPolynomial, killing_form, symmetric_tensor
-from .numeric import DEFAULT_TOL, Tolerances
+from .numeric import DEFAULT_TOL, Tolerances, rank_and_gap
 from .words import Presentation, Word
 
 __all__ = [
@@ -57,10 +56,9 @@ class Chart:
     def __post_init__(self):
         self.directions = tuple(self.directions)
         stacks = np.stack([s.stacked for s in self.directions], axis=1)
-        u, s, _ = np.linalg.svd(stacks, full_matrices=True)
-        rank = int(np.sum(s > self.tol.rank_rel * s[0]))
-        # fixed complex-linear complement; the retraction corrects only here
-        self._complement = u[:, rank:]
+        # fixed complex-linear complement (the null space of the directions'
+        # conjugate transpose); the retraction corrects only here
+        self._complement = rank_and_gap(stacks.conj().T, self.tol).kernel
 
     @property
     def dim(self) -> int:
@@ -112,12 +110,9 @@ def transported_direction(chart: Chart, t, i: int,
     rho0 = retract(chart, t) if base is None else base
     plus = retract(chart, t + e)
     minus = retract(chart, t - e)
-    rows = []
-    for k in range(rho0.p):
-        dm = (plus.images[k] - minus.images[k]) / (2 * h)
-        rows.append(rho0.basis.coords_from_matrix(
-            dm @ matrix_inverse(rho0.images[k], chart.tol)))
-    return TangentVector.of(np.stack(rows))
+    dm = (np.array(plus.images) - np.array(minus.images)) / (2 * h)
+    inverses = np.array([rho0.image(k, -1) for k in range(rho0.p)])
+    return TangentVector.of(rho0.basis.coords_from_matrix(dm @ inverses))
 
 
 def eta_coefficients(chart: Chart, phi: InvariantPolynomial, cycle: BarChain,

@@ -9,18 +9,14 @@ because all evaluators used in pairings are genuine functions on the group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import NotSurfacePresentation, RankInstability
-from .matgroup import (
-    Representation,
-    TangentVector,
-    coboundary,
-    evaluate_groupring,
-)
-from .numeric import DEFAULT_TOL, Tolerances, nullspace_basis, orth_basis
-from .words import Presentation, Word, fox_derivative
+from .matgroup import Representation, TangentVector, coboundary
+from .numeric import DEFAULT_TOL, Tolerances, rank_and_gap
+from .words import Presentation, Word
 
 __all__ = [
     "CocycleSpace",
@@ -41,19 +37,13 @@ __all__ = [
 def fox_jacobian(rho: Representation) -> np.ndarray:
     """Stacked Ad-evaluated Fox derivatives of the relators.
 
-    Shape (R * dim g, p * dim g); the kernel of this matrix is Z^1(Gamma, Ad rho)
-    in stacked generator coordinates.
+    Shape (R * dim g, p * dim g): the blocks J_r of ``ad_fox``.  The kernel
+    of this matrix is Z^1(Gamma, Ad rho) in stacked generator coordinates.
     """
-    p, d = rho.p, rho.dim_g
-    rows = []
-    for r in rho.presentation.relators:
-        row = np.zeros((d, p * d), dtype=np.complex128)
-        for k in range(p):
-            row[:, k * d:(k + 1) * d] = evaluate_groupring(rho, fox_derivative(r, k))
-        rows.append(row)
-    if not rows:
-        return np.zeros((0, p * d), dtype=np.complex128)
-    return np.concatenate(rows, axis=0)
+    blocks = [ad_fox(rho, r)[1] for r in rho.presentation.relators]
+    if not blocks:
+        return np.zeros((0, rho.p * rho.dim_g), dtype=np.complex128)
+    return np.concatenate(blocks, axis=0)
 
 
 @dataclass(frozen=True)
@@ -78,9 +68,8 @@ class CocycleSpace:
         """
         if len(self.rho.presentation.relators) != 1:
             return None
-        jac = fox_jacobian(self.rho)
-        rank = len(self.basis_z1)
-        return jac.shape[0] - (jac.shape[1] - rank)
+        d = self.rho.dim_g
+        return d - (self.rho.p * d - len(self.basis_z1))
 
     def report(self) -> dict:
         zi, bi, hi = self.dims
@@ -89,61 +78,33 @@ class CocycleSpace:
                 "rank_gap": gap if np.isfinite(gap) else None}
 
 
-def _gap_of(singvals: np.ndarray, rank: int) -> float:
-    if rank == 0 or rank >= len(singvals) or singvals[0] == 0.0:
-        return np.inf
-    if singvals[rank] == 0.0:
-        return np.inf
-    return float(singvals[rank - 1] / singvals[rank])
-
-
-def _checked_rank(m: np.ndarray, tol: Tolerances, what: str):
-    """Rank with instability detection: no singular value may sit within a
-    factor 10 of the cutoff."""
-    if m.size == 0:
-        return 0, np.inf, np.zeros(0)
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0:
-        return 0, np.inf, s
-    cutoff = tol.rank_rel * s[0]
-    near = np.sum((s > cutoff / 10) & (s < cutoff * 10))
-    if near:
-        raise RankInstability(
-            f"{what}: {near} singular value(s) within a factor 10 of cutoff")
-    rank = int(np.sum(s > cutoff))
-    return rank, _gap_of(s, rank), s
-
-
 def cocycle_space(rho: Representation, tol: Tolerances = DEFAULT_TOL) -> CocycleSpace:
+    """Z^1 as the kernel of the Fox Jacobian, B^1 as the image of
+    v -> (v - Ad rho(x_k) v)_k, and H^1 representatives as the orthonormal
+    complement of B^1 inside Z^1: three SVD rank decisions.
+
+    Raises RankInstability when a singular value of any of the three lies
+    within a factor 10 of its cutoff.
+    """
     p, d = rho.p, rho.dim_g
-    jac = fox_jacobian(rho)
-    if jac.shape[0] == 0:
-        z1 = np.eye(p * d, dtype=np.complex128)
-        gap_z = np.inf
-    else:
-        rank_j, gap_z, _ = _checked_rank(jac, tol, "fox_jacobian")
-        z1 = nullspace_basis(jac, tol)
-        assert z1.shape[1] == p * d - rank_j
-    # B^1: image of v -> (v - Ad rho(x_k) v)_k
+    z1 = rank_and_gap(fox_jacobian(rho), tol)
     cob = np.stack([coboundary(rho, np.eye(d)[:, j]).stacked for j in range(d)],
                    axis=1)
-    rank_b, gap_b, _ = _checked_rank(cob, tol, "coboundary map")
-    b1 = orth_basis(cob, tol)
-    # H^1 representatives: orthonormal complement of B^1 inside Z^1
-    resid = z1 - b1 @ (b1.conj().T @ z1)
-    if resid.size:
-        rank_h, gap_h, _ = _checked_rank(resid, tol, "H1 complement")
-    else:
-        gap_h = np.inf
-    h1 = orth_basis(resid, tol)
-    gap = min(gap_z, gap_b, gap_h)
-    return CocycleSpace(
-        rho,
-        tuple(TangentVector.from_stacked(z1[:, j], p) for j in range(z1.shape[1])),
-        tuple(TangentVector.from_stacked(b1[:, j], p) for j in range(b1.shape[1])),
-        tuple(TangentVector.from_stacked(h1[:, j], p) for j in range(h1.shape[1])),
-        gap,
-    )
+    b1 = rank_and_gap(cob, tol)
+    h1 = rank_and_gap(z1.kernel - b1.image @ (b1.image.conj().T @ z1.kernel), tol)
+    for what, dec in (("fox_jacobian", z1), ("coboundary map", b1),
+                      ("H1 complement", h1)):
+        if dec.margin < 10:
+            raise RankInstability(
+                f"{what}: a singular value lies within a factor "
+                f"{dec.margin:.3g} < 10 of the cutoff")
+
+    def vectors(basis):
+        return tuple(TangentVector.from_stacked(basis[:, j], p)
+                     for j in range(basis.shape[1]))
+
+    return CocycleSpace(rho, vectors(z1.kernel), vectors(b1.image),
+                        vectors(h1.image), min(z1.gap, b1.gap, h1.gap))
 
 
 def ad_fox(rho: Representation, w: Word):
@@ -317,8 +278,11 @@ def _surface_genus(presentation: Presentation) -> int:
     return g
 
 
+@lru_cache(maxsize=16)
 def fundamental_two_cycle(presentation: Presentation) -> FundamentalCycle:
     """Bar 2-cycle representing the fundamental class of the genus-g surface.
+
+    Built and verified once per presentation; the result is immutable.
 
     z = sum_{j=1}^{4g-1} [w_j | y_{j+1}] - sum_i ([a_i|a_i^-1] + [b_i|b_i^-1])
         - (2g-1) [e|e],

@@ -25,7 +25,6 @@ from .matgroup import (
     Representation,
     TangentVector,
     lie_algebra_basis,
-    matrix_inverse,
 )
 from .numeric import DEFAULT_TOL, Tolerances
 from .words import Presentation
@@ -204,18 +203,18 @@ def family_tangent(family: FamilySpec, s, k: int,
     The polynomial derivative is exact.  Raises NotTangent when the result
     fails the Fox-Jacobian residual check (invalid family)."""
     rho = family.rep_at(s, tol)
-    rows = []
-    for name in family.presentation.generator_names:
-        entries = family.images[name]
-        n = family.group.n
-        dm = np.empty((n, n), dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                dm[i, j] = entries[i][j].diff(k)(s)
-        m = family.matrix_at(name, s)
-        rows.append(rho.basis.coords_from_matrix(dm @ matrix_inverse(m, tol)))
-    sigma = TangentVector.of(np.stack(rows))
-    jac = fox_jacobian(rho)
+    return _tangent(family, rho, fox_jacobian(rho), s, k, residual_factor)
+
+
+def _tangent(family: FamilySpec, rho: Representation, jac: np.ndarray, s,
+             k: int, residual_factor: float = 1e-8) -> TangentVector:
+    """``family_tangent`` at the point rho = family.rep_at(s) with its Fox
+    Jacobian, both built once per point by the caller."""
+    derivs = np.array([[[entry.diff(k)(s) for entry in row]
+                        for row in family.images[name]]
+                       for name in family.presentation.generator_names])
+    inverses = np.array([rho.image(j, -1) for j in range(rho.p)])
+    sigma = TangentVector.of(rho.basis.coords_from_matrix(derivs @ inverses))
     if jac.size:
         resid = np.linalg.norm(jac @ sigma.stacked)
         scale = max(np.linalg.norm(sigma.stacked), 1.0)
@@ -229,7 +228,8 @@ def _coefficients_at(family: FamilySpec, phi: InvariantPolynomial,
                      tensor, cycle: BarChain, s,
                      tol: Tolerances) -> dict:
     rho = family.rep_at(s, tol)
-    tangents = [family_tangent(family, s, k, tol) for k in range(family.m)]
+    jac = fox_jacobian(rho)
+    tangents = [_tangent(family, rho, jac, s, k) for k in range(family.m)]
     ctx = EtaContext(rho, phi, tensor, cycle)
     return {(k, l): eta(ctx, tangents[k], tangents[l])
             for k in range(family.m) for l in range(k + 1, family.m)}

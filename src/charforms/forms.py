@@ -32,7 +32,7 @@ from .matgroup import (
     matrix_inverse,
 )
 from .invariants import InvariantPolynomial, symmetric_tensor
-from .numeric import DEFAULT_TOL, Tolerances, svd_rank
+from .numeric import DEFAULT_TOL, Tolerances, rank_and_gap
 from .words import Word
 
 __all__ = [
@@ -176,7 +176,7 @@ def gram_matrix(ctx: EtaContext, basis, tol: Tolerances = DEFAULT_TOL):
     for j, s in enumerate(basis):
         h[:, j] = s.stacked
     g = h.T @ ctx.omega @ h
-    return g, svd_rank(g, tol)
+    return g, rank_and_gap(g, tol).rank
 
 
 def conjugation_invariance(ctx: EtaContext, g, trials: int, rng,

@@ -69,11 +69,6 @@ def combination(terms) -> InvariantPolynomial:
     return InvariantPolynomial("combo", terms[0][1].degree, terms)
 
 
-def _ad_of(basis: LieAlgebraBasis, m: np.ndarray) -> np.ndarray:
-    cols = [basis.coords_from_matrix(m @ b - b @ m) for b in basis.matrices]
-    return np.stack(cols, axis=1)
-
-
 def evaluate(phi: InvariantPolynomial, basis: LieAlgebraBasis, x) -> complex:
     """Evaluate on a coordinate vector in the fixed basis."""
     x = np.asarray(x, dtype=np.complex128)
@@ -87,7 +82,8 @@ def evaluate(phi: InvariantPolynomial, basis: LieAlgebraBasis, x) -> complex:
         return complex(np.trace(m @ m))
     if phi.kind == "power_trace":
         return complex(np.trace(np.linalg.matrix_power(m, phi.degree)))
-    ad = _ad_of(basis, m)
+    eye = np.eye(basis.n)
+    ad = _ad_matrix(basis, m, eye) - _ad_matrix(basis, eye, m)
     return complex(np.trace(ad @ ad))
 
 
@@ -127,7 +123,8 @@ def symmetric_tensor(phi: InvariantPolynomial, basis: LieAlgebraBasis) -> np.nda
     if phi.kind == "combo":
         return sum(c * symmetric_tensor(t, basis) for c, t in phi.terms)
     if phi.kind == "killing":
-        ads = np.stack([_ad_of(basis, b) for b in basis.matrices])
+        mats, eye = np.stack(basis.matrices), np.eye(basis.n)
+        ads = _ad_matrix(basis, mats, eye) - _ad_matrix(basis, eye, mats)
         return np.einsum("aij,bji->ab", ads, ads)
     mats = np.stack(basis.matrices)
     n, d = phi.degree, basis.dim

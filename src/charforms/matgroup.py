@@ -8,7 +8,8 @@ row-major order.  Every coordinate vector elsewhere refers to this ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .numeric import (
     as_cmatrix,
     matrix_exp,
     matrix_inverse,
-    nullspace_basis,
+    rank_and_gap,
     solve_lsq,
 )
 from .words import GroupRingElement, Presentation, Word
@@ -56,13 +57,21 @@ class GroupSpec:
         if self.n < 2:
             raise InvalidInput("matrix size must be >= 2")
 
+    @cached_property
+    def _basis(self) -> "LieAlgebraBasis":
+        # built once per group; its Representations share it
+        return lie_algebra_basis(self)
+
 
 @dataclass(frozen=True)
 class LieAlgebraBasis:
-    """Ordered basis of the Lie algebra with coordinate converters."""
+    """The fixed ordered basis of the Lie algebra with coordinate converters.
+
+    Coordinates are read off matrix entries by index, so only the basis
+    built by ``lie_algebra_basis`` is supported.
+    """
 
     matrices: tuple  # tuple of (n, n) arrays
-    _pinv: np.ndarray = field(repr=False, default=None)
 
     @property
     def dim(self) -> int:
@@ -72,12 +81,31 @@ class LieAlgebraBasis:
     def n(self) -> int:
         return self.matrices[0].shape[0]
 
+    @cached_property
+    def _stack(self) -> np.ndarray:
+        return np.stack(self.matrices)
+
     def matrix_from_coords(self, x) -> np.ndarray:
+        """Matrices (..., n, n) of coordinate vectors x (..., dim)."""
         x = np.asarray(x, dtype=np.complex128)
-        return np.tensordot(x, np.stack(self.matrices), axes=(0, 0))
+        return np.tensordot(x, self._stack, axes=(-1, 0))
 
     def coords_from_matrix(self, m) -> np.ndarray:
-        return self._pinv @ np.asarray(m, dtype=np.complex128).reshape(-1)
+        """Coordinates (..., dim) of the orthogonal projection of m (..., n, n)
+        onto the algebra.
+
+        Off-diagonal entries come first; for sl(n) the diagonal coordinates
+        are the cumulative sums of the diagonal of m - (tr m / n) I, for
+        gl(n) the diagonal itself.
+        """
+        m = np.asarray(m, dtype=np.complex128)
+        n = self.n
+        diag = m.diagonal(axis1=-2, axis2=-1)
+        if self.dim < n * n:
+            diag = np.cumsum(diag - diag.mean(axis=-1, keepdims=True),
+                             axis=-1)[..., :-1]
+        rows, cols = np.nonzero(~np.eye(n, dtype=bool))
+        return np.concatenate([m[..., rows, cols], diag], axis=-1)
 
 
 def lie_algebra_basis(group: GroupSpec) -> LieAlgebraBasis:
@@ -100,9 +128,7 @@ def lie_algebra_basis(group: GroupSpec) -> LieAlgebraBasis:
             e = np.zeros((n, n), dtype=np.complex128)
             e[i, i] = 1.0
             mats.append(e)
-    stack = np.stack([m.reshape(-1) for m in mats], axis=1)
-    pinv = np.linalg.pinv(stack)
-    return LieAlgebraBasis(tuple(mats), pinv)
+    return LieAlgebraBasis(tuple(mats))
 
 
 @dataclass(frozen=True)
@@ -157,7 +183,7 @@ class Representation:
         for m in self.images:
             if m.shape != (group.n, group.n):
                 raise InvalidInput(f"image shape {m.shape} != ({group.n},{group.n})")
-        self.basis = lie_algebra_basis(group)
+        self.basis = group._basis
         self._inverses = tuple(matrix_inverse(m, tol) for m in self.images)
         self._ad_gen = None
         self._ad_gen_inv = None
@@ -175,8 +201,13 @@ class Representation:
     def validate(self):
         if self.group.kind == "SL":
             for m in self.images:
-                if abs(np.linalg.det(m) - 1.0) > 1e-10:
-                    raise InvalidInput("SL image has |det - 1| > 1e-10")
+                # Hadamard: |det m| <= prod of row norms, which scales the
+                # rounding error of det
+                bound = 1e-10 * np.prod(np.linalg.norm(m, axis=1))
+                if abs(np.linalg.det(m) - 1.0) > bound:
+                    raise InvalidInput(
+                        f"SL image has |det - 1| > {bound:.3e} "
+                        "(1e-10 times the product of its row norms)")
         for r in self.presentation.relators:
             res = np.linalg.norm(evaluate_word(self, r) - np.eye(self.group.n))
             if res > 10 * max(self.tol.newton_tol, 1e-12):
@@ -187,18 +218,21 @@ class Representation:
 
     def _generator_ad(self):
         if self._ad_gen is None:
-            ad, ad_inv = [], []
-            for k in range(self.p):
-                ad.append(_ad_matrix(self.basis, self.images[k], self._inverses[k]))
-                ad_inv.append(_ad_matrix(self.basis, self._inverses[k], self.images[k]))
-            self._ad_gen = tuple(ad)
-            self._ad_gen_inv = tuple(ad_inv)
+            n = self.group.n
+            images = np.reshape(self.images, (-1, n, n))
+            inverses = np.reshape(self._inverses, (-1, n, n))
+            self._ad_gen = tuple(_ad_matrix(self.basis, images, inverses))
+            self._ad_gen_inv = tuple(_ad_matrix(self.basis, inverses, images))
         return self._ad_gen, self._ad_gen_inv
 
 
-def _ad_matrix(basis: LieAlgebraBasis, a: np.ndarray, a_inv: np.ndarray) -> np.ndarray:
-    cols = [basis.coords_from_matrix(a @ b @ a_inv) for b in basis.matrices]
-    return np.stack(cols, axis=1)
+def _ad_matrix(basis: LieAlgebraBasis, left, right) -> np.ndarray:
+    """Matrix of X -> left X right in the basis, batched over the leading
+    axes of left and right: (g, g^-1) gives Ad g."""
+    left = np.asarray(left)[..., None, :, :]
+    right = np.asarray(right)[..., None, :, :]
+    images = basis.coords_from_matrix(left @ basis._stack @ right)
+    return np.swapaxes(images, -1, -2)
 
 
 def evaluate_word(rho: Representation, w: Word) -> np.ndarray:
@@ -256,29 +290,19 @@ def _relator_residual(rho: Representation) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _relator_jacobian(rho: Representation, fox_blocks) -> np.ndarray:
+def _relator_jacobian(rho: Representation) -> np.ndarray:
     """Exact first-order derivative of vec(rho(r) - I) under exp-perturbations.
 
-    fox_blocks[r][k] is the Fox derivative of relator r w.r.t. generator k;
-    a perturbation X_k of generator k moves rho(r) by (Ad-evaluated Fox
-    derivative applied to X_k) * rho(r).
+    A perturbation X of the stacked generator coordinates moves rho(r) by
+    (J_r X) rho(r), with J_r the Ad-evaluated Fox derivative of relator r.
     """
-    n = rho.group.n
-    d = rho.dim_g
-    p = rho.p
-    rows = []
-    for idx, r in enumerate(rho.presentation.relators):
-        rho_r = evaluate_word(rho, r)
-        block = np.zeros((n * n, p * d), dtype=np.complex128)
-        for k in range(p):
-            dk = evaluate_groupring(rho, fox_blocks[idx][k])
-            for m in range(d):
-                x = rho.basis.matrix_from_coords(dk[:, m])
-                block[:, k * d + m] = (x @ rho_r).reshape(-1)
-        rows.append(block)
-    if not rows:
-        return np.zeros((0, p * d), dtype=np.complex128)
-    return np.concatenate(rows, axis=0)
+    from .cohomology import ad_fox  # cohomology imports this module
+    blocks = []
+    for r in rho.presentation.relators:
+        x = rho.basis.matrix_from_coords(ad_fox(rho, r)[1].T)  # (p * d, n, n)
+        moved = x @ evaluate_word(rho, r)
+        blocks.append(moved.reshape(len(moved), -1).T)
+    return np.concatenate(blocks, axis=0)
 
 
 def find_representation(presentation: Presentation, group: GroupSpec, seed_images,
@@ -289,26 +313,22 @@ def find_representation(presentation: Presentation, group: GroupSpec, seed_image
     Perturbations act as rho(x_k) -> exp(X_k) rho(x_k) with X_k in the fixed
     Lie-algebra basis (traceless for SL, so the determinant constraint is
     maintained exactly).  Steps are damped by halving until the residual
-    decreases.  ``step_basis`` (columns) optionally restricts the step to a
-    subspace of the stacked coordinate space.
+    decreases; a step whose exponential overflows or is numerically singular
+    counts as rejected.  ``step_basis`` (columns) optionally restricts the
+    step to a subspace of the stacked coordinate space.
     """
-    from .words import fox_derivative
-
     images = [as_cmatrix(m) for m in seed_images]
     if group.kind == "SL":
         images = [m / np.linalg.det(m) ** (1.0 / group.n) for m in images]
     rho = Representation(presentation, group, images, tol=tol, check=False)
     d = rho.dim_g
     p = rho.p
-    fox_blocks = [
-        [fox_derivative(r, k) for k in range(p)] for r in presentation.relators
-    ]
     res = _relator_residual(rho)
     res_norm = np.linalg.norm(res)
     if not presentation.relators or res_norm <= tol.newton_tol:
         return Representation(presentation, group, rho.images, tol=tol)
     for _ in range(max_iter):
-        jac = _relator_jacobian(rho, fox_blocks)
+        jac = _relator_jacobian(rho)
         if step_basis is not None:
             coeffs = solve_lsq(jac @ step_basis, -res)
             step = step_basis @ coeffs
@@ -316,13 +336,18 @@ def find_representation(presentation: Presentation, group: GroupSpec, seed_image
             step = solve_lsq(jac, -res)
         scale = 1.0
         for _ in range(40):
-            trial = []
-            for k in range(p):
-                x = rho.basis.matrix_from_coords(scale * step[k * d:(k + 1) * d])
-                trial.append(matrix_exp(x) @ rho.images[k])
-            cand = Representation(presentation, group, trial, tol=tol, check=False)
-            cand_res = _relator_residual(cand)
-            cand_norm = np.linalg.norm(cand_res)
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial = [matrix_exp(rho.basis.matrix_from_coords(
+                    scale * step[k * d:(k + 1) * d])) @ rho.images[k]
+                    for k in range(p)]
+            try:
+                cand = Representation(presentation, group, trial, tol=tol,
+                                      check=False)
+            except ValueError:  # non-finite or singular: the step overshot
+                cand_norm = np.inf
+            else:
+                cand_res = _relator_residual(cand)
+                cand_norm = np.linalg.norm(cand_res)
             if cand_norm < res_norm:
                 break
             scale *= 0.5
@@ -345,7 +370,7 @@ def invariant_subspace_dim(rho: Representation, tol: Tolerances = DEFAULT_TOL) -
     if not ad:
         return d
     stacked = np.concatenate([a - np.eye(d) for a in ad], axis=0)
-    return nullspace_basis(stacked, tol).shape[1]
+    return d - rank_and_gap(stacked, tol).rank
 
 
 def _has_common_eigenline(rho: Representation) -> bool:

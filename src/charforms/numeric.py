@@ -1,8 +1,9 @@
 """Dense complex linear algebra kernel.
 
-Thin wrappers around numpy/scipy with SVD-threshold rank decisions.  All rank
-and nullspace computations go through the same relative cutoff so dimension
-counts elsewhere in the library are consistent.
+Thin wrappers around numpy/scipy.  Every rank, column-space and null-space
+decision in the library is one call of ``rank_and_gap``: one SVD under one
+relative cutoff, so dimension counts elsewhere are consistent and each
+decision carries the gap and margin it was made with.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ from .errors import ConvergenceFailure, SingularMatrix
 __all__ = [
     "Tolerances",
     "as_cmatrix",
-    "svd_rank",
+    "RankDecision",
     "rank_and_gap",
-    "nullspace_basis",
-    "orth_basis",
     "solve_lsq",
     "matrix_exp",
     "matrix_inverse",
@@ -52,7 +51,7 @@ def as_cmatrix(data) -> np.ndarray:
         m = m[:, None]
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.view(np.float64))):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
@@ -64,61 +63,53 @@ def _svdvals(m: np.ndarray) -> np.ndarray:
         raise ConvergenceFailure(f"SVD failed: {exc}") from exc
 
 
-def rank_and_gap(m, tol: Tolerances = DEFAULT_TOL):
-    """Rank by relative cutoff plus the gap ratio smallest-kept/largest-dropped.
+@dataclass(frozen=True)
+class RankDecision:
+    """One SVD rank decision under the relative cutoff tol.rank_rel * s_max.
 
-    The gap ratio is inf when nothing is dropped (or nothing kept); callers
-    use it to detect untrustworthy rank decisions.
+    ``gap`` is smallest-kept / largest-dropped singular value (inf when
+    nothing nonzero is dropped).  ``margin`` is the factor by which the
+    singular value nearest the cutoff clears it (inf for a zero matrix);
+    below 10 the rank is untrustworthy.  ``image`` and ``kernel`` are
+    orthonormal bases (columns) of the column space and the null space.
     """
+
+    rank: int
+    gap: float
+    margin: float
+    image: np.ndarray
+    kernel: np.ndarray
+
+
+def rank_and_gap(m, tol: Tolerances = DEFAULT_TOL) -> RankDecision:
+    """Rank, gap, cutoff margin and both bases of m from one SVD (thin
+    unless m is wide, where the null space needs the full V)."""
     m = as_cmatrix(m)
-    if m.size == 0:
-        return 0, np.inf
-    s = _svdvals(m)
-    if s[0] == 0.0:
-        return 0, np.inf
+    rows, cols = m.shape
+    if not m.any():
+        return RankDecision(0, np.inf, np.inf,
+                            np.zeros((rows, 0), dtype=np.complex128),
+                            np.eye(cols, dtype=np.complex128))
+    try:
+        u, s, vh = scipy.linalg.svd(m, full_matrices=rows < cols)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise ConvergenceFailure(f"SVD failed: {exc}") from exc
     cutoff = tol.rank_rel * s[0]
     rank = int(np.sum(s > cutoff))
-    if rank == 0 or rank == len(s):
-        return rank, np.inf
-    return rank, float(s[rank - 1] / s[rank])
-
-
-def svd_rank(m, tol: Tolerances = DEFAULT_TOL) -> int:
-    return rank_and_gap(m, tol)[0]
-
-
-def nullspace_basis(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal nullspace basis as columns of the returned matrix."""
-    m = as_cmatrix(m)
-    if m.shape[0] == 0:
-        return np.eye(m.shape[1], dtype=np.complex128)
-    try:
-        _, s, vh = scipy.linalg.svd(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ConvergenceFailure(f"SVD failed: {exc}") from exc
-    if len(s) == 0 or s[0] == 0.0:
-        return np.eye(m.shape[1], dtype=np.complex128)
-    rank = int(np.sum(s > tol.rank_rel * s[0]))
-    return vh[rank:].conj().T
-
-
-def orth_basis(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (columns) of the column space of m."""
-    m = as_cmatrix(m)
-    if m.size == 0:
-        return np.zeros((m.shape[0], 0), dtype=np.complex128)
-    u, s, _ = scipy.linalg.svd(m, full_matrices=False)
-    if len(s) == 0 or s[0] == 0.0:
-        return np.zeros((m.shape[0], 0), dtype=np.complex128)
-    rank = int(np.sum(s > tol.rank_rel * s[0]))
-    return u[:, :rank]
+    kept, dropped = s[rank - 1], (s[rank] if rank < len(s) else 0.0)
+    with np.errstate(divide="ignore"):
+        gap, margin = kept / dropped, min(kept / cutoff, cutoff / dropped)
+    return RankDecision(rank, float(gap), float(margin),
+                        u[:, :rank], vh[rank:].conj().T)
 
 
 def solve_lsq(a, b) -> np.ndarray:
-    """Minimum-norm least-squares solution of a x = b."""
+    """Minimum-norm least-squares solution of a x = b, with singular values
+    of a below the default relative rank cutoff treated as zero."""
     a = as_cmatrix(a)
     b = np.asarray(b, dtype=np.complex128)
-    x, *_ = scipy.linalg.lstsq(a, b, lapack_driver="gelsd")
+    x, *_ = scipy.linalg.lstsq(a, b, cond=DEFAULT_TOL.rank_rel,
+                               lapack_driver="gelsd")
     return x
 
 
@@ -136,7 +127,6 @@ def matrix_inverse(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     s = _svdvals(m)
     if s[-1] <= tol.rank_rel * s[0] or s[-1] == 0.0:
         raise SingularMatrix(
-            f"condition estimate {s[0] / max(s[-1], np.finfo(float).tiny):.3e} "
-            f"exceeds 1/rank_rel"
-        )
+            f"smallest singular value {s[-1]:.3e} <= rank_rel times the "
+            f"largest, {s[0]:.3e}")
     return np.linalg.inv(m)

@@ -3,9 +3,39 @@ import pytest
 
 from charforms import GroupSpec, Presentation, Representation
 from charforms.families import FamilySpec, Poly
+from charforms.numeric import matrix_exp
 
 SL2 = GroupSpec("SL", 2)
 GL2 = GroupSpec("GL", 2)
+
+
+def random_point(genus, seed, kind="SL", n=2, free=0):
+    """Seeded point: exponentials of complex Lie-algebra elements of size 0.3.
+
+    A surface point repeats (A, B, B, A) per pair of handles and closes an
+    odd genus with (C, C^2), so the relator holds to rounding; ``free`` > 0
+    gives that many independent images on the free group instead.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        x = 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        if kind == "SL":
+            x -= (np.trace(x) / n) * np.eye(n)
+        return matrix_exp(x)
+
+    group = GroupSpec(kind, n)
+    if free:
+        names = [chr(ord("a") + i) for i in range(free)]
+        return Representation(Presentation.free(names), group,
+                              [draw() for _ in names]), rng
+    a, b, c = draw(), draw(), draw()
+    images = []
+    for _ in range(genus // 2):
+        images += [a, b, b, a]
+    if genus % 2:
+        images += [c, c @ c]
+    return Representation(Presentation.surface(genus), group, images), rng
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from charforms import GroupSpec, Presentation, Representation
 from charforms.cli import main
 from charforms.families import family_to_json
 from charforms.matgroup import representation_to_json
@@ -169,3 +171,17 @@ def test_missing_generator_image_is_invalid_input(genus2_rep, tmp_path, capsys):
 def test_unknown_group_kind_is_invalid_input(genus2_rep, tmp_path, capsys):
     path = _point_input(tmp_path, genus2_rep, group={"kind": "SO", "n": 2})
     _assert_invalid_input(capsys, ["cohomology", "--input", path])
+
+
+def test_closedness_after_overflowing_step_is_typed(tmp_path):
+    """The genus-2 GL(2) point (A, B, B, A) with A, B = expm(0.3 (N + iM)),
+    N and M standard normal from seed 0: a full Gauss-Newton step of one of
+    its retractions used to overflow expm and escape as a bare ValueError."""
+    rng = np.random.default_rng(0)
+    a, b = (scipy.linalg.expm(0.3 * (rng.standard_normal((2, 2))
+                                     + 1j * rng.standard_normal((2, 2))))
+            for _ in range(2))
+    rho = Representation(Presentation.surface(2), GroupSpec("GL", 2), [a, b, b, a])
+    code, report = run(["closedness", "--input", _point_input(tmp_path, rho)],
+                       tmp_path / "r.json")
+    assert code == 0 or (code == 1 and report["error"] == "NoConvergence")

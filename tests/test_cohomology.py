@@ -1,5 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,11 +20,21 @@ from charforms import (
     parse_word,
     verify_cycle,
 )
+import charforms.cohomology
 from charforms.cohomology import ad_fox, bar_boundary, normal_form
-from charforms.matgroup import adjoint_operator, evaluate_groupring
+from charforms.matgroup import (
+    _relator_jacobian,
+    adjoint_operator,
+    coboundary,
+    evaluate_groupring,
+    evaluate_word,
+    matrix_exp,
+)
 from charforms.words import fox_derivative
 from charforms.errors import NotSurfacePresentation, RankInstability
 from charforms.numeric import Tolerances
+
+from conftest import random_point
 
 SL2 = GroupSpec("SL", 2)
 
@@ -70,6 +83,76 @@ class TestCocycleSpace:
         # a cutoff placed inside the spectrum trips the factor-10 guard
         with pytest.raises(RankInstability):
             cocycle_space(genus2_rep, Tolerances(rank_rel=1e-1))
+
+    @pytest.mark.parametrize("fixture", ["genus2_rep", "f2_rep"])
+    @pytest.mark.parametrize("rank_rel", [1e-13, 1e-10, 1e-6, 1e-3, 1e-2,
+                                          1e-1, 0.5])
+    def test_rank_instability_exactly_near_cutoff(self, fixture, rank_rel,
+                                                  request):
+        """Raised iff a singular value of the Fox Jacobian, the coboundary
+        map or the H^1 complement lies within a factor 10 of its cutoff,
+        with the three matrices rebuilt here from scipy's null_space/orth.
+        On F_2 (no relators) only the coboundary map can trip it."""
+        rho = request.getfixturevalue(fixture)
+        jac = fox_jacobian(rho)
+        cob = np.stack([coboundary(rho, np.eye(rho.dim_g)[:, j]).stacked
+                        for j in range(rho.dim_g)], axis=1)
+        z1 = (scipy.linalg.null_space(jac, rcond=rank_rel) if jac.size
+              else np.eye(jac.shape[1]))
+        b1 = scipy.linalg.orth(cob, rcond=rank_rel)
+        near = False
+        for m in (jac, cob, z1 - b1 @ (b1.conj().T @ z1)):
+            if m.size:
+                s = scipy.linalg.svdvals(m)
+                cutoff = rank_rel * s[0]
+                near |= bool(np.any((s > cutoff / 10) & (s < cutoff * 10)))
+        tol = Tolerances(rank_rel=rank_rel)
+        if near:
+            with pytest.raises(RankInstability):
+                cocycle_space(rho, tol)
+        else:
+            space = cocycle_space(rho, tol)
+            assert space.dims == cocycle_space(rho).dims
+
+
+def _reference_fox_blocks(rho, r):
+    """Ad-evaluated exact Fox derivatives of r, term by term."""
+    return [evaluate_groupring(rho, fox_derivative(r, k)) for k in range(rho.p)]
+
+
+def _reference_relator_jacobian(rho):
+    """Columns vec((D_k x) rho(r)) of the Gauss-Newton relator Jacobian, one
+    Lie-algebra basis vector x at a time."""
+    n, d = rho.group.n, rho.dim_g
+    blocks = []
+    for r in rho.presentation.relators:
+        rho_r = evaluate_word(rho, r)
+        block = np.zeros((n * n, rho.p * d), dtype=np.complex128)
+        for k, dk in enumerate(_reference_fox_blocks(rho, r)):
+            for m in range(d):
+                x = rho.basis.matrix_from_coords(dk[:, m])
+                block[:, k * d + m] = (x @ rho_r).reshape(-1)
+        blocks.append(block)
+    return np.concatenate(blocks, axis=0)
+
+
+@pytest.mark.parametrize("genus,kind,n", [(1, "SL", 2), (2, "SL", 2), (3, "SL", 2),
+                                          (2, "SL", 3), (2, "GL", 2)])
+def test_jacobians_match_fox_oracle(genus, kind, n):
+    """fox_jacobian and the relator Jacobian, both built from ad_fox, equal
+    their term-by-term constructions from exact Fox derivatives, at a point
+    moved off the variety as a Gauss-Newton iterate is (rho(r) != I)."""
+    rho, rng = random_point(genus, 7, kind, n)
+    moved = [matrix_exp(rho.basis.matrix_from_coords(
+        0.05 * rng.standard_normal(rho.dim_g))) @ m for m in rho.images]
+    rho = Representation(rho.presentation, rho.group, moved, check=False)
+    assert np.linalg.norm(evaluate_word(rho, rho.presentation.relators[0])
+                          - np.eye(n)) > 1e-3
+    ref = np.concatenate([np.concatenate(_reference_fox_blocks(rho, r), axis=1)
+                          for r in rho.presentation.relators])
+    assert np.abs(fox_jacobian(rho) - ref).max() <= 1e-12 * np.abs(ref).max()
+    ref = _reference_relator_jacobian(rho)
+    assert np.abs(_relator_jacobian(rho) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestExtendCocycle:
@@ -157,6 +240,20 @@ class TestFundamentalCycle:
         chain = fundamental_two_cycle(pres).chain
         for i in range(len(chain.terms)):
             assert not verify_cycle(chain.drop_term(i), pres)
+
+    def test_verified_once_per_presentation(self, monkeypatch):
+        calls = Counter()
+        verify = charforms.cohomology.verify_cycle
+
+        def counted(*args):
+            calls["verify_cycle"] += 1
+            return verify(*args)
+
+        monkeypatch.setattr(charforms.cohomology, "verify_cycle", counted)
+        fundamental_two_cycle.cache_clear()
+        first = fundamental_two_cycle(Presentation.surface(2))
+        assert fundamental_two_cycle(Presentation.surface(2)) is first
+        assert calls == Counter(verify_cycle=1)
 
     def test_rejects_non_surface(self):
         with pytest.raises(NotSurfacePresentation):

@@ -1,8 +1,13 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import charforms.families
 from charforms import GroupSpec, Presentation, trace_form
-from charforms.cohomology import fox_jacobian
+from charforms.cohomology import fox_jacobian, fundamental_two_cycle
+from charforms.forms import EtaContext, eta
+from charforms.invariants import symmetric_tensor
 from charforms.errors import InvalidInput, NotTangent
 from charforms.families import (
     FamilySpec,
@@ -123,6 +128,39 @@ class TestFamilyTangent:
                          family.domain_radius, images)
         with pytest.raises(NotTangent):
             family_tangent(bad, np.array([0.1, 0.0, 0.0]), 0)
+
+
+def test_coefficient_point_builds_rho_and_jacobian_once(family, monkeypatch):
+    """One coefficient point of an m = 3 family builds one Representation and
+    one Fox Jacobian, and its coefficients equal eta on family_tangent."""
+    s = np.array([0.03, -0.02, 0.01], dtype=complex)
+    phi = trace_form()
+    rho = family.rep_at(s)
+    tensor = symmetric_tensor(phi, rho.basis)
+    cycle = fundamental_two_cycle(family.presentation).chain
+    ctx = EtaContext(rho, phi, tensor, cycle)
+    tangents = [family_tangent(family, s, k) for k in range(3)]
+    expected = {(k, l): eta(ctx, tangents[k], tangents[l])
+                for k in range(3) for l in range(k + 1, 3)}
+
+    calls = Counter()
+    fams = charforms.families
+    rep_at, jacobian = FamilySpec.rep_at, fams.fox_jacobian
+
+    def counted_rep_at(*args, **kwargs):
+        calls["rep_at"] += 1
+        return rep_at(*args, **kwargs)
+
+    def counted_jacobian(*args):
+        calls["fox_jacobian"] += 1
+        return jacobian(*args)
+
+    monkeypatch.setattr(FamilySpec, "rep_at", counted_rep_at)
+    monkeypatch.setattr(fams, "fox_jacobian", counted_jacobian)
+    coeffs = fams._coefficients_at(family, phi, tensor, cycle, s,
+                                   fams.DEFAULT_TOL)
+    assert calls == Counter(rep_at=1, fox_jacobian=1)
+    assert coeffs == expected
 
 
 class TestPullback:

@@ -10,8 +10,6 @@ import charforms
 from charforms import (
     BarChain,
     GroupSpec,
-    Presentation,
-    Representation,
     Word,
     adjoint_operator,
     cocycle_space,
@@ -31,6 +29,8 @@ from charforms import (
 from charforms.errors import DegreeMismatch, NotEndomorphism
 from charforms.forms import endomorphism_pullback, random_cocycle
 from charforms.matgroup import TangentVector, coboundary, matrix_exp
+
+from conftest import random_point
 
 SL2 = GroupSpec("SL", 2)
 
@@ -154,35 +154,6 @@ def reference_eta(ctx, *sigmas):
     return pair(ev, ctx.cycle), scale
 
 
-def _random_point(genus, seed, kind="SL", n=2, free=0):
-    """Seeded point: exponentials of complex Lie-algebra elements of size 0.3.
-
-    A surface point repeats (A, B, B, A) per pair of handles and closes an
-    odd genus with (C, C^2), so the relator holds to rounding; ``free`` > 0
-    gives that many independent images on the free group instead.
-    """
-    rng = np.random.default_rng(seed)
-
-    def draw():
-        x = 0.3 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        if kind == "SL":
-            x -= (np.trace(x) / n) * np.eye(n)
-        return matrix_exp(x)
-
-    group = GroupSpec(kind, n)
-    if free:
-        names = [chr(ord("a") + i) for i in range(free)]
-        return Representation(Presentation.free(names), group,
-                              [draw() for _ in names]), rng
-    a, b, c = draw(), draw(), draw()
-    images = []
-    for _ in range(genus // 2):
-        images += [a, b, b, a]
-    if genus % 2:
-        images += [c, c @ c]
-    return Representation(Presentation.surface(genus), group, images), rng
-
-
 _seeds = st.integers(0, 2**32 - 1)
 _letters = st.tuples(st.integers(0, 1), st.sampled_from((1, -1)))
 _words = st.lists(_letters, min_size=1, max_size=4).map(Word.of).filter(
@@ -198,7 +169,7 @@ class TestAssembledForm:
     @PROPERTY
     @given(genus=st.integers(1, 3), seed=_seeds)
     def test_gram_matches_oracle(self, genus, seed):
-        rho, _ = _random_point(genus, seed)
+        rho, _ = random_point(genus, seed)
         basis = cocycle_space(rho).basis_h1
         g, _ = gram_matrix(make_context(rho, trace_form()), basis)
         mats = [_to_matrices(rho, s) for s in basis]
@@ -209,7 +180,7 @@ class TestAssembledForm:
     @PROPERTY
     @given(seed=_seeds, terms=_chains3)
     def test_power_trace_3_on_free_group(self, seed, terms):
-        rho, rng = _random_point(0, seed, "SL", 3, free=2)
+        rho, rng = random_point(0, seed, "SL", 3, free=2)
         ctx = make_context(rho, power_trace(3), BarChain.of(3, terms))
         sigmas = [TangentVector.of(rng.standard_normal((2, 8))
                                    + 1j * rng.standard_normal((2, 8)))
@@ -220,7 +191,7 @@ class TestAssembledForm:
     @PROPERTY
     @given(seed=_seeds)
     def test_killing_on_genus2_gl2(self, seed):
-        rho, rng = _random_point(2, seed, "GL", 2)
+        rho, rng = random_point(2, seed, "GL", 2)
         ctx = make_context(rho, killing_form())
         space = cocycle_space(rho)
         s, t = random_cocycle(space, rng), random_cocycle(space, rng)
@@ -245,7 +216,7 @@ def test_gram_assembles_once_per_context(monkeypatch):
     """Deterministic cost guard: the Gram matrix on a 32-dimensional H^1
     and a later eta on the same context build the slot operators once and
     never evaluate Phi or extend a cocycle pair by pair."""
-    rho, _ = _random_point(3, 0, "SL", 3)
+    rho, _ = random_point(3, 0, "SL", 3)
     basis = cocycle_space(rho).basis_h1
     assert len(basis) == 32
     calls = Counter()

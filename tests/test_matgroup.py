@@ -16,7 +16,7 @@ from charforms import (
     lie_algebra_basis,
     parse_word,
 )
-from charforms.errors import NoConvergence
+from charforms.errors import InvalidInput, NoConvergence
 from charforms.matgroup import (
     TangentVector,
     representation_from_json,
@@ -54,6 +54,20 @@ class TestLieAlgebraBasis:
         for m in lie_algebra_basis(SL3).matrices:
             assert abs(np.trace(m)) == 0
 
+    def test_coords_are_the_orthogonal_projection(self):
+        """On matrices outside the algebra (trace != 0 for SL), read-off
+        coordinates equal the least-squares coordinates of the pinv of the
+        stacked basis, also for a batch."""
+        rng = np.random.default_rng(5)
+        for group in (SL2, SL3, GL2):
+            basis = lie_algebra_basis(group)
+            stack = np.stack([m.reshape(-1) for m in basis.matrices], axis=1)
+            n = group.n
+            m = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+            ref = (np.linalg.pinv(stack) @ m.reshape(4, -1).T).T
+            assert np.abs(basis.coords_from_matrix(m) - ref).max() < 1e-12
+            assert np.abs(basis.coords_from_matrix(m[0]) - ref[0]).max() < 1e-12
+
 
 class TestRepresentation:
     def test_relator_checked(self):
@@ -67,6 +81,17 @@ class TestRepresentation:
         pres = Presentation.free(["a"])
         with pytest.raises(ValueError):
             Representation(pres, SL2, [np.diag([2.0, 1.0])])
+
+    def test_sl_determinant_bound_scales_with_the_matrix(self):
+        # conjugates of diag(1e3, 1e-3), condition numbers around 1e6: their
+        # det carries rounding far beyond an absolute 1e-10
+        pres = Presentation.free(["a"])
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            p = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            Representation(pres, SL2, [p @ np.diag([1e3, 1e-3]) @ np.linalg.inv(p)])
+        with pytest.raises(InvalidInput):
+            Representation(pres, SL2, [np.diag([1.01, 1.0])])
 
     def test_evaluate_word(self, f2_rep):
         w = parse_word("a b A B", ["a", "b"])
@@ -137,6 +162,13 @@ class TestFindRepresentation:
         rho = find_representation(f2_rep.presentation, SL2, f2_rep.images)
         for m1, m2 in zip(rho.images, f2_rep.images):
             assert np.allclose(m1, m2)
+
+    def test_overflowing_step_is_halved(self):
+        # the full step from diag(1e-3, 1) towards <a | a> is about
+        # diag(999, 0), whose exponential overflows: it counts as rejected
+        pres = Presentation.parse(["a"], ["a"])
+        rho = find_representation(pres, GL2, [np.diag([1e-3, 1.0])])
+        assert np.linalg.norm(rho.images[0] - np.eye(2)) < 1e-12
 
     def test_no_convergence_reported(self):
         # relator a with image far from I and a 1-step budget

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from charforms.errors import SingularMatrix
 from charforms.numeric import (
@@ -7,11 +10,8 @@ from charforms.numeric import (
     as_cmatrix,
     matrix_exp,
     matrix_inverse,
-    nullspace_basis,
-    orth_basis,
     rank_and_gap,
     solve_lsq,
-    svd_rank,
 )
 
 
@@ -29,16 +29,20 @@ def test_as_cmatrix_rejects_nan():
 
 def test_rank_and_gap():
     m = np.diag([1.0, 1e-3, 1e-14])
-    rank, gap = rank_and_gap(m)
-    assert rank == 2
-    assert gap == pytest.approx(1e11, rel=1e-6)
-    assert svd_rank(np.zeros((3, 3))) == 0
+    dec = rank_and_gap(m)
+    assert dec.rank == 2
+    assert dec.gap == pytest.approx(1e11, rel=1e-6)
+    assert dec.margin == pytest.approx(1e4, rel=1e-6)  # 1e-14 vs cutoff 1e-10
+    zero = rank_and_gap(np.zeros((3, 3)))
+    assert zero.rank == 0
+    assert zero.image.shape == (3, 0)
+    assert np.array_equal(zero.kernel, np.eye(3))
 
 
 def test_nullspace_annihilates():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
-    ns = nullspace_basis(a)
+    ns = rank_and_gap(a).kernel
     assert ns.shape == (6, 3)
     assert np.linalg.norm(a @ ns) < 1e-12
     # columns orthonormal
@@ -49,16 +53,86 @@ def test_orth_basis_spans():
     rng = np.random.default_rng(1)
     cols = rng.standard_normal((5, 2))
     m = np.concatenate([cols, cols @ rng.standard_normal((2, 3))], axis=1)
-    q = orth_basis(m)
+    q = rank_and_gap(m).image
     assert q.shape == (5, 2)
     resid = m - q @ (q.conj().T @ m)
     assert np.linalg.norm(resid) < 1e-12
+
+
+def test_empty_matrix():
+    dec = rank_and_gap(np.zeros((0, 4)))
+    assert (dec.rank, dec.gap, dec.margin) == (0, np.inf, np.inf)
+    assert dec.image.shape == (0, 0)
+    assert np.array_equal(dec.kernel, np.eye(4))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(shape=st.tuples(st.integers(1, 7), st.integers(1, 7)),
+       logs=st.lists(st.floats(-16, 0), min_size=7, max_size=7),
+       seed=st.integers(0, 2 ** 16))
+def test_rank_decision_properties(shape, logs, seed):
+    """A matrix with planted singular values 10**logs: one SVD gives the
+    rank, the gap and the cutoff margin, and orthonormal bases of the
+    column space and the null space."""
+    rows, cols = shape
+    k = min(rows, cols)
+    rng = np.random.default_rng(seed)
+
+    def unitary(n):
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return np.linalg.qr(z)[0]
+
+    planted = np.sort(10.0 ** np.array(logs[:k]))[::-1]
+    m = unitary(rows)[:, :k] @ np.diag(planted) @ unitary(cols)[:k, :]
+    s = scipy.linalg.svdvals(m)
+    cutoff = 1e-10 * s[0]
+    # singular values are known to about 1e-15 * s[0]; skip draws whose
+    # decisions sit on a boundary within that accuracy
+    ratios = np.log10(s[s > 0] / cutoff)
+    assume(np.all(np.abs(np.abs(ratios) - 1) > 1e-3) and np.all(np.abs(ratios) > 1e-3))
+    err = 1e-14 * s[0]
+
+    dec = rank_and_gap(m)
+    r = dec.rank
+    assert r == int(np.sum(s > cutoff))
+    assert r + dec.kernel.shape[1] == cols
+    assert dec.image.shape == (rows, r)
+    for basis in (dec.image, dec.kernel):
+        assert np.allclose(basis.conj().T @ basis, np.eye(basis.shape[1]),
+                           atol=1e-12)
+    assert np.linalg.norm(m @ dec.kernel) <= 1e-9 * s[0]
+    assert np.linalg.norm(m - dec.image @ (dec.image.conj().T @ m)) <= 1e-9 * s[0]
+
+    kept, dropped = s[r - 1], (s[r] if r < len(s) else 0.0)
+    if dropped > 100 * err:
+        assert dec.gap == pytest.approx(
+            kept / dropped, rel=max(1e-12, err * (1 / kept + 1 / dropped)))
+    elif dropped == 0.0:
+        assert dec.gap == np.inf
+    if dropped > 100 * err:
+        nearest = min(kept / cutoff, cutoff / dropped)
+    else:  # dropped is at rounding level, so cutoff / dropped is >= ~100
+        nearest = min(kept / cutoff, 50.0)
+    if nearest < 50.0:
+        assert dec.margin == pytest.approx(nearest, rel=1e-3)
+    else:
+        assert dec.margin >= 50.0
+    near = np.any((s > cutoff / 10) & (s < cutoff * 10))
+    assert (dec.margin < 10) == near
 
 
 def test_solve_lsq_minimum_norm():
     a = np.array([[1.0, 0.0, 0.0]])
     x = solve_lsq(a, np.array([2.0]))
     assert np.allclose(x, [2.0, 0.0, 0.0])
+
+
+def test_solve_lsq_drops_singular_values_below_the_rank_cutoff():
+    # 1e-13 is below the 1e-10 relative cutoff: it counts as zero for the
+    # solve instead of turning its residual component into a step of 10
+    a = np.diag([1.0, 1e-13])
+    x = solve_lsq(a, np.array([1.0, 1e-12]))
+    assert np.allclose(x, [1.0, 0.0])
 
 
 def test_matrix_exp_inverse_pair():
