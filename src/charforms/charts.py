@@ -1,16 +1,23 @@
 """Local charts on the representation variety and finite-difference calculus.
 
-A chart is a Gauss-Newton retraction: perturb the center along chosen cocycle
-directions via the exponential, then correct back onto the relator variety
-moving only in a fixed complementary subspace of the stacked coordinates.
-Because the complement is a fixed complex-linear subspace and the relator
-equations are holomorphic, the retraction depends holomorphically on the
-chart parameters wherever it is defined.
+The chart at a point rho with directions S (stacked cocycles) is
 
-Exterior derivatives are measured by central differences of form coefficients
-with Richardson extrapolation.  Coefficients are evaluated by re-extracting
-the tangent directions at each retracted point (numerical differentiation of
-the retraction curves), which keeps them smooth functions of the parameters.
+    rho_k(t, c) = exp(Y_k) rho_k,   Y = S t + C c,
+
+where C is an orthonormal basis of the complement of Z^1 (the column space of
+the Fox Jacobian's conjugate transpose), of dimension rank J.  ``retract``
+solves the relator equations F(t, c) = 0 for c by Newton's method.  The
+derivative of F in c is M C with M = (relator Jacobian at rho(t, c)) times
+blockdiag_k phi(ad Y_k), where phi(ad Y) = (e^{ad Y} - 1) / ad Y is the
+right-trivialised differential of exp.  M C is invertible on its image at
+the center, so by the implicit-function theorem c(t) is unique and
+holomorphic in t: the chart is a holomorphic map, independent of how the
+solve proceeds.
+
+The chart tangents come from the same theorem rather than from differencing
+retractions: c'(t) = -(M C)^+ M S and the i-th tangent is
+phi(ad Y) (S e_i + C c'_i).  Exterior derivatives of pulled-back forms are
+central differences of their coefficients with Richardson extrapolation.
 """
 
 from __future__ import annotations
@@ -20,18 +27,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohomology import BarChain, cocycle_space
+from .cohomology import BarChain, cocycle_space, fox_jacobian
 from .errors import LeftChart
 from .forms import EtaContext, eta
 from .matgroup import (
     GroupSpec,
+    LieAlgebraBasis,
     Representation,
     TangentVector,
-    find_representation,
+    _ad_matrix,
+    _damped_newton,
+    _relator_jacobian,
+    _relator_residual,
     matrix_exp,
 )
 from .invariants import InvariantPolynomial, killing_form, symmetric_tensor
-from .numeric import DEFAULT_TOL, Tolerances, rank_and_gap
+from .numeric import DEFAULT_TOL, Tolerances, rank_and_gap, solve_lsq
 from .words import Presentation, Word
 
 __all__ = [
@@ -51,88 +62,136 @@ class Chart:
     center: Representation
     directions: tuple
     tol: Tolerances = DEFAULT_TOL
+    _span: np.ndarray = field(init=False, repr=False)
     _complement: np.ndarray = field(init=False, repr=False)
+    # (t, point, stacked Y) of the latest retraction, for its tangents
+    _last: tuple = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.directions = tuple(self.directions)
-        stacks = np.stack([s.stacked for s in self.directions], axis=1)
-        # fixed complex-linear complement (the null space of the directions'
-        # conjugate transpose); the retraction corrects only here
-        self._complement = rank_and_gap(stacks.conj().T, self.tol).kernel
+        self._span = np.stack([s.stacked for s in self.directions], axis=1)
+        # the orthogonal complement of Z^1 at the center; the correction c
+        # lives here, so the relator equations fix it uniquely
+        jac = fox_jacobian(self.center)
+        self._complement = rank_and_gap(jac.conj().T, self.tol).image
 
     @property
     def dim(self) -> int:
         return len(self.directions)
 
 
-def _pushed_images(chart: Chart, t) -> list:
+def _dexp(basis: LieAlgebraBasis, y: np.ndarray) -> np.ndarray:
+    """phi(ad Y_k) = (e^{ad Y_k} - 1) / ad Y_k, shape (p, d, d), for the
+    blocks y_k of the stacked coordinates y.
+
+    Read off one batched block exponential:
+    exp([[ad Y, I], [0, 0]]) = [[e^{ad Y}, phi(ad Y)], [0, I]].
+    """
+    d = basis.dim
+    y = y.reshape(-1, d)
+    p = len(y)
+    mats = basis.matrix_from_coords(y)
+    eye = np.eye(basis.n)
+    block = np.zeros((p, 2 * d, 2 * d), dtype=np.complex128)
+    block[:, :d, :d] = _ad_matrix(basis, mats, eye) - _ad_matrix(basis, eye, mats)
+    block[:, :d, d:] = np.eye(d)
+    return matrix_exp(block)[:, :d, d:]
+
+
+def _point(chart: Chart, y: np.ndarray) -> Representation:
+    """The unchecked point exp(Y_k) rho_k of stacked coordinates y."""
     rho = chart.center
-    d = rho.dim_g
+    moved = matrix_exp(rho.basis.matrix_from_coords(y.reshape(rho.p, -1)))
+    return Representation(rho.presentation, rho.group,
+                          moved @ np.stack(rho.images), tol=chart.tol,
+                          check=False)
+
+
+def _pushed_images(chart: Chart, t) -> list:
+    """Images of the uncorrected point exp(S t) rho."""
     t = np.asarray(t, dtype=np.complex128)
-    combo = np.zeros((rho.p, d), dtype=np.complex128)
-    for ti, sigma in zip(t, chart.directions):
-        combo += ti * sigma.values
-    return [matrix_exp(rho.basis.matrix_from_coords(combo[k])) @ rho.images[k]
-            for k in range(rho.p)]
+    return list(_point(chart, chart._span @ t).images)
+
+
+def _chart_jacobian(point: Representation, phi: np.ndarray) -> np.ndarray:
+    """M: the derivative of the relator residual in the stacked chart
+    coordinates Y, the relator Jacobian times blockdiag_k phi(ad Y_k)."""
+    p, d = point.p, point.dim_g
+    jac = _relator_jacobian(point).reshape(-1, p, d)
+    return np.einsum("rkd,kde->rke", jac, phi).reshape(-1, p * d)
 
 
 def retract(chart: Chart, t) -> Representation:
-    """Map chart parameters to a point of Hom(Gamma, G).
+    """Map chart parameters to the point rho(t, c(t)) of Hom(Gamma, G).
 
-    retract(0) is the center; for a free group the retraction is the
-    exponential curve itself.  Raises LeftChart when the Gauss-Newton
-    correction is larger than |t|.
+    retract(0) is the center; for a free group the chart is the exponential
+    curve itself.  Raises NoConvergence when Newton's method fails and
+    LeftChart when the correction moves the images by more than |t|.
     """
-    rho = chart.center
     t = np.asarray(t, dtype=np.complex128)
-    start = _pushed_images(chart, t)
-    if not rho.presentation.relators:
-        return Representation(rho.presentation, rho.group, start, tol=chart.tol)
-    solved = find_representation(rho.presentation, rho.group, start,
-                                 tol=chart.tol, step_basis=chart._complement)
+    base, comp = chart._span @ t, chart._complement
+
+    def at(c):
+        point = _point(chart, base + comp @ c)
+        return (c, point), _relator_residual(point)
+
+    def jacobian(state):
+        c, point = state
+        phi = _dexp(point.basis, base + comp @ c)
+        return _chart_jacobian(point, phi) @ comp
+
+    start, res = at(np.zeros(comp.shape[1], dtype=np.complex128))
+    c, solved = _damped_newton(start, res, lambda state, step: at(state[0] + step),
+                               jacobian, chart.tol, 50)
+    solved.validate()
     correction = sum(
-        np.linalg.norm(a - b) for a, b in zip(solved.images, start))
+        np.linalg.norm(a - b) for a, b in zip(solved.images, start[1].images))
     t_norm = float(np.linalg.norm(t))
     if t_norm > 0 and correction > t_norm:
         raise LeftChart(
             f"correction {correction:.3e} exceeds |t| = {t_norm:.3e}")
+    chart._last = (t.tobytes(), solved, base + comp @ c)
     return solved
 
 
-def transported_direction(chart: Chart, t, i: int,
-                          step: float | None = None,
-                          base: Representation | None = None) -> TangentVector:
-    """Tangent of the i-th retraction curve at parameter t (central difference)."""
-    h = chart.tol.fd_step if step is None else step
+def _tangents(chart: Chart, t) -> list:
+    """The exact tangents of the chart at t, from the implicit-function
+    theorem at the retracted point (retracting only if t was not the last
+    point retracted)."""
     t = np.asarray(t, dtype=np.complex128)
-    e = np.zeros_like(t)
-    e[i] = h
-    rho0 = retract(chart, t) if base is None else base
-    plus = retract(chart, t + e)
-    minus = retract(chart, t - e)
-    dm = (np.array(plus.images) - np.array(minus.images)) / (2 * h)
-    inverses = np.array([rho0.image(k, -1) for k in range(rho0.p)])
-    return TangentVector.of(rho0.basis.coords_from_matrix(dm @ inverses))
+    if chart._last is None or chart._last[0] != t.tobytes():
+        retract(chart, t)
+    _, point, y = chart._last
+    span, comp = chart._span, chart._complement
+    phi = _dexp(point.basis, y)
+    moved = span  # S + C c'(t), one column per direction
+    if comp.shape[1]:
+        m = _chart_jacobian(point, phi)
+        moved = span + comp @ solve_lsq(m @ comp, -(m @ span))
+    blocks = moved.reshape(point.p, point.dim_g, -1)
+    values = np.einsum("kde,kei->ikd", phi, blocks)
+    return [TangentVector.of(v) for v in values]
 
 
-def eta_coefficients(chart: Chart, phi: InvariantPolynomial, cycle: BarChain,
-                     inner_step: float | None = None):
+def transported_direction(chart: Chart, t, i: int) -> TangentVector:
+    """Tangent of the i-th chart curve at parameter t: the derivative of
+    retract along e_i, in the left-trivialised coordinates of TangentVector."""
+    return _tangents(chart, t)[i]
+
+
+def eta_coefficients(chart: Chart, phi: InvariantPolynomial, cycle: BarChain):
     """Coefficient function of the pulled-back 2-form on the chart.
 
     Returns ``coeffs(t) -> {(i, j): eta(sigma_i(t), sigma_j(t))}`` over i < j,
-    with the directions re-extracted at the retracted point."""
+    with sigma_i(t) the chart tangents: one retraction per point."""
     tensor = symmetric_tensor(phi, chart.center.basis)
 
     def coeffs(t) -> dict:
         rho_t = retract(chart, t)
-        tangents = [transported_direction(chart, t, i, inner_step, base=rho_t)
-                    for i in range(chart.dim)]
+        tangents = _tangents(chart, t)
         ctx = EtaContext(rho_t, phi, tensor, cycle)
-        out = {}
-        for i in range(chart.dim):
-            for j in range(i + 1, chart.dim):
-                out[(i, j)] = eta(ctx, tangents[i], tangents[j])
-        return out
+        return {(i, j): eta(ctx, tangents[i], tangents[j])
+                for i in range(chart.dim) for j in range(i + 1, chart.dim)}
 
     return coeffs
 
@@ -151,7 +210,9 @@ def fd_exterior_derivative(chart_dim: int, coeffs, h: float,
     direction triple (i, j, k):
         (d omega)_{ijk} = d_i w_{jk} - d_j w_{ik} + d_k w_{ij},
     each partial by central differences at steps h and h/2, extrapolated.
-    Reports the max modulus and the scale max |w| over evaluated points.
+    Reports the max modulus, the scale max |w| over evaluated points and
+    ``fd_error``, the largest |d_h - d_{h/2}| over the triples (the
+    Richardson error estimate of the step-h/2 value).
     """
     if base_t is None:
         base_t = np.zeros(chart_dim, dtype=np.complex128)
@@ -177,7 +238,7 @@ def fd_exterior_derivative(chart_dim: int, coeffs, h: float,
                 - partial(j, i, k, step)
                 + partial(k, i, j, step))
 
-    worst = 0.0
+    worst = fd_error = 0.0
     components = {}
     for (i, j, k) in itertools.combinations(range(chart_dim), 3):
         d_h = d_component(i, j, k, h)
@@ -185,12 +246,13 @@ def fd_exterior_derivative(chart_dim: int, coeffs, h: float,
         extrapolated = (4 * d_h2 - d_h) / 3
         components[(i, j, k)] = extrapolated
         worst = max(worst, abs(extrapolated))
+        fd_error = max(fd_error, abs(d_h - d_h2))
     scale = 0.0
     for c in evals.values():
         for v in c.values():
             scale = max(scale, abs(v))
-    return {"max_d": worst, "scale": scale, "components": components,
-            "h": h, "evaluations": len(evals)}
+    return {"max_d": worst, "scale": scale, "fd_error": fd_error,
+            "components": components, "h": h, "evaluations": len(evals)}
 
 
 def free_group_demo(p: int, group: GroupSpec, phi: InvariantPolynomial | None = None,
@@ -229,16 +291,8 @@ def free_group_demo(p: int, group: GroupSpec, phi: InvariantPolynomial | None = 
     a, b = Word.generator(0), Word.generator(1)
     non_cycle = BarChain.of(2, {(a, b): 1})
     tensor = symmetric_tensor(phi, basis)
-
-    def coeffs(t):
-        rho_t = retract(chart, t)
-        tangents = [transported_direction(chart, t, i, base=rho_t)
-                    for i in range(chart.dim)]
-        ctx = EtaContext(rho_t, phi, tensor, non_cycle)
-        return {(i, j): eta(ctx, tangents[i], tangents[j])
-                for i in range(chart.dim) for j in range(i + 1, chart.dim)}
-
-    fd = fd_exterior_derivative(chart.dim, coeffs, h)
+    fd = fd_exterior_derivative(chart.dim,
+                                eta_coefficients(chart, phi, non_cycle), h)
 
     # genuine 2-cycle: boundary of a 3-chain, pairs to ~0 with the cup cocycle
     from .cohomology import bar_boundary

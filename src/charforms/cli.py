@@ -257,6 +257,7 @@ def cmd_closedness(args, tol: Tolerances) -> tuple:
         "check": "fd-exterior-derivative",
         "max_d": fd["max_d"],
         "scale": fd["scale"],
+        "fd_error": fd["fd_error"],
         "h": fd["h"],
         "bound": 1e-5,
         "pass": bool(passed),

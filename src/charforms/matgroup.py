@@ -184,7 +184,8 @@ class Representation:
             if m.shape != (group.n, group.n):
                 raise InvalidInput(f"image shape {m.shape} != ({group.n},{group.n})")
         self.basis = group._basis
-        self._inverses = tuple(matrix_inverse(m, tol) for m in self.images)
+        self._inverses = tuple(matrix_inverse(
+            np.reshape(self.images, (-1, group.n, group.n)), tol))
         self._ad_gen = None
         self._ad_gen_inv = None
         if check:
@@ -305,48 +306,30 @@ def _relator_jacobian(rho: Representation) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-def find_representation(presentation: Presentation, group: GroupSpec, seed_images,
-                        tol: Tolerances = DEFAULT_TOL, max_iter: int = 50,
-                        step_basis: np.ndarray | None = None) -> Representation:
-    """Gauss-Newton solve of the relator equations starting from seed images.
+def _damped_newton(point, res, trial, jacobian, tol: Tolerances,
+                   max_iter: int):
+    """Gauss-Newton with step halving; returns the point that meets
+    tol.newton_tol.
 
-    Perturbations act as rho(x_k) -> exp(X_k) rho(x_k) with X_k in the fixed
-    Lie-algebra basis (traceless for SL, so the determinant constraint is
-    maintained exactly).  Steps are damped by halving until the residual
-    decreases; a step whose exponential overflows or is numerically singular
-    counts as rejected.  ``step_basis`` (columns) optionally restricts the
-    step to a subspace of the stacked coordinate space.
+    ``trial(point, step)`` returns the next (point, residual) and
+    ``jacobian(point)`` the derivative of the residual in the step
+    coordinates.  A step is halved until the residual norm decreases; a
+    trial that raises ValueError (non-finite or singular) counts as
+    rejected.  Raises NoConvergence when the halvings or iterations run out.
     """
-    images = [as_cmatrix(m) for m in seed_images]
-    if group.kind == "SL":
-        images = [m / np.linalg.det(m) ** (1.0 / group.n) for m in images]
-    rho = Representation(presentation, group, images, tol=tol, check=False)
-    d = rho.dim_g
-    p = rho.p
-    res = _relator_residual(rho)
     res_norm = np.linalg.norm(res)
-    if not presentation.relators or res_norm <= tol.newton_tol:
-        return Representation(presentation, group, rho.images, tol=tol)
     for _ in range(max_iter):
-        jac = _relator_jacobian(rho)
-        if step_basis is not None:
-            coeffs = solve_lsq(jac @ step_basis, -res)
-            step = step_basis @ coeffs
-        else:
-            step = solve_lsq(jac, -res)
+        if res_norm <= tol.newton_tol:
+            return point
+        step = solve_lsq(jacobian(point), -res)
         scale = 1.0
         for _ in range(40):
-            with np.errstate(over="ignore", invalid="ignore"):
-                trial = [matrix_exp(rho.basis.matrix_from_coords(
-                    scale * step[k * d:(k + 1) * d])) @ rho.images[k]
-                    for k in range(p)]
             try:
-                cand = Representation(presentation, group, trial, tol=tol,
-                                      check=False)
-            except ValueError:  # non-finite or singular: the step overshot
+                with np.errstate(over="ignore", invalid="ignore"):
+                    cand, cand_res = trial(point, scale * step)
+            except ValueError:  # the step overshot
                 cand_norm = np.inf
             else:
-                cand_res = _relator_residual(cand)
                 cand_norm = np.linalg.norm(cand_res)
             if cand_norm < res_norm:
                 break
@@ -355,12 +338,41 @@ def find_representation(presentation: Presentation, group: GroupSpec, seed_image
             raise NoConvergence(
                 f"backtracking stalled at residual {res_norm:.3e}",
                 residual=float(res_norm))
-        rho, res, res_norm = cand, cand_res, cand_norm
-        if res_norm <= tol.newton_tol:
-            return Representation(presentation, group, rho.images, tol=tol)
+        point, res, res_norm = cand, cand_res, cand_norm
+    if res_norm <= tol.newton_tol:
+        return point
     raise NoConvergence(
         f"no convergence after {max_iter} iterations, residual {res_norm:.3e}",
         residual=float(res_norm))
+
+
+def find_representation(presentation: Presentation, group: GroupSpec, seed_images,
+                        tol: Tolerances = DEFAULT_TOL,
+                        max_iter: int = 50) -> Representation:
+    """Gauss-Newton solve of the relator equations starting from seed images.
+
+    Perturbations act as rho(x_k) -> exp(X_k) rho(x_k) with X_k in the fixed
+    Lie-algebra basis (traceless for SL, so the determinant constraint is
+    maintained exactly).  Steps are damped by halving until the residual
+    decreases; a step whose exponential overflows or is numerically singular
+    counts as rejected.
+    """
+    images = [as_cmatrix(m) for m in seed_images]
+    if group.kind == "SL":
+        images = [m / np.linalg.det(m) ** (1.0 / group.n) for m in images]
+    rho = Representation(presentation, group, images, tol=tol, check=False)
+    shape = (rho.p, rho.dim_g)
+
+    def trial(point, step):
+        moved = matrix_exp(rho.basis.matrix_from_coords(step.reshape(shape)))
+        cand = Representation(presentation, group, moved @ np.stack(point.images),
+                              tol=tol, check=False)
+        return cand, _relator_residual(cand)
+
+    rho = _damped_newton(rho, _relator_residual(rho), trial, _relator_jacobian,
+                         tol, max_iter)
+    rho.validate()
+    return rho
 
 
 def invariant_subspace_dim(rho: Representation, tol: Tolerances = DEFAULT_TOL) -> int:

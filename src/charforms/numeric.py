@@ -56,11 +56,15 @@ def as_cmatrix(data) -> np.ndarray:
     return m
 
 
-def _svdvals(m: np.ndarray) -> np.ndarray:
-    try:
-        return scipy.linalg.svdvals(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise ConvergenceFailure(f"SVD failed: {exc}") from exc
+def _square_stack(data, what: str) -> np.ndarray:
+    """Coerce to a complex128 square matrix or stack (..., n, n) of them,
+    rejecting non-finite entries."""
+    m = np.asarray(data, dtype=np.complex128)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"{what} requires square matrices, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    return m
 
 
 @dataclass(frozen=True)
@@ -114,19 +118,28 @@ def solve_lsq(a, b) -> np.ndarray:
 
 
 def matrix_exp(m) -> np.ndarray:
-    m = as_cmatrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("matrix_exp requires a square matrix")
-    return scipy.linalg.expm(m)
+    """Exponential of a square matrix or of each matrix of a stack (..., n, n)."""
+    return scipy.linalg.expm(_square_stack(m, "matrix_exp"))
 
 
 def matrix_inverse(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    m = as_cmatrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("matrix_inverse requires a square matrix")
-    s = _svdvals(m)
-    if s[-1] <= tol.rank_rel * s[0] or s[-1] == 0.0:
+    """Inverse of a square matrix or of each matrix of a stack (..., n, n).
+
+    One batched SVD checks them all: a matrix whose smallest singular value
+    is at most tol.rank_rel times its largest raises SingularMatrix, naming
+    its index in the (flattened) stack.
+    """
+    m = _square_stack(m, "matrix_inverse")
+    try:
+        s = np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+        raise ConvergenceFailure(f"SVD failed: {exc}") from exc
+    s = s.reshape(-1, s.shape[-1])
+    singular = (s[:, -1] <= tol.rank_rel * s[:, 0]) | (s[:, -1] == 0.0)
+    if singular.any():
+        k = int(np.argmax(singular))
+        where = f"matrix {k} of {len(s)}: " if m.ndim > 2 else ""
         raise SingularMatrix(
-            f"smallest singular value {s[-1]:.3e} <= rank_rel times the "
-            f"largest, {s[0]:.3e}")
+            f"{where}smallest singular value {s[k, -1]:.3e} <= rank_rel times "
+            f"the largest, {s[k, 0]:.3e}")
     return np.linalg.inv(m)

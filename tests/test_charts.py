@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from charforms import charts
 from charforms import (
     Chart,
     GroupSpec,
@@ -14,6 +15,7 @@ from charforms.charts import eta_coefficients, fd_exterior_derivative, free_grou
 from charforms.errors import LeftChart
 from charforms.forms import random_cocycle
 from charforms.matgroup import TangentVector, evaluate_word
+from conftest import random_point
 
 SL2 = GroupSpec("SL", 2)
 
@@ -70,12 +72,63 @@ class TestRetract:
             retract(chart, [0.05])
 
 
+def _difference(chart, t, e, h):
+    """Central difference of retract along the complex vector e, in the
+    left-trivialised coordinates of a TangentVector at retract(t)."""
+    t, e = np.asarray(t, dtype=np.complex128), np.asarray(e, dtype=np.complex128)
+    plus, minus = retract(chart, t + h * e), retract(chart, t - h * e)
+    rho = retract(chart, t)
+    dm = (np.array(plus.images) - np.array(minus.images)) / (2 * h)
+    inverses = np.array([rho.image(k, -1) for k in range(rho.p)])
+    return rho.basis.coords_from_matrix(dm @ inverses).reshape(-1)
+
+
 class TestTransport:
+    T = (0.02, -0.01, 0.015)
+
     def test_matches_direction_at_center(self, genus2_chart):
         for i in range(3):
             v = transported_direction(genus2_chart, [0.0, 0.0, 0.0], i)
             ref = genus2_chart.directions[i]
             assert np.linalg.norm(v.stacked - ref.stacked) < 1e-6
+
+    def test_exact_direction_at_center(self, genus2_chart):
+        # c'(0) = 0 since the directions are cocycles, and phi(ad 0) = 1
+        for i in range(3):
+            v = transported_direction(genus2_chart, [0.0, 0.0, 0.0], i)
+            ref = genus2_chart.directions[i]
+            assert np.linalg.norm(v.stacked - ref.stacked) <= 1e-12
+
+    def test_ift_tangent_matches_central_difference(self, genus2_chart):
+        for i in range(3):
+            e = np.eye(3)[i]
+            ref = _difference(genus2_chart, self.T, e, 1e-5)
+            v = transported_direction(genus2_chart, self.T, i)
+            assert np.linalg.norm(v.stacked - ref) <= 1e-8
+
+    def test_cauchy_riemann(self, genus2_chart):
+        # the chart is holomorphic: moving along i e_j is i times e_j
+        for j in range(3):
+            e = np.eye(3)[j]
+            along_real = _difference(genus2_chart, self.T, e, 1e-5)
+            along_imag = _difference(genus2_chart, self.T, 1j * e, 1e-5)
+            assert np.linalg.norm(along_imag - 1j * along_real) <= 1e-8
+
+    def test_free_group_tangent_is_dexp(self, f2_rep):
+        # no relators: the tangent of t -> exp(t s) rho is phi(ad t s) s
+        space = cocycle_space(f2_rep)
+        chart = Chart(f2_rep, space.basis_z1[:1])
+        ref = _difference(chart, [0.3], [1.0], 1e-5)
+        v = transported_direction(chart, [0.3], 0)
+        assert np.linalg.norm(v.stacked - ref) <= 1e-8
+
+
+def _closedness(rho, directions):
+    """The closedness check of acceptance criterion 6 on the chart."""
+    chart = Chart(rho, directions)
+    cycle = fundamental_two_cycle(rho.presentation).chain
+    return fd_exterior_derivative(
+        3, eta_coefficients(chart, trace_form(), cycle), h=3e-2)
 
 
 class TestClosedness:
@@ -85,6 +138,59 @@ class TestClosedness:
         fd = fd_exterior_derivative(3, coeffs, h=3e-2)
         assert fd["scale"] > 1e-2
         assert fd["max_d"] <= 1e-5 * fd["scale"]
+
+    def test_fd_error_is_the_richardson_difference(self, genus2_chart):
+        fd = _closedness(genus2_chart.center, genus2_chart.directions)
+        assert 0 < fd["fd_error"] < 1e-3 * fd["scale"]
+
+        # a coefficient linear in t has exact central differences
+        def linear(t):
+            return {(0, 1): 2.0 * t[2], (0, 2): 0.0, (1, 2): 0.0}
+
+        exact = fd_exterior_derivative(3, linear, h=3e-2)
+        assert exact["fd_error"] <= 1e-12
+        assert exact["max_d"] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_verdict_independent_of_h1_basis(self, genus2_rep, seed):
+        # LAPACK may return any orthonormal basis of H^1; rotate it by a
+        # seeded complex unitary and take the first three directions
+        h1 = np.stack([s.stacked for s in cocycle_space(genus2_rep).basis_h1],
+                      axis=1)
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        rotated = h1 @ np.linalg.qr(z)[0]
+        dirs = [TangentVector.from_stacked(rotated[:, i], genus2_rep.p)
+                for i in range(3)]
+        fd = _closedness(genus2_rep, dirs)
+        assert fd["scale"] > 1e-2
+        assert fd["max_d"] <= 1e-5 * fd["scale"]
+
+    @pytest.mark.parametrize("kind,n", [("SL", 2), ("GL", 2), ("SL", 3)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_closed_at_random_points(self, kind, n, seed):
+        rho, _ = random_point(2, seed, kind, n)
+        fd = _closedness(rho, cocycle_space(rho).basis_h1[:3])
+        assert fd["scale"] > 1e-2
+        assert fd["max_d"] <= 1e-5 * fd["scale"]
+
+    def test_one_newton_solve_per_fd_point(self, genus2_chart, monkeypatch):
+        # the tangents come from the solve of their point: no retraction
+        # beyond one per FD point, 12 for a 3-dimensional chart
+        counts = {"retract": 0, "newton": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(charts, "retract", counting("retract", charts.retract))
+        monkeypatch.setattr(charts, "_damped_newton",
+                            counting("newton", charts._damped_newton))
+        fd = _closedness(genus2_chart.center, genus2_chart.directions)
+        assert fd["evaluations"] == 12
+        assert counts == {"retract": 12, "newton": 12}
 
     def test_perturbation_detected(self, genus2_chart):
         cycle = fundamental_two_cycle(genus2_chart.center.presentation).chain

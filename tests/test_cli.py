@@ -185,3 +185,11 @@ def test_closedness_after_overflowing_step_is_typed(tmp_path):
     code, report = run(["closedness", "--input", _point_input(tmp_path, rho)],
                        tmp_path / "r.json")
     assert code == 0 or (code == 1 and report["error"] == "NoConvergence")
+
+
+def test_closedness_reports_fd_error(inputs, tmp_path):
+    code, report = run(["closedness", "--input", inputs["genus2"]],
+                       tmp_path / "r.json")
+    assert code == 0 and report["pass"]
+    assert report["max_d"] <= 1e-5 * report["scale"]
+    assert 0 < report["fd_error"] < 1e-3 * report["scale"]
