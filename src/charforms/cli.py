@@ -49,6 +49,8 @@ __all__ = ["main"]
 
 
 def _tolerances(args) -> Tolerances:
+    if not args.fd_chart_step > 0:
+        raise InvalidInput(f"--fd-chart-step {args.fd_chart_step} is not positive")
     return Tolerances(rank_rel=args.tol_rank, newton_tol=args.tol_newton,
                       fd_step=args.fd_step)
 
@@ -268,9 +270,11 @@ def cmd_closedness(args, tol: Tolerances) -> tuple:
 def cmd_family(args, tol: Tolerances) -> tuple:
     data = _load_input(args.input)
     pres = _presentation(data)
-    if "group" not in data:
-        raise InvalidInput("input needs a 'group' object for family mode")
-    group = GroupSpec(data["group"]["kind"], int(data["group"]["n"]))
+    try:
+        group = GroupSpec(data["group"]["kind"], int(data["group"]["n"]))
+    except KeyError as exc:
+        raise InvalidInput(f"family mode needs a 'group' with 'kind' and 'n'; "
+                           f"missing {exc}") from exc
     if "family" not in data:
         raise InvalidInput("input needs a 'family' object")
     fam = family_from_json(data["family"], pres, group)
@@ -343,8 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    tol = _tolerances(args)
     try:
+        tol = _tolerances(args)
         code, report = _COMMANDS[args.command](args, tol)
     except InvalidInput as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)},

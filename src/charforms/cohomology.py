@@ -25,6 +25,8 @@ __all__ = [
     "fox_jacobian",
     "cocycle_space",
     "ad_fox",
+    "cocycle_walk",
+    "walk_words",
     "extend_cocycle",
     "fundamental_two_cycle",
     "bar_boundary",
@@ -107,25 +109,52 @@ def cocycle_space(rho: Representation, tol: Tolerances = DEFAULT_TOL) -> Cocycle
                         vectors(h1.image), min(z1.gap, b1.gap, h1.gap))
 
 
+def cocycle_walk(ad, ad_inv, values, letters, start=None):
+    """(Ad rho(uw), sigma(uw)) from start = (Ad rho(u), sigma(u)), u = e by
+    default, one letter of w at a time: sigma(uv) = sigma(u) + Ad rho(u) sigma(v).
+    Batched over leading axes: ad, ad_inv (..., p, d, d) are the generators'
+    Ad matrices and their inverses, values (..., p, d, k) the values of k
+    cocycles on the generators; returns (..., d, d) and (..., d, k)."""
+    batch = np.broadcast_shapes(ad.shape[:-3], values.shape[:-3])
+    d, k = values.shape[-2:]
+    acc, sig = start or (np.broadcast_to(np.eye(d, dtype=complex), batch + (d, d)),
+                         np.zeros(batch + (d, k), dtype=complex))
+    for g, s in letters:
+        if s == 1:
+            sig = sig + acc @ values[..., g, :, :]
+            acc = acc @ ad[..., g, :, :]
+        else:
+            acc = acc @ ad_inv[..., g, :, :]
+            sig = sig - acc @ values[..., g, :, :]
+    return acc, sig
+
+
+def walk_words(ad, ad_inv, values, words) -> dict:
+    """``cocycle_walk`` of every word, each continued from its longest prefix
+    walked before, so a word that extends another by one letter (a relator
+    prefix of the fundamental cycle) costs one letter step."""
+    walked: dict = {}
+    for w in sorted(dict.fromkeys(words), key=lambda w: len(w.letters)):
+        cut = next((k for k in range(len(w.letters) - 1, 0, -1)
+                    if w.letters[:k] in walked), 0)
+        walked[w.letters] = cocycle_walk(ad, ad_inv, values, w.letters[cut:],
+                                         walked.get(w.letters[:cut]))
+    return {w: walked[w.letters] for w in words}
+
+
+def identity_values(rho: Representation) -> np.ndarray:
+    """Generator values (p, d, p * d) whose walk sigma(w) is J_w."""
+    pd = rho.p * rho.dim_g
+    return np.eye(pd, dtype=np.complex128).reshape(rho.p, rho.dim_g, pd)
+
+
 def ad_fox(rho: Representation, w: Word):
     """Ad rho(w) and the Ad-evaluated Fox derivative J_w of shape (d, p * d).
 
-    J_w is the linear map sigma -> sigma(w) from stacked generator values,
-    built by the cocycle rule sigma(uv) = sigma(u) + Ad rho(u) sigma(v).
+    J_w is the linear map sigma -> sigma(w) from stacked generator values:
+    ``cocycle_walk`` of w on the identity values.
     """
-    ad, ad_inv = rho._generator_ad()
-    d = rho.dim_g
-    jac = np.zeros((d, rho.p * d), dtype=np.complex128)
-    acc = np.eye(d, dtype=np.complex128)
-    for g, s in w.letters:
-        block = jac[:, g * d:(g + 1) * d]
-        if s == 1:
-            block += acc
-            acc = acc @ ad[g]
-        else:
-            acc = acc @ ad_inv[g]
-            block -= acc
-    return acc, jac
+    return cocycle_walk(*rho._generator_ad(), identity_values(rho), w.letters)
 
 
 def extend_cocycle(rho: Representation, sigma: TangentVector):

@@ -18,7 +18,11 @@ class IndexOutOfRange(CharformsError, IndexError):
 
 
 class SingularMatrix(CharformsError, ValueError):
-    """Matrix inversion requested for a (numerically) singular matrix."""
+    """Inversion of a (numerically) singular matrix, ``index`` of a stack."""
+
+    def __init__(self, message, index=0):
+        super().__init__(message)
+        self.index = index
 
 
 class ConvergenceFailure(CharformsError, RuntimeError):

@@ -1,32 +1,33 @@
 """Polynomial holonomy families over a complex parameter base.
 
-A family assigns to each generator a matrix of polynomials in the parameters
-s_1..s_m, required to satisfy the relator equations identically (checked at
-random sample points of the polydisc).  Parameter derivatives are exact
-coefficient shifts, so the family tangent cocycles carry no truncation error;
-finite differences enter only at the outer level when checking closedness of
-the pulled-back form coefficients.
+A family assigns to each generator a matrix of polynomials in s_1..s_m that
+satisfies the relators identically (checked at random points of the polydisc).
+The entries are compiled once into a monomial table, so the images and their
+exact parameter derivatives at a stack of points are one contraction; tangent
+cocycles, their checks and the pulled-back form then go through the stack in
+blocks of _BLOCK points.  Finite differences enter only in the closedness check.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .charts import _coeff_get
-from .cohomology import BarChain, fox_jacobian, fundamental_two_cycle
-from .errors import InvalidInput, NotTangent
-from .forms import EtaContext, eta
+from .cohomology import BarChain, fundamental_two_cycle, walk_words
+from .errors import InvalidInput, NotTangent, SingularMatrix
+from .forms import _cycle_pairing
 from .invariants import InvariantPolynomial, symmetric_tensor
 from .matgroup import (
     GroupSpec,
     Representation,
     TangentVector,
+    _ad_matrix,
     lie_algebra_basis,
 )
-from .numeric import DEFAULT_TOL, Tolerances
+from .numeric import DEFAULT_TOL, Tolerances, matrix_inverse
 from .words import Presentation
 
 __all__ = [
@@ -54,8 +55,8 @@ class Poly:
                 c = complex(c)
                 if c != 0:
                     powers = tuple(int(x) for x in powers)
-                    if len(powers) != nvars:
-                        raise ValueError("power tuple length mismatch")
+                    if len(powers) != nvars or min(powers, default=0) < 0:
+                        raise ValueError(f"powers {powers} are not {nvars} naturals")
                     self.coeffs[powers] = c
 
     @staticmethod
@@ -134,6 +135,38 @@ class Poly:
         return f"Poly({self.nvars}, {self.coeffs})"
 
 
+class _Compiled:
+    """Polynomials in m variables as a monomial table: coefficients (terms,
+    polys) and the powers giving each monomial and its exact derivatives."""
+
+    def __init__(self, polys, m: int):
+        polys = list(polys)
+        powers = sorted({p for poly in polys for p in poly.coeffs})
+        row = {p: i for i, p in enumerate(powers)}
+        self.coeffs = np.zeros((len(powers), len(polys)), dtype=np.complex128)
+        for j, poly in enumerate(polys):
+            for p, c in poly.coeffs.items():
+                self.coeffs[row[p], j] = c
+        # d/ds_k s^a = a_k s^(a - e_k): index[0] = a, index[1 + k] = a - e_k
+        powers = np.array(powers, dtype=np.int64).reshape(-1, m)
+        lowered = np.maximum(powers - np.eye(m, dtype=np.int64)[:, None], 0)
+        self.index = np.concatenate([powers[None], lowered])
+        self.factor = np.vstack([np.ones(len(powers)), powers.T])
+
+    def __call__(self, s) -> np.ndarray:
+        """(P, 1 + m, polys) at the points s (P, m): values, then d/ds_k."""
+        s = np.asarray(s, dtype=np.complex128)
+        top = int(self.index.max(initial=0))
+        pw = np.cumprod(np.dstack([np.ones_like(s)] + [s] * top), axis=-1)  # s_k^e
+        monomials = pw[:, np.arange(s.shape[1]), self.index].prod(axis=-1)
+        return (monomials * self.factor) @ self.coeffs
+
+
+# Points per pass of a family evaluation; the working arrays do not grow with
+# the number of grid and stencil points.
+_BLOCK = 64
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     presentation: Presentation
@@ -142,57 +175,93 @@ class FamilySpec:
     domain_radius: tuple   # polydisc radii, one per parameter
     images: dict           # generator name -> list of lists of Poly (n x n)
 
+    def __post_init__(self):
+        if len(self.domain_radius) != len(self.params):
+            raise InvalidInput(f"domain_radius has {len(self.domain_radius)} "
+                               f"radii for {len(self.params)} params")
+        n = self.group.n
+        if any(np.shape(rows) != (n, n) for rows in self.images.values()):
+            raise InvalidInput(f"family images must be {n} x {n}")
+
     @property
     def m(self) -> int:
         return len(self.params)
 
+    @cached_property
+    def _table(self) -> _Compiled:
+        return _Compiled((entry for name in self.presentation.generator_names
+                          for row in self.images[name] for entry in row), self.m)
+
+    def _images(self, s, tol: Tolerances = DEFAULT_TOL):
+        """Images and their inverses (P, p, n, n), the image derivatives
+        (P, m, p, n, n) and the relator residuals (P,) at the points s (P, m).
+        Raises SingularMatrix naming the first point with a singular image."""
+        p, n = self.presentation.p, self.group.n
+        values = self._table(s).reshape(len(s), 1 + self.m, p, n, n)
+        images = values[:, 0]
+        try:
+            inverses = matrix_inverse(images, tol)
+        except SingularMatrix as exc:
+            raise SingularMatrix(f"at s={s[exc.index // p]}: {exc}") from exc
+        residual = np.zeros(len(s))
+        for r in self.presentation.relators:
+            prod = np.eye(n)
+            for g, sign in r.letters:
+                prod = prod @ (images if sign == 1 else inverses)[:, g]
+            residual = np.maximum(residual,
+                                  np.linalg.norm(prod - np.eye(n), axis=(1, 2)))
+        return images, inverses, values[:, 1:], residual
+
     def matrix_at(self, name: str, s) -> np.ndarray:
-        entries = self.images[name]
-        n = self.group.n
-        out = np.empty((n, n), dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = entries[i][j](s)
-        return out
+        k, n = self.presentation.generator_names.index(name), self.group.n
+        return self._table(np.reshape(s, (1, -1)))[0, 0].reshape(-1, n, n)[k]
 
     def rep_at(self, s, tol: Tolerances = DEFAULT_TOL,
                residual_tol: float = 1e-9) -> Representation:
-        images = [self.matrix_at(name, s)
-                  for name in self.presentation.generator_names]
-        rho = Representation(self.presentation, self.group, images,
-                             tol=tol, check=False)
-        from .matgroup import evaluate_word
-        n = self.group.n
-        for r in self.presentation.relators:
-            res = np.linalg.norm(evaluate_word(rho, r) - np.eye(n))
-            if res > residual_tol:
-                raise NotTangent(
-                    f"family leaves Hom: relator residual {res:.3e} at s={s}")
-        return rho
+        images, _, _, res = self._images(np.reshape(s, (1, -1)), tol)
+        if res[0] > residual_tol:
+            raise NotTangent(
+                f"family leaves Hom: relator residual {res[0]:.3e} at s={s}")
+        return Representation(self.presentation, self.group, images[0], tol,
+                              check=False)
 
     def validate(self, samples: int = 20, rng=None,
                  residual_tol: float = 1e-9) -> float:
         """Relator residual at random sample points of the polydisc."""
         if rng is None:
             rng = np.random.default_rng(0)
-        worst = 0.0
-        from .matgroup import evaluate_word
-        n = self.group.n
-        for _ in range(samples):
-            s = np.array([
-                r * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / np.sqrt(2)
-                for r in self.domain_radius])
-            rho = Representation(self.presentation, self.group,
-                                 [self.matrix_at(name, s)
-                                  for name in self.presentation.generator_names],
-                                 check=False)
-            for r_word in self.presentation.relators:
-                worst = max(worst, float(np.linalg.norm(
-                    evaluate_word(rho, r_word) - np.eye(n))))
+        s = np.array([[r * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / np.sqrt(2)
+                       for r in self.domain_radius] for _ in range(samples)])
+        worst = float(self._images(s)[3].max(initial=0.0))
         if worst > residual_tol:
             raise InvalidInput(
                 f"family residual {worst:.3e} exceeds {residual_tol:.1e}")
         return worst
+
+
+def _walk(family: FamilySpec, s, tol: Tolerances, words=(),
+          residual_factor: float = 1e-8):
+    """Tangents sigma_k(x_j) = (d rho_s(x_j)/d s_k) rho_s(x_j)^-1, (P, m, p, d),
+    at the points s (P, m) and their ``walk_words`` table over ``words`` and
+    the relators.  Raises NotTangent at the first point that leaves Hom (relator
+    residual > 1e-9) or fails |sigma_k(r)| <= residual_factor max(|sigma_k|, 1)."""
+    s = np.asarray(s, dtype=np.complex128).reshape(-1, family.m)
+    images, inverses, derivs, left = family._images(s, tol)
+    basis = family.group._basis
+    sigma = basis.coords_from_matrix(derivs @ inverses[:, None])
+    relators = family.presentation.relators
+    table = walk_words(_ad_matrix(basis, images, inverses),
+                       _ad_matrix(basis, inverses, images),
+                       np.moveaxis(sigma, 1, -1), [*words, *relators])
+    resid = np.sqrt(sum(np.linalg.norm(table[r][1], axis=1) ** 2
+                        for r in relators))  # |J sigma_k|, (P, m)
+    bad = resid > residual_factor * np.maximum(np.linalg.norm(sigma, axis=(2, 3)), 1)
+    for i in np.flatnonzero(bad.any(axis=1) | (left > 1e-9))[:1]:
+        k = int(np.argmax(bad[i]))
+        raise NotTangent((f"family leaves Hom: relator residual {left[i]:.3e}"
+                          if left[i] > 1e-9 else f"tangent {k} fails cocycle "
+                          f"check, residual {resid[i, k]:.3e}") + f" at s={s[i]}")
+    return sigma, table
 
 
 def family_tangent(family: FamilySpec, s, k: int,
@@ -202,37 +271,18 @@ def family_tangent(family: FamilySpec, s, k: int,
 
     The polynomial derivative is exact.  Raises NotTangent when the result
     fails the Fox-Jacobian residual check (invalid family)."""
-    rho = family.rep_at(s, tol)
-    return _tangent(family, rho, fox_jacobian(rho), s, k, residual_factor)
+    return TangentVector.of(_walk(family, s, tol, (), residual_factor)[0][0, k])
 
 
-def _tangent(family: FamilySpec, rho: Representation, jac: np.ndarray, s,
-             k: int, residual_factor: float = 1e-8) -> TangentVector:
-    """``family_tangent`` at the point rho = family.rep_at(s) with its Fox
-    Jacobian, both built once per point by the caller."""
-    derivs = np.array([[[entry.diff(k)(s) for entry in row]
-                        for row in family.images[name]]
-                       for name in family.presentation.generator_names])
-    inverses = np.array([rho.image(j, -1) for j in range(rho.p)])
-    sigma = TangentVector.of(rho.basis.coords_from_matrix(derivs @ inverses))
-    if jac.size:
-        resid = np.linalg.norm(jac @ sigma.stacked)
-        scale = max(np.linalg.norm(sigma.stacked), 1.0)
-        if resid > residual_factor * scale:
-            raise NotTangent(
-                f"tangent fails cocycle check, residual {resid:.3e}")
-    return sigma
-
-
-def _coefficients_at(family: FamilySpec, phi: InvariantPolynomial,
-                     tensor, cycle: BarChain, s,
-                     tol: Tolerances) -> dict:
-    rho = family.rep_at(s, tol)
-    jac = fox_jacobian(rho)
-    tangents = [_tangent(family, rho, jac, s, k) for k in range(family.m)]
-    ctx = EtaContext(rho, phi, tensor, cycle)
-    return {(k, l): eta(ctx, tangents[k], tangents[l])
-            for k in range(family.m) for l in range(k + 1, family.m)}
+def _coefficients(family: FamilySpec, tensor, cycle: BarChain, points,
+                  tol: Tolerances) -> np.ndarray:
+    """Coefficients eta(sigma_k, sigma_l), (P, m, m), of the pulled-back
+    form at the points (P, m), _BLOCK points per pass."""
+    points = np.asarray(points, dtype=np.complex128).reshape(-1, family.m)
+    words = [w for gammas, _ in cycle.terms for w in gammas]
+    return np.concatenate([
+        _cycle_pairing(cycle, tensor, _walk(family, points[i:i + _BLOCK], tol, words)[1])
+        for i in range(0, len(points), _BLOCK)])
 
 
 def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
@@ -248,6 +298,8 @@ def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
     """
     if phi.degree != 2:
         raise InvalidInput("family_pullback implemented for degree-2 forms")
+    if grid < 1:
+        raise InvalidInput(f"grid must be at least 1, got {grid}")
     if cycle is None:
         cycle = fundamental_two_cycle(family.presentation).chain
     if h is None:
@@ -256,46 +308,31 @@ def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
     m = family.m
 
     axes = [np.linspace(-r / 2, r / 2, grid) for r in family.domain_radius]
-    samples = []
-    scale = 0.0
-    for point in itertools.product(*axes):
-        s = np.asarray(point, dtype=np.complex128)
-        c = _coefficients_at(family, phi, tensor, cycle, s, tol)
-        samples.append({"s": [complex(z) for z in s],
-                        "coefficients": {f"{k},{l}": v for (k, l), v in c.items()}})
-        for v in c.values():
-            scale = max(scale, abs(v))
+    grid_points = list(itertools.product(*axes))
+    triples = list(itertools.combinations(range(m), 3))
+    # the stencil about the polydisc center, ordered (step, a, direction, sign)
+    stencil = [sign * step * direction * np.eye(m)[a] for step in (h, h / 2)
+               for a in range(m if triples else 0) for direction in (1.0, 1.0j)
+               for sign in (1, -1)]
+    coeffs = _coefficients(family, tensor, cycle, grid_points + stencil, tol)
+    samples = [{"s": [complex(z) for z in point],
+                "coefficients": {f"{k},{l}": complex(c[k, l])
+                                 for k in range(m) for l in range(k + 1, m)}}
+               for point, c in zip(grid_points, coeffs)]
+    scale = float(np.abs(np.triu(coeffs[:len(grid_points)], 1)).max(initial=0.0))
 
-    # closedness at the polydisc center
-    center = np.zeros(m, dtype=np.complex128)
-    max_d = 0.0
-    cr_dev = 0.0
-
-    def holo_partial(i, j, k, base, step):
-        devs = []
-        vals = []
-        for direction in (1.0, 1.0j):
-            e = np.zeros(m, dtype=np.complex128)
-            e[i] = step * direction
-            cp = _coefficients_at(family, phi, tensor, cycle, base + e, tol)
-            cm = _coefficients_at(family, phi, tensor, cycle, base - e, tol)
-            vals.append((_coeff_get(cp, j, k) - _coeff_get(cm, j, k))
-                        / (2 * step * direction))
-        devs.append(abs(vals[0] - vals[1]))
-        return (vals[0] + vals[1]) / 2, max(devs)
-
-    for (i, j, k) in itertools.combinations(range(m), 3):
-        comps = []
-        for step in (h, h / 2):
-            total = 0.0 + 0.0j
-            for sign, (a, rest) in zip(
-                    (1, -1, 1), ((i, (j, k)), (j, (i, k)), (k, (i, j)))):
-                val, dev = holo_partial(a, rest[0], rest[1], center, step)
-                total += sign * val
-                cr_dev = max(cr_dev, dev)
-            comps.append(total)
-        extrapolated = (4 * comps[1] - comps[0]) / 3
-        max_d = max(max_d, abs(extrapolated))
+    # central differences d_a w_jk of the antisymmetric w along h and ih
+    w = np.triu(coeffs[len(grid_points):], 1)
+    w = (w - np.swapaxes(w, 1, 2)).reshape(2, -1, 2, 2, m, m)
+    partial = (w[:, :, :, 0] - w[:, :, :, 1]) / (
+        2 * np.multiply.outer([h, h / 2], [1.0, 1.0j]))[:, None, :, None, None]
+    max_d = cr_dev = 0.0
+    for (i, j, k) in triples:
+        terms = (partial[:, i, :, j, k], partial[:, j, :, i, k], partial[:, k, :, i, j])
+        cr_dev = max(cr_dev, *(float(np.abs(t[:, 0] - t[:, 1]).max()) for t in terms))
+        d_i, d_j, d_k = ((t[:, 0] + t[:, 1]) / 2 for t in terms)
+        total = d_i - d_j + d_k  # at steps h and h / 2
+        max_d = max(max_d, float(abs((4 * total[1] - total[0]) / 3)))
 
     return {
         "check": "family-closedness",
@@ -339,22 +376,14 @@ def compare_base_change(family: FamilySpec, phi: InvariantPolynomial,
             rng = np.random.default_rng(0)
         points = [np.array([r * rng.uniform(-0.4, 0.4) for r in new_radius],
                            dtype=np.complex128) for _ in range(n_points)]
-    worst = 0.0
-    for u in points:
-        s = np.array([phi_k(u) for phi_k in subs], dtype=np.complex128)
-        direct = _coefficients_at(pulled, phi, tensor, cycle, u, tol)
-        orig = _coefficients_at(family, phi, tensor, cycle, s, tol)
-        jac = np.array([[subs[k].diff(a)(u) for a in range(m_new)]
-                        for k in range(family.m)], dtype=np.complex128)
-        for a in range(m_new):
-            for b in range(a + 1, m_new):
-                via_chain = 0.0 + 0.0j
-                for k in range(family.m):
-                    for l in range(family.m):
-                        via_chain += (_coeff_get(orig, k, l)
-                                      * jac[k, a] * jac[l, b])
-                worst = max(worst, abs(direct[(a, b)] - via_chain))
-    return worst
+    u = np.asarray(points, dtype=np.complex128).reshape(-1, m_new)
+    values = _Compiled(subs, m_new)(u)  # s, then ds/du_a
+    direct = _coefficients(pulled, tensor, cycle, u, tol)
+    orig = np.triu(_coefficients(family, tensor, cycle, values[:, 0], tol), 1)
+    jac = values[:, 1:]
+    via_chain = jac @ (orig - np.swapaxes(orig, 1, 2)) @ np.swapaxes(jac, 1, 2)
+    a, b = np.triu_indices(m_new, 1)
+    return float(np.abs(direct - via_chain)[:, a, b].max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +416,12 @@ def family_to_json(family: FamilySpec) -> dict:
 
 def family_from_json(data: dict, presentation: Presentation,
                      group: GroupSpec) -> FamilySpec:
-    params = tuple(data["params"])
-    nvars = len(params)
-    images = {}
-    for name in presentation.generator_names:
-        if name not in data["images"]:
-            raise InvalidInput(f"family missing generator {name!r}")
-        rows = data["images"][name]
-        images[name] = [[_poly_from_json(e, nvars) for e in row] for row in rows]
-    return FamilySpec(presentation, group, params,
-                      tuple(float(r) for r in data["domain_radius"]), images)
+    try:
+        params = tuple(data["params"])
+        radius = tuple(float(r) for r in data["domain_radius"])
+        images = {name: [[_poly_from_json(e, len(params)) for e in row]
+                         for row in data["images"][name]]
+                  for name in presentation.generator_names}
+        return FamilySpec(presentation, group, params, radius, images)
+    except (KeyError, ValueError) as exc:
+        raise InvalidInput(f"family input is missing or malformed: {exc}") from exc

@@ -16,10 +16,11 @@ import numpy as np
 
 from .cohomology import (
     BarChain,
-    ad_fox,
     cocycle_space,
     extend_cocycle,
     fundamental_two_cycle,
+    identity_values,
+    walk_words,
 )
 from .errors import DegreeMismatch, NotEndomorphism
 from .matgroup import (
@@ -47,26 +48,15 @@ __all__ = [
 ]
 
 
-def _slot_operators(rho: Representation, cycle: BarChain):
-    """Coefficients c_t and slot operators of the cycle terms (g_1..g_n; c_t).
-
-    slots[i, t] = Ad rho(g_1 ... g_i-1) J_{g_i}, shape (n, terms, d, p * d),
-    maps stacked generator values of the i-th cocycle to the i-th argument
-    of tilde-Phi in term t.  J and Ad are computed once per distinct word.
-    """
-    words: dict = {}
-    d, n = rho.dim_g, cycle.degree
-    coeffs = np.array([c for _, c in cycle.terms], dtype=np.float64)
-    slots = np.empty((n, len(cycle.terms), d, rho.p * d), dtype=np.complex128)
-    for t, (gammas, _) in enumerate(cycle.terms):
-        acc = np.eye(d, dtype=np.complex128)
-        for i, w in enumerate(gammas):
-            if w not in words:
-                words[w] = ad_fox(rho, w)
-            ad_w, jac_w = words[w]
-            slots[i, t] = acc @ jac_w
-            acc = acc @ ad_w
-    return coeffs, slots
+def _cycle_pairing(cycle: BarChain, tensor: np.ndarray, table: dict):
+    """sum_t c_t sigma(g_1)^T K Ad(g_1) sigma(g_2) over the terms [g_1|g_2]
+    of a degree-2 cycle, K = tensor, from the ``walk_words`` table of k
+    cocycles: (..., k, k), batched over the table's leading axes."""
+    total = 0.0
+    for (g1, g2), c in cycle.terms:
+        ad1, s1 = table[g1]
+        total = total + c * (np.swapaxes(s1, -1, -2) @ tensor @ ad1 @ table[g2][1])
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,8 +64,8 @@ class EtaContext:
     """A form at rho: the cycle to pair against and the coefficient tensor
     of tilde-Phi (``invariants.symmetric_tensor`` of ``phi`` in rho's basis).
 
-    The slot operators and, in degree 2, the assembled matrix Omega are built
-    on first use and live as long as the context.
+    The ``walk_words`` table (Ad rho(w), J_w) of the cycle words and, in
+    degree 2, the matrix Omega are built on first use and kept.
     """
 
     rho: Representation
@@ -88,19 +78,17 @@ class EtaContext:
         return self.phi.degree
 
     @cached_property
-    def slots(self):
-        return _slot_operators(self.rho, self.cycle)
+    def table(self) -> dict:
+        return walk_words(*self.rho._generator_ad(), identity_values(self.rho),
+                          [w for gammas, _ in self.cycle.terms for w in gammas])
 
     @cached_property
     def omega(self) -> np.ndarray:
-        """Degree 2: eta(s, t) = s.stacked @ omega @ t.stacked, with
-        omega = sum_t c_t A_1[t]^T K A_2[t]."""
+        """Degree 2: eta(s, t) = s.stacked @ omega @ t.stacked, the cycle
+        pairing of the identity values, sum_t c_t J_{g_1}^T K Ad(g_1) J_{g_2}."""
         if self.degree != 2:
             raise DegreeMismatch("omega requires a degree-2 context")
-        coeffs, (a1, a2) = self.slots
-        pd = a1.shape[-1]
-        weighted = (coeffs[:, None, None] * a1).reshape(-1, pd)
-        return weighted.T @ (self.tensor @ a2).reshape(-1, pd)
+        return _cycle_pairing(self.cycle, self.tensor, self.table)
 
 
 def make_context(rho: Representation, phi: InvariantPolynomial,
@@ -123,15 +111,21 @@ _INDICES = "abcdefghijklmnopqrs"
 
 def eta(ctx: EtaContext, *sigmas: TangentVector) -> complex:
     """Pairing of the cup product of the cocycles, weighted by tilde-Phi,
-    with the cycle: sum_t c_t tilde-Phi(A_1[t] s_1, ..., A_n[t] s_n)."""
+    with the cycle: sum_t c_t tilde-Phi(s_1(g_1), ..., Ad(g_1..g_n-1) s_n(g_n))."""
     n = ctx.degree
     if len(sigmas) != n:
         raise DegreeMismatch(f"expected {n} cocycles, got {len(sigmas)}")
-    coeffs, slots = ctx.slots
-    args = [slots[i] @ s.stacked for i, s in enumerate(sigmas)]
-    idx = _INDICES[:n]
-    spec = f"t,{idx}," + ",".join("t" + a for a in idx) + "->"
-    return complex(np.einsum(spec, coeffs, ctx.tensor, *args))
+    if n == 2:
+        return complex(sigmas[0].stacked @ ctx.omega @ sigmas[1].stacked)
+    spec = _INDICES[:n] + "," + ",".join(_INDICES[:n]) + "->"
+    total = 0.0 + 0.0j
+    for gammas, c in ctx.cycle.terms:
+        acc, args = np.eye(ctx.rho.dim_g), []
+        for w, s in zip(gammas, sigmas):
+            args.append(acc @ (ctx.table[w][1] @ s.stacked))
+            acc = acc @ ctx.table[w][0]
+        total += c * np.einsum(spec, ctx.tensor, *args)
+    return complex(total)
 
 
 def random_cocycle(space, rng) -> TangentVector:

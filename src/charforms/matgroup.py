@@ -218,12 +218,13 @@ class Representation:
         return self.images[k] if sign == 1 else self._inverses[k]
 
     def _generator_ad(self):
+        """Ad rho(x_k) and its inverse for every generator, (p, d, d) each."""
         if self._ad_gen is None:
             n = self.group.n
             images = np.reshape(self.images, (-1, n, n))
             inverses = np.reshape(self._inverses, (-1, n, n))
-            self._ad_gen = tuple(_ad_matrix(self.basis, images, inverses))
-            self._ad_gen_inv = tuple(_ad_matrix(self.basis, inverses, images))
+            self._ad_gen = _ad_matrix(self.basis, images, inverses)
+            self._ad_gen_inv = _ad_matrix(self.basis, inverses, images)
         return self._ad_gen, self._ad_gen_inv
 
 
@@ -379,7 +380,7 @@ def invariant_subspace_dim(rho: Representation, tol: Tolerances = DEFAULT_TOL) -
     """dim H^0(Gamma, Ad rho): joint fixed space of the generator Ad operators."""
     ad, _ = rho._generator_ad()
     d = rho.dim_g
-    if not ad:
+    if not rho.p:
         return d
     stacked = np.concatenate([a - np.eye(d) for a in ad], axis=0)
     return d - rank_and_gap(stacked, tol).rank

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceFailure, SingularMatrix
+from .errors import ConvergenceFailure, InvalidInput, SingularMatrix
 
 __all__ = [
     "Tolerances",
@@ -36,9 +36,9 @@ class Tolerances:
 
     def __post_init__(self):
         if not (self.rank_rel > 0 and self.newton_tol > 0 and self.fd_step > 0):
-            raise ValueError("tolerances must be strictly positive")
+            raise InvalidInput(f"tolerances must be strictly positive: {self}")
         if self.rank_rel >= 1:
-            raise ValueError("rank_rel must be < 1")
+            raise InvalidInput(f"rank_rel must be < 1, got {self.rank_rel}")
 
 
 DEFAULT_TOL = Tolerances()
@@ -141,5 +141,5 @@ def matrix_inverse(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         where = f"matrix {k} of {len(s)}: " if m.ndim > 2 else ""
         raise SingularMatrix(
             f"{where}smallest singular value {s[k, -1]:.3e} <= rank_rel times "
-            f"the largest, {s[k, 0]:.3e}")
+            f"the largest, {s[k, 0]:.3e}", index=k)
     return np.linalg.inv(m)

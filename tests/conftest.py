@@ -95,3 +95,31 @@ def diagonal_family():
 @pytest.fixture(scope="session")
 def family():
     return diagonal_family()
+
+
+def random_family(genus, n, seed, m=3, radius=0.2):
+    """Seeded genus-g family of commuting diagonal GL(n) images.
+
+    Each diagonal entry is exp(z0) + sum_k z_k s_k + z_q s_i s_j with complex
+    Gaussian z's of size 0.3 and one random quadratic monomial, so the
+    surface relator holds identically while the pulled-back form varies.
+    """
+    rng = np.random.default_rng(seed)
+    pres = Presentation.surface(genus)
+
+    def cplx(size=None):
+        return 0.3 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+
+    images = {}
+    for name in pres.generator_names:
+        rows = [[Poly(m) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            entry = Poly.const(m, np.exp(cplx()))
+            for k, z in enumerate(cplx(m)):
+                entry = entry + complex(z) * Poly.var(m, k)
+            a, b = rng.integers(0, m, size=2)
+            entry = entry + complex(cplx()) * Poly.var(m, a) * Poly.var(m, b)
+            rows[i][i] = entry
+        images[name] = rows
+    return FamilySpec(pres, GroupSpec("GL", n), tuple(f"s{k + 1}" for k in range(m)),
+                      (radius,) * m, images)

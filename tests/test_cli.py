@@ -193,3 +193,45 @@ def test_closedness_reports_fd_error(inputs, tmp_path):
     assert code == 0 and report["pass"]
     assert report["max_d"] <= 1e-5 * report["scale"]
     assert 0 < report["fd_error"] < 1e-3 * report["scale"]
+
+
+def _family_input(tmp_path, drop=None, **changes):
+    """The diagonal family's CLI input with top-level ``changes`` and one
+    key removed: ``drop`` = (object name, key)."""
+    fam = diagonal_family()
+    data = {"presentation": fam.presentation.to_json(),
+            "group": {"kind": "GL", "n": 2},
+            "family": family_to_json(fam)}
+    data.update(changes)
+    if drop:
+        del data[drop[0]][drop[1]]
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("grid", ["-1", "0"])
+def test_family_grid_below_one_is_invalid_input(tmp_path, capsys, grid):
+    _assert_invalid_input(capsys, ["family", "--input", _family_input(tmp_path),
+                                   "--grid", grid])
+
+
+@pytest.mark.parametrize("drop", [("group", "n"), ("family", "params")])
+def test_family_missing_field_is_invalid_input(tmp_path, capsys, drop):
+    _assert_invalid_input(capsys, ["family", "--input",
+                                   _family_input(tmp_path, drop=drop)])
+
+
+def test_family_short_domain_radius_is_invalid_input(tmp_path, capsys):
+    data = family_to_json(diagonal_family())
+    data["domain_radius"] = data["domain_radius"][:2]
+    path = _family_input(tmp_path, family=data)
+    _assert_invalid_input(capsys, ["family", "--input", path])
+
+
+@pytest.mark.parametrize("flags", [["--fd-step", "0"], ["--tol-newton", "-1"],
+                                   ["--tol-rank", "nan"],
+                                   ["--fd-chart-step", "0"]])
+@pytest.mark.parametrize("command", ["closedness", "cohomology"])
+def test_bad_tolerance_flag_is_invalid_input(inputs, capsys, flags, command):
+    _assert_invalid_input(capsys, [command, "--input", inputs["genus2"], *flags])

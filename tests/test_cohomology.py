@@ -21,8 +21,16 @@ from charforms import (
     verify_cycle,
 )
 import charforms.cohomology
-from charforms.cohomology import ad_fox, bar_boundary, normal_form
+from charforms.cohomology import (
+    ad_fox,
+    bar_boundary,
+    cocycle_walk,
+    identity_values,
+    normal_form,
+    walk_words,
+)
 from charforms.matgroup import (
+    TangentVector,
     _relator_jacobian,
     adjoint_operator,
     coboundary,
@@ -203,6 +211,59 @@ def test_ad_fox_is_evaluated_fox_derivative(genus2_rep, letters):
     ad_ref = adjoint_operator(genus2_rep, w)
     assert np.abs(jac - fox).max() <= 1e-12 * max(1.0, np.abs(fox).max())
     assert np.abs(ad_w - ad_ref).max() <= 1e-12 * np.abs(ad_ref).max()
+
+
+def test_prefix_walk_matches_per_word_ad_fox(monkeypatch):
+    """At genus 3 the fundamental cycle has 22 distinct nonempty words; the
+    prefix walk takes one letter step per word (11 for the relator prefixes,
+    66 when each prefix is walked from e) and matches per-word ad_fox."""
+    rho, _ = random_point(3, 2, "SL", 3)
+    words = [w for gammas, _ in fundamental_two_cycle(rho.presentation).chain.terms
+             for w in gammas]
+    steps = Counter()
+    walk = charforms.cohomology.cocycle_walk
+
+    def counted(ad, ad_inv, values, letters, start=None):
+        steps["letters"] += len(letters)
+        return walk(ad, ad_inv, values, letters, start)
+
+    monkeypatch.setattr(charforms.cohomology, "cocycle_walk", counted)
+    table = walk_words(*rho._generator_ad(), identity_values(rho), words)
+    distinct = {w for w in words if w.letters}
+    assert len(distinct) == 22 and steps["letters"] == 22
+    monkeypatch.undo()
+    for w in distinct | {Word.identity()}:
+        ad_w, jac_w = ad_fox(rho, w)
+        assert np.abs(table[w][0] - ad_w).max() <= 1e-14 * np.abs(ad_w).max()
+        assert np.abs(table[w][1] - jac_w).max() <= 1e-14 * max(np.abs(jac_w).max(), 1)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(letters=st.lists(st.tuples(st.integers(0, 3), st.sampled_from((1, -1))),
+                        max_size=8),
+       seed=st.integers(0, 2 ** 16))
+def test_batched_walk_matches_per_point(letters, seed):
+    """cocycle_walk on a stack of 3 points and 2 random cocycles equals, point
+    by point, ad_fox and extend_cocycle."""
+    rng = np.random.default_rng(seed)
+    group = GroupSpec("SL", 2)
+    basis = group._basis
+    points = [Representation(Presentation.surface(2), group, matrix_exp(
+        basis.matrix_from_coords(0.4 * (rng.standard_normal((4, 3))
+                                        + 1j * rng.standard_normal((4, 3))))),
+        check=False) for _ in range(3)]
+    values = rng.standard_normal((3, 4, 3, 2)) + 1j * rng.standard_normal((3, 4, 3, 2))
+    ad = np.stack([rho._generator_ad()[0] for rho in points])
+    ad_inv = np.stack([rho._generator_ad()[1] for rho in points])
+    w = Word.of(letters)
+    ad_w, sigma_w = cocycle_walk(ad, ad_inv, values, w.letters)
+    for rho, x, a, s in zip(points, values, ad_w, sigma_w):
+        ad_ref, jac = ad_fox(rho, w)
+        assert np.abs(a - ad_ref).max() <= 1e-12 * np.abs(ad_ref).max()
+        assert np.abs(s - jac @ x.reshape(-1, 2)).max() <= 1e-12 * max(1, np.abs(s).max())
+        for j in range(2):
+            ext = extend_cocycle(rho, TangentVector.of(x[..., j]))
+            assert np.abs(s[:, j] - ext(w)).max() <= 1e-12 * max(1, np.abs(s).max())
 
 
 class TestNormalForm:

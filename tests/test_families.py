@@ -1,14 +1,17 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import charforms.cohomology
 import charforms.families
-from charforms import GroupSpec, Presentation, trace_form
+from charforms import GroupSpec, Presentation, Representation, trace_form
 from charforms.cohomology import fox_jacobian, fundamental_two_cycle
 from charforms.forms import EtaContext, eta
 from charforms.invariants import symmetric_tensor
 from charforms.errors import InvalidInput, NotTangent
+from charforms.matgroup import TangentVector
 from charforms.families import (
     FamilySpec,
     Poly,
@@ -19,6 +22,8 @@ from charforms.families import (
     family_tangent,
     family_to_json,
 )
+
+from conftest import diagonal_family, random_family
 
 GL2 = GroupSpec("GL", 2)
 
@@ -130,37 +135,160 @@ class TestFamilyTangent:
             family_tangent(bad, np.array([0.1, 0.0, 0.0]), 0)
 
 
-def test_coefficient_point_builds_rho_and_jacobian_once(family, monkeypatch):
-    """One coefficient point of an m = 3 family builds one Representation and
-    one Fox Jacobian, and its coefficients equal eta on family_tangent."""
-    s = np.array([0.03, -0.02, 0.01], dtype=complex)
-    phi = trace_form()
-    rho = family.rep_at(s)
-    tensor = symmetric_tensor(phi, rho.basis)
-    cycle = fundamental_two_cycle(family.presentation).chain
-    ctx = EtaContext(rho, phi, tensor, cycle)
-    tangents = [family_tangent(family, s, k) for k in range(3)]
-    expected = {(k, l): eta(ctx, tangents[k], tangents[l])
-                for k in range(3) for l in range(k + 1, 3)}
+def _reference_coefficients(family, s):
+    """The per-point path at s: entries by Poly.__call__, tangents from the
+    exact Poly.diff, one Representation and EtaContext, eta pair by pair."""
+    names = family.presentation.generator_names
+    images = np.array([[[e(s) for e in row] for row in family.images[name]]
+                       for name in names])
+    rho = Representation(family.presentation, family.group, images, check=False)
+    inverses = np.linalg.inv(images)
+    tangents = [TangentVector.of(rho.basis.coords_from_matrix(
+        np.array([[[e.diff(k)(s) for e in row] for row in family.images[name]]
+                  for name in names]) @ inverses)) for k in range(family.m)]
+    ctx = EtaContext(rho, trace_form(),
+                     symmetric_tensor(trace_form(), rho.basis),
+                     fundamental_two_cycle(family.presentation).chain)
+    return {f"{k},{l}": eta(ctx, tangents[k], tangents[l])
+            for k in range(family.m) for l in range(k + 1, family.m)}
 
-    calls = Counter()
-    fams = charforms.families
-    rep_at, jacobian = FamilySpec.rep_at, fams.fox_jacobian
 
-    def counted_rep_at(*args, **kwargs):
-        calls["rep_at"] += 1
-        return rep_at(*args, **kwargs)
+@pytest.mark.parametrize("build", [diagonal_family,
+                                   lambda: random_family(3, 3, seed=5)],
+                         ids=["diagonal", "genus3-GL3"])
+def test_pullback_samples_match_per_point_reference(build):
+    family = build()
+    report = family_pullback(family, trace_form(), grid=3)
+    assert len(report["samples"]) == 27
+    for smp in report["samples"]:
+        ref = _reference_coefficients(family, np.array(smp["s"]))
+        assert smp["coefficients"].keys() == ref.keys()
+        for key, value in ref.items():
+            assert abs(smp["coefficients"][key] - value) <= 1e-12 * report["scale"]
 
-    def counted_jacobian(*args):
-        calls["fox_jacobian"] += 1
-        return jacobian(*args)
 
-    monkeypatch.setattr(FamilySpec, "rep_at", counted_rep_at)
-    monkeypatch.setattr(fams, "fox_jacobian", counted_jacobian)
-    coeffs = fams._coefficients_at(family, phi, tensor, cycle, s,
-                                   fams.DEFAULT_TOL)
-    assert calls == Counter(rep_at=1, fox_jacobian=1)
-    assert coeffs == expected
+def _counting(monkeypatch, calls, name, target, attr):
+    original = getattr(target, attr)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(target, attr, counted)
+
+
+def test_pullback_cost_does_not_grow_with_grid(family, monkeypatch):
+    """grid=2 (32 points with the stencil) and grid=3 (51 points) make the
+    same number of batched inverses and walks, and no per-point
+    Representation or EtaContext."""
+    counts = []
+    for grid in (2, 3):
+        calls = Counter()
+        with monkeypatch.context() as mp:
+            _counting(mp, calls, "matrix_inverse", charforms.families,
+                      "matrix_inverse")
+            _counting(mp, calls, "walk", charforms.families, "walk_words")
+            _counting(mp, calls, "letter", charforms.cohomology, "cocycle_walk")
+            _counting(mp, calls, "Representation", Representation, "__init__")
+            _counting(mp, calls, "EtaContext", EtaContext, "__init__")
+            family_pullback(family, trace_form(), grid=grid, h=1e-3)
+        counts.append(calls)
+    assert counts[0] == counts[1]
+    assert counts[0]["matrix_inverse"] == 1 and counts[0]["walk"] == 1
+    assert counts[0]["Representation"] == counts[0]["EtaContext"] == 0
+
+
+def test_blocks_that_split_the_stencil_give_the_same_report(monkeypatch):
+    family = random_family(2, 3, seed=2)
+    whole = family_pullback(family, trace_form(), grid=3)
+    monkeypatch.setattr(charforms.families, "_BLOCK", 5)  # 51 points: 11 blocks
+    split = family_pullback(family, trace_form(), grid=3)
+    assert split == whole
+
+
+def test_pullback_memory_does_not_grow_with_grid():
+    """Points pass in fixed-size blocks: 1,752 points at grid=12 peak at
+    most twice as high as 51 points at grid=3 (the report itself included)."""
+    family = random_family(3, 3, seed=4)
+    peaks = []
+    for grid in (3, 12):
+        family_pullback(family, trace_form(), grid=1)  # compile outside
+        tracemalloc.start()
+        report = family_pullback(family, trace_form(), grid=grid)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert len(report["samples"]) == grid ** 3
+    assert peaks[1] <= 2 * peaks[0]
+
+
+def _off_diagonal_family(family, entry):
+    """``family`` with ``entry`` (a polynomial in s1) above the diagonal of
+    a1: the images stop commuting wherever it is nonzero."""
+    images = dict(family.images)
+    images["a1"] = [[images["a1"][0][0], entry], [Poly(3), images["a1"][1][1]]]
+    return FamilySpec(family.presentation, family.group, family.params,
+                      family.domain_radius, images)
+
+
+@pytest.mark.parametrize("cube,message", [
+    (False, "family leaves Hom: relator residual"),  # (s1 + 0.1)^2
+    (True, "tangent 0 fails cocycle check"),         # (s1 + 0.1)^2 s1
+])
+def test_not_tangent_in_a_batch_names_the_first_failing_point(family, cube,
+                                                              message):
+    """The entry vanishes to second order on the first grid slab s1 = -0.1,
+    so the first 9 grid points pass; at the next point, s = (0, -0.1, -0.1),
+    either the relator fails or (with a simple zero there) the tangent."""
+    s1 = Poly.var(3, 0)
+    entry = (s1 + 0.1) * (s1 + 0.1)
+    bad = _off_diagonal_family(family, entry * s1 if cube else entry)
+    first = np.array([0.0, -0.1, -0.1], dtype=complex)
+    with pytest.raises(NotTangent, match=message) as info:
+        family_pullback(bad, trace_form(), grid=3)
+    assert str(info.value).endswith(f"at s={first}")
+    for k in range(3):
+        family_tangent(bad, np.array([-0.1, 0.1, 0.0]), k)
+    with pytest.raises(NotTangent, match=message):
+        family_tangent(bad, first, 0)
+
+
+def test_constant_family_off_the_variety_leaves_hom():
+    """Constant images whose relator fails: the tangents vanish and pass the
+    cocycle check, so only the relator check stops the first grid point."""
+    c = lambda v: Poly.const(3, v)
+    images = {"a1": [[c(2.0), c(0.1)], [Poly(3), c(0.5)]],
+              "b1": [[c(3.0), Poly(3)], [Poly(3), c(1 / 3)]],
+              "a2": [[c(1.0), Poly(3)], [Poly(3), c(1.0)]],
+              "b2": [[c(1.0), Poly(3)], [Poly(3), c(2.0)]]}
+    fam = FamilySpec(Presentation.surface(2), GL2, ("s1", "s2", "s3"), (0.2,) * 3,
+                     images)
+    with pytest.raises(NotTangent, match="family leaves Hom"):
+        family_pullback(fam, trace_form(), grid=2)
+
+
+class TestFamilyInput:
+    def test_grid_below_one(self, family):
+        for grid in (0, -1):
+            with pytest.raises(InvalidInput, match="grid"):
+                family_pullback(family, trace_form(), grid=grid)
+
+    def test_short_domain_radius(self, family):
+        data = family_to_json(family)
+        data["domain_radius"] = data["domain_radius"][:2]
+        with pytest.raises(InvalidInput, match="domain_radius"):
+            family_from_json(data, family.presentation, family.group)
+
+    def test_negative_power(self, family):
+        data = family_to_json(family)
+        data["images"]["a1"][0][0][0]["powers"] = [-1, 0, 0]
+        with pytest.raises(InvalidInput, match="powers"):
+            family_from_json(data, family.presentation, family.group)
+
+    def test_missing_params(self, family):
+        data = family_to_json(family)
+        del data["params"]
+        with pytest.raises(InvalidInput, match="params"):
+            family_from_json(data, family.presentation, family.group)
 
 
 class TestPullback:

@@ -214,17 +214,16 @@ def _count_calls(monkeypatch, calls, name, fn):
 
 def test_gram_assembles_once_per_context(monkeypatch):
     """Deterministic cost guard: the Gram matrix on a 32-dimensional H^1
-    and a later eta on the same context build the slot operators once and
-    never evaluate Phi or extend a cocycle pair by pair."""
+    and a later eta on the same context walk the cycle words once and never
+    evaluate Phi or extend a cocycle pair by pair."""
     rho, _ = random_point(3, 0, "SL", 3)
     basis = cocycle_space(rho).basis_h1
     assert len(basis) == 32
     calls = Counter()
-    forms = charforms.forms
     _count_calls(monkeypatch, calls, "evaluate", charforms.invariants.evaluate)
     _count_calls(monkeypatch, calls, "extend_cocycle",
                  charforms.cohomology.extend_cocycle)
-    _count_calls(monkeypatch, calls, "slots", forms._slot_operators)
+    _count_calls(monkeypatch, calls, "walk", charforms.cohomology.walk_words)
     ctx = make_context(rho, trace_form())
     g, rank = gram_matrix(ctx, basis)
     again, _ = gram_matrix(ctx, basis)
@@ -232,7 +231,7 @@ def test_gram_assembles_once_per_context(monkeypatch):
     assert rank == 32
     assert np.array_equal(g, again)
     assert pairwise == pytest.approx(g[0, 1], abs=1e-12 * np.abs(g).max())
-    assert calls == Counter(slots=1)
+    assert calls == Counter(walk=1)
 
 
 class TestOracleEquivalence:
