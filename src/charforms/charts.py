@@ -16,8 +16,10 @@ solve proceeds.
 
 The chart tangents come from the same theorem rather than from differencing
 retractions: c'(t) = -(M C)^+ M S and the i-th tangent is
-phi(ad Y) (S e_i + C c'_i).  Exterior derivatives of pulled-back forms are
-central differences of their coefficients with Richardson extrapolation.
+phi(ad Y) (S e_i + C c'_i), and they are paired with the cycle in one
+``walk_words`` table per point, as a family's are.  One finite-difference
+operator takes the exterior derivative of a pulled-back form, on real steps
+for a chart and on real and imaginary steps for a holomorphic family.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohomology import BarChain, cocycle_space, fox_jacobian
-from .errors import LeftChart
-from .forms import EtaContext, eta
+from .cohomology import BarChain, bar_boundary, cocycle_space, fox_jacobian, walk_words
+from .errors import DegreeMismatch, InvalidInput, LeftChart
+from .forms import _cycle_pairing, eta, make_context, random_cocycle
 from .matgroup import (
     GroupSpec,
     LieAlgebraBasis,
@@ -39,6 +41,7 @@ from .matgroup import (
     _damped_newton,
     _relator_jacobian,
     _relator_residual,
+    lie_algebra_basis,
     matrix_exp,
 )
 from .invariants import InvariantPolynomial, killing_form, symmetric_tensor
@@ -64,8 +67,6 @@ class Chart:
     tol: Tolerances = DEFAULT_TOL
     _span: np.ndarray = field(init=False, repr=False)
     _complement: np.ndarray = field(init=False, repr=False)
-    # (t, point, stacked Y) of the latest retraction, for its tangents
-    _last: tuple = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.directions = tuple(self.directions)
@@ -121,13 +122,8 @@ def _chart_jacobian(point: Representation, phi: np.ndarray) -> np.ndarray:
     return np.einsum("rkd,kde->rke", jac, phi).reshape(-1, p * d)
 
 
-def retract(chart: Chart, t) -> Representation:
-    """Map chart parameters to the point rho(t, c(t)) of Hom(Gamma, G).
-
-    retract(0) is the center; for a free group the chart is the exponential
-    curve itself.  Raises NoConvergence when Newton's method fails and
-    LeftChart when the correction moves the images by more than |t|.
-    """
+def _solve(chart: Chart, t):
+    """``retract`` with the stacked coordinates Y = S t + C c(t) of its point."""
     t = np.asarray(t, dtype=np.complex128)
     base, comp = chart._span @ t, chart._complement
 
@@ -150,109 +146,103 @@ def retract(chart: Chart, t) -> Representation:
     if t_norm > 0 and correction > t_norm:
         raise LeftChart(
             f"correction {correction:.3e} exceeds |t| = {t_norm:.3e}")
-    chart._last = (t.tobytes(), solved, base + comp @ c)
-    return solved
+    return solved, base + comp @ c
 
 
-def _tangents(chart: Chart, t) -> list:
-    """The exact tangents of the chart at t, from the implicit-function
-    theorem at the retracted point (retracting only if t was not the last
-    point retracted)."""
-    t = np.asarray(t, dtype=np.complex128)
-    if chart._last is None or chart._last[0] != t.tobytes():
-        retract(chart, t)
-    _, point, y = chart._last
+def retract(chart: Chart, t) -> Representation:
+    """Map chart parameters to the point rho(t, c(t)) of Hom(Gamma, G).
+
+    retract(0) is the center; for a free group the chart is the exponential
+    curve itself.  Raises NoConvergence when Newton's method fails and
+    LeftChart when the correction moves the images by more than |t|.
+    """
+    return _solve(chart, t)[0]
+
+
+def _tangents(chart: Chart, point: Representation, y: np.ndarray) -> np.ndarray:
+    """Values (p, d, dim) of the exact chart tangents at the solved point
+    with coordinates y, from the implicit-function theorem."""
     span, comp = chart._span, chart._complement
     phi = _dexp(point.basis, y)
     moved = span  # S + C c'(t), one column per direction
     if comp.shape[1]:
         m = _chart_jacobian(point, phi)
         moved = span + comp @ solve_lsq(m @ comp, -(m @ span))
-    blocks = moved.reshape(point.p, point.dim_g, -1)
-    values = np.einsum("kde,kei->ikd", phi, blocks)
-    return [TangentVector.of(v) for v in values]
+    return phi @ moved.reshape(point.p, point.dim_g, -1)
 
 
 def transported_direction(chart: Chart, t, i: int) -> TangentVector:
     """Tangent of the i-th chart curve at parameter t: the derivative of
     retract along e_i, in the left-trivialised coordinates of TangentVector."""
-    return _tangents(chart, t)[i]
+    return TangentVector.of(_tangents(chart, *_solve(chart, t))[..., i])
 
 
 def eta_coefficients(chart: Chart, phi: InvariantPolynomial, cycle: BarChain):
     """Coefficient function of the pulled-back 2-form on the chart.
 
-    Returns ``coeffs(t) -> {(i, j): eta(sigma_i(t), sigma_j(t))}`` over i < j,
-    with sigma_i(t) the chart tangents: one retraction per point."""
+    Returns ``coeffs(t)``, the antisymmetric (dim, dim) array with
+    eta(sigma_i(t), sigma_j(t)) above the diagonal, sigma_i the chart tangents:
+    one Newton solve, ``walk_words`` table and cycle pairing per point.
+    """
+    if phi.degree != 2 or cycle.degree != 2:
+        raise DegreeMismatch("the chart pullback needs a degree-2 polynomial and cycle")
     tensor = symmetric_tensor(phi, chart.center.basis)
+    words = [w for gammas, _ in cycle.terms for w in gammas]
 
-    def coeffs(t) -> dict:
-        rho_t = retract(chart, t)
-        tangents = _tangents(chart, t)
-        ctx = EtaContext(rho_t, phi, tensor, cycle)
-        return {(i, j): eta(ctx, tangents[i], tangents[j])
-                for i in range(chart.dim) for j in range(i + 1, chart.dim)}
+    def coeffs(t) -> np.ndarray:
+        point, y = _solve(chart, t)
+        table = walk_words(*point._generator_ad(), _tangents(chart, point, y), words)
+        w = np.triu(_cycle_pairing(cycle, tensor, table), 1)
+        return w - w.T
 
     return coeffs
 
 
-def _coeff_get(c: dict, i: int, j: int):
-    if i == j:
-        return 0.0
-    return c[(i, j)] if i < j else -c[(j, i)]
+def _stencil(m: int, h: float, directions) -> np.ndarray:
+    """FD points (P, m) about 0, ordered (step, axis, direction, sign) over the
+    steps h, h/2, the axes and the directions (1 for a chart; 1 and i for a
+    holomorphic family).  Empty for m < 3: no triple to check."""
+    return np.array([sign * step * u * np.eye(m)[a] for step in (h, h / 2)
+                     for a in range(m if m >= 3 else 0) for u in directions
+                     for sign in (1, -1)], dtype=np.complex128).reshape(-1, m)
 
 
-def fd_exterior_derivative(chart_dim: int, coeffs, h: float,
-                           base_t=None) -> dict:
-    """Richardson-extrapolated components of d(omega) for a 2-form.
+def _fd_d(w: np.ndarray, h: float, directions) -> tuple:
+    """Max |d omega|, ``fd_error`` and the Cauchy-Riemann deviation of a
+    2-form from its coefficients w (P, m, m) on ``_stencil(m, h, directions)``,
+    of which only the upper triangles are read.
 
-    ``coeffs(t)`` returns the antisymmetric coefficient dictionary.  For each
-    direction triple (i, j, k):
-        (d omega)_{ijk} = d_i w_{jk} - d_j w_{ik} + d_k w_{ij},
-    each partial by central differences at steps h and h/2, extrapolated.
-    Reports the max modulus, the scale max |w| over evaluated points and
-    ``fd_error``, the largest |d_h - d_{h/2}| over the triples (the
-    Richardson error estimate of the step-h/2 value).
+    (d omega)_{ijk} = d_i w_{jk} - d_j w_{ik} + d_k w_{ij} for i < j < k, each
+    partial a central difference averaged over the directions, at steps h and
+    h/2, Richardson-extrapolated.  ``fd_error`` is the largest |d_h - d_{h/2}|,
+    the error estimate of the step-h/2 value; the deviation is the largest
+    spread of a partial over the directions.
     """
-    if base_t is None:
-        base_t = np.zeros(chart_dim, dtype=np.complex128)
-    base_t = np.asarray(base_t, dtype=np.complex128)
+    m, nd = w.shape[-1], len(directions)
+    w = np.triu(w, 1)
+    w = (w - np.swapaxes(w, 1, 2)).reshape(2, len(w) // (4 * nd), nd, 2, m, m)
+    partial = (w[:, :, :, 0] - w[:, :, :, 1]) / (
+        2 * np.multiply.outer([h, h / 2], directions))[:, None, :, None, None]
+    max_d = fd_error = cr_dev = 0.0
+    for (i, j, k) in itertools.combinations(range(m), 3):
+        terms = (partial[:, i, :, j, k], partial[:, j, :, i, k], partial[:, k, :, i, j])
+        cr_dev = max(cr_dev, *(float(np.abs(t - t[:, :1]).max()) for t in terms))
+        d_i, d_j, d_k = (t.mean(axis=1) for t in terms)
+        total = d_i - d_j + d_k  # at steps h and h / 2
+        max_d = max(max_d, float(abs((4 * total[1] - total[0]) / 3)))
+        fd_error = max(fd_error, float(abs(total[0] - total[1])))
+    return max_d, fd_error, cr_dev
 
-    evals: dict = {}
 
-    def coeff_at(t):
-        key = tuple(np.round(np.asarray(t, dtype=np.complex128), 14))
-        if key not in evals:
-            evals[key] = coeffs(np.asarray(t, dtype=np.complex128))
-        return evals[key]
-
-    def partial(i, j, k, step):
-        e = np.zeros(chart_dim, dtype=np.complex128)
-        e[i] = step
-        cp = coeff_at(base_t + e)
-        cm = coeff_at(base_t - e)
-        return (_coeff_get(cp, j, k) - _coeff_get(cm, j, k)) / (2 * step)
-
-    def d_component(i, j, k, step):
-        return (partial(i, j, k, step)
-                - partial(j, i, k, step)
-                + partial(k, i, j, step))
-
-    worst = fd_error = 0.0
-    components = {}
-    for (i, j, k) in itertools.combinations(range(chart_dim), 3):
-        d_h = d_component(i, j, k, h)
-        d_h2 = d_component(i, j, k, h / 2)
-        extrapolated = (4 * d_h2 - d_h) / 3
-        components[(i, j, k)] = extrapolated
-        worst = max(worst, abs(extrapolated))
-        fd_error = max(fd_error, abs(d_h - d_h2))
-    scale = 0.0
-    for c in evals.values():
-        for v in c.values():
-            scale = max(scale, abs(v))
-    return {"max_d": worst, "scale": scale, "fd_error": fd_error,
-            "components": components, "h": h, "evaluations": len(evals)}
+def fd_exterior_derivative(chart_dim: int, coeffs, h: float) -> dict:
+    """``_fd_d`` of a 2-form on a chart: its coefficient array ``coeffs(t)``,
+    read above the diagonal, on the real stencil.  Reports max |d omega|,
+    ``fd_error`` and the scale max |w| over the evaluated points."""
+    points = _stencil(chart_dim, h, (1,))
+    w = np.array([coeffs(t) for t in points]).reshape(-1, chart_dim, chart_dim)
+    max_d, fd_error, _ = _fd_d(w, h, (1,))
+    return {"max_d": max_d, "scale": float(np.abs(np.triu(w, 1)).max(initial=0.0)),
+            "fd_error": fd_error, "h": h, "evaluations": len(points)}
 
 
 def free_group_demo(p: int, group: GroupSpec, phi: InvariantPolynomial | None = None,
@@ -266,15 +256,13 @@ def free_group_demo(p: int, group: GroupSpec, phi: InvariantPolynomial | None = 
     statement is vacuously closed; this demo shows the chain-level behavior.
     """
     if p < 2:
-        raise ValueError("need p >= 2")
+        raise InvalidInput(f"the free-group demo needs p >= 2, got {p}")
     if phi is None:
         phi = killing_form()
     if rng is None:
         rng = np.random.default_rng(0)
     pres = Presentation.free([chr(ord("a") + i) for i in range(p)])
-    basis_dim = group.n ** 2 - (1 if group.kind == "SL" else 0)
     # random center
-    from .matgroup import lie_algebra_basis
     basis = lie_algebra_basis(group)
     images = []
     for _ in range(p):
@@ -282,25 +270,21 @@ def free_group_demo(p: int, group: GroupSpec, phi: InvariantPolynomial | None = 
         images.append(matrix_exp(basis.matrix_from_coords(0.5 * x)))
     rho = Representation(pres, group, images, tol=tol)
     space = cocycle_space(rho, tol)
-    from .forms import random_cocycle
     # dense directions so every generator slot is exercised
     rng_dirs = [random_cocycle(space, rng) for _ in range(3)]
     chart = Chart(rho, rng_dirs, tol)
-    assert basis_dim == basis.dim
 
     a, b = Word.generator(0), Word.generator(1)
     non_cycle = BarChain.of(2, {(a, b): 1})
-    tensor = symmetric_tensor(phi, basis)
     fd = fd_exterior_derivative(chart.dim,
                                 eta_coefficients(chart, phi, non_cycle), h)
 
     # genuine 2-cycle: boundary of a 3-chain, pairs to ~0 with the cup cocycle
-    from .cohomology import bar_boundary
     three = BarChain.of(3, {(a, b, a): 1, (b, a * b, b): 1})
     cycle = bar_boundary(three)
     s, t_ = rng_dirs[0], rng_dirs[1]
-    cycle_value = abs(eta(EtaContext(rho, phi, tensor, cycle), s, t_))
-    chain_value = abs(eta(EtaContext(rho, phi, tensor, non_cycle), s, t_))
+    cycle_value = abs(eta(make_context(rho, phi, cycle), s, t_))
+    chain_value = abs(eta(make_context(rho, phi, non_cycle), s, t_))
     return {
         "check": "free-group-chain-level",
         "max_d": fd["max_d"],

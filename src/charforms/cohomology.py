@@ -248,33 +248,22 @@ def normal_form(w: Word, presentation: Presentation | None) -> Word:
 
 
 def bar_boundary(chain: BarChain, presentation: Presentation | None = None) -> BarChain:
-    """Boundary with trivial coefficients; degree 2 -> 1 and 3 -> 2."""
-    if chain.degree == 2:
-        acc: dict = {}
-
-        def add(w, c):
-            key = (normal_form(w, presentation),)
-            acc[key] = acc.get(key, 0) + c
-
-        for (g1, g2), c in chain.terms:
-            add(g2, c)
-            add(g1 * g2, -c)
-            add(g1, c)
-        return BarChain.of(1, acc)
-    if chain.degree == 3:
-        acc = {}
-
-        def add2(t, c):
-            key = tuple(normal_form(w, presentation) for w in t)
-            acc[key] = acc.get(key, 0) + c
-
-        for (g1, g2, g3), c in chain.terms:
-            add2((g2, g3), c)
-            add2((g1 * g2, g3), -c)
-            add2((g1, g2 * g3), c)
-            add2((g1, g2), -c)
-        return BarChain.of(2, acc)
-    raise ValueError(f"boundary implemented for degrees 2 and 3, not {chain.degree}")
+    """Boundary with trivial coefficients, degree n >= 1 to n - 1:
+    [g_2|...|g_n] + sum_i (-1)^i [...|g_i g_{i+1}|...] + (-1)^n [g_1|...|g_{n-1}],
+    each word in its normal form."""
+    n = chain.degree
+    if n < 1:
+        raise ValueError(f"boundary needs degree at least 1, not {n}")
+    acc: dict = {}
+    for gammas, c in chain.terms:
+        faces = [gammas[1:]]
+        faces += [gammas[:i] + (gammas[i] * gammas[i + 1],) + gammas[i + 2:]
+                  for i in range(n - 1)]
+        faces.append(gammas[:-1])
+        for i, face in enumerate(faces):
+            key = tuple(normal_form(w, presentation) for w in face)
+            acc[key] = acc.get(key, 0) + (-1) ** i * c
+    return BarChain.of(n - 1, acc)
 
 
 def verify_cycle(chain: BarChain, presentation: Presentation | None = None) -> bool:

@@ -5,7 +5,8 @@ satisfies the relators identically (checked at random points of the polydisc).
 The entries are compiled once into a monomial table, so the images and their
 exact parameter derivatives at a stack of points are one contraction; tangent
 cocycles, their checks and the pulled-back form then go through the stack in
-blocks of _BLOCK points.  Finite differences enter only in the closedness check.
+blocks of _BLOCK points.  Finite differences enter only in the closedness check,
+through the FD operator shared with charts on the holomorphic stencil.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .charts import _fd_d, _stencil
 from .cohomology import BarChain, fundamental_two_cycle, walk_words
 from .errors import InvalidInput, NotTangent, SingularMatrix
 from .forms import _cycle_pairing
@@ -291,10 +293,11 @@ def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
                     tol: Tolerances = DEFAULT_TOL) -> dict:
     """Sample the pulled-back 2-form on a real grid and check closedness.
 
-    Coefficients use exact polynomial tangents; the exterior derivative is
-    measured by holomorphic central differences (steps +-h and +-ih averaged,
-    Richardson-extrapolated over h and h/2).  The difference between the real
-    and imaginary step estimates is reported as a Cauchy-Riemann diagnostic.
+    Coefficients use exact polynomial tangents, at the grid and the stencil
+    in one batched pass.  ``charts._fd_d`` on the holomorphic stencil (steps
+    +-h and +-ih averaged) gives max |d omega|, ``fd_error`` and the
+    difference of the real and imaginary step estimates as a Cauchy-Riemann
+    diagnostic.
     """
     if phi.degree != 2:
         raise InvalidInput("family_pullback implemented for degree-2 forms")
@@ -309,30 +312,15 @@ def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
 
     axes = [np.linspace(-r / 2, r / 2, grid) for r in family.domain_radius]
     grid_points = list(itertools.product(*axes))
-    triples = list(itertools.combinations(range(m), 3))
-    # the stencil about the polydisc center, ordered (step, a, direction, sign)
-    stencil = [sign * step * direction * np.eye(m)[a] for step in (h, h / 2)
-               for a in range(m if triples else 0) for direction in (1.0, 1.0j)
-               for sign in (1, -1)]
-    coeffs = _coefficients(family, tensor, cycle, grid_points + stencil, tol)
+    steps = (1.0, 1.0j)  # the real and imaginary axis of each parameter
+    stencil = _stencil(m, h, steps)
+    coeffs = _coefficients(family, tensor, cycle, [*grid_points, *stencil], tol)
     samples = [{"s": [complex(z) for z in point],
                 "coefficients": {f"{k},{l}": complex(c[k, l])
                                  for k in range(m) for l in range(k + 1, m)}}
                for point, c in zip(grid_points, coeffs)]
     scale = float(np.abs(np.triu(coeffs[:len(grid_points)], 1)).max(initial=0.0))
-
-    # central differences d_a w_jk of the antisymmetric w along h and ih
-    w = np.triu(coeffs[len(grid_points):], 1)
-    w = (w - np.swapaxes(w, 1, 2)).reshape(2, -1, 2, 2, m, m)
-    partial = (w[:, :, :, 0] - w[:, :, :, 1]) / (
-        2 * np.multiply.outer([h, h / 2], [1.0, 1.0j]))[:, None, :, None, None]
-    max_d = cr_dev = 0.0
-    for (i, j, k) in triples:
-        terms = (partial[:, i, :, j, k], partial[:, j, :, i, k], partial[:, k, :, i, j])
-        cr_dev = max(cr_dev, *(float(np.abs(t[:, 0] - t[:, 1]).max()) for t in terms))
-        d_i, d_j, d_k = ((t[:, 0] + t[:, 1]) / 2 for t in terms)
-        total = d_i - d_j + d_k  # at steps h and h / 2
-        max_d = max(max_d, float(abs((4 * total[1] - total[0]) / 3)))
+    max_d, fd_error, cr_dev = _fd_d(coeffs[len(grid_points):], h, steps)
 
     return {
         "check": "family-closedness",
@@ -340,6 +328,7 @@ def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
         "samples": samples,
         "scale": scale,
         "max_d": max_d,
+        "fd_error": fd_error,
         "cauchy_riemann_dev": cr_dev,
         "pass": bool(max_d <= 1e-5 * scale) if scale > 0 else True,
         "h": h,

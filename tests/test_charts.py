@@ -1,18 +1,25 @@
 import numpy as np
 import pytest
 
-from charforms import charts
+from charforms import charts, forms
 from charforms import (
     Chart,
     GroupSpec,
     cocycle_space,
     fundamental_two_cycle,
+    power_trace,
     retract,
     trace_form,
     transported_direction,
 )
-from charforms.charts import eta_coefficients, fd_exterior_derivative, free_group_demo
-from charforms.errors import LeftChart
+from charforms.charts import (
+    _fd_d,
+    _stencil,
+    eta_coefficients,
+    fd_exterior_derivative,
+    free_group_demo,
+)
+from charforms.errors import DegreeMismatch, InvalidInput, LeftChart
 from charforms.forms import random_cocycle
 from charforms.matgroup import TangentVector, evaluate_word
 from conftest import random_point
@@ -145,7 +152,9 @@ class TestClosedness:
 
         # a coefficient linear in t has exact central differences
         def linear(t):
-            return {(0, 1): 2.0 * t[2], (0, 2): 0.0, (1, 2): 0.0}
+            w = np.zeros((3, 3), dtype=np.complex128)
+            w[0, 1] = 2.0 * t[2]
+            return w
 
         exact = fd_exterior_derivative(3, linear, h=3e-2)
         assert exact["fd_error"] <= 1e-12
@@ -175,9 +184,10 @@ class TestClosedness:
         assert fd["max_d"] <= 1e-5 * fd["scale"]
 
     def test_one_newton_solve_per_fd_point(self, genus2_chart, monkeypatch):
-        # the tangents come from the solve of their point: no retraction
-        # beyond one per FD point, 12 for a 3-dimensional chart
-        counts = {"retract": 0, "newton": 0}
+        # the tangents come from the solve of their point and are paired in
+        # one walk of the cycle words: 12 of each for a 3-dimensional chart,
+        # and no per-point form context
+        counts = {"newton": 0, "walk_words": 0, "EtaContext": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -185,12 +195,20 @@ class TestClosedness:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(charts, "retract", counting("retract", charts.retract))
         monkeypatch.setattr(charts, "_damped_newton",
                             counting("newton", charts._damped_newton))
+        monkeypatch.setattr(charts, "walk_words",
+                            counting("walk_words", charts.walk_words))
+        monkeypatch.setattr(forms, "EtaContext",
+                            counting("EtaContext", forms.EtaContext))
         fd = _closedness(genus2_chart.center, genus2_chart.directions)
         assert fd["evaluations"] == 12
-        assert counts == {"retract": 12, "newton": 12}
+        assert counts == {"newton": 12, "walk_words": 12, "EtaContext": 0}
+
+    def test_degree_mismatch(self, genus2_chart):
+        cycle = fundamental_two_cycle(genus2_chart.center.presentation).chain
+        with pytest.raises(DegreeMismatch):
+            eta_coefficients(genus2_chart, power_trace(3), cycle)
 
     def test_perturbation_detected(self, genus2_chart):
         cycle = fundamental_two_cycle(genus2_chart.center.presentation).chain
@@ -205,7 +223,93 @@ class TestClosedness:
         assert fd["max_d"] >= 1e-4
 
 
+def _form(m, entries):
+    """Coefficient function of sum_{i<j} f_ij(t) dt_i ^ dt_j: the
+    antisymmetric (m, m) array of the callables ``entries[(i, j)]``."""
+    def coeffs(t):
+        w = np.zeros((m, m), dtype=np.complex128)
+        for (i, j), f in entries.items():
+            w[i, j], w[j, i] = f(t), -f(t)
+        return w
+    return coeffs
+
+
+def _exact(m, seed):
+    """omega = d alpha for alpha = sum_k (t^T Q_k t) dt_k, random complex Q_k:
+    omega_jk = d_j alpha_k - d_k alpha_j, linear in t and closed."""
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((m, m, m)) + 1j * rng.standard_normal((m, m, m))
+    grad = q + np.swapaxes(q, 1, 2)  # (grad[k] @ t)[j] = d_j alpha_k
+
+    def coeffs(t):
+        g = grad @ t
+        return g.T - g
+    return coeffs
+
+
+def _holomorphic_fd(m, coeffs, h):
+    """The shared FD operator on the holomorphic stencil (steps h and ih)."""
+    directions = (1.0, 1.0j)
+    w = np.stack([coeffs(t) for t in _stencil(m, h, directions)])
+    return _fd_d(w, h, directions)
+
+
+class TestFdOperator:
+    """Exact-polynomial oracles: central differences are exact for
+    coefficients of degree at most 2, so d(omega) is known to rounding."""
+
+    H = 5e-2
+
+    def test_real_stencil_monomial(self):
+        # omega = t0 dt1 ^ dt2, d omega = dt0 ^ dt1 ^ dt2
+        fd = fd_exterior_derivative(3, _form(3, {(1, 2): lambda t: t[0]}), self.H)
+        assert fd["max_d"] == pytest.approx(1.0, abs=1e-12)
+        assert fd["fd_error"] <= 1e-12
+        assert fd["evaluations"] == 12
+
+    def test_holomorphic_stencil_monomial(self):
+        max_d, fd_error, cr_dev = _holomorphic_fd(
+            3, _form(3, {(1, 2): lambda t: t[0]}), self.H)
+        assert max_d == pytest.approx(1.0, abs=1e-12)
+        assert fd_error <= 1e-12 and cr_dev <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exact_form_is_closed_on_both_stencils(self, seed):
+        coeffs = _exact(4, seed)
+        fd = fd_exterior_derivative(4, coeffs, self.H)
+        assert fd["scale"] > 1e-2
+        assert fd["max_d"] <= 1e-12 * fd["scale"]
+        assert fd["fd_error"] <= 1e-12 * fd["scale"]
+        max_d, fd_error, cr_dev = _holomorphic_fd(4, coeffs, self.H)
+        assert max(max_d, fd_error, cr_dev) <= 1e-12 * fd["scale"]
+
+    def test_cauchy_riemann_flags_an_antiholomorphic_coefficient(self):
+        # d/dt0 conj(t0) is +1 along h and -1 along ih: they average to 0
+        max_d, _, cr_dev = _holomorphic_fd(
+            3, _form(3, {(1, 2): lambda t: np.conj(t[0])}), self.H)
+        assert cr_dev == pytest.approx(2.0)
+        assert max_d <= 1e-12
+
+    def test_fd_error_is_the_leading_truncation_error(self):
+        # exp(t0) dt1 ^ dt2: the step-h partial is sinh(h)/h = 1 + h^2/6 + ...,
+        # so |d_h - d_h/2| = h^2/8 to leading order and Richardson leaves O(h^4)
+        h = 1e-1
+        fd = fd_exterior_derivative(3, _form(3, {(1, 2): lambda t: np.exp(t[0])}), h)
+        assert fd["fd_error"] == pytest.approx(h ** 2 / 8, rel=1e-2)
+        assert abs(fd["max_d"] - 1.0) <= 1e-2 * fd["fd_error"]
+
+    def test_no_triple_below_dimension_three(self):
+        fd = fd_exterior_derivative(2, _form(2, {(0, 1): lambda t: t[0]}), self.H)
+        assert fd["evaluations"] == 0
+        assert fd["max_d"] == fd["fd_error"] == 0.0
+
+
 class TestFreeGroupDemo:
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_fewer_than_two_generators_is_invalid_input(self, p):
+        with pytest.raises(InvalidInput):
+            free_group_demo(p, SL2)
+
     def test_chain_level_not_closed(self):
         report = free_group_demo(2, SL2, rng=np.random.default_rng(7))
         assert report["nonclosed"]

@@ -99,6 +99,13 @@ def test_family_with_csv(inputs, tmp_path):
     assert len(csv_text) == 1 + 8  # header + 2^3 grid points
 
 
+def test_family_reports_fd_error(inputs, tmp_path):
+    code, report = run(["family", "--input", inputs["family"],
+                        "--grid", "2", "--fd-step", "1e-3"], tmp_path / "fam.json")
+    assert code == 0 and report["pass"]
+    assert 0 <= report["fd_error"] < 1e-3 * report["scale"]
+
+
 def test_demo_free_group(tmp_path):
     code, report = run(["demo-free-group", "--seed", "7"], tmp_path / "r.json")
     assert code == 0

@@ -326,11 +326,17 @@ class TestFundamentalCycle:
 class TestBarBoundary:
     def test_boundary_squares_to_zero(self):
         rng = np.random.default_rng(1)
-        words = [Word.of([(int(rng.integers(0, 2)), int(rng.choice([-1, 1])))
-                          for _ in range(3)]) for _ in range(9)]
-        chain = BarChain.of(3, {tuple(words[3 * i:3 * i + 3]): i + 1
-                                for i in range(3)})
-        assert bar_boundary(bar_boundary(chain)).is_zero()
+        for degree in (3, 4, 5):
+            words = [Word.of([(int(rng.integers(0, 2)), int(rng.choice([-1, 1])))
+                              for _ in range(3)]) for _ in range(3 * degree)]
+            chain = BarChain.of(degree, {tuple(words[degree * i:degree * (i + 1)]):
+                                         i + 1 for i in range(3)})
+            assert not bar_boundary(chain).is_zero()
+            assert bar_boundary(bar_boundary(chain)).is_zero()
+
+    def test_boundary_below_degree_one(self):
+        with pytest.raises(ValueError):
+            bar_boundary(BarChain.of(0, {(): 1}))
 
     def test_pair_linear(self, torus_rep):
         a, b = Word.generator(0), Word.generator(1)

@@ -7,11 +7,13 @@ import pytest
 import charforms.cohomology
 import charforms.families
 from charforms import GroupSpec, Presentation, Representation, trace_form
+from charforms.charts import _fd_d, _stencil
 from charforms.cohomology import fox_jacobian, fundamental_two_cycle
 from charforms.forms import EtaContext, eta
 from charforms.invariants import symmetric_tensor
 from charforms.errors import InvalidInput, NotTangent
 from charforms.matgroup import TangentVector
+from charforms.numeric import DEFAULT_TOL
 from charforms.families import (
     FamilySpec,
     Poly,
@@ -299,6 +301,20 @@ class TestPullback:
         assert report["max_d"] <= 1e-5 * report["scale"]
         assert report["cauchy_riemann_dev"] < 1e-8
         assert len(report["samples"]) == 8
+
+    def test_fd_error_from_the_shared_operator(self, family):
+        # the report's fd_error is the Richardson estimate of the charts' FD
+        # operator on the holomorphic stencil of the family's coefficients
+        h = 1e-3
+        report = family_pullback(family, trace_form(), grid=2, h=h)
+        cycle = fundamental_two_cycle(family.presentation).chain
+        tensor = symmetric_tensor(trace_form(), family.group._basis)
+        w = charforms.families._coefficients(
+            family, tensor, cycle, _stencil(family.m, h, (1.0, 1.0j)), DEFAULT_TOL)
+        max_d, fd_error, cr_dev = _fd_d(w, h, (1.0, 1.0j))
+        assert (report["max_d"], report["fd_error"],
+                report["cauchy_riemann_dev"]) == (max_d, fd_error, cr_dev)
+        assert 0 <= report["fd_error"] < 1e-9 * report["scale"]
 
     def test_coefficients_not_constant(self, family):
         report = family_pullback(family, trace_form(), grid=2, h=1e-3)
