@@ -245,10 +245,9 @@ def fd_exterior_derivative(chart_dim: int, coeffs, h: float) -> dict:
             "fd_error": fd_error, "h": h, "evaluations": len(points)}
 
 
-def free_group_demo(p: int, group: GroupSpec, phi: InvariantPolynomial | None = None,
-                    rng=None, h: float = 1e-2,
+def free_group_demo(p: int, group: GroupSpec, rng=None,
                     tol: Tolerances = DEFAULT_TOL) -> dict:
-    """Chain-level 2-form on Hom(F_p, G) paired against a non-cycle chain.
+    """Chain-level Killing 2-form on Hom(F_p, G) against a non-cycle chain.
 
     Its finite-difference exterior derivative is genuinely nonzero; paired
     against an actual 2-cycle (necessarily a boundary, H_2(F_p) = 0) the form
@@ -257,8 +256,7 @@ def free_group_demo(p: int, group: GroupSpec, phi: InvariantPolynomial | None = 
     """
     if p < 2:
         raise InvalidInput(f"the free-group demo needs p >= 2, got {p}")
-    if phi is None:
-        phi = killing_form()
+    phi = killing_form()
     if rng is None:
         rng = np.random.default_rng(0)
     pres = Presentation.free([chr(ord("a") + i) for i in range(p)])
@@ -277,7 +275,7 @@ def free_group_demo(p: int, group: GroupSpec, phi: InvariantPolynomial | None = 
     a, b = Word.generator(0), Word.generator(1)
     non_cycle = BarChain.of(2, {(a, b): 1})
     fd = fd_exterior_derivative(chart.dim,
-                                eta_coefficients(chart, phi, non_cycle), h)
+                                eta_coefficients(chart, phi, non_cycle), 1e-2)
 
     # genuine 2-cycle: boundary of a 3-chain, pairs to ~0 with the cup cocycle
     three = BarChain.of(3, {(a, b, a): 1, (b, a * b, b): 1})

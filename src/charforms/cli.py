@@ -51,6 +51,8 @@ __all__ = ["main"]
 def _tolerances(args) -> Tolerances:
     if not args.fd_chart_step > 0:
         raise InvalidInput(f"--fd-chart-step {args.fd_chart_step} is not positive")
+    if args.trials < 1:
+        raise InvalidInput(f"--trials must be at least 1, got {args.trials}")
     return Tolerances(rank_rel=args.tol_rank, newton_tol=args.tol_newton,
                       fd_step=args.fd_step)
 
@@ -81,9 +83,12 @@ def _representation(data: dict, tol: Tolerances) -> Representation:
 
 
 def _phi(data: dict):
-    if "phi" in data:
+    if "phi" not in data:
+        return trace_form()
+    try:
         return polynomial_from_json(data["phi"])
-    return trace_form()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInput(f"malformed 'phi': {exc!r}") from exc
 
 
 def _rng(args):
@@ -186,17 +191,18 @@ def cmd_eta(args, tol: Tolerances) -> tuple:
     n = ctx.degree
     values = []
     if "cocycles" in data:
-        sigmas = []
-        for entry in data["cocycles"]:
-            rows = []
-            for name in rho.presentation.generator_names:
-                if name not in entry:
-                    raise InvalidInput(f"cocycle missing generator {name!r}")
-                rows.append([complex(re, im) for re, im in entry[name]])
-            sigmas.append(TangentVector.of(np.array(rows)))
+        try:
+            sigmas = [np.array([[complex(re, im) for re, im in entry[name]]
+                                for name in rho.presentation.generator_names])
+                      for entry in data["cocycles"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidInput(f"malformed 'cocycles': {exc!r}") from exc
+        if any(s.shape != (rho.p, rho.dim_g) for s in sigmas):
+            raise InvalidInput(f"a cocycle needs {rho.dim_g} [re, im] pairs "
+                               "per generator")
         if len(sigmas) != n:
             raise InvalidInput(f"need {n} cocycles for a degree-{n} form")
-        values.append(eta(ctx, *sigmas))
+        values.append(eta(ctx, *map(TangentVector.of, sigmas)))
     else:
         rng = _rng(args)
         space = cocycle_space(rho, tol)

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotSurfacePresentation, RankInstability
-from .matgroup import Representation, TangentVector, coboundary
+from .matgroup import Representation, TangentVector
 from .numeric import DEFAULT_TOL, Tolerances, rank_and_gap
 from .words import Presentation, Word
 
@@ -90,9 +90,7 @@ def cocycle_space(rho: Representation, tol: Tolerances = DEFAULT_TOL) -> Cocycle
     """
     p, d = rho.p, rho.dim_g
     z1 = rank_and_gap(fox_jacobian(rho), tol)
-    cob = np.stack([coboundary(rho, np.eye(d)[:, j]).stacked for j in range(d)],
-                   axis=1)
-    b1 = rank_and_gap(cob, tol)
+    b1 = rank_and_gap((np.eye(d) - rho._generator_ad()[0]).reshape(p * d, d), tol)
     h1 = rank_and_gap(z1.kernel - b1.image @ (b1.image.conj().T @ z1.kernel), tol)
     for what, dec in (("fox_jacobian", z1), ("coboundary map", b1),
                       ("H1 complement", h1)):
@@ -267,9 +265,7 @@ def bar_boundary(chain: BarChain, presentation: Presentation | None = None) -> B
 
 
 def verify_cycle(chain: BarChain, presentation: Presentation | None = None) -> bool:
-    """True iff the degree-2 boundary vanishes identically (exact integers)."""
-    if chain.degree != 2:
-        raise ValueError("verify_cycle expects a degree-2 chain")
+    """True iff the boundary vanishes identically (exact integers)."""
     return bar_boundary(chain, presentation).is_zero()
 
 
@@ -277,7 +273,6 @@ def verify_cycle(chain: BarChain, presentation: Presentation | None = None) -> b
 class FundamentalCycle:
     chain: BarChain
     presentation: Presentation
-    orientation_sign: int = 1
 
 
 def _surface_genus(presentation: Presentation) -> int:
@@ -329,7 +324,7 @@ def fundamental_two_cycle(presentation: Presentation) -> FundamentalCycle:
     chain = BarChain.of(2, acc)
     if not verify_cycle(chain, presentation):
         raise NotSurfacePresentation("constructed chain is not a cycle")
-    return FundamentalCycle(chain, presentation, 1)
+    return FundamentalCycle(chain, presentation)
 
 
 def pair(evaluator, chain: BarChain) -> complex:

@@ -218,35 +218,31 @@ class FamilySpec:
         k, n = self.presentation.generator_names.index(name), self.group.n
         return self._table(np.reshape(s, (1, -1)))[0, 0].reshape(-1, n, n)[k]
 
-    def rep_at(self, s, tol: Tolerances = DEFAULT_TOL,
-               residual_tol: float = 1e-9) -> Representation:
+    def rep_at(self, s, tol: Tolerances = DEFAULT_TOL) -> Representation:
         images, _, _, res = self._images(np.reshape(s, (1, -1)), tol)
-        if res[0] > residual_tol:
+        if res[0] > 1e-9:
             raise NotTangent(
                 f"family leaves Hom: relator residual {res[0]:.3e} at s={s}")
         return Representation(self.presentation, self.group, images[0], tol,
                               check=False)
 
-    def validate(self, samples: int = 20, rng=None,
-                 residual_tol: float = 1e-9) -> float:
-        """Relator residual at random sample points of the polydisc."""
+    def validate(self, rng=None) -> float:
+        """Relator residual at 20 random sample points of the polydisc."""
         if rng is None:
             rng = np.random.default_rng(0)
         s = np.array([[r * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / np.sqrt(2)
-                       for r in self.domain_radius] for _ in range(samples)])
+                       for r in self.domain_radius] for _ in range(20)])
         worst = float(self._images(s)[3].max(initial=0.0))
-        if worst > residual_tol:
-            raise InvalidInput(
-                f"family residual {worst:.3e} exceeds {residual_tol:.1e}")
+        if worst > 1e-9:
+            raise InvalidInput(f"family residual {worst:.3e} exceeds 1e-9")
         return worst
 
 
-def _walk(family: FamilySpec, s, tol: Tolerances, words=(),
-          residual_factor: float = 1e-8):
+def _walk(family: FamilySpec, s, tol: Tolerances, words=()):
     """Tangents sigma_k(x_j) = (d rho_s(x_j)/d s_k) rho_s(x_j)^-1, (P, m, p, d),
     at the points s (P, m) and their ``walk_words`` table over ``words`` and
     the relators.  Raises NotTangent at the first point that leaves Hom (relator
-    residual > 1e-9) or fails |sigma_k(r)| <= residual_factor max(|sigma_k|, 1)."""
+    residual > 1e-9) or fails |sigma_k(r)| <= 1e-8 max(|sigma_k|, 1)."""
     s = np.asarray(s, dtype=np.complex128).reshape(-1, family.m)
     images, inverses, derivs, left = family._images(s, tol)
     basis = family.group._basis
@@ -257,7 +253,7 @@ def _walk(family: FamilySpec, s, tol: Tolerances, words=(),
                        np.moveaxis(sigma, 1, -1), [*words, *relators])
     resid = np.sqrt(sum(np.linalg.norm(table[r][1], axis=1) ** 2
                         for r in relators))  # |J sigma_k|, (P, m)
-    bad = resid > residual_factor * np.maximum(np.linalg.norm(sigma, axis=(2, 3)), 1)
+    bad = resid > 1e-8 * np.maximum(np.linalg.norm(sigma, axis=(2, 3)), 1)
     for i in np.flatnonzero(bad.any(axis=1) | (left > 1e-9))[:1]:
         k = int(np.argmax(bad[i]))
         raise NotTangent((f"family leaves Hom: relator residual {left[i]:.3e}"
@@ -267,13 +263,12 @@ def _walk(family: FamilySpec, s, tol: Tolerances, words=(),
 
 
 def family_tangent(family: FamilySpec, s, k: int,
-                   tol: Tolerances = DEFAULT_TOL,
-                   residual_factor: float = 1e-8) -> TangentVector:
+                   tol: Tolerances = DEFAULT_TOL) -> TangentVector:
     """Cocycle sigma_k(x_j) = (d rho_s(x_j)/d s_k) rho_s(x_j)^-1 at s.
 
     The polynomial derivative is exact.  Raises NotTangent when the result
     fails the Fox-Jacobian residual check (invalid family)."""
-    return TangentVector.of(_walk(family, s, tol, (), residual_factor)[0][0, k])
+    return TangentVector.of(_walk(family, s, tol)[0][0, k])
 
 
 def _coefficients(family: FamilySpec, tensor, cycle: BarChain, points,
@@ -288,8 +283,7 @@ def _coefficients(family: FamilySpec, tensor, cycle: BarChain, points,
 
 
 def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
-                    cycle: BarChain | None = None, grid: int = 3,
-                    h: float | None = None,
+                    grid: int = 3, h: float | None = None,
                     tol: Tolerances = DEFAULT_TOL) -> dict:
     """Sample the pulled-back 2-form on a real grid and check closedness.
 
@@ -297,14 +291,11 @@ def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
     in one batched pass.  ``charts._fd_d`` on the holomorphic stencil (steps
     +-h and +-ih averaged) gives max |d omega|, ``fd_error`` and the
     difference of the real and imaginary step estimates as a Cauchy-Riemann
-    diagnostic.
+    diagnostic.  Raises DegreeMismatch unless phi has degree 2.
     """
-    if phi.degree != 2:
-        raise InvalidInput("family_pullback implemented for degree-2 forms")
     if grid < 1:
         raise InvalidInput(f"grid must be at least 1, got {grid}")
-    if cycle is None:
-        cycle = fundamental_two_cycle(family.presentation).chain
+    cycle = fundamental_two_cycle(family.presentation).chain
     if h is None:
         h = tol.fd_step
     tensor = symmetric_tensor(phi, lie_algebra_basis(family.group))
@@ -349,23 +340,19 @@ def base_change(family: FamilySpec, subs, new_params, new_radius) -> FamilySpec:
 
 
 def compare_base_change(family: FamilySpec, phi: InvariantPolynomial,
-                        subs, new_params, new_radius,
-                        cycle: BarChain | None = None,
-                        points=None, rng=None, n_points: int = 3,
+                        subs, new_params, new_radius, rng=None,
                         tol: Tolerances = DEFAULT_TOL) -> float:
     """Max deviation between direct pullback coefficients of the composed
-    family and the chain-rule transform of the original coefficients."""
-    if cycle is None:
-        cycle = fundamental_two_cycle(family.presentation).chain
+    family and the chain-rule transform of the original coefficients, at
+    three random points.  Raises DegreeMismatch unless phi has degree 2."""
+    cycle = fundamental_two_cycle(family.presentation).chain
     pulled = base_change(family, subs, new_params, new_radius)
     tensor = symmetric_tensor(phi, lie_algebra_basis(family.group))
     m_new = len(new_params)
-    if points is None:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        points = [np.array([r * rng.uniform(-0.4, 0.4) for r in new_radius],
-                           dtype=np.complex128) for _ in range(n_points)]
-    u = np.asarray(points, dtype=np.complex128).reshape(-1, m_new)
+    if rng is None:
+        rng = np.random.default_rng(0)
+    u = np.array([[r * rng.uniform(-0.4, 0.4) for r in new_radius]
+                  for _ in range(3)], dtype=np.complex128)
     values = _Compiled(subs, m_new)(u)  # s, then ds/du_a
     direct = _coefficients(pulled, tensor, cycle, u, tol)
     orig = np.triu(_coefficients(family, tensor, cycle, values[:, 0], tol), 1)

@@ -51,7 +51,12 @@ __all__ = [
 def _cycle_pairing(cycle: BarChain, tensor: np.ndarray, table: dict):
     """sum_t c_t sigma(g_1)^T K Ad(g_1) sigma(g_2) over the terms [g_1|g_2]
     of a degree-2 cycle, K = tensor, from the ``walk_words`` table of k
-    cocycles: (..., k, k), batched over the table's leading axes."""
+    cocycles: (..., k, k), batched over the table's leading axes.
+
+    Raises DegreeMismatch unless the cycle has degree 2 and K is a matrix."""
+    if cycle.degree != 2 or tensor.ndim != 2:
+        raise DegreeMismatch(f"the pairing needs a degree-2 cycle and tensor, "
+                             f"not {cycle.degree} and {tensor.ndim}")
     total = 0.0
     for (g1, g2), c in cycle.terms:
         ad1, s1 = table[g1]
@@ -86,8 +91,6 @@ class EtaContext:
     def omega(self) -> np.ndarray:
         """Degree 2: eta(s, t) = s.stacked @ omega @ t.stacked, the cycle
         pairing of the identity values, sum_t c_t J_{g_1}^T K Ad(g_1) J_{g_2}."""
-        if self.degree != 2:
-            raise DegreeMismatch("omega requires a degree-2 context")
         return _cycle_pairing(self.cycle, self.tensor, self.table)
 
 
@@ -204,8 +207,8 @@ def pullback_cocycle(ctx: EtaContext, images: tuple, sigma: TangentVector) -> Ta
     return TangentVector.of(np.stack([ext(w) for w in images]))
 
 
-def endomorphism_pullback(ctx: EtaContext, images, pairs=None, trials: int = 5,
-                          rng=None, tol: Tolerances = DEFAULT_TOL):
+def endomorphism_pullback(ctx: EtaContext, images, rng, trials: int = 5,
+                          tol: Tolerances = DEFAULT_TOL):
     """Pull the context back along the endomorphism x_k -> images[k].
 
     Checks numerically that every relator maps to a word acting trivially at
@@ -229,14 +232,10 @@ def endomorphism_pullback(ctx: EtaContext, images, pairs=None, trials: int = 5,
     new_images = [evaluate_word(rho, w) for w in images]
     rho_new = Representation(rho.presentation, rho.group, new_images, tol=rho.tol)
     ctx_new = EtaContext(rho_new, ctx.phi, ctx.tensor, ctx.cycle)
-    if pairs is None:
-        if rng is None:
-            raise ValueError("supply cocycle pairs or an rng")
-        space = cocycle_space(rho, tol)
-        pairs = [(random_cocycle(space, rng), random_cocycle(space, rng))
-                 for _ in range(trials)]
+    space = cocycle_space(rho, tol)
     ratios = []
-    for s, t in pairs:
+    for _ in range(trials):
+        s, t = random_cocycle(space, rng), random_cocycle(space, rng)
         base = eta(ctx, s, t)
         pulled = eta(ctx_new, pullback_cocycle(ctx, images, s),
                      pullback_cocycle(ctx, images, t))
@@ -245,6 +244,6 @@ def endomorphism_pullback(ctx: EtaContext, images, pairs=None, trials: int = 5,
     report = {
         "ratios": ratios,
         "ratio": complex(np.mean(ratios)) if ratios else None,
-        "pairs": len(pairs),
+        "pairs": trials,
     }
     return ctx_new, report

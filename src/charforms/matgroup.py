@@ -270,12 +270,6 @@ def coboundary(rho: Representation, v) -> TangentVector:
 def conjugate_representation(rho: Representation, g) -> Representation:
     g = as_cmatrix(g)
     g_inv = matrix_inverse(g, rho.tol)
-    if rho.group.kind == "SL":
-        det = np.linalg.det(g)
-        if abs(det - 1.0) > 1e-8:
-            # conjugation is insensitive to scalars; renormalize for the check
-            g = g / det ** (1.0 / rho.group.n)
-            g_inv = matrix_inverse(g, rho.tol)
     return Representation(rho.presentation, rho.group,
                           [g @ m @ g_inv for m in rho.images],
                           tol=rho.tol)
@@ -386,37 +380,22 @@ def invariant_subspace_dim(rho: Representation, tol: Tolerances = DEFAULT_TOL) -
     return d - rank_and_gap(stacked, tol).rank
 
 
-def _has_common_eigenline(rho: Representation) -> bool:
-    """Exact common-invariant-line search for n = 2."""
-    nonscalar = None
-    for m in rho.images:
-        if np.linalg.norm(m - (np.trace(m) / 2) * np.eye(2)) > 1e-12:
-            nonscalar = m
-            break
-    if nonscalar is None:
-        return True  # all images scalar: every line is invariant
-    _, vecs = np.linalg.eig(nonscalar)
-    for i in range(2):
-        v = vecs[:, i]
-        v = v / np.linalg.norm(v)
-        ok = True
-        for m in rho.images:
-            w = m @ v
-            # invariant line: w proportional to v
-            if np.linalg.norm(w - (v.conj() @ w) * v) > 1e-9 * np.linalg.norm(w):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
 def is_irreducible(rho: Representation, tol: Tolerances = DEFAULT_TOL) -> bool:
-    if invariant_subspace_dim(rho, tol) > 0:
-        return False
-    if rho.group.n == 2:
-        return not _has_common_eigenline(rho)
-    return True
+    """Burnside: rho is irreducible iff its images span M_n(C) as an algebra.
+
+    The span starts at I and is multiplied by every (normalised) image until
+    its dimension, one ``rank_and_gap`` decision per round, stops growing.
+    """
+    n = rho.group.n
+    gens = [m / np.linalg.norm(m) for m in rho.images]
+    span = np.eye(n, dtype=np.complex128).reshape(n * n, 1)
+    while True:
+        mats = span.T.reshape(-1, n, n)
+        products = np.concatenate([mats, *(mats @ g for g in gens)])
+        grown = rank_and_gap(products.reshape(-1, n * n).T, tol)
+        if grown.rank == span.shape[1]:
+            return grown.rank == n * n
+        span = grown.image
 
 
 # ---------------------------------------------------------------------------

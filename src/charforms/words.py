@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import IndexOutOfRange, UnknownGenerator, WordSyntaxError
 
@@ -231,8 +231,8 @@ class GroupRingElement:
         return GroupRingElement.of({Word.identity(): 1})
 
     @staticmethod
-    def word(w: Word, coeff: int = 1) -> "GroupRingElement":
-        return GroupRingElement.of({w: coeff})
+    def word(w: Word) -> "GroupRingElement":
+        return GroupRingElement.of({w: 1})
 
     def as_dict(self) -> dict:
         return dict(self.terms)

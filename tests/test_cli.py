@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from charforms import GroupSpec, Presentation, Representation
-from charforms.cli import main
+from charforms.cli import _COMMANDS, main
 from charforms.families import family_to_json
 from charforms.matgroup import representation_to_json
 
@@ -242,3 +242,45 @@ def test_family_short_domain_radius_is_invalid_input(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["closedness", "cohomology"])
 def test_bad_tolerance_flag_is_invalid_input(inputs, capsys, flags, command):
     _assert_invalid_input(capsys, [command, "--input", inputs["genus2"], *flags])
+
+
+def test_family_degree_three_is_degree_mismatch(tmp_path, capsys):
+    path = _family_input(tmp_path, phi={"kind": "power_trace", "n": 3})
+    assert main(["family", "--input", path]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "DegreeMismatch"
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_trials_below_one_is_invalid_input(inputs, capsys, command, trials):
+    source = {"family": ["--input", inputs["family"]], "demo-free-group": []}
+    argv = [command, *source.get(command, ["--input", inputs["genus2"]]),
+            "--seed", "1", "--trials", trials]
+    _assert_invalid_input(capsys, argv)
+
+
+def _cocycle(genus2_rep, length):
+    return {name: [[1.0, 0.5]] * length
+            for name in genus2_rep.presentation.generator_names}
+
+
+@pytest.mark.parametrize("case", ["unknown kind", "power_trace without n",
+                                  "short cocycle rows", "ragged cocycle rows",
+                                  "cocycle entry not a pair",
+                                  "missing generator"])
+def test_malformed_phi_or_cocycles_is_invalid_input(genus2_rep, tmp_path,
+                                                    capsys, case):
+    good, short = _cocycle(genus2_rep, 3), _cocycle(genus2_rep, 2)
+    extra = {"unknown kind": {"phi": {"kind": "cubic"}},
+             "power_trace without n": {"phi": {"kind": "power_trace"}},
+             "short cocycle rows": {"cocycles": [short, short]},
+             "ragged cocycle rows": {"cocycles": [dict(good, b1=short["b1"]),
+                                                  good]},
+             "cocycle entry not a pair": {"cocycles": [dict(good, a1=[[1.0]] * 3),
+                                                       good]},
+             "missing generator": {"cocycles": [{"a1": good["a1"]}, good]}}[case]
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"presentation": genus2_rep.presentation.to_json(),
+                                "representation": representation_to_json(genus2_rep),
+                                **extra}))
+    _assert_invalid_input(capsys, ["eta", "--input", str(path), "--seed", "1"])

@@ -323,16 +323,28 @@ class TestFundamentalCycle:
             fundamental_two_cycle(Presentation.free(["a", "b"]))
 
 
+def _random_chain(rng, degree):
+    """Three bar tuples of random 3-letter words over F_2, coefficients 1-3."""
+    words = [Word.of([(int(rng.integers(0, 2)), int(rng.choice([-1, 1])))
+                      for _ in range(3)]) for _ in range(3 * degree)]
+    return BarChain.of(degree, {tuple(words[degree * i:degree * (i + 1)]):
+                                i + 1 for i in range(3)})
+
+
 class TestBarBoundary:
     def test_boundary_squares_to_zero(self):
         rng = np.random.default_rng(1)
         for degree in (3, 4, 5):
-            words = [Word.of([(int(rng.integers(0, 2)), int(rng.choice([-1, 1])))
-                              for _ in range(3)]) for _ in range(3 * degree)]
-            chain = BarChain.of(degree, {tuple(words[degree * i:degree * (i + 1)]):
-                                         i + 1 for i in range(3)})
+            chain = _random_chain(rng, degree)
             assert not bar_boundary(chain).is_zero()
             assert bar_boundary(bar_boundary(chain)).is_zero()
+
+    def test_verify_cycle_above_degree_two(self):
+        rng = np.random.default_rng(2)
+        for degree in (4, 5):
+            assert verify_cycle(bar_boundary(_random_chain(rng, degree)))
+        a, b = Word.generator(0), Word.generator(1)
+        assert not verify_cycle(BarChain.of(3, {(a, b, a): 1}))
 
     def test_boundary_below_degree_one(self):
         with pytest.raises(ValueError):

@@ -6,12 +6,12 @@ import pytest
 
 import charforms.cohomology
 import charforms.families
-from charforms import GroupSpec, Presentation, Representation, trace_form
+from charforms import GroupSpec, Presentation, Representation, power_trace, trace_form
 from charforms.charts import _fd_d, _stencil
 from charforms.cohomology import fox_jacobian, fundamental_two_cycle
 from charforms.forms import EtaContext, eta
 from charforms.invariants import symmetric_tensor
-from charforms.errors import InvalidInput, NotTangent
+from charforms.errors import DegreeMismatch, InvalidInput, NotTangent
 from charforms.matgroup import TangentVector
 from charforms.numeric import DEFAULT_TOL
 from charforms.families import (
@@ -269,6 +269,14 @@ def test_constant_family_off_the_variety_leaves_hom():
 
 
 class TestFamilyInput:
+    def test_degree_three_is_degree_mismatch(self, family):
+        subs = [Poly.var(2, 0), Poly.var(2, 1), Poly.var(2, 0) * Poly.var(2, 1)]
+        with pytest.raises(DegreeMismatch):
+            compare_base_change(family, power_trace(3), subs, ("u1", "u2"),
+                                (0.2, 0.2))
+        with pytest.raises(DegreeMismatch):
+            family_pullback(family, power_trace(3), grid=2)
+
     def test_grid_below_one(self, family):
         for grid in (0, -1):
             with pytest.raises(InvalidInput, match="grid"):

@@ -19,10 +19,14 @@ from charforms import (
 from charforms.errors import InvalidInput, NoConvergence
 from charforms.matgroup import (
     TangentVector,
+    invariant_subspace_dim,
     representation_from_json,
     representation_to_json,
 )
+from charforms.numeric import matrix_exp
 from charforms.words import GroupRingElement, fox_derivative
+
+from conftest import random_point
 
 SL2 = GroupSpec("SL", 2)
 SL3 = GroupSpec("SL", 3)
@@ -196,6 +200,26 @@ class TestConjugationAndIrreducibility:
         a = np.array([[2.0, 1.0], [0.0, 0.5]])
         b = np.array([[3.0, 0.0], [0.0, 1.0 / 3.0]])
         rho = Representation(pres, SL2, [a, b])
-        from charforms.matgroup import invariant_subspace_dim
+        assert invariant_subspace_dim(rho) == 0
+        assert not is_irreducible(rho)
+
+    def test_gl_point_is_irreducible(self):
+        # the centre of gl(2) lies in H^0 at every GL point, irreducible or not
+        rho, _ = random_point(2, 0, kind="GL")
+        assert invariant_subspace_dim(rho) == 1
+        assert is_irreducible(rho)
+
+    def test_sl3_invariant_plane_detected(self):
+        # images [[A, v], [0, 1]] with A in SL(2) fix the plane of e_1, e_2
+        rng = np.random.default_rng(5)
+
+        def block():
+            x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            m = np.eye(3, dtype=complex)
+            m[:2, :2] = matrix_exp(0.5 * (x - np.trace(x) / 2 * np.eye(2)))
+            m[:2, 2] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            return m
+
+        rho = Representation(Presentation.free(["a", "b"]), SL3, [block(), block()])
         assert invariant_subspace_dim(rho) == 0
         assert not is_irreducible(rho)
