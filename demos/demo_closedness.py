@@ -20,7 +20,7 @@ from charforms import (
     fundamental_two_cycle,
     trace_form,
 )
-from charforms.charts import eta_coefficients, fd_exterior_derivative
+from charforms.charts import chart_closedness, eta_coefficients, fd_exterior_derivative
 
 SL2 = GroupSpec("SL", 2)
 
@@ -33,9 +33,7 @@ def main():
     space = cocycle_space(rho)
     chart = Chart(rho, space.basis_h1[:3])
     cycle = fundamental_two_cycle(pres).chain
-    coeffs = eta_coefficients(chart, trace_form(), cycle)
-
-    fd = fd_exterior_derivative(chart.dim, coeffs, h=3e-2)
+    fd = chart_closedness(chart, trace_form(), cycle, h=3e-2)
     print("finite-difference exterior derivative on the chart:")
     print(f"  max |d omega| = {fd['max_d']:.3e}")
     print(f"  coefficient scale = {fd['scale']:.3f}")
@@ -43,6 +41,8 @@ def main():
     print(f"  Richardson error estimate |d_h - d_h/2| = {fd['fd_error']:.3e}")
     print(f"  coefficient evaluations: {fd['evaluations']}")
     print()
+
+    coeffs = eta_coefficients(chart, trace_form(), cycle)
 
     def perturbed(t):
         c = coeffs(t)

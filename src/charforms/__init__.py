@@ -75,6 +75,7 @@ from .forms import (
 )
 from .charts import (
     Chart,
+    chart_closedness,
     eta_coefficients,
     fd_exterior_derivative,
     free_group_demo,

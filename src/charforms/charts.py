@@ -5,21 +5,24 @@ The chart at a point rho with directions S (stacked cocycles) is
     rho_k(t, c) = exp(Y_k) rho_k,   Y = S t + C c,
 
 where C is an orthonormal basis of the complement of Z^1 (the column space of
-the Fox Jacobian's conjugate transpose), of dimension rank J.  ``retract``
-solves the relator equations F(t, c) = 0 for c by Newton's method.  The
-derivative of F in c is M C with M = (relator Jacobian at rho(t, c)) times
+the Fox Jacobian's conjugate transpose), of dimension rank J.  The relator
+equations F(t, c) = 0 are solved for c by Newton's method.  The derivative of
+F in c is M C with M = (relator Jacobian at rho(t, c)) times
 blockdiag_k phi(ad Y_k), where phi(ad Y) = (e^{ad Y} - 1) / ad Y is the
 right-trivialised differential of exp.  M C is invertible on its image at
 the center, so by the implicit-function theorem c(t) is unique and
 holomorphic in t: the chart is a holomorphic map, independent of how the
-solve proceeds.
+solve proceeds.  The tangents come from the same theorem rather than from
+differencing: c'(t) = -(M C)^+ M S, and the i-th tangent is
+phi(ad Y) (S e_i + C c'_i).
 
-The chart tangents come from the same theorem rather than from differencing
-retractions: c'(t) = -(M C)^+ M S and the i-th tangent is
-phi(ad Y) (S e_i + C c'_i), and they are paired with the cycle in one
-``walk_words`` table per point, as a family's are.  One finite-difference
-operator takes the exterior derivative of a pulled-back form, on real steps
-for a chart and on real and imaginary steps for a holomorphic family.
+Every computation takes a stack of parameters t: all stencil points of a
+closedness check go through one lockstep Newton pass, one tangent solve and
+one ``walk_words`` table, as a family's points do; ``retract``,
+``transported_direction`` and ``eta_coefficients(...)(t)`` are one-point
+stacks.  One finite-difference operator takes the exterior derivative of a
+pulled-back form, on real steps for a chart and on real and imaginary steps
+for a holomorphic family.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohomology import BarChain, bar_boundary, cocycle_space, fox_jacobian, walk_words
-from .errors import DegreeMismatch, InvalidInput, LeftChart
+from .errors import DegreeMismatch, InvalidInput, LeftChart, NoConvergence
 from .forms import _cycle_pairing, eta, make_context, random_cocycle
 from .matgroup import (
     GroupSpec,
@@ -39,8 +42,11 @@ from .matgroup import (
     TangentVector,
     _ad_matrix,
     _damped_newton,
+    _moved,
     _relator_jacobian,
     _relator_residual,
+    _relator_values,
+    _violation,
     lie_algebra_basis,
     matrix_exp,
 )
@@ -53,6 +59,7 @@ __all__ = [
     "retract",
     "transported_direction",
     "eta_coefficients",
+    "chart_closedness",
     "fd_exterior_derivative",
     "free_group_demo",
 ]
@@ -82,71 +89,67 @@ class Chart:
 
 
 def _dexp(basis: LieAlgebraBasis, y: np.ndarray) -> np.ndarray:
-    """phi(ad Y_k) = (e^{ad Y_k} - 1) / ad Y_k, shape (p, d, d), for the
-    blocks y_k of the stacked coordinates y.
+    """phi(ad Y_k) = (e^{ad Y_k} - 1) / ad Y_k, shape (..., p, d, d), for the
+    blocks y_k of the stacked coordinates y (..., p * d).
 
     Read off one batched block exponential:
     exp([[ad Y, I], [0, 0]]) = [[e^{ad Y}, phi(ad Y)], [0, I]].
     """
     d = basis.dim
-    y = y.reshape(-1, d)
-    p = len(y)
-    mats = basis.matrix_from_coords(y)
-    eye = np.eye(basis.n)
-    block = np.zeros((p, 2 * d, 2 * d), dtype=np.complex128)
-    block[:, :d, :d] = _ad_matrix(basis, mats, eye) - _ad_matrix(basis, eye, mats)
-    block[:, :d, d:] = np.eye(d)
-    return matrix_exp(block)[:, :d, d:]
-
-
-def _point(chart: Chart, y: np.ndarray) -> Representation:
-    """The unchecked point exp(Y_k) rho_k of stacked coordinates y."""
-    rho = chart.center
-    moved = matrix_exp(rho.basis.matrix_from_coords(y.reshape(rho.p, -1)))
-    return Representation(rho.presentation, rho.group,
-                          moved @ np.stack(rho.images), tol=chart.tol,
-                          check=False)
+    mats = basis.matrix_from_coords(y.reshape(y.shape[:-1] + (y.shape[-1] // d, d)))
+    block = np.zeros(mats.shape[:-2] + (2 * d, 2 * d), dtype=np.complex128)
+    block[..., :d, :d] = (_ad_matrix(basis, mats, np.eye(basis.n))
+                          - _ad_matrix(basis, np.eye(basis.n), mats))
+    block[..., :d, d:] = np.eye(d)
+    return matrix_exp(block)[..., :d, d:]
 
 
 def _pushed_images(chart: Chart, t) -> list:
     """Images of the uncorrected point exp(S t) rho."""
-    t = np.asarray(t, dtype=np.complex128)
-    return list(_point(chart, chart._span @ t).images)
-
-
-def _chart_jacobian(point: Representation, phi: np.ndarray) -> np.ndarray:
-    """M: the derivative of the relator residual in the stacked chart
-    coordinates Y, the relator Jacobian times blockdiag_k phi(ad Y_k)."""
-    p, d = point.p, point.dim_g
-    jac = _relator_jacobian(point).reshape(-1, p, d)
-    return np.einsum("rkd,kde->rke", jac, phi).reshape(-1, p * d)
+    rho, y = chart.center, chart._span @ np.asarray(t, dtype=np.complex128)
+    return list(_moved(rho.basis, y.reshape(rho.p, -1), np.array(rho.images),
+                       rho._inverses)[0])
 
 
 def _solve(chart: Chart, t):
-    """``retract`` with the stacked coordinates Y = S t + C c(t) of its point."""
-    t = np.asarray(t, dtype=np.complex128)
-    base, comp = chart._span @ t, chart._complement
+    """Coordinates Y = S t + C c(t) (P, p * d), images and inverses
+    (P, p, n, n) of the points at the rows of t (P, dim), solved in lockstep.
 
-    def at(c):
-        point = _point(chart, base + comp @ c)
-        return (c, point), _relator_residual(point)
+    The first point that fails the solve (NoConvergence), ``validate``
+    (InvalidInput) or moves its images by more than |t| in the correction
+    (LeftChart) raises, named by its row and t.
+    """
+    rho, comp = chart.center, chart._complement
+    t = np.asarray(t, dtype=np.complex128).reshape(-1, chart.dim)
+    where = lambda k: f"chart point {k}, t = {np.array2string(t[k], precision=4)}"
+    center = np.array(rho.images), rho._inverses
 
-    def jacobian(state):
-        c, point = state
-        phi = _dexp(point.basis, base + comp @ c)
-        return _chart_jacobian(point, phi) @ comp
+    def at(y):  # exp(Y_k) rho_k and its inverse, and the relator residual
+        moved = _moved(rho.basis, y.reshape(len(y), rho.p, rho.dim_g), *center)
+        return [y, *moved], _relator_residual(rho.presentation, *moved)
 
-    start, res = at(np.zeros(comp.shape[1], dtype=np.complex128))
-    c, solved = _damped_newton(start, res, lambda state, step: at(state[0] + step),
-                               jacobian, chart.tol, 50)
-    solved.validate()
-    correction = sum(
-        np.linalg.norm(a - b) for a, b in zip(solved.images, start[1].images))
-    t_norm = float(np.linalg.norm(t))
-    if t_norm > 0 and correction > t_norm:
-        raise LeftChart(
-            f"correction {correction:.3e} exceeds |t| = {t_norm:.3e}")
-    return solved, base + comp @ c
+    def jacobian(state):  # M C
+        values = _dexp(rho.basis, state[0]) @ comp.reshape(rho.p, rho.dim_g, -1)
+        return _relator_jacobian(rho.presentation, rho.basis, *state[1:], values)
+
+    start, res = at(t @ chart._span.T)
+    try:
+        y, images, inverses = _damped_newton(
+            start, res, lambda state, step: at(state[0] + step @ comp.T),
+            jacobian, chart.tol, 50)
+    except NoConvergence as exc:
+        raise NoConvergence(f"{where(exc.index)}: {exc}", exc.residual,
+                            exc.index) from exc
+    bad = _violation(rho.group, images,
+                     _relator_values(rho.presentation, images, inverses), chart.tol)
+    if bad is not None:
+        raise InvalidInput(f"{where(bad[0])}: {bad[1]}")
+    correction = np.linalg.norm(images - start[1], axis=(-2, -1)).sum(axis=-1)
+    t_norm = np.linalg.norm(t, axis=-1)
+    for k in np.flatnonzero((t_norm > 0) & (correction > t_norm))[:1]:
+        raise LeftChart(f"{where(k)}: correction {correction[k]:.3e} "
+                        f"exceeds |t| = {t_norm[k]:.3e}")
+    return y, images, inverses
 
 
 def retract(chart: Chart, t) -> Representation:
@@ -156,44 +159,48 @@ def retract(chart: Chart, t) -> Representation:
     curve itself.  Raises NoConvergence when Newton's method fails and
     LeftChart when the correction moves the images by more than |t|.
     """
-    return _solve(chart, t)[0]
+    rho = chart.center
+    return Representation(rho.presentation, rho.group, _solve(chart, t)[1][0],
+                          tol=chart.tol, check=False)
 
 
-def _tangents(chart: Chart, point: Representation, y: np.ndarray) -> np.ndarray:
-    """Values (p, d, dim) of the exact chart tangents at the solved point
-    with coordinates y, from the implicit-function theorem."""
-    span, comp = chart._span, chart._complement
-    phi = _dexp(point.basis, y)
-    moved = span  # S + C c'(t), one column per direction
-    if comp.shape[1]:
-        m = _chart_jacobian(point, phi)
-        moved = span + comp @ solve_lsq(m @ comp, -(m @ span))
-    return phi @ moved.reshape(point.p, point.dim_g, -1)
+def _tangents(chart: Chart, y, images, inverses) -> np.ndarray:
+    """Values (P, p, d, dim) of the exact chart tangents at solved points:
+    c'(t) = -(M C)^+ M S, and the i-th tangent is phi(ad Y)(S e_i + C c'_i)."""
+    rho, span, comp = chart.center, chart._span, chart._complement
+    shape, phi = (rho.p, rho.dim_g, -1), _dexp(rho.basis, y)
+    jac = _relator_jacobian(rho.presentation, rho.basis, images, inverses,
+                            phi @ np.hstack([span, comp]).reshape(shape))
+    moved = span + comp @ solve_lsq(jac[..., chart.dim:], -jac[..., :chart.dim])
+    return phi @ moved.reshape(len(y), rho.p, rho.dim_g, chart.dim)
 
 
 def transported_direction(chart: Chart, t, i: int) -> TangentVector:
     """Tangent of the i-th chart curve at parameter t: the derivative of
     retract along e_i, in the left-trivialised coordinates of TangentVector."""
-    return TangentVector.of(_tangents(chart, *_solve(chart, t))[..., i])
+    return TangentVector.of(_tangents(chart, *_solve(chart, t))[0, ..., i])
 
 
 def eta_coefficients(chart: Chart, phi: InvariantPolynomial, cycle: BarChain):
     """Coefficient function of the pulled-back 2-form on the chart.
 
-    Returns ``coeffs(t)``, the antisymmetric (dim, dim) array with
-    eta(sigma_i(t), sigma_j(t)) above the diagonal, sigma_i the chart tangents:
-    one Newton solve, ``walk_words`` table and cycle pairing per point.
+    ``coeffs(t)`` is the antisymmetric (dim, dim) array with
+    eta(sigma_i(t), sigma_j(t)) above the diagonal, sigma_i the chart
+    tangents; for a stack t (P, dim) it is (P, dim, dim), from one lockstep
+    solve, tangent solve, ``walk_words`` table and cycle pairing.
     """
     if phi.degree != 2 or cycle.degree != 2:
         raise DegreeMismatch("the chart pullback needs a degree-2 polynomial and cycle")
     tensor = symmetric_tensor(phi, chart.center.basis)
-    words = [w for gammas, _ in cycle.terms for w in gammas]
+    basis, words = chart.center.basis, [w for gammas, _ in cycle.terms for w in gammas]
 
     def coeffs(t) -> np.ndarray:
-        point, y = _solve(chart, t)
-        table = walk_words(*point._generator_ad(), _tangents(chart, point, y), words)
+        y, images, inverses = _solve(chart, t)
+        table = walk_words(_ad_matrix(basis, images, inverses),
+                           _ad_matrix(basis, inverses, images),
+                           _tangents(chart, y, images, inverses), words)
         w = np.triu(_cycle_pairing(cycle, tensor, table), 1)
-        return w - w.T
+        return (w - np.swapaxes(w, -1, -2)).reshape(np.shape(t)[:-1] + w.shape[-2:])
 
     return coeffs
 
@@ -234,18 +241,29 @@ def _fd_d(w: np.ndarray, h: float, directions) -> tuple:
     return max_d, fd_error, cr_dev
 
 
+def _fd_report(w: np.ndarray, h: float) -> dict:
+    max_d, fd_error, _ = _fd_d(w, h, (1,))
+    return {"max_d": max_d, "scale": float(np.abs(np.triu(w, 1)).max(initial=0.0)),
+            "fd_error": fd_error, "h": h, "evaluations": len(w)}
+
+
 def fd_exterior_derivative(chart_dim: int, coeffs, h: float) -> dict:
     """``_fd_d`` of a 2-form on a chart: its coefficient array ``coeffs(t)``,
     read above the diagonal, on the real stencil.  Reports max |d omega|,
     ``fd_error`` and the scale max |w| over the evaluated points."""
-    points = _stencil(chart_dim, h, (1,))
-    w = np.array([coeffs(t) for t in points]).reshape(-1, chart_dim, chart_dim)
-    max_d, fd_error, _ = _fd_d(w, h, (1,))
-    return {"max_d": max_d, "scale": float(np.abs(np.triu(w, 1)).max(initial=0.0)),
-            "fd_error": fd_error, "h": h, "evaluations": len(points)}
+    w = [coeffs(t) for t in _stencil(chart_dim, h, (1,))]
+    return _fd_report(np.reshape(w, (-1, chart_dim, chart_dim)), h)
 
 
-def free_group_demo(p: int, group: GroupSpec, rng=None,
+def chart_closedness(chart: Chart, phi: InvariantPolynomial, cycle: BarChain,
+                     h: float) -> dict:
+    """``fd_exterior_derivative`` of the form pulled back to the chart, with
+    the coefficients at every stencil point from one lockstep pass."""
+    coeffs = eta_coefficients(chart, phi, cycle)
+    return _fd_report(coeffs(_stencil(chart.dim, h, (1,))), h)
+
+
+def free_group_demo(p: int, group: GroupSpec, rng,
                     tol: Tolerances = DEFAULT_TOL) -> dict:
     """Chain-level Killing 2-form on Hom(F_p, G) against a non-cycle chain.
 
@@ -257,8 +275,6 @@ def free_group_demo(p: int, group: GroupSpec, rng=None,
     if p < 2:
         raise InvalidInput(f"the free-group demo needs p >= 2, got {p}")
     phi = killing_form()
-    if rng is None:
-        rng = np.random.default_rng(0)
     pres = Presentation.free([chr(ord("a") + i) for i in range(p)])
     # random center
     basis = lie_algebra_basis(group)
@@ -274,8 +290,7 @@ def free_group_demo(p: int, group: GroupSpec, rng=None,
 
     a, b = Word.generator(0), Word.generator(1)
     non_cycle = BarChain.of(2, {(a, b): 1})
-    fd = fd_exterior_derivative(chart.dim,
-                                eta_coefficients(chart, phi, non_cycle), 1e-2)
+    fd = chart_closedness(chart, phi, non_cycle, 1e-2)
 
     # genuine 2-cycle: boundary of a 3-chain, pairs to ~0 with the cup cocycle
     three = BarChain.of(3, {(a, b, a): 1, (b, a * b, b): 1})

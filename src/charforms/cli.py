@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .charts import Chart, eta_coefficients, fd_exterior_derivative, free_group_demo
+from .charts import Chart, chart_closedness, free_group_demo
 from .cohomology import cocycle_space, fundamental_two_cycle
 from .errors import CharformsError, InvalidInput, NoConvergence, RankInstability
 from .families import family_from_json, family_pullback
@@ -257,19 +257,11 @@ def cmd_closedness(args, tol: Tolerances) -> tuple:
         raise InvalidInput("closedness needs dim H^1 >= 3 for a 3-dim chart")
     chart = Chart(rho, space.basis_h1[:3], tol)
     cycle = fundamental_two_cycle(rho.presentation).chain
-    coeffs = eta_coefficients(chart, phi, cycle)
-    fd = fd_exterior_derivative(chart.dim, coeffs, args.fd_chart_step)
+    fd = chart_closedness(chart, phi, cycle, args.fd_chart_step)
     passed = fd["max_d"] <= 1e-5 * fd["scale"]
-    report = {
-        "command": "closedness",
-        "check": "fd-exterior-derivative",
-        "max_d": fd["max_d"],
-        "scale": fd["scale"],
-        "fd_error": fd["fd_error"],
-        "h": fd["h"],
-        "bound": 1e-5,
-        "pass": bool(passed),
-    }
+    report = {"command": "closedness", "check": "fd-exterior-derivative",
+              "bound": 1e-5, "pass": bool(passed),
+              **{key: fd[key] for key in ("max_d", "scale", "fd_error", "h")}}
     return (0 if passed else 1), report
 
 

@@ -30,11 +30,12 @@ class ConvergenceFailure(CharformsError, RuntimeError):
 
 
 class NoConvergence(CharformsError, RuntimeError):
-    """Gauss-Newton did not reach the residual tolerance."""
+    """Gauss-Newton did not reach the residual tolerance, ``index`` of a stack."""
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, index=0):
         super().__init__(message)
         self.residual = residual
+        self.index = index
 
 
 class RankInstability(CharformsError, RuntimeError):

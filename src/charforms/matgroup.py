@@ -110,25 +110,12 @@ class LieAlgebraBasis:
 
 def lie_algebra_basis(group: GroupSpec) -> LieAlgebraBasis:
     n = group.n
-    mats = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                e = np.zeros((n, n), dtype=np.complex128)
-                e[i, j] = 1.0
-                mats.append(e)
+    unit = np.eye(n * n, dtype=np.complex128).reshape(n, n, n, n)  # unit[i, j] = E_ij
+    diagonal = [unit[i, i] for i in range(n)]
     if group.kind == "SL":
-        for i in range(n - 1):
-            e = np.zeros((n, n), dtype=np.complex128)
-            e[i, i] = 1.0
-            e[i + 1, i + 1] = -1.0
-            mats.append(e)
-    else:
-        for i in range(n):
-            e = np.zeros((n, n), dtype=np.complex128)
-            e[i, i] = 1.0
-            mats.append(e)
-    return LieAlgebraBasis(tuple(mats))
+        diagonal = [a - b for a, b in zip(diagonal, diagonal[1:])]
+    return LieAlgebraBasis(tuple(unit[i, j] for i in range(n) for j in range(n)
+                                 if i != j) + tuple(diagonal))
 
 
 @dataclass(frozen=True)
@@ -183,11 +170,9 @@ class Representation:
         for m in self.images:
             if m.shape != (group.n, group.n):
                 raise InvalidInput(f"image shape {m.shape} != ({group.n},{group.n})")
-        self.basis = group._basis
-        self._inverses = tuple(matrix_inverse(
-            np.reshape(self.images, (-1, group.n, group.n)), tol))
+        self.basis, n = group._basis, group.n
+        self._inverses = matrix_inverse(np.reshape(self.images, (-1, n, n)), tol)
         self._ad_gen = None
-        self._ad_gen_inv = None
         if check:
             self.validate()
 
@@ -200,19 +185,11 @@ class Representation:
         return self.basis.dim
 
     def validate(self):
-        if self.group.kind == "SL":
-            for m in self.images:
-                # Hadamard: |det m| <= prod of row norms, which scales the
-                # rounding error of det
-                bound = 1e-10 * np.prod(np.linalg.norm(m, axis=1))
-                if abs(np.linalg.det(m) - 1.0) > bound:
-                    raise InvalidInput(
-                        f"SL image has |det - 1| > {bound:.3e} "
-                        "(1e-10 times the product of its row norms)")
-        for r in self.presentation.relators:
-            res = np.linalg.norm(evaluate_word(self, r) - np.eye(self.group.n))
-            if res > 10 * max(self.tol.newton_tol, 1e-12):
-                raise InvalidInput(f"relator residual {res:.3e} exceeds tolerance")
+        images = np.reshape(self.images, (1,) + self._inverses.shape)
+        values = _relator_values(self.presentation, images, self._inverses[None])
+        bad = _violation(self.group, images, values, self.tol)
+        if bad is not None:
+            raise InvalidInput(bad[1])
 
     def image(self, k: int, sign: int = 1) -> np.ndarray:
         return self.images[k] if sign == 1 else self._inverses[k]
@@ -220,21 +197,30 @@ class Representation:
     def _generator_ad(self):
         """Ad rho(x_k) and its inverse for every generator, (p, d, d) each."""
         if self._ad_gen is None:
-            n = self.group.n
-            images = np.reshape(self.images, (-1, n, n))
-            inverses = np.reshape(self._inverses, (-1, n, n))
-            self._ad_gen = _ad_matrix(self.basis, images, inverses)
-            self._ad_gen_inv = _ad_matrix(self.basis, inverses, images)
-        return self._ad_gen, self._ad_gen_inv
+            images = np.reshape(self.images, self._inverses.shape)
+            self._ad_gen = (_ad_matrix(self.basis, images, self._inverses),
+                            _ad_matrix(self.basis, self._inverses, images))
+        return self._ad_gen
 
 
 def _ad_matrix(basis: LieAlgebraBasis, left, right) -> np.ndarray:
     """Matrix of X -> left X right in the basis, batched over the leading
-    axes of left and right: (g, g^-1) gives Ad g."""
-    left = np.asarray(left)[..., None, :, :]
-    right = np.asarray(right)[..., None, :, :]
-    images = basis.coords_from_matrix(left @ basis._stack @ right)
-    return np.swapaxes(images, -1, -2)
+    axes of left and right: (g, g^-1) gives Ad g.
+
+    The image of a unit E_ij is the outer product of column i of left and
+    row j of right (kron(left, right^T)); the n - 1 diagonal H_i of sl(n)
+    are multiplied out as (left H_i) right, which keeps every entry equal to
+    the product definition to the last bit.  One readout takes all images."""
+    left, right = np.asarray(left), np.asarray(right)
+    n = basis.n
+    k = n * n if basis.dim == n * n else n * n - n  # the units lead the basis
+    units = np.flatnonzero(basis._stack[:k].reshape(k, -1)) % (n * n)
+    outer = left.swapaxes(-1, -2)[..., :, None, :, None] * right[..., None, :, None, :]
+    images = outer.reshape(outer.shape[:-4] + (n * n, n, n))[..., units, :, :]
+    if k < basis.dim:  # left H_i is left times the diagonal of H_i, exactly
+        scaled = left[..., None, :, :] * np.diagonal(basis._stack[k:], 0, 1, 2)[:, None]
+        images = np.concatenate([images, scaled @ right[..., None, :, :]], axis=-3)
+    return np.swapaxes(basis.coords_from_matrix(images), -1, -2)
 
 
 def evaluate_word(rho: Representation, w: Word) -> np.ndarray:
@@ -275,99 +261,133 @@ def conjugate_representation(rho: Representation, g) -> Representation:
                           tol=rho.tol)
 
 
-def _relator_residual(rho: Representation) -> np.ndarray:
-    n = rho.group.n
-    blocks = [
-        (evaluate_word(rho, r) - np.eye(n)).reshape(-1)
-        for r in rho.presentation.relators
-    ]
-    if not blocks:
-        return np.zeros(0, dtype=np.complex128)
-    return np.concatenate(blocks)
+def _relator_values(presentation: Presentation, images, inverses) -> np.ndarray:
+    """rho(r) (..., R, n, n) of the relators, from the images and their
+    inverses (..., p, n, n)."""
+    n = images.shape[-1]
+    out = np.empty(images.shape[:-3] + (len(presentation.relators), n, n), complex)
+    for i, r in enumerate(presentation.relators):
+        prod = np.eye(n, dtype=complex)
+        for g, s in r.letters:
+            prod = prod @ (images if s == 1 else inverses)[..., g, :, :]
+        out[..., i, :, :] = prod
+    return out
 
 
-def _relator_jacobian(rho: Representation) -> np.ndarray:
-    """Exact first-order derivative of vec(rho(r) - I) under exp-perturbations.
+def _relator_residual(presentation: Presentation, images, inverses) -> np.ndarray:
+    """vec(rho(r) - I) stacked over the relators, (..., R n^2)."""
+    values = _relator_values(presentation, images, inverses) - np.eye(images.shape[-1])
+    return values.reshape(values.shape[:-3] + (np.prod(values.shape[-3:], dtype=int),))
 
-    A perturbation X of the stacked generator coordinates moves rho(r) by
-    (J_r X) rho(r), with J_r the Ad-evaluated Fox derivative of relator r.
+
+def _relator_jacobian(presentation: Presentation, basis: LieAlgebraBasis,
+                      images, inverses, values) -> np.ndarray:
+    """Derivative (..., R n^2, k) of ``_relator_residual`` along k directions
+    with generator values (..., p, d, k): moving rho(x_j) to exp(X_j) rho(x_j)
+    moves rho(r) by (J_r X) rho(r), J_r X the ``cocycle_walk`` of r on X."""
+    from .cohomology import cocycle_walk  # cohomology imports this module
+    ad = _ad_matrix(basis, images, inverses), _ad_matrix(basis, inverses, images)
+    rel = _relator_values(presentation, images, inverses)
+    rows, k = basis.n ** 2, values.shape[-1]
+    out = np.empty(rel.shape[:-2] + (k, rows), complex)
+    for i, r in enumerate(presentation.relators):
+        walked = np.swapaxes(cocycle_walk(*ad, values, r.letters)[1], -1, -2)
+        moved = basis.matrix_from_coords(walked) @ rel[..., i, None, :, :]
+        out[..., i, :, :] = moved.reshape(moved.shape[:-2] + (rows,))
+    return out.swapaxes(-1, -2).reshape(rel.shape[:-3] + (rel.shape[-3] * rows, k))
+
+
+def _violation(group: GroupSpec, images, values, tol: Tolerances):
+    """(index, reason) for the first point of a stack, images (P, p, n, n)
+    with relator values (P, R, n, n), that ``validate`` rejects, or None.
+    Hadamard: |det m| is at most the product of the row norms of m, which
+    scales the rounding error of det."""
+    if group.kind == "SL":
+        bound = 1e-10 * np.prod(np.linalg.norm(images, axis=-1), axis=-1)
+        for k, j in np.argwhere(np.abs(np.linalg.det(images) - 1.0) > bound)[:1]:
+            return k, (f"SL image has |det - 1| > {bound[k, j]:.3e} "
+                       "(1e-10 times the product of its row norms)")
+    res = np.linalg.norm(values - np.eye(group.n), axis=(-2, -1))
+    for k, j in np.argwhere(res > 10 * max(tol.newton_tol, 1e-12))[:1]:
+        return k, f"relator residual {res[k, j]:.3e} exceeds tolerance"
+    return None
+
+
+def _moved(basis: LieAlgebraBasis, x, images, inverses):
+    """exp(X_j) rho(x_j) and rho(x_j)^-1 exp(-X_j) for coordinates x (..., p, d)
+    and images and inverses (..., p, n, n): one matrix_exp, no inversion."""
+    e = matrix_exp(basis.matrix_from_coords(np.stack([x, -x])))
+    return e[0] @ images, inverses @ e[1]
+
+
+def _damped_newton(state, res, trial, jacobian, tol: Tolerances, max_iter: int):
+    """Gauss-Newton with step halving on P problems in lockstep; returns the
+    state once every residual norm meets tol.newton_tol.
+
+    ``state`` is a list of arrays with leading axis P and ``res`` (P, r) their
+    residuals; ``trial(rows, step)`` gives the (state, residual) of the state
+    rows ``rows`` moved by ``step`` (rows, k) and ``jacobian(rows)`` their
+    derivatives (rows, r, k).  Each row halves its own step until its residual
+    norm falls, at most 40 times per iteration, and stops once converged; a
+    non-finite trial is rejected for its own row.  Raises NoConvergence, with
+    the row as ``index``, when a row runs out of halvings or iterations.
     """
-    from .cohomology import ad_fox  # cohomology imports this module
-    blocks = []
-    for r in rho.presentation.relators:
-        x = rho.basis.matrix_from_coords(ad_fox(rho, r)[1].T)  # (p * d, n, n)
-        moved = x @ evaluate_word(rho, r)
-        blocks.append(moved.reshape(len(moved), -1).T)
-    return np.concatenate(blocks, axis=0)
-
-
-def _damped_newton(point, res, trial, jacobian, tol: Tolerances,
-                   max_iter: int):
-    """Gauss-Newton with step halving; returns the point that meets
-    tol.newton_tol.
-
-    ``trial(point, step)`` returns the next (point, residual) and
-    ``jacobian(point)`` the derivative of the residual in the step
-    coordinates.  A step is halved until the residual norm decreases; a
-    trial that raises ValueError (non-finite or singular) counts as
-    rejected.  Raises NoConvergence when the halvings or iterations run out.
-    """
-    res_norm = np.linalg.norm(res)
+    state, res = [np.array(a) for a in state], np.array(res)
+    norm = np.linalg.norm(res, axis=-1)
     for _ in range(max_iter):
-        if res_norm <= tol.newton_tol:
-            return point
-        step = solve_lsq(jacobian(point), -res)
-        scale = 1.0
+        live = np.flatnonzero(norm > tol.newton_tol)
+        if not len(live):
+            return state
+        step, scale = solve_lsq(jacobian([a[live] for a in state]), -res[live]), 1.0
         for _ in range(40):
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    cand, cand_res = trial(point, scale * step)
-            except ValueError:  # the step overshot
-                cand_norm = np.inf
-            else:
-                cand_norm = np.linalg.norm(cand_res)
-            if cand_norm < res_norm:
+            with np.errstate(over="ignore", invalid="ignore"):
+                cand, cand_res = trial([a[live] for a in state], scale * step)
+                cand_norm = np.linalg.norm(cand_res, axis=-1)
+            ok = cand_norm < norm[live]  # False where the trial is not finite
+            for a, c in zip(state, cand):
+                a[live[ok]] = c[ok]
+            res[live[ok]], norm[live[ok]] = cand_res[ok], cand_norm[ok]
+            live, step, scale = live[~ok], step[~ok], 0.5 * scale
+            if not len(live):
                 break
-            scale *= 0.5
         else:
             raise NoConvergence(
-                f"backtracking stalled at residual {res_norm:.3e}",
-                residual=float(res_norm))
-        point, res, res_norm = cand, cand_res, cand_norm
-    if res_norm <= tol.newton_tol:
-        return point
-    raise NoConvergence(
-        f"no convergence after {max_iter} iterations, residual {res_norm:.3e}",
-        residual=float(res_norm))
+                f"backtracking stalled at residual {norm[live[0]]:.3e}",
+                residual=float(norm[live[0]]), index=int(live[0]))
+    for k in np.flatnonzero(norm > tol.newton_tol)[:1]:
+        raise NoConvergence(
+            f"no convergence after {max_iter} iterations, residual {norm[k]:.3e}",
+            residual=float(norm[k]), index=int(k))
+    return state
 
 
 def find_representation(presentation: Presentation, group: GroupSpec, seed_images,
                         tol: Tolerances = DEFAULT_TOL,
                         max_iter: int = 50) -> Representation:
-    """Gauss-Newton solve of the relator equations starting from seed images.
+    """Gauss-Newton solve of the relator equations starting from seed images,
+    ``_damped_newton`` with P = 1.
 
     Perturbations act as rho(x_k) -> exp(X_k) rho(x_k) with X_k in the fixed
     Lie-algebra basis (traceless for SL, so the determinant constraint is
     maintained exactly).  Steps are damped by halving until the residual
-    decreases; a step whose exponential overflows or is numerically singular
-    counts as rejected.
+    decreases; a step whose exponential overflows counts as rejected.
     """
     images = [as_cmatrix(m) for m in seed_images]
     if group.kind == "SL":
         images = [m / np.linalg.det(m) ** (1.0 / group.n) for m in images]
     rho = Representation(presentation, group, images, tol=tol, check=False)
-    shape = (rho.p, rho.dim_g)
+    start = [np.reshape(rho.images, (1, -1, group.n, group.n)), rho._inverses[None]]
+    identity = np.eye(rho.p * rho.dim_g).reshape(rho.p, rho.dim_g, -1)
 
-    def trial(point, step):
-        moved = matrix_exp(rho.basis.matrix_from_coords(step.reshape(shape)))
-        cand = Representation(presentation, group, moved @ np.stack(point.images),
-                              tol=tol, check=False)
-        return cand, _relator_residual(cand)
+    def trial(state, step):
+        moved = _moved(rho.basis, step.reshape(len(step), rho.p, rho.dim_g), *state)
+        return moved, _relator_residual(presentation, *moved)
 
-    rho = _damped_newton(rho, _relator_residual(rho), trial, _relator_jacobian,
-                         tol, max_iter)
-    rho.validate()
-    return rho
+    images, _ = _damped_newton(
+        start, _relator_residual(presentation, *start), trial,
+        lambda state: _relator_jacobian(presentation, rho.basis, *state, identity),
+        tol, max_iter)
+    return Representation(presentation, group, images[0], tol=tol)
 
 
 def invariant_subspace_dim(rho: Representation, tol: Tolerances = DEFAULT_TOL) -> int:

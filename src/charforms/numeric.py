@@ -108,13 +108,20 @@ def rank_and_gap(m, tol: Tolerances = DEFAULT_TOL) -> RankDecision:
 
 
 def solve_lsq(a, b) -> np.ndarray:
-    """Minimum-norm least-squares solution of a x = b, with singular values
-    of a below the default relative rank cutoff treated as zero."""
-    a = as_cmatrix(a)
-    b = np.asarray(b, dtype=np.complex128)
-    x, *_ = scipy.linalg.lstsq(a, b, cond=DEFAULT_TOL.rank_rel,
-                               lapack_driver="gelsd")
-    return x
+    """Minimum-norm least-squares solution of a x = b, batched over the
+    leading axes of a (..., m, k) and b (..., m, q), or of b (..., m).  One
+    SVD per matrix; singular values at most the default relative rank cutoff
+    times the largest count as zero."""
+    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
+    vector = b.ndim == a.ndim - 1
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    with np.errstate(divide="ignore"):
+        inv = np.where(s > DEFAULT_TOL.rank_rel * s[..., :1], 1.0 / s, 0.0)[..., None]
+    x = np.conj(vh).swapaxes(-1, -2) @ (
+        inv * (np.conj(u).swapaxes(-1, -2) @ (b[..., None] if vector else b)))
+    return x[..., 0] if vector else x
 
 
 def matrix_exp(m) -> np.ndarray:

@@ -15,13 +15,15 @@ from charforms import (
 from charforms.charts import (
     _fd_d,
     _stencil,
+    chart_closedness,
     eta_coefficients,
     fd_exterior_derivative,
     free_group_demo,
 )
-from charforms.errors import DegreeMismatch, InvalidInput, LeftChart
+from charforms.errors import DegreeMismatch, InvalidInput, LeftChart, NoConvergence
 from charforms.forms import random_cocycle
 from charforms.matgroup import TangentVector, evaluate_word
+from charforms.numeric import Tolerances
 from conftest import random_point
 
 SL2 = GroupSpec("SL", 2)
@@ -183,10 +185,10 @@ class TestClosedness:
         assert fd["scale"] > 1e-2
         assert fd["max_d"] <= 1e-5 * fd["scale"]
 
-    def test_one_newton_solve_per_fd_point(self, genus2_chart, monkeypatch):
-        # the tangents come from the solve of their point and are paired in
-        # one walk of the cycle words: 12 of each for a 3-dimensional chart,
-        # and no per-point form context
+    def test_one_lockstep_solve_per_check(self, genus2_chart, monkeypatch):
+        # all 12 stencil points of a 3-dimensional chart are solved in one
+        # Newton pass and their tangents paired in one walk of the cycle
+        # words, with no per-point form context
         counts = {"newton": 0, "walk_words": 0, "EtaContext": 0}
 
         def counting(name, fn):
@@ -201,14 +203,17 @@ class TestClosedness:
                             counting("walk_words", charts.walk_words))
         monkeypatch.setattr(forms, "EtaContext",
                             counting("EtaContext", forms.EtaContext))
-        fd = _closedness(genus2_chart.center, genus2_chart.directions)
+        cycle = fundamental_two_cycle(genus2_chart.center.presentation).chain
+        fd = chart_closedness(genus2_chart, trace_form(), cycle, 3e-2)
         assert fd["evaluations"] == 12
-        assert counts == {"newton": 12, "walk_words": 12, "EtaContext": 0}
+        assert counts == {"newton": 1, "walk_words": 1, "EtaContext": 0}
 
     def test_degree_mismatch(self, genus2_chart):
         cycle = fundamental_two_cycle(genus2_chart.center.presentation).chain
         with pytest.raises(DegreeMismatch):
             eta_coefficients(genus2_chart, power_trace(3), cycle)
+        with pytest.raises(DegreeMismatch):
+            chart_closedness(genus2_chart, power_trace(3), cycle, 3e-2)
 
     def test_perturbation_detected(self, genus2_chart):
         cycle = fundamental_two_cycle(genus2_chart.center.presentation).chain
@@ -221,6 +226,72 @@ class TestClosedness:
 
         fd = fd_exterior_derivative(3, perturbed, h=3e-2)
         assert fd["max_d"] >= 1e-4
+
+
+class TestLockstep:
+    """``chart_closedness`` solves all stencil points in one lockstep pass;
+    ``retract`` and ``eta_coefficients(...)(t)`` are one-point stacks."""
+
+    @pytest.mark.parametrize("point", ["acceptance", "SL-2", "GL-2", "SL-3"])
+    def test_matches_the_pointwise_check(self, genus2_rep, point):
+        if point == "acceptance":
+            rho = genus2_rep
+        else:
+            kind, n = point.split("-")
+            rho = random_point(2, 0, kind, int(n))[0]
+        chart = Chart(rho, cocycle_space(rho).basis_h1[:3])
+        cycle = fundamental_two_cycle(rho.presentation).chain
+        stacked = chart_closedness(chart, trace_form(), cycle, 3e-2)
+        pointwise = fd_exterior_derivative(
+            3, eta_coefficients(chart, trace_form(), cycle), 3e-2)
+        assert stacked["evaluations"] == pointwise["evaluations"] == 12
+        for key in ("max_d", "fd_error", "scale"):
+            assert abs(stacked[key] - pointwise[key]) <= 1e-12 * pointwise["scale"]
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_stacked_images_equal_retract(self, genus2_chart, seed):
+        chart = genus2_chart
+        if seed:
+            rho = random_point(2, seed, "SL", 3)[0]
+            chart = Chart(rho, cocycle_space(rho).basis_h1[:3])
+        points = _stencil(3, 3e-2, (1,))
+        _, images, _ = charts._solve(chart, points)
+        for t, stacked in zip(points, images):
+            single = np.array(retract(chart, t).images)
+            assert np.abs(stacked - single).max() <= 1e-12
+
+    def test_left_chart_names_the_point(self, genus2_rep):
+        # only the last point moves along a direction that violates the
+        # linearised relator, so only its correction exceeds |t|
+        h1 = cocycle_space(genus2_rep).basis_h1
+        bad = TangentVector.of(np.random.default_rng(0).standard_normal((4, 3)))
+        chart = Chart(genus2_rep, (h1[0], h1[1], bad))
+        points = [[0.01, 0, 0], [0, 0.01, 0], [0, 0, 0.05]]
+        with pytest.raises(LeftChart, match=r"chart point 2, t = \[0"):
+            charts._solve(chart, points)
+        charts._solve(chart, points[:2])
+
+    def test_forced_stall_names_the_point(self, genus2_rep):
+        # a residual bound of 1e-300: the center's relator holds exactly, so
+        # t = 0 converges at once, while the point at t = 0.01 e_0 stalls
+        # at rounding level
+        chart = Chart(genus2_rep, cocycle_space(genus2_rep).basis_h1[:3],
+                      Tolerances(newton_tol=1e-300))
+        with pytest.raises(NoConvergence, match="backtracking stalled") as info:
+            charts._solve(chart, [[0, 0, 0], [0.01, 0, 0], [0, 0, 0]])
+        assert info.value.index == 1
+        assert str(info.value).startswith("chart point 1, t = [0.01")
+        assert info.value.residual <= 1e-12
+        cycle = fundamental_two_cycle(genus2_rep.presentation).chain
+        with pytest.raises(NoConvergence):
+            chart_closedness(chart, trace_form(), cycle, 3e-2)
+
+    def test_no_triple_below_dimension_three(self, genus2_rep):
+        chart = Chart(genus2_rep, cocycle_space(genus2_rep).basis_h1[:2])
+        cycle = fundamental_two_cycle(genus2_rep.presentation).chain
+        fd = chart_closedness(chart, trace_form(), cycle, 3e-2)
+        assert fd == {"max_d": 0.0, "scale": 0.0, "fd_error": 0.0, "h": 3e-2,
+                      "evaluations": 0}
 
 
 def _form(m, entries):
@@ -308,7 +379,7 @@ class TestFreeGroupDemo:
     @pytest.mark.parametrize("p", [0, 1])
     def test_fewer_than_two_generators_is_invalid_input(self, p):
         with pytest.raises(InvalidInput):
-            free_group_demo(p, SL2)
+            free_group_demo(p, SL2, rng=np.random.default_rng(0))
 
     def test_chain_level_not_closed(self):
         report = free_group_demo(2, SL2, rng=np.random.default_rng(7))

@@ -273,7 +273,7 @@ class TestFamilyInput:
         subs = [Poly.var(2, 0), Poly.var(2, 1), Poly.var(2, 0) * Poly.var(2, 1)]
         with pytest.raises(DegreeMismatch):
             compare_base_change(family, power_trace(3), subs, ("u1", "u2"),
-                                (0.2, 0.2))
+                                (0.2, 0.2), rng=np.random.default_rng(0))
         with pytest.raises(DegreeMismatch):
             family_pullback(family, power_trace(3), grid=2)
 

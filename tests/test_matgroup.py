@@ -16,9 +16,12 @@ from charforms import (
     lie_algebra_basis,
     parse_word,
 )
+from charforms import matgroup
 from charforms.errors import InvalidInput, NoConvergence
 from charforms.matgroup import (
     TangentVector,
+    _ad_matrix,
+    _damped_newton,
     invariant_subspace_dim,
     representation_from_json,
     representation_to_json,
@@ -180,6 +183,102 @@ class TestFindRepresentation:
         seed = [np.array([[2.0, 1.0], [1.0, 1.0]])]
         with pytest.raises(NoConvergence):
             find_representation(pres, SL2, seed, max_iter=1)
+
+
+def _ad_by_products(basis, left, right):
+    """X -> left X right from its definition: left E_b right for every basis
+    matrix E_b, read off in the basis."""
+    left = np.asarray(left)[..., None, :, :]
+    right = np.asarray(right)[..., None, :, :]
+    return np.swapaxes(basis.coords_from_matrix(left @ basis._stack @ right), -1, -2)
+
+
+@pytest.mark.parametrize("shape", [(4,), (12, 4), (64, 6)], ids=str)
+@pytest.mark.parametrize("kind,n", [("SL", 2), ("SL", 3), ("GL", 2), ("GL", 3)])
+def test_ad_matrix_matches_the_product_definition(kind, n, shape):
+    basis = lie_algebra_basis(GroupSpec(kind, n))
+    rng = np.random.default_rng(10 * n + len(shape))
+
+    def draw():
+        return rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
+
+    g, left, right = draw(), draw(), draw()
+    eye = np.eye(n)
+    for pair in ((left, right), (g, np.linalg.inv(g)), (eye, right), (left, eye)):
+        ref = _ad_by_products(basis, *pair)
+        got = _ad_matrix(basis, *pair)
+        assert got.shape == ref.shape == shape + (basis.dim, basis.dim)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+class TestDampedNewton:
+    """The lockstep Newton on P scalar problems x^2 = 4.  A trial farther
+    than 10 from 0 is non-finite, and a poisoned row never gets a finite
+    residual; a label travels with each row so the trials can tell rows apart."""
+
+    @staticmethod
+    def solve(x0, poisoned=(), max_iter=50):
+        trials = {}
+
+        def trial(state, step):
+            x, label = state[0] + step, state[1]
+            for k in label[:, 0]:
+                trials[int(k)] = trials.get(int(k), 0) + 1
+            with np.errstate(invalid="ignore"):
+                res = np.where((np.abs(x) > 10) | np.isin(label, poisoned),
+                               np.nan, x ** 2 - 4)
+            return [x, label], res
+
+        x0 = np.asarray(x0, dtype=complex).reshape(-1, 1)
+        label = np.arange(len(x0)).reshape(-1, 1)
+        x, _ = _damped_newton([x0, label], x0 ** 2 - 4, trial,
+                              lambda state: 2 * state[0][:, :, None],
+                              matgroup.DEFAULT_TOL, max_iter)
+        return x[:, 0], trials
+
+    def test_rows_step_and_halve_on_their_own(self):
+        # the full first step from 0.05 lands near 40: it is halved until
+        # finite and smaller, while the other rows take full steps
+        starts = [1.0, 0.05, 3.0, -1.5]
+        x, trials = self.solve(starts)
+        for k, start in enumerate(starts):
+            alone, alone_trials = self.solve([start])
+            assert x[k] == alone[0]
+            assert trials[k] == alone_trials[0]
+        assert np.abs(np.abs(x) - 2).max() <= 1e-12
+        assert trials[1] > trials[0]
+
+    def test_stall_names_its_row(self):
+        with pytest.raises(NoConvergence, match="backtracking stalled") as info:
+            self.solve([1.0, 3.0, 0.5], poisoned=(2,))
+        assert info.value.index == 2
+
+    def test_iteration_budget_names_its_row(self):
+        with pytest.raises(NoConvergence, match="after 2 iterations") as info:
+            self.solve([2.0, 2.0 + 1e-9, 0.05], max_iter=2)
+        assert info.value.index == 2
+
+
+# Gauss-Newton iterations (one solve_lsq each) of find_representation from
+# the seeded points of conftest.random_point moved by 1e-2 of noise, as the
+# per-point solver took them before it became the P = 1 lockstep solve.
+_ITERATIONS = {("SL", 3, 3, 0): 4, ("SL", 3, 3, 2): 4}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("genus", [1, 2, 3])
+@pytest.mark.parametrize("kind,n", [("SL", 2), ("GL", 2), ("SL", 3)])
+def test_find_representation_iteration_count(kind, n, genus, seed, monkeypatch):
+    rho, rng = random_point(genus, seed, kind, n)
+    start = [m + 1e-2 * rng.standard_normal((n, n)) for m in rho.images]
+    solves = []
+    solve_lsq = matgroup.solve_lsq
+    monkeypatch.setattr(matgroup, "solve_lsq",
+                        lambda a, b: solves.append(1) or solve_lsq(a, b))
+    found = find_representation(rho.presentation, rho.group, start)
+    assert len(solves) == _ITERATIONS.get((kind, n, genus, seed), 3)
+    r = rho.presentation.relators[0]
+    assert np.linalg.norm(evaluate_word(found, r) - np.eye(n)) <= 1e-11
 
 
 class TestConjugationAndIrreducibility:

@@ -135,6 +135,34 @@ def test_solve_lsq_drops_singular_values_below_the_rank_cutoff():
     assert np.allclose(x, [1.0, 0.0])
 
 
+@pytest.mark.parametrize("rows,cols", [(5, 3), (3, 5), (4, 4)])
+def test_solve_lsq_matches_gelsd_on_stacks(rows, cols):
+    """The batched SVD solve against LAPACK's gelsd under the same cutoff,
+    one matrix at a time, on a seeded (2, 3) stack with rank-deficient
+    members: a repeated column, rank one, zero, and a singular value planted
+    below the cutoff."""
+    rng = np.random.default_rng(rows * cols)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a, b = draw(6, rows, cols), draw(6, rows, 2)
+    a[1, :, -1] = a[1, :, 0]
+    a[2] = np.outer(a[2, :, 0], a[2, 0, :])
+    a[3] = 0.0
+    u, s, vh = np.linalg.svd(a[4], full_matrices=False)
+    s[-1] = 1e-13 * s[0]
+    a[4] = (u * s) @ vh
+    x = solve_lsq(a.reshape(2, 3, rows, cols), b.reshape(2, 3, rows, 2))
+    x_vec = solve_lsq(a, b[..., 0])
+    assert x.shape == (2, 3, cols, 2) and x_vec.shape == (6, cols)
+    for k in range(6):
+        ref = scipy.linalg.lstsq(a[k], b[k], cond=1e-10, lapack_driver="gelsd")[0]
+        bound = 1e-12 * max(1.0, np.abs(ref).max())
+        assert np.abs(x.reshape(6, cols, 2)[k] - ref).max() <= bound
+        assert np.abs(x_vec[k] - ref[:, 0]).max() <= bound
+
+
 def test_matrix_exp_inverse_pair():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
