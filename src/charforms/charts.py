@@ -71,7 +71,6 @@ class Chart:
 
     center: Representation
     directions: tuple
-    tol: Tolerances = DEFAULT_TOL
     _span: np.ndarray = field(init=False, repr=False)
     _complement: np.ndarray = field(init=False, repr=False)
 
@@ -81,7 +80,7 @@ class Chart:
         # the orthogonal complement of Z^1 at the center; the correction c
         # lives here, so the relator equations fix it uniquely
         jac = fox_jacobian(self.center)
-        self._complement = rank_and_gap(jac.conj().T, self.tol).image
+        self._complement = rank_and_gap(jac.conj().T, self.center.tol).image
 
     @property
     def dim(self) -> int:
@@ -102,13 +101,6 @@ def _dexp(basis: LieAlgebraBasis, y: np.ndarray) -> np.ndarray:
                           - _ad_matrix(basis, np.eye(basis.n), mats))
     block[..., :d, d:] = np.eye(d)
     return matrix_exp(block)[..., :d, d:]
-
-
-def _pushed_images(chart: Chart, t) -> list:
-    """Images of the uncorrected point exp(S t) rho."""
-    rho, y = chart.center, chart._span @ np.asarray(t, dtype=np.complex128)
-    return list(_moved(rho.basis, y.reshape(rho.p, -1), np.array(rho.images),
-                       rho._inverses)[0])
 
 
 def _solve(chart: Chart, t):
@@ -136,12 +128,12 @@ def _solve(chart: Chart, t):
     try:
         y, images, inverses = _damped_newton(
             start, res, lambda state, step: at(state[0] + step @ comp.T),
-            jacobian, chart.tol, 50)
+            jacobian, rho.tol, 50)
     except NoConvergence as exc:
         raise NoConvergence(f"{where(exc.index)}: {exc}", exc.residual,
                             exc.index) from exc
     bad = _violation(rho.group, images,
-                     _relator_values(rho.presentation, images, inverses), chart.tol)
+                     _relator_values(rho.presentation, images, inverses), rho.tol)
     if bad is not None:
         raise InvalidInput(f"{where(bad[0])}: {bad[1]}")
     correction = np.linalg.norm(images - start[1], axis=(-2, -1)).sum(axis=-1)
@@ -161,7 +153,7 @@ def retract(chart: Chart, t) -> Representation:
     """
     rho = chart.center
     return Representation(rho.presentation, rho.group, _solve(chart, t)[1][0],
-                          tol=chart.tol, check=False)
+                          tol=rho.tol, check=False)
 
 
 def _tangents(chart: Chart, y, images, inverses) -> np.ndarray:
@@ -283,10 +275,10 @@ def free_group_demo(p: int, group: GroupSpec, rng,
         x = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
         images.append(matrix_exp(basis.matrix_from_coords(0.5 * x)))
     rho = Representation(pres, group, images, tol=tol)
-    space = cocycle_space(rho, tol)
+    space = cocycle_space(rho)
     # dense directions so every generator slot is exercised
     rng_dirs = [random_cocycle(space, rng) for _ in range(3)]
-    chart = Chart(rho, rng_dirs, tol)
+    chart = Chart(rho, rng_dirs)
 
     a, b = Word.generator(0), Word.generator(1)
     non_cycle = BarChain.of(2, {(a, b): 1})

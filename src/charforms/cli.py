@@ -23,7 +23,13 @@ import numpy as np
 
 from .charts import Chart, chart_closedness, free_group_demo
 from .cohomology import cocycle_space, fundamental_two_cycle
-from .errors import CharformsError, InvalidInput, NoConvergence, RankInstability
+from .errors import (
+    CharformsError,
+    InvalidInput,
+    NoConvergence,
+    RankInstability,
+    malformed,
+)
 from .families import family_from_json, family_pullback
 from .forms import (
     conjugation_invariance,
@@ -49,12 +55,13 @@ __all__ = ["main"]
 
 
 def _tolerances(args) -> Tolerances:
-    if not args.fd_chart_step > 0:
-        raise InvalidInput(f"--fd-chart-step {args.fd_chart_step} is not positive")
+    for flag, step in (("--fd-step", args.fd_step),
+                       ("--fd-chart-step", args.fd_chart_step)):
+        if not step > 0:
+            raise InvalidInput(f"{flag} {step} is not positive")
     if args.trials < 1:
         raise InvalidInput(f"--trials must be at least 1, got {args.trials}")
-    return Tolerances(rank_rel=args.tol_rank, newton_tol=args.tol_newton,
-                      fd_step=args.fd_step)
+    return Tolerances(rank_rel=args.tol_rank, newton_tol=args.tol_newton)
 
 
 def _load_input(path: str) -> dict:
@@ -72,7 +79,8 @@ def _load_input(path: str) -> dict:
 def _presentation(data: dict) -> Presentation:
     if "presentation" not in data:
         raise InvalidInput("input needs a 'presentation' object")
-    return Presentation.from_json(data["presentation"])
+    with malformed("'presentation'"):
+        return Presentation.from_json(data["presentation"])
 
 
 def _representation(data: dict, tol: Tolerances) -> Representation:
@@ -85,10 +93,8 @@ def _representation(data: dict, tol: Tolerances) -> Representation:
 def _phi(data: dict):
     if "phi" not in data:
         return trace_form()
-    try:
+    with malformed("'phi'"):
         return polynomial_from_json(data["phi"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed 'phi': {exc!r}") from exc
 
 
 def _rng(args):
@@ -118,7 +124,7 @@ def _write_report(args, tol: Tolerances, report: dict) -> None:
     report = dict(report)
     report["tolerances"] = {"rank_rel": tol.rank_rel,
                             "newton_tol": tol.newton_tol,
-                            "fd_step": tol.fd_step}
+                            "fd_step": args.fd_step}
     report["timestamp"] = datetime.datetime.now(
         datetime.timezone.utc).isoformat()
     text = json.dumps(_json_clean(report), sort_keys=True, indent=2)
@@ -155,7 +161,7 @@ def cmd_validate(args, tol: Tolerances) -> tuple:
 def cmd_cohomology(args, tol: Tolerances) -> tuple:
     data = _load_input(args.input)
     rho = _representation(data, tol)
-    space = cocycle_space(rho, tol)
+    space = cocycle_space(rho)
     report = space.report()
     report["command"] = "cohomology"
     if len(rho.presentation.relators) == 1:
@@ -168,8 +174,8 @@ def cmd_goldman(args, tol: Tolerances) -> tuple:
     data = _load_input(args.input)
     rho = _representation(data, tol)
     ctx = make_context(rho, _phi(data))
-    space = cocycle_space(rho, tol)
-    g, rank = gram_matrix(ctx, space.basis_h1, tol)
+    space = cocycle_space(rho)
+    g, rank = gram_matrix(ctx, space.basis_h1)
     norm = np.linalg.norm(g)
     skew = float(np.linalg.norm(g + g.T) / norm) if norm > 0 else 0.0
     report = {
@@ -191,12 +197,10 @@ def cmd_eta(args, tol: Tolerances) -> tuple:
     n = ctx.degree
     values = []
     if "cocycles" in data:
-        try:
+        with malformed("'cocycles'"):
             sigmas = [np.array([[complex(re, im) for re, im in entry[name]]
                                 for name in rho.presentation.generator_names])
                       for entry in data["cocycles"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInput(f"malformed 'cocycles': {exc!r}") from exc
         if any(s.shape != (rho.p, rho.dim_g) for s in sigmas):
             raise InvalidInput(f"a cocycle needs {rho.dim_g} [re, im] pairs "
                                "per generator")
@@ -205,7 +209,7 @@ def cmd_eta(args, tol: Tolerances) -> tuple:
         values.append(eta(ctx, *map(TangentVector.of, sigmas)))
     else:
         rng = _rng(args)
-        space = cocycle_space(rho, tol)
+        space = cocycle_space(rho)
         for _ in range(args.trials):
             sigmas = [random_cocycle(space, rng) for _ in range(n)]
             values.append(eta(ctx, *sigmas))
@@ -217,7 +221,7 @@ def cmd_suite_basic(args, tol: Tolerances) -> tuple:
     data = _load_input(args.input)
     rho = _representation(data, tol)
     ctx = make_context(rho, _phi(data))
-    report = contraction_suite(ctx, args.trials, _rng(args), tol)
+    report = contraction_suite(ctx, args.trials, _rng(args))
     report["command"] = "suite-basic"
     report["bound"] = 1e-9
     return (0 if report["pass"] else 1), report
@@ -234,7 +238,7 @@ def cmd_suite_invariance(args, tol: Tolerances) -> tuple:
         x = rng.standard_normal(rho.dim_g) + 1j * rng.standard_normal(rho.dim_g)
         g = matrix_exp(rho.basis.matrix_from_coords(
             x / max(np.linalg.norm(x), 1.0)))
-        worst = max(worst, conjugation_invariance(ctx, g, 3, rng, tol))
+        worst = max(worst, conjugation_invariance(ctx, g, 3, rng))
     phi_dev = check_invariance(phi, rho.basis, args.trials, rng)
     report = {
         "command": "suite-invariance",
@@ -252,10 +256,10 @@ def cmd_closedness(args, tol: Tolerances) -> tuple:
     data = _load_input(args.input)
     rho = _representation(data, tol)
     phi = _phi(data)
-    space = cocycle_space(rho, tol)
+    space = cocycle_space(rho)
     if len(space.basis_h1) < 3:
         raise InvalidInput("closedness needs dim H^1 >= 3 for a 3-dim chart")
-    chart = Chart(rho, space.basis_h1[:3], tol)
+    chart = Chart(rho, space.basis_h1[:3])
     cycle = fundamental_two_cycle(rho.presentation).chain
     fd = chart_closedness(chart, phi, cycle, args.fd_chart_step)
     passed = fd["max_d"] <= 1e-5 * fd["scale"]
@@ -268,11 +272,8 @@ def cmd_closedness(args, tol: Tolerances) -> tuple:
 def cmd_family(args, tol: Tolerances) -> tuple:
     data = _load_input(args.input)
     pres = _presentation(data)
-    try:
+    with malformed("'group' (family mode needs its 'kind' and 'n')"):
         group = GroupSpec(data["group"]["kind"], int(data["group"]["n"]))
-    except KeyError as exc:
-        raise InvalidInput(f"family mode needs a 'group' with 'kind' and 'n'; "
-                           f"missing {exc}") from exc
     if "family" not in data:
         raise InvalidInput("input needs a 'family' object")
     fam = family_from_json(data["family"], pres, group)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NotSurfacePresentation, RankInstability
 from .matgroup import Representation, TangentVector
-from .numeric import DEFAULT_TOL, Tolerances, rank_and_gap
+from .numeric import rank_and_gap
 from .words import Presentation, Word
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "FundamentalCycle",
     "fox_jacobian",
     "cocycle_space",
-    "ad_fox",
     "cocycle_walk",
     "walk_words",
     "extend_cocycle",
@@ -39,13 +38,14 @@ __all__ = [
 def fox_jacobian(rho: Representation) -> np.ndarray:
     """Stacked Ad-evaluated Fox derivatives of the relators.
 
-    Shape (R * dim g, p * dim g): the blocks J_r of ``ad_fox``.  The kernel
-    of this matrix is Z^1(Gamma, Ad rho) in stacked generator coordinates.
+    Shape (R * dim g, p * dim g): the blocks J_r, ``walk_words`` of the
+    relators on ``identity_values``.  The kernel of this matrix is
+    Z^1(Gamma, Ad rho) in stacked generator coordinates.
     """
-    blocks = [ad_fox(rho, r)[1] for r in rho.presentation.relators]
-    if not blocks:
-        return np.zeros((0, rho.p * rho.dim_g), dtype=np.complex128)
-    return np.concatenate(blocks, axis=0)
+    relators = rho.presentation.relators
+    table = walk_words(*rho._generator_ad(), identity_values(rho), relators)
+    return np.concatenate([np.zeros((0, rho.p * rho.dim_g), dtype=np.complex128),
+                           *(table[r][1] for r in relators)])
 
 
 @dataclass(frozen=True)
@@ -80,15 +80,15 @@ class CocycleSpace:
                 "rank_gap": gap if np.isfinite(gap) else None}
 
 
-def cocycle_space(rho: Representation, tol: Tolerances = DEFAULT_TOL) -> CocycleSpace:
+def cocycle_space(rho: Representation) -> CocycleSpace:
     """Z^1 as the kernel of the Fox Jacobian, B^1 as the image of
     v -> (v - Ad rho(x_k) v)_k, and H^1 representatives as the orthonormal
-    complement of B^1 inside Z^1: three SVD rank decisions.
+    complement of B^1 inside Z^1: three SVD rank decisions at rho.tol.
 
     Raises RankInstability when a singular value of any of the three lies
     within a factor 10 of its cutoff.
     """
-    p, d = rho.p, rho.dim_g
+    p, d, tol = rho.p, rho.dim_g, rho.tol
     z1 = rank_and_gap(fox_jacobian(rho), tol)
     b1 = rank_and_gap((np.eye(d) - rho._generator_ad()[0]).reshape(p * d, d), tol)
     h1 = rank_and_gap(z1.kernel - b1.image @ (b1.image.conj().T @ z1.kernel), tol)
@@ -131,12 +131,13 @@ def walk_words(ad, ad_inv, values, words) -> dict:
     """``cocycle_walk`` of every word, each continued from its longest prefix
     walked before, so a word that extends another by one letter (a relator
     prefix of the fundamental cycle) costs one letter step."""
-    walked: dict = {}
+    walked, longest = {}, 0
     for w in sorted(dict.fromkeys(words), key=lambda w: len(w.letters)):
-        cut = next((k for k in range(len(w.letters) - 1, 0, -1)
+        cut = next((k for k in range(min(len(w.letters) - 1, longest), 0, -1)
                     if w.letters[:k] in walked), 0)
         walked[w.letters] = cocycle_walk(ad, ad_inv, values, w.letters[cut:],
                                          walked.get(w.letters[:cut]))
+        longest = len(w.letters)
     return {w: walked[w.letters] for w in words}
 
 
@@ -146,27 +147,12 @@ def identity_values(rho: Representation) -> np.ndarray:
     return np.eye(pd, dtype=np.complex128).reshape(rho.p, rho.dim_g, pd)
 
 
-def ad_fox(rho: Representation, w: Word):
-    """Ad rho(w) and the Ad-evaluated Fox derivative J_w of shape (d, p * d).
-
-    J_w is the linear map sigma -> sigma(w) from stacked generator values:
-    ``cocycle_walk`` of w on the identity values.
-    """
-    return cocycle_walk(*rho._generator_ad(), identity_values(rho), w.letters)
-
-
 def extend_cocycle(rho: Representation, sigma: TangentVector):
     """Extend generator values to a function on words by the cocycle rule
-    sigma(uv) = sigma(u) + Ad rho(u) sigma(v)."""
-    x = sigma.stacked
-    cache: dict = {}
-
-    def value(w: Word) -> np.ndarray:
-        if w not in cache:
-            cache[w] = ad_fox(rho, w)[1] @ x
-        return cache[w]
-
-    return value
+    sigma(uv) = sigma(u) + Ad rho(u) sigma(v): ``walk_words`` of the word on
+    the values sigma(x_k)."""
+    ad, values = rho._generator_ad(), sigma.values[..., None]
+    return lambda w: walk_words(*ad, values, [w])[w][1][:, 0]
 
 
 # ---------------------------------------------------------------------------

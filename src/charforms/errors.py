@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all modules."""
 
+from contextlib import contextmanager
+
 
 class CharformsError(Exception):
     """Base class for all library-specific errors."""
@@ -64,3 +66,15 @@ class NotTangent(CharformsError, ValueError):
 
 class InvalidInput(CharformsError, ValueError):
     """Malformed JSON payload or inconsistent job configuration."""
+
+
+@contextmanager
+def malformed(what: str):
+    """Parse input in this block: a KeyError, TypeError, ValueError or IndexError
+    becomes InvalidInput naming ``what``; a library error keeps its name."""
+    try:
+        yield
+    except CharformsError:
+        raise
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise InvalidInput(f"malformed {what}: {exc!r}") from exc

@@ -19,7 +19,7 @@ import numpy as np
 
 from .charts import _fd_d, _stencil
 from .cohomology import BarChain, fundamental_two_cycle, walk_words
-from .errors import InvalidInput, NotTangent, SingularMatrix
+from .errors import InvalidInput, NotTangent, SingularMatrix, malformed
 from .forms import _cycle_pairing
 from .invariants import InvariantPolynomial, symmetric_tensor
 from .matgroup import (
@@ -279,7 +279,7 @@ def _coefficients(family: FamilySpec, tensor, cycle: BarChain, points,
 
 
 def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
-                    grid: int = 3, h: float | None = None,
+                    grid: int = 3, h: float = 1e-4,
                     tol: Tolerances = DEFAULT_TOL) -> dict:
     """Sample the pulled-back 2-form on a real grid and check closedness.
 
@@ -292,8 +292,6 @@ def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
     if grid < 1:
         raise InvalidInput(f"grid must be at least 1, got {grid}")
     cycle = fundamental_two_cycle(family.presentation).chain
-    if h is None:
-        h = tol.fd_step
     tensor = symmetric_tensor(phi, lie_algebra_basis(family.group))
     m = family.m
 
@@ -386,12 +384,10 @@ def family_to_json(family: FamilySpec) -> dict:
 
 def family_from_json(data: dict, presentation: Presentation,
                      group: GroupSpec) -> FamilySpec:
-    try:
+    with malformed("family"):
         params = tuple(data["params"])
         radius = tuple(float(r) for r in data["domain_radius"])
         images = {name: [[_poly_from_json(e, len(params)) for e in row]
                          for row in data["images"][name]]
                   for name in presentation.generator_names}
         return FamilySpec(presentation, group, params, radius, images)
-    except (KeyError, ValueError) as exc:
-        raise InvalidInput(f"family input is missing or malformed: {exc}") from exc

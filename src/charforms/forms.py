@@ -33,7 +33,7 @@ from .matgroup import (
     matrix_inverse,
 )
 from .invariants import InvariantPolynomial, symmetric_tensor
-from .numeric import DEFAULT_TOL, Tolerances, rank_and_gap
+from .numeric import rank_and_gap
 from .words import Word
 
 __all__ = [
@@ -141,14 +141,13 @@ def random_cocycle(space, rng) -> TangentVector:
     return acc
 
 
-def contraction_suite(ctx: EtaContext, trials: int, rng,
-                      tol: Tolerances = DEFAULT_TOL) -> dict:
+def contraction_suite(ctx: EtaContext, trials: int, rng) -> dict:
     """Max |eta| with a coboundary in the first slot, over random trials.
 
     The form is basic for the conjugation action, so the report should show a
     deviation below 1e-9 times the scale (the max |eta| over the same trial
     cocycles)."""
-    space = cocycle_space(ctx.rho, tol)
+    space = cocycle_space(ctx.rho)
     n = ctx.degree
     d = ctx.rho.dim_g
     worst = 0.0
@@ -165,19 +164,19 @@ def contraction_suite(ctx: EtaContext, trials: int, rng,
             "pass": bool(passed), "trials": trials}
 
 
-def gram_matrix(ctx: EtaContext, basis, tol: Tolerances = DEFAULT_TOL):
-    """Matrix G_ij = eta(s_i, s_j) = H^T Omega H and its SVD rank (degree 2)."""
+def gram_matrix(ctx: EtaContext, basis):
+    """Matrix G_ij = eta(s_i, s_j) = H^T Omega H and its SVD rank at the
+    point's tolerance (degree 2)."""
     if ctx.degree != 2:
         raise DegreeMismatch("gram_matrix requires a degree-2 context")
     h = np.zeros((ctx.omega.shape[0], len(basis)), dtype=np.complex128)
     for j, s in enumerate(basis):
         h[:, j] = s.stacked
     g = h.T @ ctx.omega @ h
-    return g, rank_and_gap(g, tol).rank
+    return g, rank_and_gap(g, ctx.rho.tol).rank
 
 
-def conjugation_invariance(ctx: EtaContext, g, trials: int, rng,
-                           tol: Tolerances = DEFAULT_TOL) -> float:
+def conjugation_invariance(ctx: EtaContext, g, trials: int, rng) -> float:
     """Max |eta_{g rho g^-1}(Ad_g s, Ad_g t) - eta_rho(s, t)| over random
     cocycle pairs."""
     if ctx.degree != 2:
@@ -185,9 +184,9 @@ def conjugation_invariance(ctx: EtaContext, g, trials: int, rng,
     rho = ctx.rho
     rho_c = conjugate_representation(rho, g)
     ad_g = _ad_matrix(rho.basis, np.asarray(g, dtype=np.complex128),
-                      matrix_inverse(np.asarray(g, dtype=np.complex128), tol))
+                      matrix_inverse(np.asarray(g, dtype=np.complex128), rho.tol))
     ctx_c = EtaContext(rho_c, ctx.phi, ctx.tensor, ctx.cycle)
-    space = cocycle_space(rho, tol)
+    space = cocycle_space(rho)
     worst = 0.0
     for _ in range(trials):
         s = random_cocycle(space, rng)
@@ -207,8 +206,7 @@ def pullback_cocycle(ctx: EtaContext, images: tuple, sigma: TangentVector) -> Ta
     return TangentVector.of(np.stack([ext(w) for w in images]))
 
 
-def endomorphism_pullback(ctx: EtaContext, images, rng, trials: int = 5,
-                          tol: Tolerances = DEFAULT_TOL):
+def endomorphism_pullback(ctx: EtaContext, images, rng, trials: int = 5):
     """Pull the context back along the endomorphism x_k -> images[k].
 
     Checks numerically that every relator maps to a word acting trivially at
@@ -232,7 +230,7 @@ def endomorphism_pullback(ctx: EtaContext, images, rng, trials: int = 5,
     new_images = [evaluate_word(rho, w) for w in images]
     rho_new = Representation(rho.presentation, rho.group, new_images, tol=rho.tol)
     ctx_new = EtaContext(rho_new, ctx.phi, ctx.tensor, ctx.cycle)
-    space = cocycle_space(rho, tol)
+    space = cocycle_space(rho)
     ratios = []
     for _ in range(trials):
         s, t = random_cocycle(space, rng), random_cocycle(space, rng)

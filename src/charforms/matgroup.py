@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput, NoConvergence
+from .errors import InvalidInput, NoConvergence, malformed
 from .numeric import (
     DEFAULT_TOL,
     Tolerances,
@@ -153,11 +153,11 @@ class TangentVector:
 
 
 class Representation:
-    """A point of Hom(Gamma, G): one invertible matrix per generator.
+    """A point of Hom(Gamma, G): one invertible matrix per generator, and the
+    tolerances ``tol`` of every decision made at it.
 
     Relator residuals and (for SL) the determinant constraint are checked on
-    construction unless ``check=False``.
-    """
+    construction unless ``check=False``."""
 
     def __init__(self, presentation: Presentation, group: GroupSpec, images,
                  tol: Tolerances = DEFAULT_TOL, check: bool = True):
@@ -390,21 +390,12 @@ def find_representation(presentation: Presentation, group: GroupSpec, seed_image
     return Representation(presentation, group, images[0], tol=tol)
 
 
-def invariant_subspace_dim(rho: Representation, tol: Tolerances = DEFAULT_TOL) -> int:
-    """dim H^0(Gamma, Ad rho): joint fixed space of the generator Ad operators."""
-    ad, _ = rho._generator_ad()
-    d = rho.dim_g
-    if not rho.p:
-        return d
-    stacked = np.concatenate([a - np.eye(d) for a in ad], axis=0)
-    return d - rank_and_gap(stacked, tol).rank
-
-
-def is_irreducible(rho: Representation, tol: Tolerances = DEFAULT_TOL) -> bool:
+def is_irreducible(rho: Representation) -> bool:
     """Burnside: rho is irreducible iff its images span M_n(C) as an algebra.
 
     The span starts at I and is multiplied by every (normalised) image until
-    its dimension, one ``rank_and_gap`` decision per round, stops growing.
+    its dimension, one ``rank_and_gap`` decision per round at rho.tol, stops
+    growing.
     """
     n = rho.group.n
     gens = [m / np.linalg.norm(m) for m in rho.images]
@@ -412,7 +403,7 @@ def is_irreducible(rho: Representation, tol: Tolerances = DEFAULT_TOL) -> bool:
     while True:
         mats = span.T.reshape(-1, n, n)
         products = np.concatenate([mats, *(mats @ g for g in gens)])
-        grown = rank_and_gap(products.reshape(-1, n * n).T, tol)
+        grown = rank_and_gap(products.reshape(-1, n * n).T, rho.tol)
         if grown.rank == span.shape[1]:
             return grown.rank == n * n
         span = grown.image
@@ -448,10 +439,8 @@ def representation_to_json(rho: Representation) -> dict:
 
 def representation_from_json(data: dict, presentation: Presentation,
                              tol: Tolerances = DEFAULT_TOL) -> Representation:
-    try:
+    with malformed("representation"):
         group = GroupSpec(data["group"]["kind"], int(data["group"]["n"]))
         images = [matrix_from_json(data["images"][name])
                   for name in presentation.generator_names]
-    except KeyError as exc:
-        raise InvalidInput(f"representation is missing {exc}") from exc
-    return Representation(presentation, group, images, tol=tol)
+        return Representation(presentation, group, images, tol=tol)

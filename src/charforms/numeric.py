@@ -32,10 +32,9 @@ class Tolerances:
 
     rank_rel: float = 1e-10   # relative singular-value cutoff
     newton_tol: float = 1e-12  # Gauss-Newton residual bound
-    fd_step: float = 1e-4      # base finite-difference step
 
     def __post_init__(self):
-        if not (self.rank_rel > 0 and self.newton_tol > 0 and self.fd_step > 0):
+        if not (self.rank_rel > 0 and self.newton_tol > 0):
             raise InvalidInput(f"tolerances must be strictly positive: {self}")
         if self.rank_rel >= 1:
             raise InvalidInput(f"rank_rel must be < 1, got {self.rank_rel}")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from charforms import GroupSpec, Presentation, Representation
+from charforms import GroupSpec, Presentation, Representation, cocycle_space
 from charforms.families import FamilySpec, Poly
 from charforms.numeric import matrix_exp
 
@@ -36,6 +36,11 @@ def random_point(genus, seed, kind="SL", n=2, free=0):
     if genus % 2:
         images += [c, c @ c]
     return Representation(Presentation.surface(genus), group, images), rng
+
+
+def h0_dim(rho):
+    """dim H^0(Gamma, Ad rho) = dim g - dim B^1, B^1 the coboundary image."""
+    return rho.dim_g - cocycle_space(rho).dims[1]
 
 
 @pytest.fixture(scope="session")

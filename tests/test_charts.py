@@ -22,11 +22,18 @@ from charforms.charts import (
 )
 from charforms.errors import DegreeMismatch, InvalidInput, LeftChart, NoConvergence
 from charforms.forms import random_cocycle
-from charforms.matgroup import TangentVector, evaluate_word
+from charforms.matgroup import Representation, TangentVector, _moved, evaluate_word
 from charforms.numeric import Tolerances
 from conftest import random_point
 
 SL2 = GroupSpec("SL", 2)
+
+
+def _pushed_images(chart, t):
+    """Images of the uncorrected point exp(S t) rho."""
+    rho, y = chart.center, chart._span @ np.asarray(t, dtype=np.complex128)
+    return _moved(rho.basis, y.reshape(rho.p, -1), np.array(rho.images),
+                  rho._inverses)[0]
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +60,6 @@ class TestRetract:
             t = scale * np.array([1.0, 0.5, -0.7]) / np.sqrt(1.74)
             start = retract(Chart(genus2_chart.center, genus2_chart.directions),
                             t)
-            from charforms.charts import _pushed_images
             pushed = _pushed_images(genus2_chart, t)
             return sum(np.linalg.norm(a - b)
                        for a, b in zip(start.images, pushed))
@@ -65,7 +71,6 @@ class TestRetract:
     def test_free_group_is_exponential(self, f2_rep):
         space = cocycle_space(f2_rep)
         chart = Chart(f2_rep, space.basis_z1[:2])
-        from charforms.charts import _pushed_images
         t = [0.1, -0.2]
         rho = retract(chart, t)
         for m1, m2 in zip(rho.images, _pushed_images(chart, t)):
@@ -272,11 +277,12 @@ class TestLockstep:
         charts._solve(chart, points[:2])
 
     def test_forced_stall_names_the_point(self, genus2_rep):
-        # a residual bound of 1e-300: the center's relator holds exactly, so
-        # t = 0 converges at once, while the point at t = 0.01 e_0 stalls
-        # at rounding level
-        chart = Chart(genus2_rep, cocycle_space(genus2_rep).basis_h1[:3],
-                      Tolerances(newton_tol=1e-300))
+        # a center built with a residual bound of 1e-300: its relator holds
+        # exactly, so t = 0 converges at once, while the point at t = 0.01 e_0
+        # stalls at rounding level
+        center = Representation(genus2_rep.presentation, genus2_rep.group,
+                                genus2_rep.images, tol=Tolerances(newton_tol=1e-300))
+        chart = Chart(center, cocycle_space(center).basis_h1[:3])
         with pytest.raises(NoConvergence, match="backtracking stalled") as info:
             charts._solve(chart, [[0, 0, 0], [0.01, 0, 0], [0, 0, 0]])
         assert info.value.index == 1

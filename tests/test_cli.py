@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -284,3 +286,57 @@ def test_malformed_phi_or_cocycles_is_invalid_input(genus2_rep, tmp_path,
                                 "representation": representation_to_json(genus2_rep),
                                 **extra}))
     _assert_invalid_input(capsys, ["eta", "--input", str(path), "--seed", "1"])
+
+
+
+# case: (command, keys of the entry, the malformed value (None deletes it),
+# the error reported); a library error keeps its own name
+_MALFORMED = {
+    "real matrix": ("cohomology", ("representation", "images", "a1"),
+                    [[2.0, 1.0], [1.0, 1.0]], "InvalidInput"),
+    "no generators": ("cohomology", ("presentation", "generators"), None,
+                      "InvalidInput"),
+    "duplicate generators": ("cohomology", ("presentation",),
+                             {"generators": ["a", "a"]}, "InvalidInput"),
+    "n not a number": ("cohomology", ("representation", "group", "n"), "two",
+                       "InvalidInput"),
+    "NaN entry": ("cohomology", ("representation", "images", "a1", 0, 0),
+                  [float("nan"), 0.0], "InvalidInput"),
+    "one-number coefficient": ("family", ("family", "images", "a1", 0, 0, 0,
+                                          "coeff"), [1], "InvalidInput"),
+    "powers not a list": ("family", ("family", "images", "a1", 0, 0, 0,
+                                     "powers"), 0, "InvalidInput"),
+    "singular image": ("cohomology", ("representation", "images", "a1"),
+                       [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                       "SingularMatrix"),
+    "unknown generator": ("cohomology", ("presentation", "relators"),
+                          ["a1 c9"], "UnknownGenerator"),
+    "malformed word": ("family", ("presentation", "relators"), ["a1^x"],
+                       "WordSyntaxError"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_input_exits_2_with_one_error_line(genus2_rep, tmp_path,
+                                                     capsys, case):
+    """The first seven used to end in a traceback (TypeError, KeyError,
+    ValueError or IndexError); now each exits 2 with one JSON error line."""
+    command, keys, value, error = _MALFORMED[case]
+    if command == "family":
+        fam = diagonal_family()
+        data = {"presentation": fam.presentation.to_json(),
+                "group": {"kind": "GL", "n": 2}, "family": family_to_json(fam)}
+    else:
+        data = {"presentation": genus2_rep.presentation.to_json(),
+                "representation": representation_to_json(genus2_rep)}
+    entry = functools.reduce(operator.getitem, keys[:-1], data)
+    if value is None:
+        del entry[keys[-1]]
+    else:
+        entry[keys[-1]] = value
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "--input", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1 and err == ""
+    assert json.loads(out)["error"] == error

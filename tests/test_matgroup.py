@@ -22,14 +22,13 @@ from charforms.matgroup import (
     TangentVector,
     _ad_matrix,
     _damped_newton,
-    invariant_subspace_dim,
     representation_from_json,
     representation_to_json,
 )
 from charforms.numeric import matrix_exp
 from charforms.words import GroupRingElement, fox_derivative
 
-from conftest import random_point
+from conftest import h0_dim, random_point
 
 SL2 = GroupSpec("SL", 2)
 SL3 = GroupSpec("SL", 3)
@@ -299,13 +298,13 @@ class TestConjugationAndIrreducibility:
         a = np.array([[2.0, 1.0], [0.0, 0.5]])
         b = np.array([[3.0, 0.0], [0.0, 1.0 / 3.0]])
         rho = Representation(pres, SL2, [a, b])
-        assert invariant_subspace_dim(rho) == 0
+        assert h0_dim(rho) == 0
         assert not is_irreducible(rho)
 
     def test_gl_point_is_irreducible(self):
         # the centre of gl(2) lies in H^0 at every GL point, irreducible or not
         rho, _ = random_point(2, 0, kind="GL")
-        assert invariant_subspace_dim(rho) == 1
+        assert h0_dim(rho) == 1
         assert is_irreducible(rho)
 
     def test_sl3_invariant_plane_detected(self):
@@ -320,5 +319,5 @@ class TestConjugationAndIrreducibility:
             return m
 
         rho = Representation(Presentation.free(["a", "b"]), SL3, [block(), block()])
-        assert invariant_subspace_dim(rho) == 0
+        assert h0_dim(rho) == 0
         assert not is_irreducible(rho)
