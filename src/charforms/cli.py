@@ -45,6 +45,7 @@ from .matgroup import (
     Representation,
     TangentVector,
     evaluate_word,
+    group_from_json,
     matrix_exp,
     representation_from_json,
 )
@@ -273,7 +274,7 @@ def cmd_family(args, tol: Tolerances) -> tuple:
     data = _load_input(args.input)
     pres = _presentation(data)
     with malformed("'group' (family mode needs its 'kind' and 'n')"):
-        group = GroupSpec(data["group"]["kind"], int(data["group"]["n"]))
+        group = group_from_json(data["group"])
     if "family" not in data:
         raise InvalidInput("input needs a 'family' object")
     fam = family_from_json(data["family"], pres, group)
@@ -349,10 +350,6 @@ def main(argv=None) -> int:
     try:
         tol = _tolerances(args)
         code, report = _COMMANDS[args.command](args, tol)
-    except InvalidInput as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)},
-                         sort_keys=True))
-        return 2
     except (NoConvergence, RankInstability) as exc:
         _write_report(args, tol, {"command": args.command, "pass": False,
                                   "error": type(exc).__name__,

@@ -78,3 +78,11 @@ def malformed(what: str):
         raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise InvalidInput(f"malformed {what}: {exc!r}") from exc
+
+
+def positive_int(value, what: str) -> int:
+    """An int (not a bool) or an integral float, at least 1, as an int; anything
+    else raises InvalidInput naming ``what``."""
+    if type(value) not in (int, float) or not value >= 1 or value % 1:
+        raise InvalidInput(f"{what} must be a positive integer, got {value!r}")
+    return int(value)

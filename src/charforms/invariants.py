@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeMismatch
+from .errors import DegreeMismatch, positive_int
 from .matgroup import LieAlgebraBasis, _ad_matrix
 from .numeric import matrix_exp, matrix_inverse
 
@@ -171,7 +171,7 @@ def polynomial_from_json(data: dict) -> InvariantPolynomial:
     if kind == "killing":
         return killing_form()
     if kind == "power_trace":
-        return power_trace(int(data["n"]))
+        return power_trace(positive_int(data["n"], "power_trace 'n'"))
     if kind == "combo":
         terms = []
         for t in data["terms"]:

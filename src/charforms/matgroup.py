@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput, NoConvergence, malformed
+from .errors import InvalidInput, NoConvergence, malformed, positive_int
 from .numeric import (
     DEFAULT_TOL,
     Tolerances,
@@ -40,6 +40,7 @@ __all__ = [
     "is_irreducible",
     "representation_to_json",
     "representation_from_json",
+    "group_from_json",
     "complex_to_json",
     "matrix_to_json",
     "matrix_from_json",
@@ -437,10 +438,14 @@ def representation_to_json(rho: Representation) -> dict:
     }
 
 
+def group_from_json(data: dict) -> GroupSpec:
+    return GroupSpec(data["kind"], positive_int(data["n"], "group 'n'"))
+
+
 def representation_from_json(data: dict, presentation: Presentation,
                              tol: Tolerances = DEFAULT_TOL) -> Representation:
     with malformed("representation"):
-        group = GroupSpec(data["group"]["kind"], int(data["group"]["n"]))
+        group = group_from_json(data["group"])
         images = [matrix_from_json(data["images"][name])
                   for name in presentation.generator_names]
         return Representation(presentation, group, images, tol=tol)

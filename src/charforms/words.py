@@ -11,7 +11,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .errors import IndexOutOfRange, UnknownGenerator, WordSyntaxError
+from .errors import IndexOutOfRange, InvalidInput, UnknownGenerator, WordSyntaxError
 
 __all__ = [
     "Word",
@@ -204,7 +204,11 @@ class Presentation:
 
     @staticmethod
     def from_json(data: dict) -> "Presentation":
-        return Presentation.parse(data["generators"], data.get("relators", []))
+        names, relators = data["generators"], data.get("relators", [])
+        for key, value in (("generators", names), ("relators", relators)):
+            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                raise InvalidInput(f"presentation '{key}' must be a list of strings")
+        return Presentation.parse(names, relators)
 
     def dumps(self) -> str:
         return json.dumps(self.to_json())

@@ -300,6 +300,16 @@ _MALFORMED = {
                              {"generators": ["a", "a"]}, "InvalidInput"),
     "n not a number": ("cohomology", ("representation", "group", "n"), "two",
                        "InvalidInput"),
+    "n not an integer": ("cohomology", ("representation", "group", "n"), 2.7,
+                         "InvalidInput"),
+    "family n not an integer": ("family", ("group", "n"), 2.5, "InvalidInput"),
+    "power_trace n not an integer": ("family", ("phi",),
+                                     {"kind": "power_trace", "n": 3.5},
+                                     "InvalidInput"),
+    "generators a string": ("cohomology", ("presentation", "generators"),
+                            "a1b1a2b2", "InvalidInput"),
+    "relators a string": ("cohomology", ("presentation", "relators"),
+                          "a1b1", "InvalidInput"),
     "NaN entry": ("cohomology", ("representation", "images", "a1", 0, 0),
                   [float("nan"), 0.0], "InvalidInput"),
     "one-number coefficient": ("family", ("family", "images", "a1", 0, 0, 0,
@@ -319,8 +329,10 @@ _MALFORMED = {
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_malformed_input_exits_2_with_one_error_line(genus2_rep, tmp_path,
                                                      capsys, case):
-    """The first seven used to end in a traceback (TypeError, KeyError,
-    ValueError or IndexError); now each exits 2 with one JSON error line."""
+    """Each malformed input exits 2 with one JSON error line: none ends in a
+    traceback (TypeError, KeyError, ValueError or IndexError), and a size or
+    degree that is not an integer, or generators or relators given as one
+    string, is refused instead of truncated or split into letters."""
     command, keys, value, error = _MALFORMED[case]
     if command == "family":
         fam = diagonal_family()

@@ -12,7 +12,7 @@ from charforms import (
     power_trace,
     trace_form,
 )
-from charforms.errors import DegreeMismatch
+from charforms.errors import DegreeMismatch, InvalidInput, positive_int
 from charforms.invariants import polynomial_from_json, polynomial_to_json
 
 SL2 = GroupSpec("SL", 2)
@@ -109,3 +109,19 @@ def test_json_roundtrip():
     for phi in (trace_form(), killing_form(), power_trace(3),
                 combination([(1.0 + 2.0j, trace_form()), (-1.0, killing_form())])):
         assert polynomial_from_json(polynomial_to_json(phi)) == phi
+
+
+@pytest.mark.parametrize("n", [3.5, 0, -2, False, "3", [3]])
+def test_json_power_trace_degree_must_be_a_positive_integer(n):
+    with pytest.raises(InvalidInput):
+        polynomial_from_json({"kind": "power_trace", "n": n})
+    assert polynomial_from_json({"kind": "power_trace", "n": 3.0}) == power_trace(3)
+
+
+def test_positive_int_is_strict():
+    for good in (1, 3, 3.0):
+        assert positive_int(good, "x") == good and type(positive_int(good, "x")) is int
+    for bad in (2.7, 0, -1, 0.0, True, "3", None, float("inf"), float("nan"), 10j,
+                np.int64(3)):
+        with pytest.raises(InvalidInput, match="x must be a positive integer"):
+            positive_int(bad, "x")

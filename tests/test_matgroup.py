@@ -111,6 +111,19 @@ class TestRepresentation:
         for m1, m2 in zip(genus2_rep.images, back.images):
             assert np.allclose(m1, m2)
 
+    @pytest.mark.parametrize("n", [2.7, 2.5, "2", True, None, float("nan")])
+    def test_json_size_must_be_an_integer(self, genus2_rep, n):
+        data = representation_to_json(genus2_rep)
+        data["group"]["n"] = n
+        with pytest.raises(InvalidInput):
+            representation_from_json(data, genus2_rep.presentation)
+
+    def test_json_size_may_be_an_integral_float(self, genus2_rep):
+        data = representation_to_json(genus2_rep)
+        data["group"]["n"] = 2.0
+        back = representation_from_json(data, genus2_rep.presentation)
+        assert back.group == genus2_rep.group and type(back.group.n) is int
+
 
 class TestAdjoint:
     def test_homomorphism(self, f2_rep):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -161,6 +162,92 @@ def test_solve_lsq_matches_gelsd_on_stacks(rows, cols):
         bound = 1e-12 * max(1.0, np.abs(ref).max())
         assert np.abs(x.reshape(6, cols, 2)[k] - ref).max() <= bound
         assert np.abs(x_vec[k] - ref[:, 0]).max() <= bound
+
+
+def _with_norm(rng, n, norm):
+    """A seeded complex n x n matrix scaled to the given 1-norm."""
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return x * (norm / np.abs(x).sum(axis=0).max())
+
+
+NORMS = (0.0, 1e-9, 1e-3, 0.05, 0.3, 1.0, 2.0, 5.0, 20.0)
+
+
+def _rel_err(e, ref):
+    return np.abs(e - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 8])
+def test_matrix_exp_matches_scipy(n):
+    """Each Pade degree and the scaled branch, alone and as one stack."""
+    rng = np.random.default_rng(n)
+    x = np.array([_with_norm(rng, n, norm) for norm in NORMS for _ in range(3)])
+    ref = np.array([scipy.linalg.expm(m) for m in x])
+    stacked = matrix_exp(x)
+    for k, m in enumerate(x):
+        assert _rel_err(matrix_exp(m), ref[k]) <= 1e-13
+        assert _rel_err(stacked[k], ref[k]) <= 1e-13
+
+
+def _mpmath_expm(x):
+    """exp(x) from mpmath in 30 significant digits, rounded to complex128."""
+    with mpmath.workdps(30):
+        e = mpmath.expm(mpmath.matrix(x.tolist()))
+        return np.array([[complex(e[i, j]) for j in range(x.shape[1])]
+                         for i in range(x.shape[0])])
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_matrix_exp_planted_mixed_stack(n):
+    """A (2, 3) stack mixing members of norm 1e-6 and about 300, which take
+    degree 3 and degree 13 with six squarings.  Every member is within 1e-13
+    of mpmath; against scipy the bound is the sum of both errors, since at
+    norm 300 scipy's own error reaches 1.2e-13 (n = 3, member (0, 1))."""
+    rng = np.random.default_rng(10 + n)
+    norms = (1e-6, 300.0, 0.4, 310.0, 1e-6, 290.0)
+    x = np.array([_with_norm(rng, n, norm) for norm in norms]).reshape(2, 3, n, n)
+    e = matrix_exp(x)
+    assert e.shape == x.shape
+    for k in np.ndindex(2, 3):
+        assert _rel_err(e[k], _mpmath_expm(x[k])) <= 1e-13
+        assert _rel_err(e[k], scipy.linalg.expm(x[k])) <= 2e-13
+
+
+@pytest.mark.parametrize("n,norm", [(2, 0.01), (2, 3.0), (3, 0.5), (3, 8.0),
+                                    (6, 1.5), (6, 30.0)])
+def test_matrix_exp_matches_mpmath(n, norm):
+    """An independent oracle: mpmath's expm in 30 significant digits."""
+    x = _with_norm(np.random.default_rng(int(100 * norm) + n), n, norm)
+    assert _rel_err(matrix_exp(x), _mpmath_expm(x)) <= 1e-14
+
+
+def test_matrix_exp_member_is_bit_identical_alone_and_in_a_stack():
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 6):
+        norms = 10.0 ** rng.uniform(-10, 2.6, size=24)
+        x = np.array([_with_norm(rng, n, norm) for norm in norms])
+        stacked = matrix_exp(x)
+        for k, m in enumerate(x):
+            assert np.array_equal(matrix_exp(m), stacked[k])
+
+
+def test_matrix_exp_overflow_stays_in_its_row():
+    """A member whose exponential overflows comes back non-finite, with no
+    exception, and leaves the other members as they are alone."""
+    rng = np.random.default_rng(4)
+    x = np.array([_with_norm(rng, 3, 0.2), 800.0 * np.eye(3),
+                  _with_norm(rng, 3, 40.0), np.full((3, 3), 1e308)])
+    e = matrix_exp(x)
+    assert not np.isfinite(e[1]).all() and not np.isfinite(e[3]).all()
+    for k in (0, 2):
+        assert np.array_equal(e[k], matrix_exp(x[k]))
+
+
+def test_matrix_exp_rejects_bad_input():
+    with pytest.raises(ValueError):
+        matrix_exp(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        matrix_exp(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 def test_matrix_exp_inverse_pair():

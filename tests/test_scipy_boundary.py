@@ -1,8 +1,12 @@
-"""scipy is imported by ``numeric.py`` alone, so that the dense kernels it
-wraps are the only runtime use of scipy; checked with the standard-library
-``ast`` module, beside the unused-import check."""
+"""No module of the package imports scipy: numpy is its only runtime
+dependency, and scipy serves the tests as an oracle.  Checked on the source
+with the standard-library ``ast`` module, beside the unused-import check, and
+on a fresh interpreter that imports the package and its command line."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,8 +36,16 @@ def test_check_finds_scipy_imports():
     assert scipy_imports(source) == [1, 2, 6]
 
 
-@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
-                                        if p.name != "numeric.py"),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_numeric_imports_scipy(path):
+    """No module imports scipy, numeric.py included; the name is from when
+    numeric.py wrapped scipy's kernels."""
     assert scipy_imports(path.read_text()) == []
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, charforms, charforms.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    assert out.stdout.strip() == "[]"

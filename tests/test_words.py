@@ -11,6 +11,7 @@ from charforms import (
 )
 from charforms.errors import (
     IndexOutOfRange,
+    InvalidInput,
     UnknownGenerator,
     WordSyntaxError,
 )
@@ -110,6 +111,16 @@ class TestPresentation:
     def test_json_roundtrip(self):
         pres = Presentation.surface(2)
         assert Presentation.from_json(pres.to_json()) == pres
+
+    @pytest.mark.parametrize("data", [
+        {"generators": "ab", "relators": ["a b A B"]},   # would be a and b
+        {"generators": ["a", "b"], "relators": "aBAb"},  # four one-letter relators
+        {"generators": ["a", 2]},
+        {"generators": ["a", "b"], "relators": [["a", "b"]]},
+    ])
+    def test_from_json_needs_lists_of_strings(self, data):
+        with pytest.raises(InvalidInput, match="must be a list of strings"):
+            Presentation.from_json(data)
 
 
 class TestGroupRing:
