@@ -3,8 +3,9 @@
 JSON in, JSON out.  One input file describes the objects a command needs
 (presentation, representation, invariant polynomial, family, cocycles); the
 command writes a report with every tolerance it used echoed back, plus a
-timestamp.  Reports are rendered with sorted keys so identical seeds and
-inputs reproduce byte-identical files apart from the timestamp line.
+timestamp.  A report holds one sorted top-level key per line, its value in
+compact JSON with sorted keys, so identical seeds and inputs reproduce
+byte-identical files apart from the timestamp line.
 
 Exit codes: 0 for PASS/success, 1 for a computational failure (a suite that
 ran but failed its bound, or a solver that did not converge), 2 for invalid
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
 import sys
 
@@ -106,14 +108,14 @@ def _rng(args):
 
 def _json_clean(obj):
     """Recursively render complex scalars as [re, im] and arrays as lists."""
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, np.complexfloating):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, np.ndarray):
-        return _json_clean(obj.tolist())
+        if np.iscomplexobj(obj):
+            obj = np.stack([obj.real, obj.imag], -1)
+        return obj.tolist()
     if isinstance(obj, dict):
         return {str(k): _json_clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -128,12 +130,22 @@ def _write_report(args, tol: Tolerances, report: dict) -> None:
                             "fd_step": args.fd_step}
     report["timestamp"] = datetime.datetime.now(
         datetime.timezone.utc).isoformat()
-    text = json.dumps(_json_clean(report), sort_keys=True, indent=2)
+    # indent= would force json's pure-Python encoder; compact values use C's
+    text = "{\n" + ",\n".join(
+        f"  {json.dumps(key)}: {json.dumps(value, sort_keys=True)}"
+        for key, value in sorted(_json_clean(report).items())) + "\n}"
     if args.output:
-        with open(args.output, "w") as fh:
+        with _open_output(args.output) as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _open_output(path: str):
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise InvalidInput(f"cannot write report: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +298,7 @@ def cmd_family(args, tol: Tolerances) -> tuple:
         csv_path = args.output[:-5] + ".csv"
     else:
         csv_path = (args.output or "family") + ".csv"
-    with open(csv_path, "w", newline="") as fh:
+    with _open_output(csv_path) as fh:
         writer = csv.writer(fh)
         pairs = sorted({key for smp in report["samples"]
                         for key in smp["coefficients"]})
@@ -325,6 +337,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="charforms",
@@ -349,17 +362,16 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         tol = _tolerances(args)
-        code, report = _COMMANDS[args.command](args, tol)
-    except (NoConvergence, RankInstability) as exc:
-        _write_report(args, tol, {"command": args.command, "pass": False,
-                                  "error": type(exc).__name__,
-                                  "detail": str(exc)})
-        return 1
+        try:
+            code, report = _COMMANDS[args.command](args, tol)
+        except (NoConvergence, RankInstability) as exc:
+            code, report = 1, {"command": args.command, "pass": False,
+                               "error": type(exc).__name__, "detail": str(exc)}
+        _write_report(args, tol, report)
     except CharformsError as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)},
                          sort_keys=True))
         return 2
-    _write_report(args, tol, report)
     return code
 
 

@@ -83,6 +83,15 @@ def malformed(what: str):
 def positive_int(value, what: str) -> int:
     """An int (not a bool) or an integral float, at least 1, as an int; anything
     else raises InvalidInput naming ``what``."""
-    if type(value) not in (int, float) or not value >= 1 or value % 1:
-        raise InvalidInput(f"{what} must be a positive integer, got {value!r}")
+    return _int_at_least(1, "positive", value, what)
+
+
+def natural_int(value, what: str) -> int:
+    """As positive_int, but 0 is accepted too."""
+    return _int_at_least(0, "non-negative", value, what)
+
+
+def _int_at_least(least: int, kind: str, value, what: str) -> int:
+    if type(value) not in (int, float) or not value >= least or value % 1:
+        raise InvalidInput(f"{what} must be a {kind} integer, got {value!r}")
     return int(value)

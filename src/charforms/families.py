@@ -19,7 +19,7 @@ import numpy as np
 
 from .charts import _fd_d, _stencil
 from .cohomology import BarChain, fundamental_two_cycle, walk_words
-from .errors import InvalidInput, NotTangent, SingularMatrix, malformed
+from .errors import InvalidInput, NotTangent, SingularMatrix, malformed, natural_int
 from .forms import _cycle_pairing
 from .invariants import InvariantPolynomial, symmetric_tensor
 from .matgroup import (
@@ -55,11 +55,11 @@ class Poly:
         self.coeffs = {}
         if coeffs:
             for powers, c in dict(coeffs).items():
+                powers = tuple(natural_int(x, "a 'powers' entry") for x in powers)
+                if len(powers) != nvars:
+                    raise ValueError(f"powers {powers} need {nvars} entries")
                 c = complex(c)
                 if c != 0:
-                    powers = tuple(int(x) for x in powers)
-                    if len(powers) != nvars or min(powers, default=0) < 0:
-                        raise ValueError(f"powers {powers} are not {nvars} naturals")
                     self.coeffs[powers] = c
 
     @staticmethod

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from charforms import GroupSpec, Presentation, Representation
-from charforms.cli import _COMMANDS, main
+from charforms import GroupSpec, Presentation, Representation, cli
+from charforms.cli import _COMMANDS, _json_clean, main
 from charforms.families import family_to_json
 from charforms.matgroup import representation_to_json
 
@@ -115,16 +115,85 @@ def test_demo_free_group(tmp_path):
 
 
 def test_determinism(inputs, tmp_path):
-    texts = []
-    for name in ("a.json", "b.json"):
-        out = tmp_path / name
-        assert main(["suite-basic", "--input", inputs["genus2"],
-                     "--seed", "5", "--trials", "5",
-                     "--output", str(out)]) == 0
-        data = json.loads(out.read_text())
-        del data["timestamp"]
-        texts.append(json.dumps(data, sort_keys=True))
-    assert texts[0] == texts[1]
+    """Two runs write byte-identical reports apart from the timestamp line."""
+    for command in ("suite-basic", "goldman"):
+        texts = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            assert main([command, "--input", inputs["genus2"],
+                         "--seed", "5", "--trials", "5",
+                         "--output", str(out)]) == 0
+            lines = out.read_text().splitlines(keepends=True)
+            kept = [line for line in lines if '"timestamp"' not in line]
+            assert len(kept) == len(lines) - 1
+            texts.append("".join(kept))
+        assert texts[0] == texts[1], command
+
+
+def _sorted_object(pairs):
+    keys = [key for key, _ in pairs]
+    assert keys == sorted(keys)
+    return dict(pairs)
+
+
+@pytest.mark.parametrize("command", ["goldman", "cohomology", "closedness",
+                                     "family", "eta", "suite-basic"])
+def test_report_parses_to_the_stdlib_rendering(inputs, tmp_path, monkeypatch,
+                                               command):
+    """The one-key-per-line report parses to what json's own indented
+    rendering of the same cleaned report parses to, with every object's keys
+    sorted."""
+    seen = []
+    clean = cli._json_clean
+    monkeypatch.setattr(cli, "_json_clean",
+                        lambda obj: seen.append(obj) or clean(obj))
+    source = inputs["family" if command == "family" else "genus2"]
+    out = tmp_path / "r.json"
+    assert main([command, "--input", source, "--seed", "5", "--trials", "3",
+                 "--grid", "2", "--output", str(out)]) == 0
+    oracle = json.dumps(clean(seen[0]), sort_keys=True, indent=2)
+    text = out.read_text()
+    assert json.loads(text, object_pairs_hook=_sorted_object) == json.loads(oracle)
+    assert text.count("\n") == 2 + len(seen[0])  # braces and one line a key
+
+
+def test_json_clean_converts_arrays_exactly():
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    assert _json_clean(z) == [[[v.real, v.imag] for v in row] for row in z.tolist()]
+    assert _json_clean(z.real) == z.real.tolist()
+    assert _json_clean(np.arange(3)) == [0, 1, 2]
+
+
+def test_parser_keeps_no_state_between_calls(inputs, tmp_path, capsys,
+                                             monkeypatch):
+    seen = []
+    validate = _COMMANDS["validate"]
+    monkeypatch.setitem(_COMMANDS, "validate", lambda args, tol: (
+        seen.append(dict(vars(args))) or validate(args, tol)))
+    out = str(tmp_path / "r.json")
+    assert main(["validate", "--input", inputs["torus"], "--seed", "5",
+                 "--grid", "2", "--trials", "3", "--output", out]) == 0
+    _assert_invalid_input(capsys, ["eta", "--input", inputs["torus"]])
+    assert main(["validate", "--input", inputs["torus"], "--output", out]) == 0
+    assert [(a["seed"], a["grid"], a["trials"]) for a in seen] == [
+        (5, 2, 3), (None, 3, 20)]
+    assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("command", ["goldman", "family"])
+def test_unwritable_output_is_invalid_input(inputs, tmp_path, capsys, command):
+    """The report (and for ``family`` the CSV beside it) cannot be created:
+    one JSON error line and exit 2, not a traceback."""
+    source = inputs["family" if command == "family" else "genus2"]
+    out = tmp_path / "no" / "such" / "out.json"
+    assert main([command, "--input", source, "--grid", "2",
+                 "--output", str(out)]) == 2
+    text, err = capsys.readouterr()
+    assert len(text.splitlines()) == 1 and err == ""
+    error = json.loads(text)
+    assert error["error"] == "InvalidInput"
+    assert error["detail"].startswith("cannot write report")
 
 
 def test_missing_seed_is_invalid_input(inputs, tmp_path, capsys):
@@ -217,6 +286,44 @@ def _family_input(tmp_path, drop=None, **changes):
     path = tmp_path / "family.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def _family_power_input(tmp_path, command, power):
+    """The diagonal family's input with the exponent 1 of s1 in a1[0][0] set
+    to ``power``; for ``validate`` it also carries the family's point at 0."""
+    fam = diagonal_family()
+    data = family_to_json(fam)
+    data["images"]["a1"][0][0][1]["powers"][0] = power
+    point = {"representation": representation_to_json(fam.rep_at(np.zeros(3)))}
+    return _family_input(tmp_path, family=data,
+                         **(point if command == "validate" else {}))
+
+
+@pytest.mark.parametrize("power", [1.5, True, "1", -1])
+@pytest.mark.parametrize("command", ["family", "validate"])
+def test_family_power_not_a_natural_is_invalid_input(tmp_path, capsys, command,
+                                                     power):
+    """A monomial power is refused, not truncated, unless it is a
+    non-negative integer."""
+    path = _family_power_input(tmp_path, command, power)
+    assert main([command, "--input", path, "--grid", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1 and err == ""
+    error = json.loads(out)
+    assert error["error"] == "InvalidInput" and "'powers'" in error["detail"]
+
+
+@pytest.mark.parametrize("command", ["family", "validate"])
+def test_family_integral_float_power_is_accepted(tmp_path, command):
+    reports = []
+    for power in (2, 2.0):
+        code, report = run([command, "--input",
+                            _family_power_input(tmp_path, command, power),
+                            "--grid", "2"], tmp_path / "r.json")
+        assert code == 0
+        del report["timestamp"]
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("grid", ["-1", "0"])

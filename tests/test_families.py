@@ -294,6 +294,13 @@ class TestFamilyInput:
         with pytest.raises(InvalidInput, match="powers"):
             family_from_json(data, family.presentation, family.group)
 
+    def test_power_of_a_zero_term_is_checked_too(self, family):
+        data = family_to_json(family)
+        data["images"]["a1"][0][0].append({"coeff": [0.0, 0.0],
+                                           "powers": [1.5, 0, 0]})
+        with pytest.raises(InvalidInput, match="'powers' entry"):
+            family_from_json(data, family.presentation, family.group)
+
     def test_missing_params(self, family):
         data = family_to_json(family)
         del data["params"]

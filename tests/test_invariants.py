@@ -12,7 +12,7 @@ from charforms import (
     power_trace,
     trace_form,
 )
-from charforms.errors import DegreeMismatch, InvalidInput, positive_int
+from charforms.errors import DegreeMismatch, InvalidInput, natural_int, positive_int
 from charforms.invariants import polynomial_from_json, polynomial_to_json
 
 SL2 = GroupSpec("SL", 2)
@@ -125,3 +125,11 @@ def test_positive_int_is_strict():
                 np.int64(3)):
         with pytest.raises(InvalidInput, match="x must be a positive integer"):
             positive_int(bad, "x")
+
+
+def test_natural_int_is_strict_and_admits_zero():
+    for good in (0, 0.0, 2, 2.0):
+        assert natural_int(good, "x") == good and type(natural_int(good, "x")) is int
+    for bad in (1.5, -1, -1.0, True, False, "1", None, float("inf"), np.int64(1)):
+        with pytest.raises(InvalidInput, match="x must be a non-negative integer"):
+            natural_int(bad, "x")
