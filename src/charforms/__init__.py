@@ -22,8 +22,6 @@ from .words import (
     Presentation,
     Word,
     fox_derivative,
-    invert,
-    multiply,
     parse_word,
     render_word,
 )

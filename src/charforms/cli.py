@@ -46,7 +46,7 @@ from .matgroup import (
     GroupSpec,
     Representation,
     TangentVector,
-    evaluate_word,
+    _relator_values,
     group_from_json,
     matrix_exp,
     representation_from_json,
@@ -156,16 +156,14 @@ def cmd_validate(args, tol: Tolerances) -> tuple:
     data = _load_input(args.input)
     report: dict = {"command": "validate"}
     rho = _representation(data, tol)
-    residuals = {}
-    n = rho.group.n
-    for i, r in enumerate(rho.presentation.relators):
-        residuals[f"relator_{i}"] = float(
-            np.linalg.norm(evaluate_word(rho, r) - np.eye(n)))
-    report["relator_residuals"] = residuals
+    values = _relator_values(rho.presentation, np.array(rho.images), rho._inverses)
+    residuals = np.linalg.norm(values - np.eye(rho.group.n), axis=(-2, -1))
+    report["relator_residuals"] = {f"relator_{i}": float(r)
+                                   for i, r in enumerate(residuals)}
     report["group"] = {"kind": rho.group.kind, "n": rho.group.n}
     report["generators"] = list(rho.presentation.generator_names)
     if "family" in data:
-        fam = family_from_json(data["family"], rho.presentation, rho.group)
+        fam = family_from_json(data["family"], rho.presentation, rho.group, tol)
         report["family_residual"] = fam.validate()
     report["pass"] = True
     return 0, report
@@ -289,10 +287,9 @@ def cmd_family(args, tol: Tolerances) -> tuple:
         group = group_from_json(data["group"])
     if "family" not in data:
         raise InvalidInput("input needs a 'family' object")
-    fam = family_from_json(data["family"], pres, group)
+    fam = family_from_json(data["family"], pres, group, tol)
     fam.validate()
-    report = family_pullback(fam, _phi(data), grid=args.grid,
-                             h=args.fd_step, tol=tol)
+    report = family_pullback(fam, _phi(data), grid=args.grid, h=args.fd_step)
     report["command"] = "family"
     if args.output and args.output.endswith(".json"):
         csv_path = args.output[:-5] + ".csv"

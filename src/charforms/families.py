@@ -177,6 +177,7 @@ class FamilySpec:
     params: tuple          # parameter names
     domain_radius: tuple   # polydisc radii, one per parameter
     images: dict           # generator name -> list of lists of Poly (n x n)
+    tol: Tolerances = DEFAULT_TOL  # of every decision made on the family
 
     def __post_init__(self):
         if len(self.domain_radius) != len(self.params):
@@ -195,7 +196,7 @@ class FamilySpec:
         return _Compiled((entry for name in self.presentation.generator_names
                           for row in self.images[name] for entry in row), self.m)
 
-    def _images(self, s, tol: Tolerances = DEFAULT_TOL):
+    def _images(self, s):
         """Images and their inverses (P, p, n, n), the image derivatives
         (P, m, p, n, n) and the relator residuals (P,) at the points s (P, m).
         Raises SingularMatrix naming the first point with a singular image."""
@@ -203,7 +204,7 @@ class FamilySpec:
         values = self._table(s).reshape(len(s), 1 + self.m, p, n, n)
         images = values[:, 0]
         try:
-            inverses = matrix_inverse(images, tol)
+            inverses = matrix_inverse(images, self.tol)
         except SingularMatrix as exc:
             raise SingularMatrix(f"at s={s[exc.index // p]}: {exc}") from exc
         residual = np.linalg.norm(
@@ -215,12 +216,12 @@ class FamilySpec:
         k, n = self.presentation.generator_names.index(name), self.group.n
         return self._table(np.reshape(s, (1, -1)))[0, 0].reshape(-1, n, n)[k]
 
-    def rep_at(self, s, tol: Tolerances = DEFAULT_TOL) -> Representation:
-        images, _, _, res = self._images(np.reshape(s, (1, -1)), tol)
+    def rep_at(self, s) -> Representation:
+        images, _, _, res = self._images(np.reshape(s, (1, -1)))
         if res[0] > 1e-9:
             raise NotTangent(
                 f"family leaves Hom: relator residual {res[0]:.3e} at s={s}")
-        return Representation(self.presentation, self.group, images[0], tol,
+        return Representation(self.presentation, self.group, images[0], self.tol,
                               check=False)
 
     def validate(self) -> float:
@@ -234,13 +235,13 @@ class FamilySpec:
         return worst
 
 
-def _walk(family: FamilySpec, s, tol: Tolerances, words=()):
+def _walk(family: FamilySpec, s, words=()):
     """Tangents sigma_k(x_j) = (d rho_s(x_j)/d s_k) rho_s(x_j)^-1, (P, m, p, d),
     at the points s (P, m) and their ``walk_words`` table over ``words`` and
     the relators.  Raises NotTangent at the first point that leaves Hom (relator
     residual > 1e-9) or fails |sigma_k(r)| <= 1e-8 max(|sigma_k|, 1)."""
     s = np.asarray(s, dtype=np.complex128).reshape(-1, family.m)
-    images, inverses, derivs, left = family._images(s, tol)
+    images, inverses, derivs, left = family._images(s)
     basis = family.group._basis
     sigma = basis.coords_from_matrix(derivs @ inverses[:, None])
     relators = family.presentation.relators
@@ -258,29 +259,26 @@ def _walk(family: FamilySpec, s, tol: Tolerances, words=()):
     return sigma, table
 
 
-def family_tangent(family: FamilySpec, s, k: int,
-                   tol: Tolerances = DEFAULT_TOL) -> TangentVector:
+def family_tangent(family: FamilySpec, s, k: int) -> TangentVector:
     """Cocycle sigma_k(x_j) = (d rho_s(x_j)/d s_k) rho_s(x_j)^-1 at s.
 
     The polynomial derivative is exact.  Raises NotTangent when the result
     fails the Fox-Jacobian residual check (invalid family)."""
-    return TangentVector.of(_walk(family, s, tol)[0][0, k])
+    return TangentVector.of(_walk(family, s)[0][0, k])
 
 
-def _coefficients(family: FamilySpec, tensor, cycle: BarChain, points,
-                  tol: Tolerances) -> np.ndarray:
+def _coefficients(family: FamilySpec, tensor, cycle: BarChain, points) -> np.ndarray:
     """Coefficients eta(sigma_k, sigma_l), (P, m, m), of the pulled-back
     form at the points (P, m), _BLOCK points per pass."""
     points = np.asarray(points, dtype=np.complex128).reshape(-1, family.m)
     words = [w for gammas, _ in cycle.terms for w in gammas]
     return np.concatenate([
-        _cycle_pairing(cycle, tensor, _walk(family, points[i:i + _BLOCK], tol, words)[1])
+        _cycle_pairing(cycle, tensor, _walk(family, points[i:i + _BLOCK], words)[1])
         for i in range(0, len(points), _BLOCK)])
 
 
 def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
-                    grid: int = 3, h: float = 1e-4,
-                    tol: Tolerances = DEFAULT_TOL) -> dict:
+                    grid: int = 3, h: float = 1e-4) -> dict:
     """Sample the pulled-back 2-form on a real grid and check closedness.
 
     Coefficients use exact polynomial tangents, at the grid and the stencil
@@ -299,7 +297,7 @@ def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
     grid_points = list(itertools.product(*axes))
     steps = (1.0, 1.0j)  # the real and imaginary axis of each parameter
     stencil = _stencil(m, h, steps)
-    coeffs = _coefficients(family, tensor, cycle, [*grid_points, *stencil], tol)
+    coeffs = _coefficients(family, tensor, cycle, [*grid_points, *stencil])
     samples = [{"s": [complex(z) for z in point],
                 "coefficients": {f"{k},{l}": complex(c[k, l])
                                  for k in range(m) for l in range(k + 1, m)}}
@@ -330,12 +328,11 @@ def base_change(family: FamilySpec, subs, new_params, new_radius) -> FamilySpec:
         for name, rows in family.images.items()
     }
     return FamilySpec(family.presentation, family.group,
-                      tuple(new_params), tuple(new_radius), images)
+                      tuple(new_params), tuple(new_radius), images, family.tol)
 
 
 def compare_base_change(family: FamilySpec, phi: InvariantPolynomial,
-                        subs, new_params, new_radius, rng,
-                        tol: Tolerances = DEFAULT_TOL) -> float:
+                        subs, new_params, new_radius, rng) -> float:
     """Max deviation between direct pullback coefficients of the composed
     family and the chain-rule transform of the original coefficients, at
     three random points.  Raises DegreeMismatch unless phi has degree 2."""
@@ -346,8 +343,8 @@ def compare_base_change(family: FamilySpec, phi: InvariantPolynomial,
     u = np.array([[r * rng.uniform(-0.4, 0.4) for r in new_radius]
                   for _ in range(3)], dtype=np.complex128)
     values = _Compiled(subs, m_new)(u)  # s, then ds/du_a
-    direct = _coefficients(pulled, tensor, cycle, u, tol)
-    orig = np.triu(_coefficients(family, tensor, cycle, values[:, 0], tol), 1)
+    direct = _coefficients(pulled, tensor, cycle, u)
+    orig = np.triu(_coefficients(family, tensor, cycle, values[:, 0]), 1)
     jac = values[:, 1:]
     via_chain = jac @ (orig - np.swapaxes(orig, 1, 2)) @ np.swapaxes(jac, 1, 2)
     a, b = np.triu_indices(m_new, 1)
@@ -366,8 +363,10 @@ def _poly_to_json(poly: Poly) -> list:
 def _poly_from_json(data, nvars: int) -> Poly:
     coeffs = {}
     for term in data:
-        c = complex(term["coeff"][0], term["coeff"][1])
-        coeffs[tuple(term["powers"])] = c
+        powers = tuple(term["powers"])
+        if powers in coeffs:
+            raise InvalidInput(f"family entry repeats the monomial {list(powers)}")
+        coeffs[powers] = complex(term["coeff"][0], term["coeff"][1])
     return Poly(nvars, coeffs)
 
 
@@ -382,12 +381,12 @@ def family_to_json(family: FamilySpec) -> dict:
     }
 
 
-def family_from_json(data: dict, presentation: Presentation,
-                     group: GroupSpec) -> FamilySpec:
+def family_from_json(data: dict, presentation: Presentation, group: GroupSpec,
+                     tol: Tolerances = DEFAULT_TOL) -> FamilySpec:
     with malformed("family"):
         params = tuple(data["params"])
         radius = tuple(float(r) for r in data["domain_radius"])
         images = {name: [[_poly_from_json(e, len(params)) for e in row]
                          for row in data["images"][name]]
                   for name in presentation.generator_names}
-        return FamilySpec(presentation, group, params, radius, images)
+        return FamilySpec(presentation, group, params, radius, images, tol)

@@ -17,7 +17,6 @@ import numpy as np
 from .cohomology import (
     BarChain,
     cocycle_space,
-    extend_cocycle,
     fundamental_two_cycle,
     identity_values,
     walk_words,
@@ -27,6 +26,7 @@ from .matgroup import (
     Representation,
     TangentVector,
     _ad_matrix,
+    _relator_values,
     coboundary,
     conjugate_representation,
     evaluate_word,
@@ -34,7 +34,6 @@ from .matgroup import (
 )
 from .invariants import InvariantPolynomial, symmetric_tensor
 from .numeric import rank_and_gap
-from .words import Word
 
 __all__ = [
     "EtaContext",
@@ -49,19 +48,38 @@ __all__ = [
 
 
 def _cycle_pairing(cycle: BarChain, tensor: np.ndarray, table: dict):
-    """sum_t c_t sigma(g_1)^T K Ad(g_1) sigma(g_2) over the terms [g_1|g_2]
-    of a degree-2 cycle, K = tensor, from the ``walk_words`` table of k
-    cocycles: (..., k, k), batched over the table's leading axes.
+    """sum_t c_t tilde-Phi(s(g_1), Ad(g_1) s(g_2), ..., Ad(g_1..g_n-1) s(g_n))
+    over the terms [g_1|...|g_n] of a degree-n cycle, tilde-Phi = tensor, from
+    the ``walk_words`` table of k cocycles: (..., k, ..., k), batched over the
+    table's leading axes.
 
-    Raises DegreeMismatch unless the cycle has degree 2 and K is a matrix."""
-    if cycle.degree != 2 or tensor.ndim != 2:
-        raise DegreeMismatch(f"the pairing needs a degree-2 cycle and tensor, "
-                             f"not {cycle.degree} and {tensor.ndim}")
-    total = 0.0
-    for (g1, g2), c in cycle.terms:
-        ad1, s1 = table[g1]
-        total = total + c * (np.swapaxes(s1, -1, -2) @ tensor @ ad1 @ table[g2][1])
-    return total
+    Slot 1 contracts into the tensor and each middle slot into its remaining
+    axes; the terms that end in the same word share the closing product with
+    it.  Ad(g_1..g_j) is formed for the middle slots only.  Raises
+    DegreeMismatch unless tensor.ndim == cycle.degree."""
+    n = tensor.ndim
+    if n != cycle.degree:
+        raise DegreeMismatch(f"the pairing needs a degree-{cycle.degree} tensor, "
+                             f"not degree {n}")
+    if n == 1:
+        return sum(c * (tensor @ table[g][1]) for (g,), c in cycle.terms)
+    d = len(tensor)
+    flat, closing = tensor.reshape(d, d ** (n - 1)), {}
+    for gammas, c in cycle.terms:
+        ad, s = table[gammas[0]]
+        acc = np.swapaxes(s, -1, -2) @ flat
+        for w in gammas[1:-1]:
+            ad_w, s = table[w]
+            batch, rows, width = acc.shape[:-2], acc.shape[-2], acc.shape[-1] // d
+            acc = (np.swapaxes(ad @ s, -1, -2)[..., None, :, :]
+                   @ acc.reshape(batch + (rows, d, width)))
+            acc = acc.reshape(batch + (rows * s.shape[-1], width))
+            ad = ad @ ad_w
+        # the terms that end in the same word share its closing product
+        acc, w = c * (acc @ ad), gammas[-1]
+        closing[w] = closing[w] + acc if w in closing else acc
+    total = sum(m @ table[w][1] for w, m in closing.items())
+    return total.reshape(total.shape[:-2] + (total.shape[-1],) * n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,36 +127,27 @@ def make_context(rho: Representation, phi: InvariantPolynomial,
     return EtaContext(rho, phi, symmetric_tensor(phi, rho.basis), cycle)
 
 
-_INDICES = "abcdefghijklmnopqrs"
-
-
 def eta(ctx: EtaContext, *sigmas: TangentVector) -> complex:
     """Pairing of the cup product of the cocycles, weighted by tilde-Phi,
-    with the cycle: sum_t c_t tilde-Phi(s_1(g_1), ..., Ad(g_1..g_n-1) s_n(g_n))."""
+    with the cycle: sum_t c_t tilde-Phi(s_1(g_1), ..., Ad(g_1..g_n-1) s_n(g_n)).
+
+    Degree 2 reads Omega; any other degree pairs the context's table with
+    the identity values J_w replaced by J_w S, S the stacked cocycles."""
     n = ctx.degree
     if len(sigmas) != n:
         raise DegreeMismatch(f"expected {n} cocycles, got {len(sigmas)}")
     if n == 2:
         return complex(sigmas[0].stacked @ ctx.omega @ sigmas[1].stacked)
-    spec = _INDICES[:n] + "," + ",".join(_INDICES[:n]) + "->"
-    total = 0.0 + 0.0j
-    for gammas, c in ctx.cycle.terms:
-        acc, args = np.eye(ctx.rho.dim_g), []
-        for w, s in zip(gammas, sigmas):
-            args.append(acc @ (ctx.table[w][1] @ s.stacked))
-            acc = acc @ ctx.table[w][0]
-        total += c * np.einsum(spec, ctx.tensor, *args)
-    return complex(total)
+    stacked = np.stack([s.stacked for s in sigmas], axis=1)
+    table = {w: (ad, jac @ stacked) for w, (ad, jac) in ctx.table.items()}
+    return complex(_cycle_pairing(ctx.cycle, ctx.tensor, table)[tuple(range(n))])
 
 
 def random_cocycle(space, rng) -> TangentVector:
     """Random complex combination of a cocycle-space basis."""
     basis = space.basis_z1
     c = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    acc = c[0] * basis[0]
-    for i in range(1, len(basis)):
-        acc = acc + c[i] * basis[i]
-    return acc
+    return TangentVector.of(np.tensordot(c, [s.values for s in basis], 1))
 
 
 def contraction_suite(ctx: EtaContext, trials: int, rng) -> dict:
@@ -169,9 +178,7 @@ def gram_matrix(ctx: EtaContext, basis):
     point's tolerance (degree 2)."""
     if ctx.degree != 2:
         raise DegreeMismatch("gram_matrix requires a degree-2 context")
-    h = np.zeros((ctx.omega.shape[0], len(basis)), dtype=np.complex128)
-    for j, s in enumerate(basis):
-        h[:, j] = s.stacked
+    h = np.reshape([s.stacked for s in basis], (len(basis), len(ctx.omega))).T
     g = h.T @ ctx.omega @ h
     return g, rank_and_gap(g, ctx.rho.tol).rank
 
@@ -200,12 +207,6 @@ def conjugation_invariance(ctx: EtaContext, g, trials: int, rng) -> float:
     return worst
 
 
-def pullback_cocycle(ctx: EtaContext, images: tuple, sigma: TangentVector) -> TangentVector:
-    """(phi* sigma)(x_k) = sigma(phi(x_k)) via the cocycle extension."""
-    ext = extend_cocycle(ctx.rho, sigma)
-    return TangentVector.of(np.stack([ext(w) for w in images]))
-
-
 def endomorphism_pullback(ctx: EtaContext, images, rng, trials: int = 5):
     """Pull the context back along the endomorphism x_k -> images[k].
 
@@ -217,28 +218,27 @@ def endomorphism_pullback(ctx: EtaContext, images, rng, trials: int = 5):
     images = tuple(images)
     if len(images) != rho.p:
         raise NotEndomorphism("need one image word per generator")
-    n_mat = rho.group.n
-    for r in rho.presentation.relators:
-        mapped = Word.identity()
-        for g, s in r.letters:
-            w = images[g] if s == 1 else images[g].inverse()
-            mapped = mapped * w
-        res = np.linalg.norm(evaluate_word(rho, mapped) - np.eye(n_mat))
-        if res > 1e-8:
-            raise NotEndomorphism(
-                f"relator maps to a word with residual {res:.3e} at rho")
-    new_images = [evaluate_word(rho, w) for w in images]
-    rho_new = Representation(rho.presentation, rho.group, new_images, tol=rho.tol)
+    mapped = np.array([evaluate_word(rho, w) for w in images])
+    inverses = np.array([evaluate_word(rho, w.inverse()) for w in images])
+    res = np.linalg.norm(_relator_values(rho.presentation, mapped, inverses)
+                         - np.eye(rho.group.n), axis=(-2, -1)).max(initial=0.0)
+    if res > 1e-8:
+        raise NotEndomorphism(f"relator maps to a word with residual {res:.3e} at rho")
+    rho_new = Representation(rho.presentation, rho.group, mapped, tol=rho.tol)
     ctx_new = EtaContext(rho_new, ctx.phi, ctx.tensor, ctx.cycle)
     space = cocycle_space(rho)
     ratios = []
     for _ in range(trials):
         s, t = random_cocycle(space, rng), random_cocycle(space, rng)
+        # (phi* sigma)(x_k) = sigma(phi(x_k)): both cocycles in one walk
+        table = walk_words(*rho._generator_ad(), np.stack([s.values, t.values], -1),
+                           images)
+        pulled = np.stack([table[w][1] for w in images])
         base = eta(ctx, s, t)
-        pulled = eta(ctx_new, pullback_cocycle(ctx, images, s),
-                     pullback_cocycle(ctx, images, t))
+        back = eta(ctx_new, TangentVector.of(pulled[..., 0]),
+                   TangentVector.of(pulled[..., 1]))
         if abs(base) > 1e-12:
-            ratios.append(pulled / base)
+            ratios.append(back / base)
     report = {
         "ratios": ratios,
         "ratio": complex(np.mean(ratios)) if ratios else None,

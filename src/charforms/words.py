@@ -19,8 +19,6 @@ __all__ = [
     "GroupRingElement",
     "parse_word",
     "render_word",
-    "multiply",
-    "invert",
     "fox_derivative",
 ]
 
@@ -84,14 +82,6 @@ class Word:
             return "Word(e)"
         body = "*".join(f"x{g}" + ("" if s == 1 else "^-1") for g, s in self.letters)
         return f"Word({body})"
-
-
-def multiply(u: Word, v: Word) -> Word:
-    return u * v
-
-
-def invert(u: Word) -> Word:
-    return u.inverse()
 
 
 _TOKEN_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)(?:\^(-?\d+))?$")

@@ -314,6 +314,23 @@ def test_family_power_not_a_natural_is_invalid_input(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize("command", ["family", "validate"])
+def test_family_repeated_monomial_is_invalid_input(tmp_path, capsys, command):
+    """Two terms of one entry with the same powers are refused, naming the
+    monomial, where the second used to replace the first."""
+    path = _family_power_input(tmp_path, command, 1)
+    data = json.loads(open(path).read())
+    entry = data["family"]["images"]["a1"][0][0]
+    entry.append({"coeff": [2.0, 0.0], "powers": list(entry[1]["powers"])})
+    with open(path, "w") as fh:
+        json.dump(data, fh)
+    assert main([command, "--input", path, "--grid", "2"]) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error["error"] == "InvalidInput"
+    assert "repeats the monomial" in error["detail"]
+    assert str(entry[1]["powers"]) in error["detail"]
+
+
+@pytest.mark.parametrize("command", ["family", "validate"])
 def test_family_integral_float_power_is_accepted(tmp_path, command):
     reports = []
     for power in (2, 2.0):

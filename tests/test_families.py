@@ -13,7 +13,7 @@ from charforms.forms import EtaContext, eta
 from charforms.invariants import symmetric_tensor
 from charforms.errors import DegreeMismatch, InvalidInput, NotTangent
 from charforms.matgroup import TangentVector
-from charforms.numeric import DEFAULT_TOL
+from charforms.numeric import DEFAULT_TOL, Tolerances
 from charforms.families import (
     FamilySpec,
     Poly,
@@ -96,6 +96,16 @@ class TestFamilySpec:
         for name in family.presentation.generator_names:
             assert np.allclose(back.matrix_at(name, s),
                                family.matrix_at(name, s), atol=1e-14)
+
+    def test_tolerances_travel_with_the_family(self, family):
+        tol = Tolerances(rank_rel=1e-8, newton_tol=1e-11)
+        back = family_from_json(family_to_json(family), family.presentation,
+                                family.group, tol)
+        subs = [Poly.var(2, 0), Poly.var(2, 1), Poly.const(2, 0.0)]
+        moved = base_change(back, subs, ("u1", "u2"), (0.2, 0.2))
+        assert family.tol is DEFAULT_TOL
+        assert back.tol is tol and moved.tol is tol
+        assert back.rep_at(np.zeros(3)).tol is tol
 
 
 class TestFamilyTangent:
@@ -325,7 +335,7 @@ class TestPullback:
         cycle = fundamental_two_cycle(family.presentation).chain
         tensor = symmetric_tensor(trace_form(), family.group._basis)
         w = charforms.families._coefficients(
-            family, tensor, cycle, _stencil(family.m, h, (1.0, 1.0j)), DEFAULT_TOL)
+            family, tensor, cycle, _stencil(family.m, h, (1.0, 1.0j)))
         max_d, fd_error, cr_dev = _fd_d(w, h, (1.0, 1.0j))
         assert (report["max_d"], report["fd_error"],
                 report["cauchy_riemann_dev"]) == (max_d, fd_error, cr_dev)

@@ -1,8 +1,8 @@
 """One source for the tolerances at a point, checked on the package sources
 with the standard-library ``ast`` module: no function that takes a point (a
-Representation, an EtaContext or a Chart) also takes a ``tol``, and no class
-that holds a Representation also has a ``tol`` field, so every decision made
-at a point reads the point's own ``tol``."""
+Representation, an EtaContext or a Chart) or a FamilySpec also takes a
+``tol``, and no class that holds a Representation also has a ``tol`` field,
+so every decision made at a point or on a family reads its own ``tol``."""
 
 import ast
 from pathlib import Path
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "charforms"
-POINTS = {"Representation", "EtaContext", "Chart"}
+POINTS = {"Representation", "EtaContext", "Chart", "FamilySpec"}
 
 
 def _annotation(node) -> str:
