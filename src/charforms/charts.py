@@ -222,27 +222,41 @@ def _fd_d(w: np.ndarray, h: float, directions) -> tuple:
     w = (w - np.swapaxes(w, 1, 2)).reshape(2, len(w) // (4 * nd), nd, 2, m, m)
     partial = (w[:, :, :, 0] - w[:, :, :, 1]) / (
         2 * np.multiply.outer([h, h / 2], directions))[:, None, :, None, None]
-    max_d = fd_error = cr_dev = 0.0
+    rows = [np.zeros(5)]  # per triple: max_d, fd_error, three partial spreads
     for (i, j, k) in itertools.combinations(range(m), 3):
         terms = (partial[:, i, :, j, k], partial[:, j, :, i, k], partial[:, k, :, i, j])
-        cr_dev = max(cr_dev, *(float(np.abs(t - t[:, :1]).max()) for t in terms))
         d_i, d_j, d_k = (t.mean(axis=1) for t in terms)
         total = d_i - d_j + d_k  # at steps h and h / 2
-        max_d = max(max_d, float(abs((4 * total[1] - total[0]) / 3)))
-        fd_error = max(fd_error, float(abs(total[0] - total[1])))
-    return max_d, fd_error, cr_dev
+        rows.append([abs((4 * total[1] - total[0]) / 3), abs(total[0] - total[1]),
+                     *(np.abs(t - t[:, :1]).max() for t in terms)])
+    # numpy's max keeps a NaN wherever it comes; Python's drops one after a number
+    worst = np.max(rows, axis=0)
+    return float(worst[0]), float(worst[1]), float(worst[2:].max())
+
+
+_CLOSED_BOUND = 1e-5
+
+
+def _closed(max_d: float, scale: float) -> bool:
+    """The one closedness verdict of a pulled-back 2-form, on a chart or a
+    family: max |d omega| and the scale are finite and
+    max |d omega| <= _CLOSED_BOUND * scale."""
+    return bool(np.isfinite([max_d, scale]).all() and max_d <= _CLOSED_BOUND * scale)
 
 
 def _fd_report(w: np.ndarray, h: float) -> dict:
     max_d, fd_error, _ = _fd_d(w, h, (1,))
-    return {"max_d": max_d, "scale": float(np.abs(np.triu(w, 1)).max(initial=0.0)),
-            "fd_error": fd_error, "h": h, "evaluations": len(w)}
+    scale = float(np.abs(np.triu(w, 1)).max(initial=0.0))
+    return {"max_d": max_d, "scale": scale, "fd_error": fd_error, "h": h,
+            "evaluations": len(w), "bound": _CLOSED_BOUND,
+            "pass": _closed(max_d, scale)}
 
 
 def fd_exterior_derivative(chart_dim: int, coeffs, h: float) -> dict:
     """``_fd_d`` of a 2-form on a chart: its coefficient array ``coeffs(t)``,
     read above the diagonal, on the real stencil.  Reports max |d omega|,
-    ``fd_error`` and the scale max |w| over the evaluated points."""
+    ``fd_error``, the scale max |w| over the evaluated points and the
+    ``_closed`` verdict as ``pass`` with its ``bound``."""
     w = [coeffs(t) for t in _stencil(chart_dim, h, (1,))]
     return _fd_report(np.reshape(w, (-1, chart_dim, chart_dim)), h)
 

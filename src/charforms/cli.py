@@ -47,6 +47,8 @@ from .matgroup import (
     Representation,
     TangentVector,
     _relator_values,
+    complex_from_json,
+    complex_to_json,
     group_from_json,
     matrix_exp,
     representation_from_json,
@@ -106,25 +108,7 @@ def _rng(args):
     return np.random.default_rng(args.seed)
 
 
-def _json_clean(obj):
-    """Recursively render complex scalars as [re, im] and arrays as lists."""
-    if isinstance(obj, np.generic):
-        obj = obj.item()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            obj = np.stack([obj.real, obj.imag], -1)
-        return obj.tolist()
-    if isinstance(obj, dict):
-        return {str(k): _json_clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_clean(v) for v in obj]
-    return obj
-
-
 def _write_report(args, tol: Tolerances, report: dict) -> None:
-    report = dict(report)
     report["tolerances"] = {"rank_rel": tol.rank_rel,
                             "newton_tol": tol.newton_tol,
                             "fd_step": args.fd_step}
@@ -133,7 +117,7 @@ def _write_report(args, tol: Tolerances, report: dict) -> None:
     # indent= would force json's pure-Python encoder; compact values use C's
     text = "{\n" + ",\n".join(
         f"  {json.dumps(key)}: {json.dumps(value, sort_keys=True)}"
-        for key, value in sorted(_json_clean(report).items())) + "\n}"
+        for key, value in sorted(complex_to_json(report).items())) + "\n}"
     if args.output:
         with _open_output(args.output) as fh:
             fh.write(text + "\n")
@@ -149,74 +133,59 @@ def _open_output(path: str):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each maps (args, tol, the loaded input) to a report with "pass"
 
 
-def cmd_validate(args, tol: Tolerances) -> tuple:
-    data = _load_input(args.input)
-    report: dict = {"command": "validate"}
+def cmd_validate(args, tol: Tolerances, data: dict) -> dict:
     rho = _representation(data, tol)
     values = _relator_values(rho.presentation, np.array(rho.images), rho._inverses)
     residuals = np.linalg.norm(values - np.eye(rho.group.n), axis=(-2, -1))
-    report["relator_residuals"] = {f"relator_{i}": float(r)
-                                   for i, r in enumerate(residuals)}
-    report["group"] = {"kind": rho.group.kind, "n": rho.group.n}
-    report["generators"] = list(rho.presentation.generator_names)
+    report = {"relator_residuals": {f"relator_{i}": float(r)
+                                    for i, r in enumerate(residuals)},
+              "group": {"kind": rho.group.kind, "n": rho.group.n},
+              "generators": list(rho.presentation.generator_names), "pass": True}
     if "family" in data:
         fam = family_from_json(data["family"], rho.presentation, rho.group, tol)
         report["family_residual"] = fam.validate()
-    report["pass"] = True
-    return 0, report
+    return report
 
 
-def cmd_cohomology(args, tol: Tolerances) -> tuple:
-    data = _load_input(args.input)
+def cmd_cohomology(args, tol: Tolerances, data: dict) -> dict:
     rho = _representation(data, tol)
     space = cocycle_space(rho)
     report = space.report()
-    report["command"] = "cohomology"
     if len(rho.presentation.relators) == 1:
         report["dim_h2"] = space.h2_dim()
     report["pass"] = True
-    return 0, report
+    return report
 
 
-def cmd_goldman(args, tol: Tolerances) -> tuple:
-    data = _load_input(args.input)
+def cmd_goldman(args, tol: Tolerances, data: dict) -> dict:
     rho = _representation(data, tol)
     ctx = make_context(rho, _phi(data))
     space = cocycle_space(rho)
     g, rank = gram_matrix(ctx, space.basis_h1)
     norm = np.linalg.norm(g)
     skew = float(np.linalg.norm(g + g.T) / norm) if norm > 0 else 0.0
-    report = {
-        "command": "goldman",
-        "dims": list(space.dims),
-        "gram": g,
-        "gram_rank": rank,
-        "skewness": skew,
-        "skewness_tol": 1e-10,
-        "pass": bool(skew <= 1e-10),
-    }
-    return (0 if report["pass"] else 1), report
+    return {"dims": list(space.dims), "gram": g, "gram_rank": rank,
+            "skewness": skew, "skewness_tol": 1e-10, "pass": bool(skew <= 1e-10)}
 
 
-def cmd_eta(args, tol: Tolerances) -> tuple:
-    data = _load_input(args.input)
+def cmd_eta(args, tol: Tolerances, data: dict) -> dict:
     rho = _representation(data, tol)
     ctx = make_context(rho, _phi(data))
     n = ctx.degree
     values = []
     if "cocycles" in data:
         with malformed("'cocycles'"):
-            sigmas = [np.array([[complex(re, im) for re, im in entry[name]]
-                                for name in rho.presentation.generator_names])
-                      for entry in data["cocycles"]]
-        if any(s.shape != (rho.p, rho.dim_g) for s in sigmas):
+            if len(data["cocycles"]) != n:
+                raise InvalidInput(f"need {n} cocycles for a degree-{n} form")
+            sigmas = complex_from_json(
+                [[entry[name] for name in rho.presentation.generator_names]
+                 for entry in data["cocycles"]], 3, "'cocycles'")
+        if sigmas.shape[1:] != (rho.p, rho.dim_g):
             raise InvalidInput(f"a cocycle needs {rho.dim_g} [re, im] pairs "
                                "per generator")
-        if len(sigmas) != n:
-            raise InvalidInput(f"need {n} cocycles for a degree-{n} form")
         values.append(eta(ctx, *map(TangentVector.of, sigmas)))
     else:
         rng = _rng(args)
@@ -224,22 +193,18 @@ def cmd_eta(args, tol: Tolerances) -> tuple:
         for _ in range(args.trials):
             sigmas = [random_cocycle(space, rng) for _ in range(n)]
             values.append(eta(ctx, *sigmas))
-    report = {"command": "eta", "degree": n, "values": values, "pass": True}
-    return 0, report
+    return {"degree": n, "values": values, "pass": True}
 
 
-def cmd_suite_basic(args, tol: Tolerances) -> tuple:
-    data = _load_input(args.input)
+def cmd_suite_basic(args, tol: Tolerances, data: dict) -> dict:
     rho = _representation(data, tol)
     ctx = make_context(rho, _phi(data))
     report = contraction_suite(ctx, args.trials, _rng(args))
-    report["command"] = "suite-basic"
     report["bound"] = 1e-9
-    return (0 if report["pass"] else 1), report
+    return report
 
 
-def cmd_suite_invariance(args, tol: Tolerances) -> tuple:
-    data = _load_input(args.input)
+def cmd_suite_invariance(args, tol: Tolerances, data: dict) -> dict:
     rho = _representation(data, tol)
     phi = _phi(data)
     ctx = make_context(rho, phi)
@@ -251,20 +216,12 @@ def cmd_suite_invariance(args, tol: Tolerances) -> tuple:
             x / max(np.linalg.norm(x), 1.0)))
         worst = max(worst, conjugation_invariance(ctx, g, 3, rng))
     phi_dev = check_invariance(phi, rho.basis, args.trials, rng)
-    report = {
-        "command": "suite-invariance",
-        "check": "conjugation-invariance",
-        "max_dev": worst,
-        "phi_invariance_dev": phi_dev,
-        "bound": 1e-9,
-        "trials": args.trials,
-        "pass": bool(worst <= 1e-9 and phi_dev <= 1e-9),
-    }
-    return (0 if report["pass"] else 1), report
+    return {"check": "conjugation-invariance", "max_dev": worst,
+            "phi_invariance_dev": phi_dev, "bound": 1e-9, "trials": args.trials,
+            "pass": bool(worst <= 1e-9 and phi_dev <= 1e-9)}
 
 
-def cmd_closedness(args, tol: Tolerances) -> tuple:
-    data = _load_input(args.input)
+def cmd_closedness(args, tol: Tolerances, data: dict) -> dict:
     rho = _representation(data, tol)
     phi = _phi(data)
     space = cocycle_space(rho)
@@ -273,15 +230,12 @@ def cmd_closedness(args, tol: Tolerances) -> tuple:
     chart = Chart(rho, space.basis_h1[:3])
     cycle = fundamental_two_cycle(rho.presentation).chain
     fd = chart_closedness(chart, phi, cycle, args.fd_chart_step)
-    passed = fd["max_d"] <= 1e-5 * fd["scale"]
-    report = {"command": "closedness", "check": "fd-exterior-derivative",
-              "bound": 1e-5, "pass": bool(passed),
-              **{key: fd[key] for key in ("max_d", "scale", "fd_error", "h")}}
-    return (0 if passed else 1), report
+    return {"check": "fd-exterior-derivative",
+            **{key: fd[key] for key in ("bound", "pass", "max_d", "scale",
+                                        "fd_error", "h")}}
 
 
-def cmd_family(args, tol: Tolerances) -> tuple:
-    data = _load_input(args.input)
+def cmd_family(args, tol: Tolerances, data: dict) -> dict:
     pres = _presentation(data)
     with malformed("'group' (family mode needs its 'kind' and 'n')"):
         group = group_from_json(data["group"])
@@ -290,35 +244,26 @@ def cmd_family(args, tol: Tolerances) -> tuple:
     fam = family_from_json(data["family"], pres, group, tol)
     fam.validate()
     report = family_pullback(fam, _phi(data), grid=args.grid, h=args.fd_step)
-    report["command"] = "family"
-    if args.output and args.output.endswith(".json"):
-        csv_path = args.output[:-5] + ".csv"
-    else:
-        csv_path = (args.output or "family") + ".csv"
-    with _open_output(csv_path) as fh:
+    # one row per grid point: re and im of s, then of each coefficient w_kl
+    report["csv"] = (args.output or "family").removesuffix(".json") + ".csv"
+    pairs = sorted({key for smp in report["samples"] for key in smp["coefficients"]})
+    with _open_output(report["csv"]) as fh:
         writer = csv.writer(fh)
-        pairs = sorted({key for smp in report["samples"]
-                        for key in smp["coefficients"]})
-        writer.writerow([f"re_{p}" for p in fam.params]
-                        + [f"im_{p}" for p in fam.params]
-                        + [f"re_w_{k}" for k in pairs]
-                        + [f"im_w_{k}" for k in pairs])
+        columns = (fam.params, [f"w_{k}" for k in pairs])
+        writer.writerow([f"{part}_{c}" for cols in columns for part in ("re", "im")
+                         for c in cols])
         for smp in report["samples"]:
-            row = [z.real for z in smp["s"]] + [z.imag for z in smp["s"]]
-            row += [smp["coefficients"][k].real for k in pairs]
-            row += [smp["coefficients"][k].imag for k in pairs]
-            writer.writerow(row)
-    report["csv"] = csv_path
-    return (0 if report["pass"] else 1), report
+            s, w = smp["s"], [smp["coefficients"][k] for k in pairs]
+            writer.writerow([z.real for z in s] + [z.imag for z in s]
+                            + [z.real for z in w] + [z.imag for z in w])
+    return report
 
 
-def cmd_demo_free_group(args, tol: Tolerances) -> tuple:
-    group = GroupSpec("SL", 2)
-    report = free_group_demo(2, group, rng=_rng(args), tol=tol)
-    report["command"] = "demo-free-group"
+def cmd_demo_free_group(args, tol: Tolerances, data: None) -> dict:
+    report = free_group_demo(2, GroupSpec("SL", 2), rng=_rng(args), tol=tol)
     report["pass"] = bool(report["nonclosed"]
                           and report["cycle_pairing"] <= 1e-8)
-    return (0 if report["pass"] else 1), report
+    return report
 
 
 _COMMANDS = {
@@ -359,17 +304,18 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         tol = _tolerances(args)
+        data = None if args.command == "demo-free-group" else _load_input(args.input)
         try:
-            code, report = _COMMANDS[args.command](args, tol)
+            report = _COMMANDS[args.command](args, tol, data)
         except (NoConvergence, RankInstability) as exc:
-            code, report = 1, {"command": args.command, "pass": False,
-                               "error": type(exc).__name__, "detail": str(exc)}
+            report = {"pass": False, "error": type(exc).__name__, "detail": str(exc)}
+        report["command"] = args.command
         _write_report(args, tol, report)
     except CharformsError as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)},
                          sort_keys=True))
         return 2
-    return code
+    return 0 if report["pass"] else 1
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .charts import _fd_d, _stencil
+from .charts import _closed, _fd_d, _stencil
 from .cohomology import BarChain, fundamental_two_cycle, walk_words
 from .errors import InvalidInput, NotTangent, SingularMatrix, malformed, natural_int
 from .forms import _cycle_pairing
@@ -28,6 +28,8 @@ from .matgroup import (
     TangentVector,
     _ad_matrix,
     _relator_values,
+    complex_from_json,
+    complex_to_json,
     lie_algebra_basis,
 )
 from .numeric import DEFAULT_TOL, Tolerances, matrix_inverse
@@ -285,7 +287,8 @@ def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
     in one batched pass.  ``charts._fd_d`` on the holomorphic stencil (steps
     +-h and +-ih averaged) gives max |d omega|, ``fd_error`` and the
     difference of the real and imaginary step estimates as a Cauchy-Riemann
-    diagnostic.  Raises DegreeMismatch unless phi has degree 2.
+    diagnostic, and ``charts._closed`` gives the verdict.  Raises
+    DegreeMismatch unless phi has degree 2.
     """
     if grid < 1:
         raise InvalidInput(f"grid must be at least 1, got {grid}")
@@ -313,7 +316,7 @@ def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
         "max_d": max_d,
         "fd_error": fd_error,
         "cauchy_riemann_dev": cr_dev,
-        "pass": bool(max_d <= 1e-5 * scale) if scale > 0 else True,
+        "pass": _closed(max_d, scale),
         "h": h,
     }
 
@@ -356,18 +359,20 @@ def compare_base_change(family: FamilySpec, phi: InvariantPolynomial,
 
 
 def _poly_to_json(poly: Poly) -> list:
-    return [{"coeff": [c.real, c.imag], "powers": list(p)}
+    return [{"coeff": complex_to_json(c), "powers": list(p)}
             for p, c in sorted(poly.coeffs.items())]
 
 
-def _poly_from_json(data, nvars: int) -> Poly:
-    coeffs = {}
+def _poly_terms(data) -> dict:
+    """The raw 'coeff' of each term of one family entry, keyed by its powers;
+    an entry that lists one monomial twice is invalid input."""
+    terms = {}
     for term in data:
         powers = tuple(term["powers"])
-        if powers in coeffs:
+        if powers in terms:
             raise InvalidInput(f"family entry repeats the monomial {list(powers)}")
-        coeffs[powers] = complex(term["coeff"][0], term["coeff"][1])
-    return Poly(nvars, coeffs)
+        terms[powers] = term["coeff"]
+    return terms
 
 
 def family_to_json(family: FamilySpec) -> dict:
@@ -386,7 +391,12 @@ def family_from_json(data: dict, presentation: Presentation, group: GroupSpec,
     with malformed("family"):
         params = tuple(data["params"])
         radius = tuple(float(r) for r in data["domain_radius"])
-        images = {name: [[_poly_from_json(e, len(params)) for e in row]
-                         for row in data["images"][name]]
-                  for name in presentation.generator_names}
+        entries = {name: [[_poly_terms(e) for e in row] for row in data["images"][name]]
+                   for name in presentation.generator_names}
+        # every coefficient of the family in one decode, in entry order
+        coeffs = iter(complex_from_json(
+            [c for rows in entries.values() for row in rows for e in row
+             for c in e.values()], 1, "the family's 'coeff' pairs").tolist())
+        images = {name: [[Poly(len(params), {p: next(coeffs) for p in e}) for e in row]
+                         for row in rows] for name, rows in entries.items()}
         return FamilySpec(presentation, group, params, radius, images, tol)

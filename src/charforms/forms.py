@@ -21,7 +21,7 @@ from .cohomology import (
     identity_values,
     walk_words,
 )
-from .errors import DegreeMismatch, NotEndomorphism
+from .errors import DegreeMismatch, InvalidInput, NotEndomorphism
 from .matgroup import (
     Representation,
     TangentVector,
@@ -56,11 +56,14 @@ def _cycle_pairing(cycle: BarChain, tensor: np.ndarray, table: dict):
     Slot 1 contracts into the tensor and each middle slot into its remaining
     axes; the terms that end in the same word share the closing product with
     it.  Ad(g_1..g_j) is formed for the middle slots only.  Raises
-    DegreeMismatch unless tensor.ndim == cycle.degree."""
+    DegreeMismatch unless tensor.ndim == cycle.degree, and InvalidInput on
+    the zero chain, whose table cannot give the shape of a zero value."""
     n = tensor.ndim
     if n != cycle.degree:
         raise DegreeMismatch(f"the pairing needs a degree-{cycle.degree} tensor, "
                              f"not degree {n}")
+    if not cycle.terms:
+        raise InvalidInput(f"cannot pair with the zero {n}-chain")
     if n == 1:
         return sum(c * (tensor @ table[g][1]) for (g,), c in cycle.terms)
     d = len(tensor)

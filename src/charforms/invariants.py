@@ -1,8 +1,8 @@
 """Invariant polynomials on the Lie algebra and their polarizations.
 
-Built-ins: power traces tr(X^n), the trace form tr(X^2) and the Killing form
-computed from structure constants of the fixed basis (so the proportionality
-to the trace form on sl(n) is a checkable fact, not an input).
+Built-ins: power traces tr(X^n), the trace form tr(X^2) = power_trace(2) and
+the Killing form computed from structure constants of the fixed basis (so the
+proportionality to the trace form on sl(n) is a checkable fact, not an input).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeMismatch, positive_int
-from .matgroup import LieAlgebraBasis, _ad_matrix
+from .matgroup import LieAlgebraBasis, _ad_matrix, complex_from_json, complex_to_json
 from .numeric import matrix_exp, matrix_inverse
 
 __all__ = [
@@ -34,12 +34,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InvariantPolynomial:
-    kind: str           # "trace_form" | "power_trace" | "killing" | "combo"
+    kind: str           # "power_trace" | "killing" | "combo"
     degree: int
     terms: tuple = ()   # for "combo": tuple of (complex coeff, InvariantPolynomial)
 
     def __post_init__(self):
-        if self.kind not in ("trace_form", "power_trace", "killing", "combo"):
+        if self.kind not in ("power_trace", "killing", "combo"):
             raise ValueError(f"unknown polynomial kind {self.kind!r}")
         if self.kind == "combo":
             for _, t in self.terms:
@@ -49,7 +49,8 @@ class InvariantPolynomial:
 
 
 def trace_form() -> InvariantPolynomial:
-    return InvariantPolynomial("trace_form", 2)
+    """tr(X^2), which is power_trace(2)."""
+    return power_trace(2)
 
 
 def power_trace(n: int) -> InvariantPolynomial:
@@ -78,8 +79,6 @@ def evaluate(phi: InvariantPolynomial, basis: LieAlgebraBasis, x) -> complex:
     if phi.kind == "combo":
         return sum(c * evaluate(t, basis, x) for c, t in phi.terms)
     m = basis.matrix_from_coords(x)
-    if phi.kind == "trace_form":
-        return complex(np.trace(m @ m))
     if phi.kind == "power_trace":
         return complex(np.trace(np.linalg.matrix_power(m, phi.degree)))
     eye = np.eye(basis.n)
@@ -157,7 +156,7 @@ def check_invariance(phi: InvariantPolynomial, basis: LieAlgebraBasis,
 def polynomial_to_json(phi: InvariantPolynomial) -> dict:
     if phi.kind == "combo":
         return {"kind": "combo",
-                "terms": [{"coeff": [c.real, c.imag], **polynomial_to_json(t)}
+                "terms": [{"coeff": complex_to_json(c), **polynomial_to_json(t)}
                           for c, t in phi.terms]}
     if phi.kind == "power_trace":
         return {"kind": "power_trace", "n": phi.degree}
@@ -173,10 +172,8 @@ def polynomial_from_json(data: dict) -> InvariantPolynomial:
     if kind == "power_trace":
         return power_trace(positive_int(data["n"], "power_trace 'n'"))
     if kind == "combo":
-        terms = []
-        for t in data["terms"]:
-            c = complex(t["coeff"][0], t["coeff"][1])
-            terms.append((c, polynomial_from_json({k: v for k, v in t.items()
-                                                   if k != "coeff"})))
-        return combination(terms)
+        return combination([
+            (complex_from_json(t["coeff"], 0, "a 'phi' combo 'coeff'"),
+             polynomial_from_json({k: v for k, v in t.items() if k != "coeff"}))
+            for t in data["terms"]])
     raise ValueError(f"unknown polynomial kind {kind!r}")

@@ -42,8 +42,7 @@ __all__ = [
     "representation_from_json",
     "group_from_json",
     "complex_to_json",
-    "matrix_to_json",
-    "matrix_from_json",
+    "complex_from_json",
 ]
 
 
@@ -411,31 +410,45 @@ def is_irreducible(rho: Representation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# JSON wire format: complex numbers are [re, im] pairs everywhere.
+# JSON wire format: complex numbers are [re, im] pairs everywhere, written by
+# complex_to_json and read by complex_from_json only.
 
-def complex_to_json(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
+def complex_to_json(obj):
+    """Recursively render complex scalars as [re, im] and arrays as lists."""
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, np.ndarray):
+        if np.iscomplexobj(obj):
+            obj = np.stack([obj.real, obj.imag], -1)
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {str(k): complex_to_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [complex_to_json(v) for v in obj]
+    return obj
 
 
-def matrix_to_json(m) -> list:
-    m = as_cmatrix(m)
-    return [[complex_to_json(z) for z in row] for row in m]
-
-
-def matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data],
-                    dtype=np.complex128)
+def complex_from_json(data, ndim: int, what: str) -> np.ndarray:
+    """The complex array of rank ``ndim`` whose entries are the [re, im] pairs
+    of ``data``; anything else raises InvalidInput naming ``what``.  Pairs must
+    be finite numbers; as in numpy, a bool among numbers reads as 0 or 1."""
+    try:
+        pairs = np.array(data)
+    except (TypeError, ValueError):  # ragged nesting
+        pairs = None
+    if (pairs is None or pairs.ndim != ndim + 1 or pairs.shape[-1] != 2
+            or pairs.dtype.kind not in "iuf" or not np.isfinite(pairs).all()):
+        shape = f"a rank-{ndim} array of [re, im] pairs" if ndim else "an [re, im] pair"
+        raise InvalidInput(f"{what} must be {shape} of finite numbers")
+    return pairs.astype(np.float64, copy=False).view(np.complex128)[..., 0]
 
 
 def representation_to_json(rho: Representation) -> dict:
-    return {
-        "group": {"kind": rho.group.kind, "n": rho.group.n},
-        "images": {
-            name: matrix_to_json(m)
-            for name, m in zip(rho.presentation.generator_names, rho.images)
-        },
-    }
+    images = complex_to_json(np.array(rho.images))
+    return {"group": {"kind": rho.group.kind, "n": rho.group.n},
+            "images": dict(zip(rho.presentation.generator_names, images))}
 
 
 def group_from_json(data: dict) -> GroupSpec:
@@ -446,6 +459,7 @@ def representation_from_json(data: dict, presentation: Presentation,
                              tol: Tolerances = DEFAULT_TOL) -> Representation:
     with malformed("representation"):
         group = group_from_json(data["group"])
-        images = [matrix_from_json(data["images"][name])
-                  for name in presentation.generator_names]
+        images = complex_from_json([data["images"][name]
+                                    for name in presentation.generator_names],
+                                   3, "representation 'images'")
         return Representation(presentation, group, images, tol=tol)

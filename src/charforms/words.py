@@ -7,7 +7,6 @@ precision), which is the contract the Fox-calculus identity tests rely on.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
@@ -199,9 +198,6 @@ class Presentation:
             if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
                 raise InvalidInput(f"presentation '{key}' must be a list of strings")
         return Presentation.parse(names, relators)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
 
 
 @dataclass(frozen=True)

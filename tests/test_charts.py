@@ -297,7 +297,7 @@ class TestLockstep:
         cycle = fundamental_two_cycle(genus2_rep.presentation).chain
         fd = chart_closedness(chart, trace_form(), cycle, 3e-2)
         assert fd == {"max_d": 0.0, "scale": 0.0, "fd_error": 0.0, "h": 3e-2,
-                      "evaluations": 0}
+                      "evaluations": 0, "bound": 1e-5, "pass": True}
 
 
 def _form(m, entries):
@@ -374,6 +374,22 @@ class TestFdOperator:
         fd = fd_exterior_derivative(3, _form(3, {(1, 2): lambda t: np.exp(t[0])}), h)
         assert fd["fd_error"] == pytest.approx(h ** 2 / 8, rel=1e-2)
         assert abs(fd["max_d"] - 1.0) <= 1e-2 * fd["fd_error"]
+
+    def test_nan_in_a_later_triple_is_kept(self):
+        # triple (0, 1, 2) is finite and comes first; (0, 1, 3) reads NaN
+        coeffs = _form(4, {(1, 2): lambda t: t[0], (1, 3): lambda t: np.nan})
+        fd = fd_exterior_derivative(4, coeffs, self.H)
+        assert np.isnan(fd["max_d"]) and np.isnan(fd["fd_error"])
+        assert fd["pass"] is False
+        max_d, fd_error, cr_dev = _holomorphic_fd(4, coeffs, self.H)
+        assert np.isnan([max_d, fd_error, cr_dev]).all()
+
+    @pytest.mark.parametrize("max_d,scale,verdict", [
+        (1e-6, 1.0, True), (0.0, 0.0, True), (2e-5, 1.0, False),
+        (float("nan"), 1.0, False), (0.0, float("nan"), False),
+        (1e-6, float("inf"), False), (float("inf"), float("inf"), False)])
+    def test_one_closedness_verdict(self, max_d, scale, verdict):
+        assert charts._closed(max_d, scale) is verdict
 
     def test_no_triple_below_dimension_three(self):
         fd = fd_exterior_derivative(2, _form(2, {(0, 1): lambda t: t[0]}), self.H)

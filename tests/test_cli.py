@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from charforms import GroupSpec, Presentation, Representation, cli
-from charforms.cli import _COMMANDS, _json_clean, main
+from charforms import GroupSpec, Presentation, Representation, cli, errors
+from charforms.cli import _COMMANDS, main
 from charforms.families import family_to_json
-from charforms.matgroup import representation_to_json
+from charforms.matgroup import complex_to_json, representation_to_json
 
 from conftest import diagonal_family
 
@@ -144,8 +144,8 @@ def test_report_parses_to_the_stdlib_rendering(inputs, tmp_path, monkeypatch,
     rendering of the same cleaned report parses to, with every object's keys
     sorted."""
     seen = []
-    clean = cli._json_clean
-    monkeypatch.setattr(cli, "_json_clean",
+    clean = cli.complex_to_json
+    monkeypatch.setattr(cli, "complex_to_json",
                         lambda obj: seen.append(obj) or clean(obj))
     source = inputs["family" if command == "family" else "genus2"]
     out = tmp_path / "r.json"
@@ -160,17 +160,49 @@ def test_report_parses_to_the_stdlib_rendering(inputs, tmp_path, monkeypatch,
 def test_json_clean_converts_arrays_exactly():
     rng = np.random.default_rng(0)
     z = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    assert _json_clean(z) == [[[v.real, v.imag] for v in row] for row in z.tolist()]
-    assert _json_clean(z.real) == z.real.tolist()
-    assert _json_clean(np.arange(3)) == [0, 1, 2]
+    assert complex_to_json(z) == [[[v.real, v.imag] for v in row]
+                                  for row in z.tolist()]
+    assert complex_to_json(z.real) == z.real.tolist()
+    assert complex_to_json(np.arange(3)) == [0, 1, 2]
+
+
+def _argv(inputs, command):
+    """A passing run of each command."""
+    source = {"family": ["--input", inputs["family"], "--grid", "2"],
+              "demo-free-group": []}.get(command, ["--input", inputs["genus2"]])
+    return [command, *source, "--seed", "7", "--trials", "3"]
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_main_stamps_the_command_and_exits_by_pass(inputs, tmp_path, command):
+    code, report = run(_argv(inputs, command), tmp_path / "r.json")
+    assert report["command"] == command
+    assert report["pass"] is True and code == 0
+
+
+@pytest.mark.parametrize("outcome", ["fail", "NoConvergence", "RankInstability"])
+def test_main_exits_1_on_a_failed_report_or_solver(inputs, tmp_path, monkeypatch,
+                                                   outcome):
+    def command(args, tol, data):
+        assert data["presentation"] and args.command == "validate"
+        if outcome == "fail":
+            return {"pass": False}
+        raise getattr(errors, outcome)("did not settle")
+
+    monkeypatch.setitem(_COMMANDS, "validate", command)
+    code, report = run(["validate", "--input", inputs["torus"]], tmp_path / "r.json")
+    assert code == 1
+    assert report["command"] == "validate" and report["pass"] is False
+    if outcome != "fail":
+        assert (report["error"], report["detail"]) == (outcome, "did not settle")
 
 
 def test_parser_keeps_no_state_between_calls(inputs, tmp_path, capsys,
                                              monkeypatch):
     seen = []
     validate = _COMMANDS["validate"]
-    monkeypatch.setitem(_COMMANDS, "validate", lambda args, tol: (
-        seen.append(dict(vars(args))) or validate(args, tol)))
+    monkeypatch.setitem(_COMMANDS, "validate", lambda args, tol, data: (
+        seen.append(dict(vars(args))) or validate(args, tol, data)))
     out = str(tmp_path / "r.json")
     assert main(["validate", "--input", inputs["torus"], "--seed", "5",
                  "--grid", "2", "--trials", "3", "--output", out]) == 0
@@ -386,7 +418,7 @@ def test_trials_below_one_is_invalid_input(inputs, capsys, command, trials):
 
 
 def _cocycle(genus2_rep, length):
-    return {name: [[1.0, 0.5]] * length
+    return {name: [[1.0, 0.5] for _ in range(length)]
             for name in genus2_rep.presentation.generator_names}
 
 
@@ -447,6 +479,14 @@ _MALFORMED = {
                           ["a1 c9"], "UnknownGenerator"),
     "malformed word": ("family", ("presentation", "relators"), ["a1^x"],
                        "WordSyntaxError"),
+    "three-number coefficient": ("family", ("family", "images", "a1", 0, 0, 0,
+                                            "coeff"), [1, 0, 5], "InvalidInput"),
+    "NaN coefficient": ("family", ("family", "images", "a1", 0, 0, 0, "coeff"),
+                        [float("nan"), 0.0], "InvalidInput"),
+    "infinite phi coefficient": ("family", ("phi",), {"kind": "combo", "terms": [
+        {"coeff": [float("inf"), 0.0], "kind": "trace_form"}]}, "InvalidInput"),
+    "NaN cocycle entry": ("eta", ("cocycles", 0, "a1", 0), [float("nan"), 0.5],
+                          "InvalidInput"),
 }
 
 
@@ -456,7 +496,9 @@ def test_malformed_input_exits_2_with_one_error_line(genus2_rep, tmp_path,
     """Each malformed input exits 2 with one JSON error line: none ends in a
     traceback (TypeError, KeyError, ValueError or IndexError), and a size or
     degree that is not an integer, or generators or relators given as one
-    string, is refused instead of truncated or split into letters."""
+    string, is refused instead of truncated or split into letters.  A complex
+    value that is not a pair of finite numbers is refused, not cut to its
+    first two numbers or carried into the report as NaN."""
     command, keys, value, error = _MALFORMED[case]
     if command == "family":
         fam = diagonal_family()
@@ -464,7 +506,8 @@ def test_malformed_input_exits_2_with_one_error_line(genus2_rep, tmp_path,
                 "group": {"kind": "GL", "n": 2}, "family": family_to_json(fam)}
     else:
         data = {"presentation": genus2_rep.presentation.to_json(),
-                "representation": representation_to_json(genus2_rep)}
+                "representation": representation_to_json(genus2_rep),
+                "cocycles": [_cocycle(genus2_rep, 3) for _ in range(2)]}
     entry = functools.reduce(operator.getitem, keys[:-1], data)
     if value is None:
         del entry[keys[-1]]

@@ -6,7 +6,14 @@ import pytest
 
 import charforms.cohomology
 import charforms.families
-from charforms import GroupSpec, Presentation, Representation, power_trace, trace_form
+from charforms import (
+    GroupSpec,
+    Presentation,
+    Representation,
+    combination,
+    power_trace,
+    trace_form,
+)
 from charforms.charts import _fd_d, _stencil
 from charforms.cohomology import fox_jacobian, fundamental_two_cycle
 from charforms.forms import EtaContext, eta
@@ -340,6 +347,15 @@ class TestPullback:
         assert (report["max_d"], report["fd_error"],
                 report["cauchy_riemann_dev"]) == (max_d, fd_error, cr_dev)
         assert 0 <= report["fd_error"] < 1e-9 * report["scale"]
+
+    def test_infinite_polynomial_does_not_pass(self, family):
+        """An infinite coefficient of phi makes every pulled-back coefficient
+        NaN or infinite; the verdict is not a pass."""
+        with np.errstate(invalid="ignore"):
+            report = family_pullback(family, combination([(np.inf, trace_form())]),
+                                     grid=2, h=1e-3)
+        assert not np.isfinite(report["max_d"]) or not np.isfinite(report["scale"])
+        assert report["pass"] is False
 
     def test_coefficients_not_constant(self, family):
         report = family_pullback(family, trace_form(), grid=2, h=1e-3)

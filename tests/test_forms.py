@@ -26,7 +26,7 @@ from charforms import (
     power_trace,
     trace_form,
 )
-from charforms.errors import DegreeMismatch, NotEndomorphism
+from charforms.errors import DegreeMismatch, InvalidInput, NotEndomorphism
 from charforms.forms import _cycle_pairing, endomorphism_pullback, random_cocycle
 from charforms.invariants import symmetric_tensor
 from charforms.matgroup import TangentVector, coboundary, lie_algebra_basis, matrix_exp
@@ -283,6 +283,16 @@ class TestCyclePairing:
         table = _random_table(self.words, (), 3, 2, seed=13)
         with pytest.raises(DegreeMismatch):
             _cycle_pairing(self.cycle, np.eye(3), table)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_zero_chain_is_refused(f2_rep, n):
+    """The zero n-chain has no words to give the shape of a zero value: eta
+    on it raises InvalidInput, not an AttributeError from the empty sum."""
+    ctx = make_context(f2_rep, power_trace(n), BarChain.of(n, {}))
+    sigma = random_cocycle(cocycle_space(f2_rep), np.random.default_rng(0))
+    with pytest.raises(InvalidInput, match=f"zero {n}-chain"):
+        eta(ctx, *[sigma] * n)
 
 
 def test_degree_three_eta_walks_once_per_context(monkeypatch):

@@ -111,6 +111,20 @@ def test_json_roundtrip():
         assert polynomial_from_json(polynomial_to_json(phi)) == phi
 
 
+def test_trace_form_is_power_trace_two(sl2_basis):
+    assert trace_form() == power_trace(2)
+    assert polynomial_from_json({"kind": "trace_form"}) == power_trace(2)
+    assert polynomial_to_json(trace_form()) == {"kind": "power_trace", "n": 2}
+
+
+@pytest.mark.parametrize("coeff", [[1.0, 0.0, 5.0], [float("inf"), 0.0], [1.0],
+                                   [True, False], "1"])
+def test_json_combo_coefficient_must_be_one_finite_pair(coeff):
+    with pytest.raises(InvalidInput, match="combo 'coeff'"):
+        polynomial_from_json({"kind": "combo", "terms": [
+            {"coeff": coeff, "kind": "trace_form"}]})
+
+
 @pytest.mark.parametrize("n", [3.5, 0, -2, False, "3", [3]])
 def test_json_power_trace_degree_must_be_a_positive_integer(n):
     with pytest.raises(InvalidInput):

@@ -22,6 +22,8 @@ from charforms.matgroup import (
     TangentVector,
     _ad_matrix,
     _damped_newton,
+    complex_from_json,
+    complex_to_json,
     representation_from_json,
     representation_to_json,
 )
@@ -123,6 +125,48 @@ class TestRepresentation:
         data["group"]["n"] = 2.0
         back = representation_from_json(data, genus2_rep.presentation)
         assert back.group == genus2_rep.group and type(back.group.n) is int
+
+
+class TestComplexCodec:
+    """``complex_to_json`` writes and ``complex_from_json`` reads every
+    complex value of the wire format, as [re, im] pairs."""
+
+    def test_roundtrip_is_exact_to_the_sign_of_zero(self):
+        z = np.array([[1.5 - 0.0j, complex(-0.0, 2.0)], [3.0 + 1e-300j, -4.25j]])
+        back = complex_from_json(complex_to_json(z), 2, "z")
+        assert back.dtype == np.complex128 and back.shape == (2, 2)
+        assert np.array_equal(back.view(np.float64), z.view(np.float64))
+        assert np.signbit(back.view(np.float64)).tolist() == \
+            np.signbit(z.view(np.float64)).tolist()
+
+    def test_integers_and_a_scalar(self):
+        assert complex_from_json([1, -2], 0, "c") == 1 - 2j
+        assert complex_from_json([[1, 0], [2.5, 1]], 1, "c").tolist() == [1, 2.5 + 1j]
+        assert complex_to_json(1 - 2j) == [1.0, -2.0]
+
+    @pytest.mark.parametrize("data", [
+        [1.0, 0.0, 5.0], [1.0], [float("nan"), 0.0], [0.0, float("inf")],
+        [True, False], ["1", "0"], [None, 0.0], 1.0, "1", {"re": 1, "im": 0},
+        [[1.0, 0.0]], [[1.0, 0.0], [1.0]]])
+    def test_anything_but_one_finite_pair_is_invalid_input(self, data):
+        with pytest.raises(InvalidInput, match=r"^c must be an \[re, im\] pair"):
+            complex_from_json(data, 0, "c")
+
+    @pytest.mark.parametrize("data", [[], [1.0, 0.0], [[[1.0, 0.0]]],
+                                      [[1.0, 0.0], [1.0, 0.0, 0.0]]])
+    def test_wrong_rank_or_ragged_is_invalid_input(self, data):
+        with pytest.raises(InvalidInput, match="rank-1 array of"):
+            complex_from_json(data, 1, "c")
+
+    def test_image_stack_decodes_in_one_call(self, genus2_rep, monkeypatch):
+        calls = []
+        decode = matgroup.complex_from_json
+        monkeypatch.setattr(matgroup, "complex_from_json",
+                            lambda *args: calls.append(args[1:]) or decode(*args))
+        back = representation_from_json(representation_to_json(genus2_rep),
+                                        genus2_rep.presentation)
+        assert calls == [(3, "representation 'images'")]
+        assert all(np.array_equal(a, b) for a, b in zip(back.images, genus2_rep.images))
 
 
 class TestAdjoint:
