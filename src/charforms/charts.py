@@ -40,12 +40,10 @@ from .matgroup import (
     LieAlgebraBasis,
     Representation,
     TangentVector,
-    _ad_matrix,
     _damped_newton,
     _moved,
+    _newton_state,
     _relator_jacobian,
-    _relator_residual,
-    _relator_values,
     _violation,
     lie_algebra_basis,
     matrix_exp,
@@ -95,17 +93,16 @@ def _dexp(basis: LieAlgebraBasis, y: np.ndarray) -> np.ndarray:
     exp([[ad Y, I], [0, 0]]) = [[e^{ad Y}, phi(ad Y)], [0, I]].
     """
     d = basis.dim
-    mats = basis.matrix_from_coords(y.reshape(y.shape[:-1] + (y.shape[-1] // d, d)))
-    block = np.zeros(mats.shape[:-2] + (2 * d, 2 * d), dtype=np.complex128)
-    block[..., :d, :d] = (_ad_matrix(basis, mats, np.eye(basis.n))
-                          - _ad_matrix(basis, np.eye(basis.n), mats))
+    ad = basis.ad(y.reshape(y.shape[:-1] + (y.shape[-1] // d, d)))
+    block = np.zeros(ad.shape[:-2] + (2 * d, 2 * d), dtype=np.complex128)
+    block[..., :d, :d] = ad
     block[..., :d, d:] = np.eye(d)
     return matrix_exp(block)[..., :d, d:]
 
 
-def _solve(chart: Chart, t):
-    """Coordinates Y = S t + C c(t) (P, p * d), images and inverses
-    (P, p, n, n) of the points at the rows of t (P, dim), solved in lockstep.
+def _solve(chart: Chart, t) -> list:
+    """The points at the rows of t (P, dim), solved in lockstep: the list of
+    their coordinates Y = S t + C c(t) (P, p * d) and ``_newton_state``.
 
     The first point that fails the solve (NoConvergence), ``validate``
     (InvalidInput) or moves its images by more than |t| in the correction
@@ -116,32 +113,32 @@ def _solve(chart: Chart, t):
     where = lambda k: f"chart point {k}, t = {np.array2string(t[k], precision=4)}"
     center = np.array(rho.images), rho._inverses
 
-    def at(y):  # exp(Y_k) rho_k and its inverse, and the relator residual
+    def at(y):  # the point exp(Y_k) rho_k's state and relator residual
         moved = _moved(rho.basis, y.reshape(len(y), rho.p, rho.dim_g), *center)
-        return [y, *moved], _relator_residual(rho.presentation, *moved)
+        state, res = _newton_state(rho.presentation, rho.basis, *moved)
+        return [y, *state], res
 
     def jacobian(state):  # M C
         values = _dexp(rho.basis, state[0]) @ comp.reshape(rho.p, rho.dim_g, -1)
-        return _relator_jacobian(rho.presentation, rho.basis, *state[1:], values)
+        return _relator_jacobian(rho.presentation, rho.basis, *state[3:], values)
 
     start, res = at(t @ chart._span.T)
     try:
-        y, images, inverses = _damped_newton(
-            start, res, lambda state, step: at(state[0] + step @ comp.T),
-            jacobian, rho.tol, 50)
+        state = _damped_newton(start, res,
+                               lambda state, step: at(state[0] + step @ comp.T),
+                               jacobian, rho.tol, 50)
     except NoConvergence as exc:
         raise NoConvergence(f"{where(exc.index)}: {exc}", exc.residual,
                             exc.index) from exc
-    bad = _violation(rho.group, images,
-                     _relator_values(rho.presentation, images, inverses), rho.tol)
+    bad = _violation(rho.group, state[1], state[5], rho.tol)
     if bad is not None:
         raise InvalidInput(f"{where(bad[0])}: {bad[1]}")
-    correction = np.linalg.norm(images - start[1], axis=(-2, -1)).sum(axis=-1)
+    correction = np.linalg.norm(state[1] - start[1], axis=(-2, -1)).sum(axis=-1)
     t_norm = np.linalg.norm(t, axis=-1)
     for k in np.flatnonzero((t_norm > 0) & (correction > t_norm))[:1]:
         raise LeftChart(f"{where(k)}: correction {correction[k]:.3e} "
                         f"exceeds |t| = {t_norm[k]:.3e}")
-    return y, images, inverses
+    return state
 
 
 def retract(chart: Chart, t) -> Representation:
@@ -156,21 +153,22 @@ def retract(chart: Chart, t) -> Representation:
                           tol=rho.tol, check=False)
 
 
-def _tangents(chart: Chart, y, images, inverses) -> np.ndarray:
-    """Values (P, p, d, dim) of the exact chart tangents at solved points:
-    c'(t) = -(M C)^+ M S, and the i-th tangent is phi(ad Y)(S e_i + C c'_i)."""
+def _tangents(chart: Chart, state: list) -> np.ndarray:
+    """Values (P, p, d, dim) of the exact chart tangents at the points of a
+    ``_solve`` state: c'(t) = -(M C)^+ M S, and the i-th tangent is
+    phi(ad Y)(S e_i + C c'_i)."""
     rho, span, comp = chart.center, chart._span, chart._complement
-    shape, phi = (rho.p, rho.dim_g, -1), _dexp(rho.basis, y)
-    jac = _relator_jacobian(rho.presentation, rho.basis, images, inverses,
+    shape, phi = (rho.p, rho.dim_g, -1), _dexp(rho.basis, state[0])
+    jac = _relator_jacobian(rho.presentation, rho.basis, *state[3:],
                             phi @ np.hstack([span, comp]).reshape(shape))
     moved = span + comp @ solve_lsq(jac[..., chart.dim:], -jac[..., :chart.dim])
-    return phi @ moved.reshape(len(y), rho.p, rho.dim_g, chart.dim)
+    return phi @ moved.reshape(len(phi), rho.p, rho.dim_g, chart.dim)
 
 
 def transported_direction(chart: Chart, t, i: int) -> TangentVector:
     """Tangent of the i-th chart curve at parameter t: the derivative of
     retract along e_i, in the left-trivialised coordinates of TangentVector."""
-    return TangentVector.of(_tangents(chart, *_solve(chart, t))[0, ..., i])
+    return TangentVector.of(_tangents(chart, _solve(chart, t))[0, ..., i])
 
 
 def eta_coefficients(chart: Chart, phi: InvariantPolynomial, cycle: BarChain):
@@ -184,13 +182,11 @@ def eta_coefficients(chart: Chart, phi: InvariantPolynomial, cycle: BarChain):
     if phi.degree != 2 or cycle.degree != 2:
         raise DegreeMismatch("the chart pullback needs a degree-2 polynomial and cycle")
     tensor = symmetric_tensor(phi, chart.center.basis)
-    basis, words = chart.center.basis, [w for gammas, _ in cycle.terms for w in gammas]
+    words = [w for gammas, _ in cycle.terms for w in gammas]
 
     def coeffs(t) -> np.ndarray:
-        y, images, inverses = _solve(chart, t)
-        table = walk_words(_ad_matrix(basis, images, inverses),
-                           _ad_matrix(basis, inverses, images),
-                           _tangents(chart, y, images, inverses), words)
+        state = _solve(chart, t)
+        table = walk_words(*state[3:5], _tangents(chart, state), words)
         w = np.triu(_cycle_pairing(cycle, tensor, table), 1)
         return (w - np.swapaxes(w, -1, -2)).reshape(np.shape(t)[:-1] + w.shape[-2:])
 

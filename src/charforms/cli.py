@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .charts import Chart, chart_closedness, free_group_demo
-from .cohomology import cocycle_space, fundamental_two_cycle
+from .cohomology import cocycle_space, fox_jacobian, fundamental_two_cycle
 from .errors import (
     CharformsError,
     InvalidInput,
@@ -62,8 +62,8 @@ __all__ = ["main"]
 def _tolerances(args) -> Tolerances:
     for flag, step in (("--fd-step", args.fd_step),
                        ("--fd-chart-step", args.fd_chart_step)):
-        if not step > 0:
-            raise InvalidInput(f"{flag} {step} is not positive")
+        if not 0 < step < np.inf:
+            raise InvalidInput(f"{flag} {step} is not finite and positive")
     if args.trials < 1:
         raise InvalidInput(f"--trials must be at least 1, got {args.trials}")
     return Tolerances(rank_rel=args.tol_rank, newton_tol=args.tol_newton)
@@ -186,6 +186,10 @@ def cmd_eta(args, tol: Tolerances, data: dict) -> dict:
         if sigmas.shape[1:] != (rho.p, rho.dim_g):
             raise InvalidInput(f"a cocycle needs {rho.dim_g} [re, im] pairs "
                                "per generator")
+        resid = np.linalg.norm(sigmas.reshape(n, -1) @ fox_jacobian(rho).T, axis=-1)
+        bad = resid > 1e-8 * np.maximum(np.linalg.norm(sigmas, axis=(1, 2)), 1)
+        for i in np.flatnonzero(bad)[:1]:  # the cocycle check of families._walk
+            raise InvalidInput(f"'cocycles' entry {i} is not a cocycle: {resid[i]:.1e}")
         values.append(eta(ctx, *map(TangentVector.of, sigmas)))
     else:
         rng = _rng(args)

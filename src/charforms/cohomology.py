@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotSurfacePresentation, RankInstability
-from .matgroup import Representation, TangentVector
+from .matgroup import Representation, TangentVector, _read_only
 from .numeric import rank_and_gap
 from .words import Presentation, Word
 
@@ -40,12 +40,15 @@ def fox_jacobian(rho: Representation) -> np.ndarray:
 
     Shape (R * dim g, p * dim g): the blocks J_r, ``walk_words`` of the
     relators on ``identity_values``.  The kernel of this matrix is
-    Z^1(Gamma, Ad rho) in stacked generator coordinates.
+    Z^1(Gamma, Ad rho) in stacked generator coordinates.  Kept on rho.
     """
-    relators = rho.presentation.relators
-    table = walk_words(*rho._generator_ad(), identity_values(rho), relators)
-    return np.concatenate([np.zeros((0, rho.p * rho.dim_g), dtype=np.complex128),
-                           *(table[r][1] for r in relators)])
+    if rho._fox is None:
+        relators = rho.presentation.relators
+        table = walk_words(*rho._generator_ad(), identity_values(rho), relators)
+        rho._fox = _read_only(np.concatenate(
+            [np.zeros((0, rho.p * rho.dim_g), dtype=np.complex128),
+             *(table[r][1] for r in relators)]))
+    return rho._fox
 
 
 @dataclass(frozen=True)

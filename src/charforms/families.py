@@ -26,7 +26,7 @@ from .matgroup import (
     GroupSpec,
     Representation,
     TangentVector,
-    _ad_matrix,
+    _ad_pair,
     _relator_values,
     complex_from_json,
     complex_to_json,
@@ -244,11 +244,10 @@ def _walk(family: FamilySpec, s, words=()):
     residual > 1e-9) or fails |sigma_k(r)| <= 1e-8 max(|sigma_k|, 1)."""
     s = np.asarray(s, dtype=np.complex128).reshape(-1, family.m)
     images, inverses, derivs, left = family._images(s)
-    basis = family.group._basis
+    basis = lie_algebra_basis(family.group)
     sigma = basis.coords_from_matrix(derivs @ inverses[:, None])
     relators = family.presentation.relators
-    table = walk_words(_ad_matrix(basis, images, inverses),
-                       _ad_matrix(basis, inverses, images),
+    table = walk_words(*_ad_pair(basis, images, inverses),
                        np.moveaxis(sigma, 1, -1), [*words, *relators])
     resid = np.sqrt(sum(np.linalg.norm(table[r][1], axis=1) ** 2
                         for r in relators))  # |J sigma_k|, (P, m)

@@ -70,7 +70,8 @@ def _cycle_pairing(cycle: BarChain, tensor: np.ndarray, table: dict):
     flat, closing = tensor.reshape(d, d ** (n - 1)), {}
     for gammas, c in cycle.terms:
         ad, s = table[gammas[0]]
-        acc = np.swapaxes(s, -1, -2) @ flat
+        s = np.swapaxes(s, -1, -2)  # one 2-D product over the whole stack
+        acc = (s.reshape(-1, d) @ flat).reshape(s.shape[:-1] + flat.shape[-1:])
         for w in gammas[1:-1]:
             ad_w, s = table[w]
             batch, rows, width = acc.shape[:-2], acc.shape[-2], acc.shape[-1] // d

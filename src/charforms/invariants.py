@@ -78,11 +78,10 @@ def evaluate(phi: InvariantPolynomial, basis: LieAlgebraBasis, x) -> complex:
             f"coordinate vector of length {x.shape} != dim g = {basis.dim}")
     if phi.kind == "combo":
         return sum(c * evaluate(t, basis, x) for c, t in phi.terms)
-    m = basis.matrix_from_coords(x)
     if phi.kind == "power_trace":
+        m = basis.matrix_from_coords(x)
         return complex(np.trace(np.linalg.matrix_power(m, phi.degree)))
-    eye = np.eye(basis.n)
-    ad = _ad_matrix(basis, m, eye) - _ad_matrix(basis, eye, m)
+    ad = basis.ad(x)
     return complex(np.trace(ad @ ad))
 
 
@@ -122,8 +121,7 @@ def symmetric_tensor(phi: InvariantPolynomial, basis: LieAlgebraBasis) -> np.nda
     if phi.kind == "combo":
         return sum(c * symmetric_tensor(t, basis) for c, t in phi.terms)
     if phi.kind == "killing":
-        mats, eye = np.stack(basis.matrices), np.eye(basis.n)
-        ads = _ad_matrix(basis, mats, eye) - _ad_matrix(basis, eye, mats)
+        ads = basis.ad(np.eye(basis.dim))
         return np.einsum("aij,bji->ab", ads, ads)
     mats = np.stack(basis.matrices)
     n, d = phi.degree, basis.dim

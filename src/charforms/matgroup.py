@@ -9,7 +9,7 @@ row-major order.  Every coordinate vector elsewhere refers to this ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -45,6 +45,8 @@ __all__ = [
     "complex_from_json",
 ]
 
+_BASES: dict = {}  # one basis per (kind, n), shared and read-only
+
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -56,11 +58,6 @@ class GroupSpec:
             raise InvalidInput(f"unknown group kind {self.kind!r}")
         if self.n < 2:
             raise InvalidInput("matrix size must be >= 2")
-
-    @cached_property
-    def _basis(self) -> "LieAlgebraBasis":
-        # built once per group; its Representations share it
-        return lie_algebra_basis(self)
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,17 @@ class LieAlgebraBasis:
 
     @cached_property
     def _stack(self) -> np.ndarray:
-        return np.stack(self.matrices)
+        return _read_only(np.stack(self.matrices))
+
+    @cached_property
+    def _structure(self) -> np.ndarray:  # row a: ad B_a flattened, (d, d * d)
+        eye = np.eye(self.n)
+        ads = _ad_matrix(self, self._stack, eye) - _ad_matrix(self, eye, self._stack)
+        return _read_only(ads.reshape(self.dim, -1))
+
+    def ad(self, x) -> np.ndarray:
+        """Matrices (..., d, d) of ad X = [X, .] for coordinates x (..., d)."""
+        return (x @ self._structure).reshape(np.shape(x) + (self.dim,))
 
     def matrix_from_coords(self, x) -> np.ndarray:
         """Matrices (..., n, n) of coordinate vectors x (..., dim)."""
@@ -108,14 +115,20 @@ class LieAlgebraBasis:
         return np.concatenate([m[..., rows, cols], diag], axis=-1)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def lie_algebra_basis(group: GroupSpec) -> LieAlgebraBasis:
-    n = group.n
-    unit = np.eye(n * n, dtype=np.complex128).reshape(n, n, n, n)  # unit[i, j] = E_ij
-    diagonal = [unit[i, i] for i in range(n)]
-    if group.kind == "SL":
-        diagonal = [a - b for a, b in zip(diagonal, diagonal[1:])]
-    return LieAlgebraBasis(tuple(unit[i, j] for i in range(n) for j in range(n)
-                                 if i != j) + tuple(diagonal))
+    key, n = (group.kind, group.n), group.n
+    if key not in _BASES:
+        unit = np.eye(n * n, dtype=np.complex128).reshape(n, n, n, n)
+        diagonal = unit[range(n), range(n)]  # unit[i, j] = E_ij
+        diagonal = diagonal[:-1] - diagonal[1:] if group.kind == "SL" else diagonal
+        _BASES[key] = LieAlgebraBasis(tuple(_read_only(np.concatenate(
+            [unit[~np.eye(n, dtype=bool)], diagonal]))))
+    return _BASES[key]
 
 
 @dataclass(frozen=True)
@@ -129,9 +142,7 @@ class TangentVector:
         v = np.asarray(values, dtype=np.complex128)
         if v.ndim != 2:
             raise ValueError("TangentVector values must have shape (p, dim)")
-        v = v.copy()
-        v.setflags(write=False)
-        return TangentVector(v)
+        return TangentVector(_read_only(v.copy()))
 
     @staticmethod
     def from_stacked(x, p: int) -> "TangentVector":
@@ -170,9 +181,9 @@ class Representation:
         for m in self.images:
             if m.shape != (group.n, group.n):
                 raise InvalidInput(f"image shape {m.shape} != ({group.n},{group.n})")
-        self.basis, n = group._basis, group.n
+        self.basis, n = lie_algebra_basis(group), group.n
         self._inverses = matrix_inverse(np.reshape(self.images, (-1, n, n)), tol)
-        self._ad_gen = None
+        self._ad_gen = self._fox = None  # built on first use
         if check:
             self.validate()
 
@@ -195,11 +206,10 @@ class Representation:
         return self.images[k] if sign == 1 else self._inverses[k]
 
     def _generator_ad(self):
-        """Ad rho(x_k) and its inverse for every generator, (p, d, d) each."""
+        """Ad rho(x_k) and its inverse for every generator, (2, p, d, d)."""
         if self._ad_gen is None:
             images = np.reshape(self.images, self._inverses.shape)
-            self._ad_gen = (_ad_matrix(self.basis, images, self._inverses),
-                            _ad_matrix(self.basis, self._inverses, images))
+            self._ad_gen = _ad_pair(self.basis, images, self._inverses)
         return self._ad_gen
 
 
@@ -221,6 +231,11 @@ def _ad_matrix(basis: LieAlgebraBasis, left, right) -> np.ndarray:
         scaled = left[..., None, :, :] * np.diagonal(basis._stack[k:], 0, 1, 2)[:, None]
         images = np.concatenate([images, scaled @ right[..., None, :, :]], axis=-3)
     return np.swapaxes(basis.coords_from_matrix(images), -1, -2)
+
+
+def _ad_pair(basis: LieAlgebraBasis, images, inverses) -> np.ndarray:
+    """Ad g and Ad g^-1 of g = images, (2, ..., d, d), from one ``_ad_matrix``."""
+    return _ad_matrix(basis, np.stack([images, inverses]), np.stack([inverses, images]))
 
 
 def evaluate_word(rho: Representation, w: Word) -> np.ndarray:
@@ -249,8 +264,7 @@ def evaluate_groupring(rho: Representation, xi: GroupRingElement) -> np.ndarray:
 def coboundary(rho: Representation, v) -> TangentVector:
     """Cocycle gamma -> v - Ad rho(gamma) v, recorded on the generators."""
     v = np.asarray(v, dtype=np.complex128)
-    ad, _ = rho._generator_ad()
-    return TangentVector.of(np.stack([v - ad[k] @ v for k in range(rho.p)]))
+    return TangentVector.of(v - rho._generator_ad()[0] @ v)
 
 
 def conjugate_representation(rho: Representation, g) -> Representation:
@@ -274,24 +288,27 @@ def _relator_values(presentation: Presentation, images, inverses) -> np.ndarray:
     return out
 
 
-def _relator_residual(presentation: Presentation, images, inverses) -> np.ndarray:
-    """vec(rho(r) - I) stacked over the relators, (..., R n^2)."""
-    values = _relator_values(presentation, images, inverses) - np.eye(images.shape[-1])
-    return values.reshape(values.shape[:-3] + (np.prod(values.shape[-3:], dtype=int),))
+def _newton_state(presentation: Presentation, basis: LieAlgebraBasis,
+                  images, inverses) -> tuple:
+    """State [images, inverses, Ad, Ad^-1, relator values] of images and inverses
+    (..., p, n, n), each built once, and residuals vec(rho(r) - I), (..., R n^2)."""
+    rel = _relator_values(presentation, images, inverses)
+    res = rel - np.eye(images.shape[-1])
+    return ([images, inverses, *_ad_pair(basis, images, inverses), rel],
+            res.reshape(res.shape[:-3] + (np.prod(res.shape[-3:], dtype=int),)))
 
 
 def _relator_jacobian(presentation: Presentation, basis: LieAlgebraBasis,
-                      images, inverses, values) -> np.ndarray:
-    """Derivative (..., R n^2, k) of ``_relator_residual`` along k directions
-    with generator values (..., p, d, k): moving rho(x_j) to exp(X_j) rho(x_j)
-    moves rho(r) by (J_r X) rho(r), J_r X the ``cocycle_walk`` of r on X."""
+                      ad, ad_inv, rel, values) -> np.ndarray:
+    """Derivative (..., R n^2, k) of the ``_newton_state`` residual along k
+    directions with generator values (..., p, d, k), at the state's Ad pair and
+    relator values: moving rho(x_j) to exp(X_j) rho(x_j) moves rho(r) by
+    (J_r X) rho(r), J_r X the ``cocycle_walk`` of r on X."""
     from .cohomology import cocycle_walk  # cohomology imports this module
-    ad = _ad_matrix(basis, images, inverses), _ad_matrix(basis, inverses, images)
-    rel = _relator_values(presentation, images, inverses)
     rows, k = basis.n ** 2, values.shape[-1]
     out = np.empty(rel.shape[:-2] + (k, rows), complex)
     for i, r in enumerate(presentation.relators):
-        walked = np.swapaxes(cocycle_walk(*ad, values, r.letters)[1], -1, -2)
+        walked = np.swapaxes(cocycle_walk(ad, ad_inv, values, r.letters)[1], -1, -2)
         moved = basis.matrix_from_coords(walked) @ rel[..., i, None, :, :]
         out[..., i, :, :] = moved.reshape(moved.shape[:-2] + (rows,))
     return out.swapaxes(-1, -2).reshape(rel.shape[:-3] + (rel.shape[-3] * rows, k))
@@ -376,17 +393,14 @@ def find_representation(presentation: Presentation, group: GroupSpec, seed_image
     if group.kind == "SL":
         images = [m / np.linalg.det(m) ** (1.0 / group.n) for m in images]
     rho = Representation(presentation, group, images, tol=tol, check=False)
-    start = [np.reshape(rho.images, (1, -1, group.n, group.n)), rho._inverses[None]]
     identity = np.eye(rho.p * rho.dim_g).reshape(rho.p, rho.dim_g, -1)
-
-    def trial(state, step):
-        moved = _moved(rho.basis, step.reshape(len(step), rho.p, rho.dim_g), *state)
-        return moved, _relator_residual(presentation, *moved)
-
-    images, _ = _damped_newton(
-        start, _relator_residual(presentation, *start), trial,
-        lambda state: _relator_jacobian(presentation, rho.basis, *state, identity),
-        tol, max_iter)
+    state_at = partial(_newton_state, presentation, rho.basis)
+    images = _damped_newton(
+        *state_at(np.array(rho.images)[None], rho._inverses[None]),
+        lambda state, step: state_at(*_moved(
+            rho.basis, step.reshape(len(step), rho.p, rho.dim_g), *state[:2])),
+        lambda state: _relator_jacobian(presentation, rho.basis, *state[2:], identity),
+        tol, max_iter)[0]
     return Representation(presentation, group, images[0], tol=tol)
 
 

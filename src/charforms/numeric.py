@@ -35,10 +35,9 @@ class Tolerances:
     newton_tol: float = 1e-12  # Gauss-Newton residual bound
 
     def __post_init__(self):
-        if not (self.rank_rel > 0 and self.newton_tol > 0):
-            raise InvalidInput(f"tolerances must be strictly positive: {self}")
-        if self.rank_rel >= 1:
-            raise InvalidInput(f"rank_rel must be < 1, got {self.rank_rel}")
+        if not (0 < self.rank_rel < 1 and 0 < self.newton_tol < np.inf):
+            raise InvalidInput("tolerances need 0 < rank_rel < 1 and a finite "
+                               f"newton_tol > 0: {self}")
 
 
 DEFAULT_TOL = Tolerances()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from charforms import charts, forms
+from charforms import charts, cohomology, forms, matgroup
 from charforms import (
     Chart,
     GroupSpec,
@@ -213,6 +213,29 @@ class TestClosedness:
         assert fd["evaluations"] == 12
         assert counts == {"newton": 1, "walk_words": 1, "EtaContext": 0}
 
+    def test_each_point_is_evaluated_once(self, genus2_rep, monkeypatch):
+        # one acceptance-point closedness task from its images: the Ad pair
+        # and the relator values are built once per Newton state (the center,
+        # the stencil start and one trial for each of the two steps), and
+        # cocycle_space and Chart share one Fox walk.  The structure constants
+        # behind basis.ad are built once per process, so before counting.
+        genus2_rep.basis.ad(np.zeros(genus2_rep.dim_g))
+        counts = {"_ad_matrix": 0, "_relator_values": 0, "walk_words": 0}
+        for module, name in ((matgroup, "_ad_matrix"), (matgroup, "_relator_values"),
+                             (cohomology, "walk_words")):
+            def wrapper(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+        rho = Representation(genus2_rep.presentation, genus2_rep.group,
+                             genus2_rep.images)
+        chart = Chart(rho, cocycle_space(rho).basis_h1[:3])
+        cycle = fundamental_two_cycle(rho.presentation).chain
+        assert chart_closedness(chart, trace_form(), cycle, 3e-2)["pass"]
+        assert counts["_ad_matrix"] <= 4
+        assert counts["_relator_values"] <= 4
+        assert counts["walk_words"] == 1
+
     def test_degree_mismatch(self, genus2_chart):
         cycle = fundamental_two_cycle(genus2_chart.center.presentation).chain
         with pytest.raises(DegreeMismatch):
@@ -260,7 +283,7 @@ class TestLockstep:
             rho = random_point(2, seed, "SL", 3)[0]
             chart = Chart(rho, cocycle_space(rho).basis_h1[:3])
         points = _stencil(3, 3e-2, (1,))
-        _, images, _ = charts._solve(chart, points)
+        images = charts._solve(chart, points)[1]
         for t, stacked in zip(points, images):
             single = np.array(retract(chart, t).images)
             assert np.abs(stacked - single).max() <= 1e-12

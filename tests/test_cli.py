@@ -9,7 +9,15 @@ import scipy.linalg
 from charforms import GroupSpec, Presentation, Representation, cli, errors
 from charforms.cli import _COMMANDS, main
 from charforms.families import family_to_json
-from charforms.matgroup import complex_to_json, representation_to_json
+from charforms.cohomology import cocycle_space
+from charforms.forms import eta, make_context, random_cocycle
+from charforms.invariants import trace_form
+from charforms.matgroup import (
+    TangentVector,
+    coboundary,
+    complex_to_json,
+    representation_to_json,
+)
 
 from conftest import diagonal_family
 
@@ -402,6 +410,21 @@ def test_bad_tolerance_flag_is_invalid_input(inputs, capsys, flags, command):
     _assert_invalid_input(capsys, [command, "--input", inputs["genus2"], *flags])
 
 
+@pytest.mark.parametrize("flag", ["--tol-newton", "--fd-step", "--fd-chart-step"])
+def test_infinite_tolerance_flag_is_invalid_input(genus2_rep, tmp_path, capsys, flag):
+    """An infinite tolerance would pass any point (here one whose relator
+    residual is of order 1) and write Infinity, which is not JSON.  The flag
+    is refused before the point is read."""
+    images = representation_to_json(genus2_rep)["images"]
+    images["a1"], images["b1"] = images["b1"], images["a1"]
+    path = _point_input(tmp_path, genus2_rep, images=images)
+    assert main(["cohomology", "--input", path, flag, "inf"]) == 2
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1 and err == ""
+    error = json.loads(out)
+    assert error["error"] == "InvalidInput" and "finite" in error["detail"]
+
+
 def test_family_degree_three_is_degree_mismatch(tmp_path, capsys):
     path = _family_input(tmp_path, phi={"kind": "power_trace", "n": 3})
     assert main(["family", "--input", path]) == 2
@@ -415,6 +438,41 @@ def test_trials_below_one_is_invalid_input(inputs, capsys, command, trials):
     argv = [command, *source.get(command, ["--input", inputs["genus2"]]),
             "--seed", "1", "--trials", trials]
     _assert_invalid_input(capsys, argv)
+
+
+def _eta_input(tmp_path, rep, sigmas):
+    names = rep.presentation.generator_names
+    path = tmp_path / "eta.json"
+    path.write_text(json.dumps({
+        "presentation": rep.presentation.to_json(),
+        "representation": representation_to_json(rep),
+        "cocycles": [dict(zip(names, complex_to_json(s.values))) for s in sigmas]}))
+    return str(path)
+
+
+def test_eta_refuses_values_that_are_not_cocycles(genus2_rep, tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    sigmas = [TangentVector.of(rng.standard_normal((4, 3))
+                               + 1j * rng.standard_normal((4, 3))) for _ in range(2)]
+    assert main(["eta", "--input", _eta_input(tmp_path, genus2_rep, sigmas)]) == 2
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1 and err == ""
+    assert json.loads(out)["error"] == "InvalidInput"
+    assert "is not a cocycle" in json.loads(out)["detail"]
+
+
+@pytest.mark.parametrize("with_coboundary", [False, True])
+def test_eta_of_cocycles_keeps_its_value(genus2_rep, tmp_path, with_coboundary):
+    rng = np.random.default_rng(1)
+    space = cocycle_space(genus2_rep)
+    s, t = random_cocycle(space, rng), random_cocycle(space, rng)
+    if with_coboundary:
+        s = s + coboundary(genus2_rep, 10 * rng.standard_normal(3))
+    expected = eta(make_context(genus2_rep, trace_form()), s, t)
+    code, report = run(["eta", "--input", _eta_input(tmp_path, genus2_rep, [s, t])],
+                       tmp_path / "r.json")
+    assert code == 0
+    assert report["values"] == [[expected.real, expected.imag]]
 
 
 def _cocycle(genus2_rep, length):

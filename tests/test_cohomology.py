@@ -17,6 +17,7 @@ from charforms import (
     extend_cocycle,
     fox_jacobian,
     fundamental_two_cycle,
+    lie_algebra_basis,
     pair,
     parse_word,
     verify_cycle,
@@ -32,6 +33,7 @@ from charforms.cohomology import (
 from charforms.matgroup import (
     TangentVector,
     _relator_jacobian,
+    _relator_values,
     adjoint_operator,
     coboundary,
     evaluate_groupring,
@@ -165,8 +167,10 @@ def test_jacobians_match_fox_oracle(genus, kind, n):
                           for r in rho.presentation.relators])
     assert np.abs(fox_jacobian(rho) - ref).max() <= 1e-12 * np.abs(ref).max()
     ref = _reference_relator_jacobian(rho)
-    jac = _relator_jacobian(rho.presentation, rho.basis, np.stack(rho.images),
-                            np.stack(rho._inverses), identity_values(rho))
+    jac = _relator_jacobian(rho.presentation, rho.basis, *rho._generator_ad(),
+                            _relator_values(rho.presentation, np.stack(rho.images),
+                                            rho._inverses),
+                            identity_values(rho))
     assert np.abs(jac - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -257,7 +261,7 @@ def test_batched_walk_matches_per_point(letters, seed):
     to the cocycles, and extend_cocycle."""
     rng = np.random.default_rng(seed)
     group = GroupSpec("SL", 2)
-    basis = group._basis
+    basis = lie_algebra_basis(group)
     points = [Representation(Presentation.surface(2), group, matrix_exp(
         basis.matrix_from_coords(0.4 * (rng.standard_normal((4, 3))
                                         + 1j * rng.standard_normal((4, 3))))),

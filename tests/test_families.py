@@ -19,7 +19,7 @@ from charforms.cohomology import fox_jacobian, fundamental_two_cycle
 from charforms.forms import EtaContext, eta
 from charforms.invariants import symmetric_tensor
 from charforms.errors import DegreeMismatch, InvalidInput, NotTangent
-from charforms.matgroup import TangentVector
+from charforms.matgroup import TangentVector, lie_algebra_basis
 from charforms.numeric import DEFAULT_TOL, Tolerances
 from charforms.families import (
     FamilySpec,
@@ -340,7 +340,7 @@ class TestPullback:
         h = 1e-3
         report = family_pullback(family, trace_form(), grid=2, h=h)
         cycle = fundamental_two_cycle(family.presentation).chain
-        tensor = symmetric_tensor(trace_form(), family.group._basis)
+        tensor = symmetric_tensor(trace_form(), lie_algebra_basis(family.group))
         w = charforms.families._coefficients(
             family, tensor, cycle, _stencil(family.m, h, (1.0, 1.0j)))
         max_d, fd_error, cr_dev = _fd_d(w, h, (1.0, 1.0j))

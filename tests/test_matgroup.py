@@ -76,6 +76,31 @@ class TestLieAlgebraBasis:
             assert np.abs(basis.coords_from_matrix(m) - ref).max() < 1e-12
             assert np.abs(basis.coords_from_matrix(m[0]) - ref[0]).max() < 1e-12
 
+    @pytest.mark.parametrize("kind", ["GL", "SL"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ad_is_the_commutator(self, kind, n):
+        """basis.ad(x) @ y are the coordinates of the matrix commutator
+        [X, Y], for one x and for a stack."""
+        basis = lie_algebra_basis(GroupSpec(kind, n))
+        rng = np.random.default_rng(n)
+        x, y = rng.standard_normal((2, 5, basis.dim)) + 1j * rng.standard_normal(
+            (2, 5, basis.dim))
+        mx, my = basis.matrix_from_coords(x), basis.matrix_from_coords(y)
+        ref = basis.coords_from_matrix(mx @ my - my @ mx)
+        got = (basis.ad(x) @ y[..., None])[..., 0]
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.abs(basis.ad(x[0]) @ y[0] - ref[0]).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_one_read_only_basis_per_group(self):
+        basis = lie_algebra_basis(GroupSpec("SL", 2))
+        assert lie_algebra_basis(GroupSpec("SL", 2)) is basis
+        assert lie_algebra_basis(GroupSpec("GL", 2)) is not basis
+        basis.ad(np.zeros(basis.dim))
+        for a in (*basis.matrices, basis._stack, basis._structure):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            basis.matrices[0][0, 1] = 2.0
+
 
 class TestRepresentation:
     def test_relator_checked(self):

@@ -5,7 +5,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from charforms.errors import SingularMatrix
+from charforms.errors import InvalidInput, SingularMatrix
 from charforms.numeric import (
     Tolerances,
     as_cmatrix,
@@ -21,6 +21,13 @@ def test_tolerances_validation():
         Tolerances(rank_rel=0.0)
     with pytest.raises(ValueError):
         Tolerances(rank_rel=2.0)
+
+
+@pytest.mark.parametrize("field", ["rank_rel", "newton_tol"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_tolerances_must_be_finite(field, value):
+    with pytest.raises(InvalidInput):
+        Tolerances(**{field: value})
 
 
 def test_as_cmatrix_rejects_nan():
