@@ -31,10 +31,8 @@ from .matgroup import (
     LieAlgebraBasis,
     Representation,
     TangentVector,
-    adjoint_operator,
     coboundary,
     conjugate_representation,
-    evaluate_groupring,
     evaluate_word,
     find_representation,
     is_irreducible,
@@ -48,7 +46,6 @@ from .cohomology import (
     extend_cocycle,
     fox_jacobian,
     fundamental_two_cycle,
-    pair,
     verify_cycle,
 )
 from .invariants import (
@@ -57,7 +54,6 @@ from .invariants import (
     combination,
     evaluate,
     killing_form,
-    polarize,
     power_trace,
     symmetric_tensor,
     trace_form,

@@ -130,7 +130,7 @@ def _solve(chart: Chart, t) -> list:
     except NoConvergence as exc:
         raise NoConvergence(f"{where(exc.index)}: {exc}", exc.residual,
                             exc.index) from exc
-    bad = _violation(rho.group, state[1], state[5], rho.tol)
+    bad = _violation(rho.group, state[1], state[5], rho.tol.relator_bound)
     if bad is not None:
         raise InvalidInput(f"{where(bad[0])}: {bad[1]}")
     correction = np.linalg.norm(state[1] - start[1], axis=(-2, -1)).sum(axis=-1)

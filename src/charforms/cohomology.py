@@ -1,9 +1,9 @@
-"""Twisted cocycle/coboundary spaces, bar-resolution chains and pairings.
+"""Twisted cocycle/coboundary spaces, the Fox walk and bar-resolution chains.
 
 Group elements inside bar chains are carried by fixed reduced free words.
 Boundary computations compare words through a deterministic normal-form map
 that deletes literal relator subwords; no word-problem machinery is involved
-because all evaluators used in pairings are genuine functions on the group.
+because every value paired with a chain is a genuine function on the group.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "bar_boundary",
     "verify_cycle",
     "normal_form",
-    "pair",
 ]
 
 
@@ -315,10 +314,3 @@ def fundamental_two_cycle(presentation: Presentation) -> FundamentalCycle:
         raise NotSurfacePresentation("constructed chain is not a cycle")
     return FundamentalCycle(chain, presentation)
 
-
-def pair(evaluator, chain: BarChain) -> complex:
-    """Pairing sum over terms: coefficient * evaluator(*tuple)."""
-    total = 0.0 + 0.0j
-    for tup, c in chain.terms:
-        total += c * evaluator(*tup)
-    return total

@@ -28,6 +28,7 @@ from .matgroup import (
     TangentVector,
     _ad_pair,
     _relator_values,
+    _violation,
     complex_from_json,
     complex_to_json,
     lie_algebra_basis,
@@ -170,6 +171,7 @@ class _Compiled:
 # Points per pass of a family evaluation; the working arrays do not grow with
 # the number of grid and stencil points.
 _BLOCK = 64
+_RELATOR_BOUND = 1e-9  # relator residual accepted on a family
 
 
 @dataclass(frozen=True)
@@ -200,8 +202,10 @@ class FamilySpec:
 
     def _images(self, s):
         """Images and their inverses (P, p, n, n), the image derivatives
-        (P, m, p, n, n) and the relator residuals (P,) at the points s (P, m).
-        Raises SingularMatrix naming the first point with a singular image."""
+        (P, m, p, n, n), the relator values (P, R, n, n) and the first point
+        that leaves Hom(Gamma, G), ``matgroup._violation`` at _RELATOR_BOUND,
+        at the points s (P, m).  Raises SingularMatrix naming the first point
+        with a singular image."""
         p, n = self.presentation.p, self.group.n
         values = self._table(s).reshape(len(s), 1 + self.m, p, n, n)
         images = values[:, 0]
@@ -209,41 +213,37 @@ class FamilySpec:
             inverses = matrix_inverse(images, self.tol)
         except SingularMatrix as exc:
             raise SingularMatrix(f"at s={s[exc.index // p]}: {exc}") from exc
-        residual = np.linalg.norm(
-            _relator_values(self.presentation, images, inverses) - np.eye(n),
-            axis=(-2, -1)).max(axis=-1, initial=0.0)
-        return images, inverses, values[:, 1:], residual
-
-    def matrix_at(self, name: str, s) -> np.ndarray:
-        k, n = self.presentation.generator_names.index(name), self.group.n
-        return self._table(np.reshape(s, (1, -1)))[0, 0].reshape(-1, n, n)[k]
+        rel = _relator_values(self.presentation, images, inverses)
+        return (images, inverses, values[:, 1:], rel,
+                _violation(self.group, images, rel, _RELATOR_BOUND))
 
     def rep_at(self, s) -> Representation:
-        images, _, _, res = self._images(np.reshape(s, (1, -1)))
-        if res[0] > 1e-9:
-            raise NotTangent(
-                f"family leaves Hom: relator residual {res[0]:.3e} at s={s}")
+        images, _, _, _, bad = self._images(np.reshape(s, (1, -1)))
+        if bad is not None:
+            raise NotTangent(f"family leaves Hom: {bad[1]} at s={s}")
         return Representation(self.presentation, self.group, images[0], self.tol,
                               check=False)
 
     def validate(self) -> float:
-        """Relator residual at 20 seeded random sample points of the polydisc."""
+        """Relator residual at 20 seeded random sample points of the polydisc,
+        where every point must lie in Hom(Gamma, G)."""
         rng = np.random.default_rng(0)
         s = np.array([[r * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / np.sqrt(2)
                        for r in self.domain_radius] for _ in range(20)])
-        worst = float(self._images(s)[3].max(initial=0.0))
-        if worst > 1e-9:
-            raise InvalidInput(f"family residual {worst:.3e} exceeds 1e-9")
-        return worst
+        _, _, _, rel, bad = self._images(s)
+        if bad is not None:
+            raise InvalidInput(f"family {bad[1]} at s={s[bad[0]]}")
+        residual = np.linalg.norm(rel - np.eye(self.group.n), axis=(-2, -1))
+        return float(residual.max(initial=0.0))
 
 
 def _walk(family: FamilySpec, s, words=()):
     """Tangents sigma_k(x_j) = (d rho_s(x_j)/d s_k) rho_s(x_j)^-1, (P, m, p, d),
     at the points s (P, m) and their ``walk_words`` table over ``words`` and
-    the relators.  Raises NotTangent at the first point that leaves Hom (relator
-    residual > 1e-9) or fails |sigma_k(r)| <= 1e-8 max(|sigma_k|, 1)."""
+    the relators.  Raises NotTangent at the first point that leaves Hom
+    (``FamilySpec._images``) or fails |sigma_k(r)| <= 1e-8 max(|sigma_k|, 1)."""
     s = np.asarray(s, dtype=np.complex128).reshape(-1, family.m)
-    images, inverses, derivs, left = family._images(s)
+    images, inverses, derivs, _, left = family._images(s)
     basis = lie_algebra_basis(family.group)
     sigma = basis.coords_from_matrix(derivs @ inverses[:, None])
     relators = family.presentation.relators
@@ -252,11 +252,13 @@ def _walk(family: FamilySpec, s, words=()):
     resid = np.sqrt(sum(np.linalg.norm(table[r][1], axis=1) ** 2
                         for r in relators))  # |J sigma_k|, (P, m)
     bad = resid > 1e-8 * np.maximum(np.linalg.norm(sigma, axis=(2, 3)), 1)
-    for i in np.flatnonzero(bad.any(axis=1) | (left > 1e-9))[:1]:
+    first = np.flatnonzero(bad.any(axis=1))
+    if left is not None and (not len(first) or left[0] <= first[0]):
+        raise NotTangent(f"family leaves Hom: {left[1]} at s={s[left[0]]}")
+    for i in first[:1]:
         k = int(np.argmax(bad[i]))
-        raise NotTangent((f"family leaves Hom: relator residual {left[i]:.3e}"
-                          if left[i] > 1e-9 else f"tangent {k} fails cocycle "
-                          f"check, residual {resid[i, k]:.3e}") + f" at s={s[i]}")
+        raise NotTangent(f"tangent {k} fails cocycle check, residual "
+                         f"{resid[i, k]:.3e} at s={s[i]}")
     return sigma, table
 
 

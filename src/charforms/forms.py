@@ -26,7 +26,6 @@ from .matgroup import (
     Representation,
     TangentVector,
     _ad_matrix,
-    _relator_values,
     coboundary,
     conjugate_representation,
     evaluate_word,
@@ -91,8 +90,8 @@ class EtaContext:
     """A form at rho: the cycle to pair against and the coefficient tensor
     of tilde-Phi (``invariants.symmetric_tensor`` of ``phi`` in rho's basis).
 
-    The ``walk_words`` table (Ad rho(w), J_w) of the cycle words and, in
-    degree 2, the matrix Omega are built on first use and kept.
+    The ``walk_words`` table (Ad rho(w), J_w) of the cycle words is built on
+    first use and kept; ``eta`` and ``gram_matrix`` pair it in every degree.
     """
 
     rho: Representation
@@ -109,11 +108,12 @@ class EtaContext:
         return walk_words(*self.rho._generator_ad(), identity_values(self.rho),
                           [w for gammas, _ in self.cycle.terms for w in gammas])
 
-    @cached_property
-    def omega(self) -> np.ndarray:
-        """Degree 2: eta(s, t) = s.stacked @ omega @ t.stacked, the cycle
-        pairing of the identity values, sum_t c_t J_{g_1}^T K Ad(g_1) J_{g_2}."""
-        return _cycle_pairing(self.cycle, self.tensor, self.table)
+
+def _paired(ctx: EtaContext, stacked: np.ndarray) -> np.ndarray:
+    """The cycle pairing (k,) * n of k stacked cocycles (p dim g, k): the
+    context's table with J_w replaced by J_w S, S = stacked."""
+    table = {w: (ad, jac @ stacked) for w, (ad, jac) in ctx.table.items()}
+    return _cycle_pairing(ctx.cycle, ctx.tensor, table)
 
 
 def make_context(rho: Representation, phi: InvariantPolynomial,
@@ -133,18 +133,13 @@ def make_context(rho: Representation, phi: InvariantPolynomial,
 
 def eta(ctx: EtaContext, *sigmas: TangentVector) -> complex:
     """Pairing of the cup product of the cocycles, weighted by tilde-Phi,
-    with the cycle: sum_t c_t tilde-Phi(s_1(g_1), ..., Ad(g_1..g_n-1) s_n(g_n)).
-
-    Degree 2 reads Omega; any other degree pairs the context's table with
-    the identity values J_w replaced by J_w S, S the stacked cocycles."""
+    with the cycle: sum_t c_t tilde-Phi(s_1(g_1), ..., Ad(g_1..g_n-1) s_n(g_n)),
+    the diagonal entry of ``_paired`` on S = (s_1, ..., s_n)."""
     n = ctx.degree
     if len(sigmas) != n:
         raise DegreeMismatch(f"expected {n} cocycles, got {len(sigmas)}")
-    if n == 2:
-        return complex(sigmas[0].stacked @ ctx.omega @ sigmas[1].stacked)
     stacked = np.stack([s.stacked for s in sigmas], axis=1)
-    table = {w: (ad, jac @ stacked) for w, (ad, jac) in ctx.table.items()}
-    return complex(_cycle_pairing(ctx.cycle, ctx.tensor, table)[tuple(range(n))])
+    return complex(_paired(ctx, stacked)[tuple(range(n))])
 
 
 def random_cocycle(space, rng) -> TangentVector:
@@ -178,12 +173,12 @@ def contraction_suite(ctx: EtaContext, trials: int, rng) -> dict:
 
 
 def gram_matrix(ctx: EtaContext, basis):
-    """Matrix G_ij = eta(s_i, s_j) = H^T Omega H and its SVD rank at the
-    point's tolerance (degree 2)."""
+    """Matrix G_ij = eta(s_i, s_j), ``_paired`` on S = H the stacked basis,
+    and its SVD rank at the point's tolerance (degree 2)."""
     if ctx.degree != 2:
         raise DegreeMismatch("gram_matrix requires a degree-2 context")
-    h = np.reshape([s.stacked for s in basis], (len(basis), len(ctx.omega))).T
-    g = h.T @ ctx.omega @ h
+    h = np.reshape([s.stacked for s in basis], (len(basis), ctx.rho.p * ctx.rho.dim_g))
+    g = _paired(ctx, h.T)
     return g, rank_and_gap(g, ctx.rho.tol).rank
 
 
@@ -214,21 +209,20 @@ def conjugation_invariance(ctx: EtaContext, g, trials: int, rng) -> float:
 def endomorphism_pullback(ctx: EtaContext, images, rng, trials: int = 5):
     """Pull the context back along the endomorphism x_k -> images[k].
 
-    Checks numerically that every relator maps to a word acting trivially at
-    rho.  Returns the pulled-back context together with a report comparing
-    eta at rho∘phi on pulled-back cocycles against eta at rho.
+    Checks numerically, at rho's own tolerance, that every relator maps to a
+    word acting trivially at rho, and raises NotEndomorphism with the
+    residual otherwise.  Returns the pulled-back context together with a
+    report comparing eta at rho∘phi on pulled-back cocycles against eta at rho.
     """
     rho = ctx.rho
     images = tuple(images)
     if len(images) != rho.p:
         raise NotEndomorphism("need one image word per generator")
-    mapped = np.array([evaluate_word(rho, w) for w in images])
-    inverses = np.array([evaluate_word(rho, w.inverse()) for w in images])
-    res = np.linalg.norm(_relator_values(rho.presentation, mapped, inverses)
-                         - np.eye(rho.group.n), axis=(-2, -1)).max(initial=0.0)
-    if res > 1e-8:
-        raise NotEndomorphism(f"relator maps to a word with residual {res:.3e} at rho")
-    rho_new = Representation(rho.presentation, rho.group, mapped, tol=rho.tol)
+    try:
+        rho_new = Representation(rho.presentation, rho.group,
+                                 [evaluate_word(rho, w) for w in images], tol=rho.tol)
+    except InvalidInput as exc:
+        raise NotEndomorphism(f"a relator maps to a nontrivial word: {exc}") from exc
     ctx_new = EtaContext(rho_new, ctx.phi, ctx.tensor, ctx.cycle)
     space = cocycle_space(rho)
     ratios = []

@@ -1,4 +1,4 @@
-"""Invariant polynomials on the Lie algebra and their polarizations.
+"""Invariant polynomials on the Lie algebra and their polarization tensors.
 
 Built-ins: power traces tr(X^n), the trace form tr(X^2) = power_trace(2) and
 the Killing form computed from structure constants of the fixed basis (so the
@@ -8,7 +8,6 @@ proportionality to the trace form on sl(n) is a checkable fact, not an input).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ __all__ = [
     "killing_form",
     "combination",
     "evaluate",
-    "polarize",
     "symmetric_tensor",
     "check_invariance",
     "polynomial_to_json",
@@ -83,32 +81,6 @@ def evaluate(phi: InvariantPolynomial, basis: LieAlgebraBasis, x) -> complex:
         return complex(np.trace(np.linalg.matrix_power(m, phi.degree)))
     ad = basis.ad(x)
     return complex(np.trace(ad @ ad))
-
-
-def polarize(phi: InvariantPolynomial, basis: LieAlgebraBasis):
-    """Symmetric n-linear evaluator with tilde-Phi(X,...,X) = Phi(X).
-
-    Uses the finite polarization formula (inclusion-exclusion over nonempty
-    subsets); 2^n - 1 evaluations, fine for the small degrees used here.
-    """
-    n = phi.degree
-    fact = math.factorial(n)
-    subsets = [s for k in range(1, n + 1) for s in itertools.combinations(range(n), k)]
-    signs = [(-1) ** (n - len(s)) for s in subsets]
-
-    def evaluator(*args) -> complex:
-        if len(args) != n:
-            raise DegreeMismatch(f"expected {n} arguments, got {len(args)}")
-        xs = [np.asarray(a, dtype=np.complex128) for a in args]
-        total = 0.0 + 0.0j
-        for s, sign in zip(subsets, signs):
-            acc = xs[s[0]].copy()
-            for i in s[1:]:
-                acc = acc + xs[i]
-            total += sign * evaluate(phi, basis, acc)
-        return total / fact
-
-    return evaluator
 
 
 def symmetric_tensor(phi: InvariantPolynomial, basis: LieAlgebraBasis) -> np.ndarray:

@@ -23,7 +23,7 @@ from .numeric import (
     rank_and_gap,
     solve_lsq,
 )
-from .words import GroupRingElement, Presentation, Word
+from .words import Presentation, Word
 
 __all__ = [
     "GroupSpec",
@@ -32,8 +32,6 @@ __all__ = [
     "TangentVector",
     "Representation",
     "evaluate_word",
-    "adjoint_operator",
-    "evaluate_groupring",
     "coboundary",
     "conjugate_representation",
     "find_representation",
@@ -198,7 +196,7 @@ class Representation:
     def validate(self):
         images = np.reshape(self.images, (1,) + self._inverses.shape)
         values = _relator_values(self.presentation, images, self._inverses[None])
-        bad = _violation(self.group, images, values, self.tol)
+        bad = _violation(self.group, images, values, self.tol.relator_bound)
         if bad is not None:
             raise InvalidInput(bad[1])
 
@@ -242,22 +240,6 @@ def evaluate_word(rho: Representation, w: Word) -> np.ndarray:
     out = np.eye(rho.group.n, dtype=np.complex128)
     for g, s in w.letters:
         out = out @ rho.image(g, s)
-    return out
-
-
-def adjoint_operator(rho: Representation, w: Word) -> np.ndarray:
-    """Matrix of X -> rho(w) X rho(w)^-1 in the fixed Lie-algebra basis."""
-    ad, ad_inv = rho._generator_ad()
-    out = np.eye(rho.dim_g, dtype=np.complex128)
-    for g, s in w.letters:
-        out = out @ (ad[g] if s == 1 else ad_inv[g])
-    return out
-
-
-def evaluate_groupring(rho: Representation, xi: GroupRingElement) -> np.ndarray:
-    out = np.zeros((rho.dim_g, rho.dim_g), dtype=np.complex128)
-    for w, c in xi.terms:
-        out += c * adjoint_operator(rho, w)
     return out
 
 
@@ -314,9 +296,10 @@ def _relator_jacobian(presentation: Presentation, basis: LieAlgebraBasis,
     return out.swapaxes(-1, -2).reshape(rel.shape[:-3] + (rel.shape[-3] * rows, k))
 
 
-def _violation(group: GroupSpec, images, values, tol: Tolerances):
+def _violation(group: GroupSpec, images, values, relator_bound: float):
     """(index, reason) for the first point of a stack, images (P, p, n, n)
-    with relator values (P, R, n, n), that ``validate`` rejects, or None.
+    with relator values (P, R, n, n), that leaves Hom(Gamma, G): an SL image
+    off det = 1, or a relator residual above ``relator_bound``; None if none.
     Hadamard: |det m| is at most the product of the row norms of m, which
     scales the rounding error of det."""
     if group.kind == "SL":
@@ -325,7 +308,7 @@ def _violation(group: GroupSpec, images, values, tol: Tolerances):
             return k, (f"SL image has |det - 1| > {bound[k, j]:.3e} "
                        "(1e-10 times the product of its row norms)")
     res = np.linalg.norm(values - np.eye(group.n), axis=(-2, -1))
-    for k, j in np.argwhere(res > 10 * max(tol.newton_tol, 1e-12))[:1]:
+    for k, j in np.argwhere(res > relator_bound)[:1]:
         return k, f"relator residual {res[k, j]:.3e} exceeds tolerance"
     return None
 

@@ -39,6 +39,11 @@ class Tolerances:
             raise InvalidInput("tolerances need 0 < rank_rel < 1 and a finite "
                                f"newton_tol > 0: {self}")
 
+    @property
+    def relator_bound(self) -> float:
+        """Largest relator residual |rho(r) - I| accepted at a point."""
+        return 10 * max(self.newton_tol, 1e-12)
+
 
 DEFAULT_TOL = Tolerances()
 

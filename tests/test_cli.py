@@ -8,7 +8,7 @@ import scipy.linalg
 
 from charforms import GroupSpec, Presentation, Representation, cli, errors
 from charforms.cli import _COMMANDS, main
-from charforms.families import family_to_json
+from charforms.families import FamilySpec, Poly, family_to_json
 from charforms.cohomology import cocycle_space
 from charforms.forms import eta, make_context, random_cocycle
 from charforms.invariants import trace_form
@@ -577,3 +577,38 @@ def test_malformed_input_exits_2_with_one_error_line(genus2_rep, tmp_path,
     out, err = capsys.readouterr()
     assert len(out.splitlines()) == 1 and err == ""
     assert json.loads(out)["error"] == error
+
+
+def _torus_sl2_family(tmp_path, a1, b1):
+    """Path of the CLI input of an SL(2) family on the torus whose images a1
+    and b1 are 2 x 2 lists of polynomials in s1, s2."""
+    fam = FamilySpec(Presentation.surface(1), GroupSpec("SL", 2), ("s1", "s2"),
+                     (0.2, 0.2), {"a1": a1, "b1": b1})
+    path = tmp_path / "sl2_family.json"
+    path.write_text(json.dumps({"presentation": fam.presentation.to_json(),
+                                "group": {"kind": "SL", "n": 2},
+                                "family": family_to_json(fam)}))
+    return str(path)
+
+
+def test_sl_family_off_det_one_is_invalid_input(tmp_path, capsys):
+    """diag(1 + s1, 1) and diag(1 + s2, 1) commute, so the torus relator
+    holds, but their det is 1 + s: the family leaves SL(2) and exits 2, as a
+    point off det = 1 does, where it used to pass with its tangents projected
+    onto sl(2)."""
+    one, zero, s1, s2 = Poly.const(2, 1.0), Poly(2), Poly.var(2, 0), Poly.var(2, 1)
+    path = _torus_sl2_family(tmp_path, [[one + s1, zero], [zero, one]],
+                             [[one + s2, zero], [zero, one]])
+    assert main(["family", "--input", path, "--grid", "2"]) == 2
+    error = json.loads(capsys.readouterr().out)
+    assert error["error"] == "InvalidInput" and "|det - 1|" in error["detail"]
+
+
+def test_unipotent_sl_family_is_accepted(tmp_path):
+    """[[1, s1], [0, 1]] and [[1, s2], [0, 1]] commute and have det 1, so the
+    family passes validation and is sampled on the whole grid."""
+    one, zero, s1, s2 = Poly.const(2, 1.0), Poly(2), Poly.var(2, 0), Poly.var(2, 1)
+    path = _torus_sl2_family(tmp_path, [[one, s1], [zero, one]],
+                             [[one, s2], [zero, one]])
+    code, report = run(["family", "--input", path, "--grid", "2"], tmp_path / "r.json")
+    assert code != 2 and len(report["samples"]) == 4

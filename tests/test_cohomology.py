@@ -18,7 +18,6 @@ from charforms import (
     fox_jacobian,
     fundamental_two_cycle,
     lie_algebra_basis,
-    pair,
     parse_word,
     verify_cycle,
 )
@@ -34,9 +33,7 @@ from charforms.matgroup import (
     TangentVector,
     _relator_jacobian,
     _relator_values,
-    adjoint_operator,
     coboundary,
-    evaluate_groupring,
     evaluate_word,
     matrix_exp,
 )
@@ -45,6 +42,7 @@ from charforms.errors import NotSurfacePresentation, RankInstability
 from charforms.numeric import Tolerances
 
 from conftest import h0_dim, random_point
+from oracles import adjoint_operator, evaluate_groupring, pair
 
 SL2 = GroupSpec("SL", 2)
 
@@ -179,7 +177,6 @@ class TestExtendCocycle:
         space = cocycle_space(genus2_rep)
         sigma = space.basis_h1[0]
         ext = extend_cocycle(genus2_rep, sigma)
-        from charforms.matgroup import adjoint_operator
         rng = np.random.default_rng(0)
         names = genus2_rep.presentation.generator_names
         for _ in range(20):
@@ -197,7 +194,6 @@ class TestExtendCocycle:
         ext = extend_cocycle(genus2_rep, sigma)
         assert np.linalg.norm(ext(Word.identity())) == 0
         w = parse_word("a1 b2 a2^-1", genus2_rep.presentation.generator_names)
-        from charforms.matgroup import adjoint_operator
         lhs = ext(w.inverse())
         rhs = -(adjoint_operator(genus2_rep, w.inverse()) @ ext(w))
         assert np.linalg.norm(lhs - rhs) < 1e-10

@@ -100,9 +100,9 @@ class TestFamilySpec:
         data = family_to_json(family)
         back = family_from_json(data, family.presentation, family.group)
         s = np.array([0.03, -0.05, 0.02])
-        for name in family.presentation.generator_names:
-            assert np.allclose(back.matrix_at(name, s),
-                               family.matrix_at(name, s), atol=1e-14)
+        for k in range(family.presentation.p):
+            assert np.allclose(back.rep_at(s).images[k],
+                               family.rep_at(s).images[k], atol=1e-14)
 
     def test_tolerances_travel_with_the_family(self, family):
         tol = Tolerances(rank_rel=1e-8, newton_tol=1e-11)
@@ -271,6 +271,25 @@ def test_not_tangent_in_a_batch_names_the_first_failing_point(family, cube,
         family_tangent(bad, first, 0)
 
 
+def test_sl_family_off_det_one_leaves_hom():
+    """A torus family in SL(2) whose relator holds but whose det is 1 + s1
+    leaves Hom(Z^2, SL(2)) at every point but s1 = 0: each per-point and
+    batched path refuses it, naming the determinant."""
+    one, zero, s1 = Poly.const(2, 1.0), Poly(2), Poly.var(2, 0)
+    fam = FamilySpec(Presentation.surface(1), GroupSpec("SL", 2), ("s1", "s2"),
+                     (0.2, 0.2), {"a1": [[one + s1, zero], [zero, one]],
+                                  "b1": [[one, zero], [zero, one]]})
+    point = np.array([0.1, 0.0])
+    message = r"family leaves Hom: SL image has \|det - 1\|"
+    with pytest.raises(InvalidInput, match=r"\|det - 1\|"):
+        fam.validate()
+    with pytest.raises(NotTangent, match=message):
+        fam.rep_at(point)
+    with pytest.raises(NotTangent, match=message):
+        family_tangent(fam, point, 0)
+    assert np.array_equal(fam.rep_at(np.zeros(2)).images[0], np.eye(2))
+
+
 def test_constant_family_off_the_variety_leaves_hom():
     """Constant images whose relator fails: the tangents vanish and pass the
     cocycle check, so only the relator check stops the first grid point."""
@@ -375,9 +394,9 @@ class TestBaseChange:
         pulled = base_change(family, subs, ("u1", "u2"), (0.2, 0.2))
         u = np.array([0.05, -0.08], dtype=complex)
         s = np.array([p(u) for p in subs])
-        for name in family.presentation.generator_names:
-            assert np.allclose(pulled.matrix_at(name, u),
-                               family.matrix_at(name, s), atol=1e-12)
+        for k in range(family.presentation.p):
+            assert np.allclose(pulled.rep_at(u).images[k],
+                               family.rep_at(s).images[k], atol=1e-12)
 
     def test_chain_rule_identity(self, family):
         rng = np.random.default_rng(2)

@@ -10,8 +10,9 @@ import charforms
 from charforms import (
     BarChain,
     GroupSpec,
+    Presentation,
+    Representation,
     Word,
-    adjoint_operator,
     cocycle_space,
     conjugation_invariance,
     contraction_suite,
@@ -20,9 +21,7 @@ from charforms import (
     gram_matrix,
     killing_form,
     make_context,
-    pair,
     parse_word,
-    polarize,
     power_trace,
     trace_form,
 )
@@ -32,6 +31,7 @@ from charforms.invariants import symmetric_tensor
 from charforms.matgroup import TangentVector, coboundary, lie_algebra_basis, matrix_exp
 
 from conftest import random_point
+from oracles import adjoint_operator, pair, polarize
 
 SL2 = GroupSpec("SL", 2)
 
@@ -423,6 +423,20 @@ class TestEndomorphismPullback:
         rng = np.random.default_rng(7)
         _, report = endomorphism_pullback(ctx, images, trials=5, rng=rng)
         assert report["ratio"] == pytest.approx(1.0, abs=1e-8)
+
+    def test_residual_is_checked_once_at_the_point_tolerance(self):
+        """The shear a1 -> a1 b1^6 at the commuting SL(2) pair A = exp(X),
+        B = exp(-0.7 X): the mapped relator has residual 1.9e-10, above the
+        point's bound 1e-11, and is NotEndomorphism naming it, where a second
+        check used to raise InvalidInput."""
+        x = np.array([[2.0, 1.0], [0.3, -2.0]])
+        rho = Representation(Presentation.surface(1), SL2,
+                             [matrix_exp(x), matrix_exp(-0.7 * x)])
+        names = rho.presentation.generator_names
+        images = (parse_word("a1 b1^6", names), parse_word("b1", names))
+        with pytest.raises(NotEndomorphism, match=r"relator residual 1\.9\d*e-10"):
+            endomorphism_pullback(make_context(rho, trace_form()), images,
+                                  trials=2, rng=np.random.default_rng(9))
 
     def test_non_endomorphism_rejected(self, genus2_rep):
         ctx = make_context(genus2_rep, trace_form())

@@ -8,12 +8,13 @@ from charforms import (
     evaluate,
     killing_form,
     lie_algebra_basis,
-    polarize,
     power_trace,
     trace_form,
 )
 from charforms.errors import DegreeMismatch, InvalidInput, natural_int, positive_int
 from charforms.invariants import polynomial_from_json, polynomial_to_json
+
+from oracles import polarize
 
 SL2 = GroupSpec("SL", 2)
 SL3 = GroupSpec("SL", 3)

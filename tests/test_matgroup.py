@@ -6,10 +6,8 @@ from charforms import (
     Presentation,
     Representation,
     Word,
-    adjoint_operator,
     coboundary,
     conjugate_representation,
-    evaluate_groupring,
     evaluate_word,
     find_representation,
     is_irreducible,
@@ -31,6 +29,7 @@ from charforms.numeric import matrix_exp
 from charforms.words import GroupRingElement, fox_derivative
 
 from conftest import h0_dim, random_point
+from oracles import ad_by_products, adjoint_operator, evaluate_groupring
 
 SL2 = GroupSpec("SL", 2)
 SL3 = GroupSpec("SL", 3)
@@ -266,14 +265,6 @@ class TestFindRepresentation:
             find_representation(pres, SL2, seed, max_iter=1)
 
 
-def _ad_by_products(basis, left, right):
-    """X -> left X right from its definition: left E_b right for every basis
-    matrix E_b, read off in the basis."""
-    left = np.asarray(left)[..., None, :, :]
-    right = np.asarray(right)[..., None, :, :]
-    return np.swapaxes(basis.coords_from_matrix(left @ basis._stack @ right), -1, -2)
-
-
 @pytest.mark.parametrize("shape", [(4,), (12, 4), (64, 6)], ids=str)
 @pytest.mark.parametrize("kind,n", [("SL", 2), ("SL", 3), ("GL", 2), ("GL", 3)])
 def test_ad_matrix_matches_the_product_definition(kind, n, shape):
@@ -286,7 +277,7 @@ def test_ad_matrix_matches_the_product_definition(kind, n, shape):
     g, left, right = draw(), draw(), draw()
     eye = np.eye(n)
     for pair in ((left, right), (g, np.linalg.inv(g)), (eye, right), (left, eye)):
-        ref = _ad_by_products(basis, *pair)
+        ref = ad_by_products(basis, *pair)
         got = _ad_matrix(basis, *pair)
         assert got.shape == ref.shape == shape + (basis.dim, basis.dim)
         assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()

@@ -1,4 +1,7 @@
-"""The names the layer tracer in perfbench/layertrace.py looks up must exist:
+"""The public names of ``charforms`` are the API, pinned here so that an API
+change is a deliberate edit of ``API``.
+
+The names the layer tracer in perfbench/layertrace.py looks up must exist:
 it wraps ``getattr(module, name)`` for every name in a module's ``__all__``
 and ``cls.__dict__[attr]`` for every entry of its METHODS tuple, so a name
 removed from a module but left in a list would break a traced run.
@@ -8,13 +11,43 @@ module, without importing perfbench."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
+import charforms
+
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p.stem for p in (ROOT / "src" / "charforms").glob("*.py")
                  if p.name != "__init__.py")
+
+API = [
+    "BarChain", "CharformsError", "Chart", "CocycleSpace", "ConvergenceFailure",
+    "DegreeMismatch", "EtaContext", "FamilySpec", "FundamentalCycle",
+    "GroupRingElement", "GroupSpec", "IndexOutOfRange", "InvalidInput",
+    "InvariantPolynomial", "LeftChart", "LieAlgebraBasis", "NoConvergence",
+    "NotEndomorphism", "NotSurfacePresentation", "NotTangent", "Poly",
+    "Presentation", "RankInstability", "Representation", "SingularMatrix",
+    "TangentVector", "Tolerances", "UnknownGenerator", "Word", "WordSyntaxError",
+    "base_change", "chart_closedness", "check_invariance", "coboundary",
+    "cocycle_space", "combination", "compare_base_change",
+    "conjugate_representation", "conjugation_invariance", "contraction_suite",
+    "endomorphism_pullback", "eta", "eta_coefficients", "evaluate",
+    "evaluate_word", "extend_cocycle", "family_pullback", "family_tangent",
+    "fd_exterior_derivative", "find_representation", "fox_derivative",
+    "fox_jacobian", "free_group_demo", "fundamental_two_cycle", "gram_matrix",
+    "is_irreducible", "killing_form", "lie_algebra_basis", "make_context",
+    "parse_word", "power_trace", "render_word", "retract", "symmetric_tensor",
+    "trace_form", "transported_direction", "verify_cycle",
+]
+
+
+def test_public_api_is_pinned():
+    """The package's public names, submodules aside, are exactly ``API``."""
+    names = sorted(name for name, value in vars(charforms).items()
+                   if not name.startswith("_") and not inspect.ismodule(value))
+    assert names == API
 
 
 def traced_methods(source: str) -> list:
