@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .charts import Chart, chart_closedness, free_group_demo
-from .cohomology import cocycle_space, fox_jacobian, fundamental_two_cycle
+from .cohomology import _off_cocycle, cocycle_space, fox_jacobian, fundamental_two_cycle
 from .errors import (
     CharformsError,
     InvalidInput,
@@ -187,8 +187,7 @@ def cmd_eta(args, tol: Tolerances, data: dict) -> dict:
             raise InvalidInput(f"a cocycle needs {rho.dim_g} [re, im] pairs "
                                "per generator")
         resid = np.linalg.norm(sigmas.reshape(n, -1) @ fox_jacobian(rho).T, axis=-1)
-        bad = resid > 1e-8 * np.maximum(np.linalg.norm(sigmas, axis=(1, 2)), 1)
-        for i in np.flatnonzero(bad)[:1]:  # the cocycle check of families._walk
+        for i in np.flatnonzero(_off_cocycle(resid, sigmas))[:1]:
             raise InvalidInput(f"'cocycles' entry {i} is not a cocycle: {resid[i]:.1e}")
         values.append(eta(ctx, *map(TangentVector.of, sigmas)))
     else:
@@ -236,7 +235,7 @@ def cmd_closedness(args, tol: Tolerances, data: dict) -> dict:
     fd = chart_closedness(chart, phi, cycle, args.fd_chart_step)
     return {"check": "fd-exterior-derivative",
             **{key: fd[key] for key in ("bound", "pass", "max_d", "scale",
-                                        "fd_error", "h")}}
+                                        "fd_error", "cauchy_riemann_dev", "h")}}
 
 
 def cmd_family(args, tol: Tolerances, data: dict) -> dict:
@@ -300,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol-newton", type=float, default=1e-12)
     parser.add_argument("--fd-step", type=float, default=1e-4)
     parser.add_argument("--fd-chart-step", type=float, default=3e-2,
-                        help="outer step for chart closedness differencing")
+                        help="width of each central difference in chart closedness")
     return parser
 
 

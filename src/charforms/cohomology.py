@@ -50,6 +50,12 @@ def fox_jacobian(rho: Representation) -> np.ndarray:
     return rho._fox
 
 
+def _off_cocycle(resid, sigma) -> np.ndarray:
+    """Where |J sigma| = resid exceeds 1e-8 max(|sigma|, 1), sigma (..., p, d):
+    the one rule for a value that is not a cocycle."""
+    return resid > 1e-8 * np.maximum(np.linalg.norm(sigma, axis=(-2, -1)), 1)
+
+
 @dataclass(frozen=True)
 class CocycleSpace:
     """Bases of Z^1, B^1 and H^1-representatives at a representation."""

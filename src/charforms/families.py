@@ -6,7 +6,7 @@ The entries are compiled once into a monomial table, so the images and their
 exact parameter derivatives at a stack of points are one contraction; tangent
 cocycles, their checks and the pulled-back form then go through the stack in
 blocks of _BLOCK points.  Finite differences enter only in the closedness check,
-through the FD operator shared with charts on the holomorphic stencil.
+through the holomorphic FD operator shared with charts.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .charts import _closed, _fd_d, _stencil
-from .cohomology import BarChain, fundamental_two_cycle, walk_words
+from .cohomology import BarChain, _off_cocycle, fundamental_two_cycle, walk_words
 from .errors import InvalidInput, NotTangent, SingularMatrix, malformed, natural_int
 from .forms import _cycle_pairing
 from .invariants import InvariantPolynomial, symmetric_tensor
@@ -241,7 +241,7 @@ def _walk(family: FamilySpec, s, words=()):
     """Tangents sigma_k(x_j) = (d rho_s(x_j)/d s_k) rho_s(x_j)^-1, (P, m, p, d),
     at the points s (P, m) and their ``walk_words`` table over ``words`` and
     the relators.  Raises NotTangent at the first point that leaves Hom
-    (``FamilySpec._images``) or fails |sigma_k(r)| <= 1e-8 max(|sigma_k|, 1)."""
+    (``FamilySpec._images``) or whose sigma_k is ``_off_cocycle``."""
     s = np.asarray(s, dtype=np.complex128).reshape(-1, family.m)
     images, inverses, derivs, _, left = family._images(s)
     basis = lie_algebra_basis(family.group)
@@ -251,7 +251,7 @@ def _walk(family: FamilySpec, s, words=()):
                        np.moveaxis(sigma, 1, -1), [*words, *relators])
     resid = np.sqrt(sum(np.linalg.norm(table[r][1], axis=1) ** 2
                         for r in relators))  # |J sigma_k|, (P, m)
-    bad = resid > 1e-8 * np.maximum(np.linalg.norm(sigma, axis=(2, 3)), 1)
+    bad = _off_cocycle(resid, sigma)
     first = np.flatnonzero(bad.any(axis=1))
     if left is not None and (not len(first) or left[0] <= first[0]):
         raise NotTangent(f"family leaves Hom: {left[1]} at s={s[left[0]]}")
@@ -285,9 +285,9 @@ def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
     """Sample the pulled-back 2-form on a real grid and check closedness.
 
     Coefficients use exact polynomial tangents, at the grid and the stencil
-    in one batched pass.  ``charts._fd_d`` on the holomorphic stencil (steps
-    +-h and +-ih averaged) gives max |d omega|, ``fd_error`` and the
-    difference of the real and imaginary step estimates as a Cauchy-Riemann
+    in one batched pass.  ``charts._fd_d`` (central differences of width h
+    along 1 and along i, averaged) gives max |d omega|, ``fd_error`` and the
+    difference of the real and imaginary estimates as a Cauchy-Riemann
     diagnostic, and ``charts._closed`` gives the verdict.  Raises
     DegreeMismatch unless phi has degree 2.
     """
@@ -299,15 +299,13 @@ def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
 
     axes = [np.linspace(-r / 2, r / 2, grid) for r in family.domain_radius]
     grid_points = list(itertools.product(*axes))
-    steps = (1.0, 1.0j)  # the real and imaginary axis of each parameter
-    stencil = _stencil(m, h, steps)
-    coeffs = _coefficients(family, tensor, cycle, [*grid_points, *stencil])
+    coeffs = _coefficients(family, tensor, cycle, [*grid_points, *_stencil(m, h)])
     samples = [{"s": [complex(z) for z in point],
                 "coefficients": {f"{k},{l}": complex(c[k, l])
                                  for k in range(m) for l in range(k + 1, m)}}
                for point, c in zip(grid_points, coeffs)]
     scale = float(np.abs(np.triu(coeffs[:len(grid_points)], 1)).max(initial=0.0))
-    max_d, fd_error, cr_dev = _fd_d(coeffs[len(grid_points):], h, steps)
+    max_d, fd_error, cr_dev = _fd_d(coeffs[len(grid_points):], h)
 
     return {
         "check": "family-closedness",

@@ -243,6 +243,28 @@ class TestClosedness:
         with pytest.raises(DegreeMismatch):
             chart_closedness(genus2_chart, power_trace(3), cycle, 3e-2)
 
+    def test_cauchy_riemann_dev_flags_an_antiholomorphic_term(self, genus2_chart):
+        # the chart's coefficients are holomorphic, so their deviation is
+        # truncation error only; 1e-3 conj(t0) in w_12 differentiates to 1e-3
+        # along 1 and -1e-3 along i: a spread of 2e-3 that their mean,
+        # and so max_d, does not see
+        cycle = fundamental_two_cycle(genus2_chart.center.presentation).chain
+        coeffs = eta_coefficients(genus2_chart, trace_form(), cycle)
+        fd = fd_exterior_derivative(3, coeffs, h=3e-2)
+        assert fd["cauchy_riemann_dev"] <= 1e-4
+        stacked = chart_closedness(genus2_chart, trace_form(), cycle, 3e-2)
+        assert stacked["cauchy_riemann_dev"] == pytest.approx(
+            fd["cauchy_riemann_dev"], rel=1e-6)
+
+        def perturbed(t):
+            c = coeffs(t)
+            c[1, 2] = c[1, 2] + 1e-3 * np.conj(t[0])
+            return c
+
+        bad = fd_exterior_derivative(3, perturbed, h=3e-2)
+        assert bad["cauchy_riemann_dev"] == pytest.approx(2e-3, abs=1e-4)
+        assert bad["max_d"] == pytest.approx(fd["max_d"], abs=1e-12)
+
     def test_perturbation_detected(self, genus2_chart):
         cycle = fundamental_two_cycle(genus2_chart.center.presentation).chain
         coeffs = eta_coefficients(genus2_chart, trace_form(), cycle)
@@ -282,7 +304,7 @@ class TestLockstep:
         if seed:
             rho = random_point(2, seed, "SL", 3)[0]
             chart = Chart(rho, cocycle_space(rho).basis_h1[:3])
-        points = _stencil(3, 3e-2, (1,))
+        points = _stencil(3, 3e-2)
         images = charts._solve(chart, points)[1]
         for t, stacked in zip(points, images):
             single = np.array(retract(chart, t).images)
@@ -316,11 +338,13 @@ class TestLockstep:
             chart_closedness(chart, trace_form(), cycle, 3e-2)
 
     def test_no_triple_below_dimension_three(self, genus2_rep):
+        # no stencil point is sampled, so the verdict has nothing to pass on
         chart = Chart(genus2_rep, cocycle_space(genus2_rep).basis_h1[:2])
         cycle = fundamental_two_cycle(genus2_rep.presentation).chain
         fd = chart_closedness(chart, trace_form(), cycle, 3e-2)
-        assert fd == {"max_d": 0.0, "scale": 0.0, "fd_error": 0.0, "h": 3e-2,
-                      "evaluations": 0, "bound": 1e-5, "pass": True}
+        assert fd == {"max_d": 0.0, "scale": 0.0, "fd_error": 0.0,
+                      "cauchy_riemann_dev": 0.0, "h": 3e-2, "evaluations": 0,
+                      "bound": 1e-5, "pass": False}
 
 
 def _form(m, entries):
@@ -348,10 +372,9 @@ def _exact(m, seed):
 
 
 def _holomorphic_fd(m, coeffs, h):
-    """The shared FD operator on the holomorphic stencil (steps h and ih)."""
-    directions = (1.0, 1.0j)
-    w = np.stack([coeffs(t) for t in _stencil(m, h, directions)])
-    return _fd_d(w, h, directions)
+    """The shared FD operator on the coefficients at ``_stencil(m, h)``."""
+    w = np.stack([coeffs(t) for t in _stencil(m, h)])
+    return _fd_d(w, h)
 
 
 class TestFdOperator:
@@ -360,28 +383,33 @@ class TestFdOperator:
 
     H = 5e-2
 
-    def test_real_stencil_monomial(self):
-        # omega = t0 dt1 ^ dt2, d omega = dt0 ^ dt1 ^ dt2
+    def test_holomorphic_stencil_monomial(self):
+        # omega = t0 dt1 ^ dt2, d omega = dt0 ^ dt1 ^ dt2, on 4 points per axis
         fd = fd_exterior_derivative(3, _form(3, {(1, 2): lambda t: t[0]}), self.H)
         assert fd["max_d"] == pytest.approx(1.0, abs=1e-12)
-        assert fd["fd_error"] <= 1e-12
+        assert fd["fd_error"] <= 1e-12 and fd["cauchy_riemann_dev"] <= 1e-12
         assert fd["evaluations"] == 12
-
-    def test_holomorphic_stencil_monomial(self):
-        max_d, fd_error, cr_dev = _holomorphic_fd(
-            3, _form(3, {(1, 2): lambda t: t[0]}), self.H)
-        assert max_d == pytest.approx(1.0, abs=1e-12)
-        assert fd_error <= 1e-12 and cr_dev <= 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
     def test_exact_form_is_closed_on_both_stencils(self, seed):
-        coeffs = _exact(4, seed)
-        fd = fd_exterior_derivative(4, coeffs, self.H)
-        assert fd["scale"] > 1e-2
-        assert fd["max_d"] <= 1e-12 * fd["scale"]
-        assert fd["fd_error"] <= 1e-12 * fd["scale"]
-        max_d, fd_error, cr_dev = _holomorphic_fd(4, coeffs, self.H)
-        assert max(max_d, fd_error, cr_dev) <= 1e-12 * fd["scale"]
+        # the 12-point stencil of a 3-dim chart and the 16-point one of a 4-dim
+        for m in (3, 4):
+            coeffs = _exact(m, seed)
+            fd = fd_exterior_derivative(m, coeffs, self.H)
+            assert fd["scale"] > 1e-2 and fd["evaluations"] == 4 * m
+            assert fd["max_d"] <= 1e-12 * fd["scale"]
+            assert fd["fd_error"] <= 1e-12 * fd["scale"]
+            assert fd["cauchy_riemann_dev"] <= 1e-12 * fd["scale"]
+            assert _holomorphic_fd(m, coeffs, self.H) == (
+                fd["max_d"], fd["fd_error"], fd["cauchy_riemann_dev"])
+
+    def test_quintic_leaves_h4_over_16(self):
+        # t0^5 dt1 ^ dt2: d omega is 5 t0^4 = 0 at the center, and the width-h
+        # differences along 1 and i both read (h/2)^4 = h^4/16; Richardson over
+        # +-h and +-h/2 would leave h^4/4
+        h = 1e-1
+        fd = fd_exterior_derivative(3, _form(3, {(1, 2): lambda t: t[0] ** 5}), h)
+        assert fd["max_d"] == pytest.approx(h ** 4 / 16, rel=1e-12)
 
     def test_cauchy_riemann_flags_an_antiholomorphic_coefficient(self):
         # d/dt0 conj(t0) is +1 along h and -1 along ih: they average to 0
@@ -391,12 +419,13 @@ class TestFdOperator:
         assert max_d <= 1e-12
 
     def test_fd_error_is_the_leading_truncation_error(self):
-        # exp(t0) dt1 ^ dt2: the step-h partial is sinh(h)/h = 1 + h^2/6 + ...,
-        # so |d_h - d_h/2| = h^2/8 to leading order and Richardson leaves O(h^4)
+        # exp(t0) dt1 ^ dt2: the width-h partials along 1 and i are
+        # 1 +- (h/2)^2/6 + (h/2)^4/120 + ..., so their half-difference is
+        # h^2/24 to leading order and their mean leaves h^4/1920
         h = 1e-1
         fd = fd_exterior_derivative(3, _form(3, {(1, 2): lambda t: np.exp(t[0])}), h)
-        assert fd["fd_error"] == pytest.approx(h ** 2 / 8, rel=1e-2)
-        assert abs(fd["max_d"] - 1.0) <= 1e-2 * fd["fd_error"]
+        assert fd["fd_error"] == pytest.approx(h ** 2 / 24, rel=1e-2)
+        assert fd["max_d"] - 1.0 == pytest.approx(h ** 4 / 1920, rel=1e-2)
 
     def test_nan_in_a_later_triple_is_kept(self):
         # triple (0, 1, 2) is finite and comes first; (0, 1, 3) reads NaN
@@ -408,7 +437,7 @@ class TestFdOperator:
         assert np.isnan([max_d, fd_error, cr_dev]).all()
 
     @pytest.mark.parametrize("max_d,scale,verdict", [
-        (1e-6, 1.0, True), (0.0, 0.0, True), (2e-5, 1.0, False),
+        (1e-6, 1.0, True), (0.0, 0.0, False), (2e-5, 1.0, False),
         (float("nan"), 1.0, False), (0.0, float("nan"), False),
         (1e-6, float("inf"), False), (float("inf"), float("inf"), False)])
     def test_one_closedness_verdict(self, max_d, scale, verdict):

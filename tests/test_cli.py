@@ -311,6 +311,9 @@ def test_closedness_reports_fd_error(inputs, tmp_path):
     assert code == 0 and report["pass"]
     assert report["max_d"] <= 1e-5 * report["scale"]
     assert 0 < report["fd_error"] < 1e-3 * report["scale"]
+    # the chart is holomorphic: the spread of the partials along 1 and i is
+    # truncation error only
+    assert 0 < report["cauchy_riemann_dev"] < 1e-3 * report["scale"]
 
 
 def _family_input(tmp_path, drop=None, **changes):
@@ -606,9 +609,11 @@ def test_sl_family_off_det_one_is_invalid_input(tmp_path, capsys):
 
 def test_unipotent_sl_family_is_accepted(tmp_path):
     """[[1, s1], [0, 1]] and [[1, s2], [0, 1]] commute and have det 1, so the
-    family passes validation and is sampled on the whole grid."""
+    family passes validation and is sampled on the whole grid.  Its pulled-back
+    form vanishes (scale 0), which shows nothing: the verdict is no pass."""
     one, zero, s1, s2 = Poly.const(2, 1.0), Poly(2), Poly.var(2, 0), Poly.var(2, 1)
     path = _torus_sl2_family(tmp_path, [[one, s1], [zero, one]],
                              [[one, s2], [zero, one]])
     code, report = run(["family", "--input", path, "--grid", "2"], tmp_path / "r.json")
     assert code != 2 and len(report["samples"]) == 4
+    assert code == 1 and report["pass"] is False and report["scale"] == 0.0

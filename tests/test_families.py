@@ -197,7 +197,7 @@ def _counting(monkeypatch, calls, name, target, attr):
 
 
 def test_pullback_cost_does_not_grow_with_grid(family, monkeypatch):
-    """grid=2 (32 points with the stencil) and grid=3 (51 points) make the
+    """grid=2 (20 points with the stencil) and grid=3 (39 points) make the
     same number of batched inverses and walks, and no per-point
     Representation or EtaContext."""
     counts = []
@@ -217,17 +217,33 @@ def test_pullback_cost_does_not_grow_with_grid(family, monkeypatch):
     assert counts[0]["Representation"] == counts[0]["EtaContext"] == 0
 
 
+def test_grid_3_evaluates_39_points(family, monkeypatch):
+    """A 3-parameter family at grid=3 sends its 27 grid points and 12 stencil
+    points, +-(h/2) and +-(ih/2) on each axis, through one coefficient pass."""
+    sizes = []
+    original = charforms.families._coefficients
+
+    def counted(family, tensor, cycle, points):
+        sizes.append(len(points))
+        return original(family, tensor, cycle, points)
+
+    monkeypatch.setattr(charforms.families, "_coefficients", counted)
+    assert family.m == 3
+    family_pullback(family, trace_form(), grid=3)
+    assert sizes == [39]
+
+
 def test_blocks_that_split_the_stencil_give_the_same_report(monkeypatch):
     family = random_family(2, 3, seed=2)
     whole = family_pullback(family, trace_form(), grid=3)
-    monkeypatch.setattr(charforms.families, "_BLOCK", 5)  # 51 points: 11 blocks
+    monkeypatch.setattr(charforms.families, "_BLOCK", 5)  # 39 points: 8 blocks
     split = family_pullback(family, trace_form(), grid=3)
     assert split == whole
 
 
 def test_pullback_memory_does_not_grow_with_grid():
-    """Points pass in fixed-size blocks: 1,752 points at grid=12 peak at
-    most twice as high as 51 points at grid=3 (the report itself included)."""
+    """Points pass in fixed-size blocks: 1,740 points at grid=12 peak at
+    most twice as high as 39 points at grid=3 (the report itself included)."""
     family = random_family(3, 3, seed=4)
     peaks = []
     for grid in (3, 12):
@@ -354,15 +370,15 @@ class TestPullback:
         assert len(report["samples"]) == 8
 
     def test_fd_error_from_the_shared_operator(self, family):
-        # the report's fd_error is the Richardson estimate of the charts' FD
-        # operator on the holomorphic stencil of the family's coefficients
+        # the report's max_d, fd_error and deviation are the charts' FD
+        # operator on the family's coefficients at its stencil
         h = 1e-3
         report = family_pullback(family, trace_form(), grid=2, h=h)
         cycle = fundamental_two_cycle(family.presentation).chain
         tensor = symmetric_tensor(trace_form(), lie_algebra_basis(family.group))
         w = charforms.families._coefficients(
-            family, tensor, cycle, _stencil(family.m, h, (1.0, 1.0j)))
-        max_d, fd_error, cr_dev = _fd_d(w, h, (1.0, 1.0j))
+            family, tensor, cycle, _stencil(family.m, h))
+        max_d, fd_error, cr_dev = _fd_d(w, h)
         assert (report["max_d"], report["fd_error"],
                 report["cauchy_riemann_dev"]) == (max_d, fd_error, cr_dev)
         assert 0 <= report["fd_error"] < 1e-9 * report["scale"]
