@@ -383,12 +383,20 @@ class TestFdOperator:
 
     H = 5e-2
 
-    def test_holomorphic_stencil_monomial(self):
-        # omega = t0 dt1 ^ dt2, d omega = dt0 ^ dt1 ^ dt2, on 4 points per axis
+    def test_real_stencil_monomial(self):
+        # omega = t0 dt1 ^ dt2, d omega = dt0 ^ dt1 ^ dt2, through the report
+        # of fd_exterior_derivative, on 4 points per axis
         fd = fd_exterior_derivative(3, _form(3, {(1, 2): lambda t: t[0]}), self.H)
         assert fd["max_d"] == pytest.approx(1.0, abs=1e-12)
         assert fd["fd_error"] <= 1e-12 and fd["cauchy_riemann_dev"] <= 1e-12
         assert fd["evaluations"] == 12
+
+    def test_holomorphic_stencil_monomial(self):
+        # the same monomial straight through _stencil and _fd_d
+        max_d, fd_error, cr_dev = _holomorphic_fd(
+            3, _form(3, {(1, 2): lambda t: t[0]}), self.H)
+        assert max_d == pytest.approx(1.0, abs=1e-12)
+        assert fd_error <= 1e-12 and cr_dev <= 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
     def test_exact_form_is_closed_on_both_stencils(self, seed):
