@@ -1,8 +1,12 @@
 """Twisted cohomology dimensions at three kinds of points.
 
 Computes Z^1 / B^1 / H^1 at an irreducible free-group pair, an irreducible
-genus-2 surface point and a reducible diagonal torus point, and shows how the
-rank decisions are guarded by singular-value gaps.
+genus-2 surface point and a reducible diagonal torus point.  Two rank
+decisions are taken, on the Fox Jacobian (Z^1) and on the coboundary map
+(B^1); dim H^1 is their difference.  The rank gap printed is the smaller of
+the two decisions' ratios of the smallest kept to the largest dropped
+singular value.  It reads inf at all three points: every singular value
+either decision dropped is exactly 0, so no rank sits near its cutoff.
 """
 
 import numpy as np

@@ -229,12 +229,12 @@ def _fd_d(w: np.ndarray, h: float) -> tuple:
 _CLOSED_BOUND = 1e-5
 
 
-def _closed(max_d: float, scale: float) -> bool:
-    """The one closedness verdict of a pulled-back 2-form, on a chart or a
-    family: max |d omega| and the scale are finite and
-    max |d omega| <= _CLOSED_BOUND * scale, with scale > 0: a form that
-    vanishes, or that no stencil point samples, shows nothing."""
-    return bool(np.isfinite([max_d, scale]).all() and max_d <= _CLOSED_BOUND * scale > 0)
+def _closed(max_d: float, scale: float, m: int) -> bool:
+    """The one closedness verdict on a chart or a family of m parameters:
+    max |d omega| <= _CLOSED_BOUND * scale, both finite, scale > 0 and m >= 3,
+    as a form that vanishes, or one with no triple to check, shows nothing."""
+    return bool(m >= 3 and np.isfinite([max_d, scale]).all()
+                and max_d <= _CLOSED_BOUND * scale > 0)
 
 
 def _fd_report(w: np.ndarray, h: float) -> dict:
@@ -242,7 +242,7 @@ def _fd_report(w: np.ndarray, h: float) -> dict:
     scale = float(np.abs(np.triu(w, 1)).max(initial=0.0))
     return {"max_d": max_d, "scale": scale, "fd_error": fd_error,
             "cauchy_riemann_dev": cr_dev, "h": h, "evaluations": len(w),
-            "bound": _CLOSED_BOUND, "pass": _closed(max_d, scale)}
+            "bound": _CLOSED_BOUND, "pass": _closed(max_d, scale, w.shape[-1])}
 
 
 def fd_exterior_derivative(chart_dim: int, coeffs, h: float) -> dict:

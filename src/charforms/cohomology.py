@@ -64,7 +64,7 @@ class CocycleSpace:
     basis_z1: tuple  # TangentVectors
     basis_b1: tuple
     basis_h1: tuple
-    rank_gap: float  # smallest-kept / largest-dropped singular value ratio
+    rank_gap: float  # least kept / dropped singular-value ratio of Z^1 and B^1
 
     @property
     def dims(self):
@@ -89,30 +89,30 @@ class CocycleSpace:
 
 
 def cocycle_space(rho: Representation) -> CocycleSpace:
-    """Z^1 as the kernel of the Fox Jacobian, B^1 as the image of
-    v -> (v - Ad rho(x_k) v)_k, and H^1 representatives as the orthonormal
-    complement of B^1 inside Z^1: three SVD rank decisions at rho.tol.
+    """Z^1 as the kernel of the Fox Jacobian and B^1 as the image of
+    v -> (v - Ad rho(x_k) v)_k, two SVD rank decisions at rho.tol; H^1
+    representatives are the orthonormal complement, inside Z^1, of B^1
+    projected into Z^1, so dim H^1 = dim Z^1 - dim B^1.
 
-    Raises RankInstability when a singular value of any of the three lies
+    Raises RankInstability when a singular value of either decision lies
     within a factor 10 of its cutoff.
     """
     p, d, tol = rho.p, rho.dim_g, rho.tol
     z1 = rank_and_gap(fox_jacobian(rho), tol)
     b1 = rank_and_gap((np.eye(d) - rho._generator_ad()[0]).reshape(p * d, d), tol)
-    h1 = rank_and_gap(z1.kernel - b1.image @ (b1.image.conj().T @ z1.kernel), tol)
-    for what, dec in (("fox_jacobian", z1), ("coboundary map", b1),
-                      ("H1 complement", h1)):
+    for what, dec in (("fox_jacobian", z1), ("coboundary map", b1)):
         if dec.margin < 10:
             raise RankInstability(
                 f"{what}: a singular value lies within a factor "
                 f"{dec.margin:.3g} < 10 of the cutoff")
+    h1 = z1.kernel @ np.linalg.svd(z1.kernel.conj().T @ b1.image)[0][:, b1.rank:]
 
     def vectors(basis):
         return tuple(TangentVector.from_stacked(basis[:, j], p)
                      for j in range(basis.shape[1]))
 
     return CocycleSpace(rho, vectors(z1.kernel), vectors(b1.image),
-                        vectors(h1.image), min(z1.gap, b1.gap, h1.gap))
+                        vectors(h1), min(z1.gap, b1.gap))
 
 
 def cocycle_walk(ad, ad_inv, values, letters, start=None):

@@ -315,7 +315,7 @@ def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
         "max_d": max_d,
         "fd_error": fd_error,
         "cauchy_riemann_dev": cr_dev,
-        "pass": _closed(max_d, scale),
+        "pass": _closed(max_d, scale, m),
         "h": h,
     }
 

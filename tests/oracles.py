@@ -12,9 +12,12 @@ import itertools
 import math
 
 import numpy as np
+import sympy
 
 from charforms.errors import DegreeMismatch
 from charforms.invariants import evaluate
+from charforms.matgroup import lie_algebra_basis
+from charforms.words import fox_derivative
 
 
 def ad_by_products(basis, left, right):
@@ -35,6 +38,45 @@ def adjoint_operator(rho, w):
             m, m_inv = m_inv, m
         g, g_inv = g @ m, m_inv @ g_inv
     return ad_by_products(rho.basis, g, g_inv)
+
+
+def exact_dims(presentation, group, images):
+    """(dim Z^1, dim B^1, dim H^1) of Gamma with coefficients in Ad rho, over
+    Q: the images are exact rational matrices (entries int, Fraction or
+    sympy.Rational) satisfying the relators exactly.  Ad rho(w) X is read
+    off the explicit product rho(w) E_b rho(w)^-1 for every basis matrix
+    E_b, the Fox Jacobian is built block by block from ``fox_derivative``,
+    and sympy's ``Matrix.rank`` decides both ranks:
+    dim Z^1 = p dim g - rank J, dim B^1 = rank of v -> (v - Ad rho(x_k) v)_k.
+    """
+    flat = sympy.Matrix([[int(x.real) for x in e.ravel()]
+                         for e in lie_algebra_basis(group)._stack]).T
+    coords = (flat.T * flat).inv() * flat.T  # vec(X) -> coordinates of X in g
+    mats = [sympy.Matrix(m).applyfunc(sympy.Rational) for m in images]
+    invs = [m.inv() for m in mats]
+    d, p = flat.shape[1], presentation.p
+
+    def ad(g, g_inv):
+        return coords * sympy.Matrix.hstack(*(
+            (g * flat[:, b].reshape(group.n, group.n) * g_inv).reshape(group.n ** 2, 1)
+            for b in range(d)))
+
+    def ad_word(w):
+        g = g_inv = sympy.eye(group.n)
+        for k, s in w.letters:
+            m, m_inv = (mats[k], invs[k]) if s == 1 else (invs[k], mats[k])
+            g, g_inv = g * m, m_inv * g_inv
+        return ad(g, g_inv)
+
+    def ad_sum(xi):
+        return sum((c * ad_word(w) for w, c in xi.terms), sympy.zeros(d, d))
+
+    jac = sympy.Matrix.vstack(sympy.zeros(0, p * d), *(
+        sympy.Matrix.hstack(*(ad_sum(fox_derivative(r, k)) for k in range(p)))
+        for r in presentation.relators))
+    cob = sympy.Matrix.vstack(*(sympy.eye(d) - ad(mats[k], invs[k]) for k in range(p)))
+    z1, b1 = p * d - jac.rank(), cob.rank()
+    return z1, b1, z1 - b1
 
 
 def evaluate_groupring(rho, xi):

@@ -449,7 +449,12 @@ class TestFdOperator:
         (float("nan"), 1.0, False), (0.0, float("nan"), False),
         (1e-6, float("inf"), False), (float("inf"), float("inf"), False)])
     def test_one_closedness_verdict(self, max_d, scale, verdict):
-        assert charts._closed(max_d, scale) is verdict
+        assert charts._closed(max_d, scale, 3) is verdict
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_no_verdict_without_a_triple(self, m):
+        # a nonzero scale and max_d 0 show nothing when no triple is checked
+        assert charts._closed(0.0, 1.0, m) is False
 
     def test_no_triple_below_dimension_three(self):
         fd = fd_exterior_derivative(2, _form(2, {(0, 1): lambda t: t[0]}), self.H)

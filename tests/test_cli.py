@@ -19,7 +19,7 @@ from charforms.matgroup import (
     representation_to_json,
 )
 
-from conftest import diagonal_family
+from conftest import diagonal_family, random_family
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,8 @@ def test_cohomology(inputs, tmp_path):
                        tmp_path / "r.json")
     assert code == 0
     assert report["dims"] == [9, 3, 6]
-    assert report["rank_gap"] >= 1e3
+    # neither rank decision drops a nonzero singular value here
+    assert report["rank_gap"] is None
 
 
 def test_goldman(inputs, tmp_path):
@@ -114,6 +115,19 @@ def test_family_reports_fd_error(inputs, tmp_path):
                         "--grid", "2", "--fd-step", "1e-3"], tmp_path / "fam.json")
     assert code == 0 and report["pass"]
     assert 0 <= report["fd_error"] < 1e-3 * report["scale"]
+
+
+def test_two_parameter_family_exits_1(tmp_path):
+    """A 2-parameter family has a nonzero form but no triple to check, so
+    its report is no pass, with finite numbers, and the exit code is 1."""
+    fam = random_family(2, 2, 0, m=2)
+    path = tmp_path / "family2.json"
+    path.write_text(json.dumps({"presentation": fam.presentation.to_json(),
+                                "group": {"kind": "GL", "n": 2},
+                                "family": family_to_json(fam)}))
+    code, report = run(["family", "--input", str(path)], tmp_path / "r.json")
+    assert code == 1 and report["pass"] is False
+    assert report["max_d"] == 0.0 and report["scale"] > 0.1
 
 
 def test_demo_free_group(tmp_path):

@@ -1,10 +1,13 @@
 import copy
+import itertools
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from charforms import (
@@ -38,11 +41,11 @@ from charforms.matgroup import (
     matrix_exp,
 )
 from charforms.words import fox_derivative
-from charforms.errors import NotSurfacePresentation, RankInstability
+from charforms.errors import InvalidInput, NotSurfacePresentation, RankInstability
 from charforms.numeric import Tolerances
 
 from conftest import h0_dim, random_point
-from oracles import adjoint_operator, evaluate_groupring, pair
+from oracles import adjoint_operator, evaluate_groupring, exact_dims, pair
 
 SL2 = GroupSpec("SL", 2)
 
@@ -98,9 +101,9 @@ class TestCocycleSpace:
                                           1e-1, 0.5])
     def test_rank_instability_exactly_near_cutoff(self, fixture, rank_rel,
                                                   request):
-        """Raised iff a singular value of the Fox Jacobian, the coboundary
-        map or the H^1 complement lies within a factor 10 of its cutoff,
-        with the three matrices rebuilt here from scipy's null_space/orth.
+        """Raised iff a singular value of the Fox Jacobian or the coboundary
+        map lies within a factor 10 of its cutoff, with both matrices
+        rebuilt here.  H^1 takes no decision of its own.
         On F_2 (no relators) only the coboundary map can trip it.  The swept
         tolerance goes to a copy of the point: from a cutoff of 0.146 on (the
         singular-value ratio of the genus-2 image a1), a point built anew with
@@ -109,11 +112,8 @@ class TestCocycleSpace:
         jac = fox_jacobian(rho)
         cob = np.stack([coboundary(rho, np.eye(rho.dim_g)[:, j]).stacked
                         for j in range(rho.dim_g)], axis=1)
-        z1 = (scipy.linalg.null_space(jac, rcond=rank_rel) if jac.size
-              else np.eye(jac.shape[1]))
-        b1 = scipy.linalg.orth(cob, rcond=rank_rel)
         near = False
-        for m in (jac, cob, z1 - b1 @ (b1.conj().T @ z1)):
+        for m in (jac, cob):
             if m.size:
                 s = scipy.linalg.svdvals(m)
                 cutoff = rank_rel * s[0]
@@ -126,6 +126,90 @@ class TestCocycleSpace:
         else:
             space = cocycle_space(swept)
             assert space.dims == cocycle_space(rho).dims
+
+
+def _float_dims(presentation, group, images):
+    """``cocycle_space`` dims at the float rounding of exact images."""
+    images = [np.array(sympy.Matrix(m).tolist(), dtype=float) for m in images]
+    return cocycle_space(Representation(presentation, group, images)).dims
+
+
+def _commutator_conjugates(a, b, shift):
+    """Genus-2 SL(2) images (A, B, gBg^-1, gAg^-1), g = [B, A] + shift I:
+    g commutes with [B, A], so [A, B][gBg^-1, gAg^-1] = I exactly."""
+    a, b = sympy.Matrix(a), sympy.Matrix(b)
+    g = b * a * b.inv() * a.inv() + shift * sympy.eye(2)
+    return [a, b, g * b * g.inv(), g * a * g.inv()]
+
+
+_A, _B, _C = [[2, 1], [1, 1]], [[1, 1], [1, 2]], [[2, 1, 0], [1, 1, 0], [0, 0, 1]]
+_D = [[1, 0, 1], [0, 1, 1], [0, 0, 1]]
+_HALF, _THIRD, _SIXTH = Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)
+_R, _S = [[2, 1], [0, _HALF]], [[3, -1], [0, _THIRD]]
+_HAND_POINTS = {
+    "acceptance": (Presentation.surface(2), SL2, [_A, _B, _B, _A]),
+    "reducible": (Presentation.surface(2), SL2, [_R, _S, _S, _R]),
+    "unipotent": (Presentation.surface(2), SL2, [[[1, 1], [0, 1]], [[1, 2], [0, 1]]] * 2),
+    "trivial": (Presentation.surface(2), SL2, [[[1, 0], [0, 1]]] * 4),
+    "central": (Presentation.surface(2), SL2, [[[-1, 0], [0, -1]]] * 4),
+    "diagonal-gl2": (Presentation.surface(1), GroupSpec("GL", 2),
+                     [[[2, 0], [0, 3]], [[5, 0], [0, 7]]]),
+    "diagonal-sl2": (Presentation.surface(1), SL2,
+                     [[[2, 0], [0, _HALF]], [[3, 0], [0, _THIRD]]]),
+    "genus3": (Presentation.surface(3), SL2,
+               [_A, _B, _B, _A, _B, [[2, 3], [3, 5]]]),
+    "f2": (Presentation.free(["a", "b"]), SL2, [[[2, 0], [0, _HALF]], _B]),
+    "f3": (Presentation.free(["a", "b", "c"]), SL2, [_A, _B, [[1, 0], [1, 1]]]),
+    "sl3-genus2": (Presentation.surface(2), GroupSpec("SL", 3), [_C, _D, _D, _C]),
+    "sl3-torus": (Presentation.surface(1), GroupSpec("SL", 3),
+                  [[[2, 0, 0], [0, 3, 0], [0, 0, _SIXTH]],
+                   [[5, 0, 0], [0, _HALF, 0], [0, 0, Fraction(2, 5)]]]),
+}
+
+
+class TestExactDims:
+    """``cocycle_space`` dims against ranks over Q (``oracles.exact_dims``)."""
+
+    def test_rounding_residue_is_not_a_dimension(self):
+        """At A = [[2, 1], [1, 1]], B = [[1, 1], [1, 2]] and their conjugates by
+        g = [B, A] + 3I the computed B^1 lies about 1e-9 off the computed Z^1
+        (|J| = 2.6e3); H^1 is still dim Z^1 - dim B^1 = 6."""
+        images = _commutator_conjugates(_A, _B, 3)
+        assert images[2] == sympy.Matrix([[4, -5], [1, -1]])
+        assert exact_dims(Presentation.surface(2), SL2, images) == (9, 3, 6)
+        assert _float_dims(Presentation.surface(2), SL2, images) == (9, 3, 6)
+
+    @pytest.mark.parametrize("name", sorted(_HAND_POINTS))
+    def test_hand_points(self, name):
+        exact = exact_dims(*_HAND_POINTS[name])
+        assert _float_dims(*_HAND_POINTS[name]) == exact
+
+    def test_oracle_on_known_counts(self):
+        # trivial genus 2: every assignment of sl(2) values is a cocycle
+        assert exact_dims(*_HAND_POINTS["trivial"]) == (12, 0, 12)
+        assert exact_dims(*_HAND_POINTS["f2"]) == (6, 3, 3)
+        # torus, centralizer of dim 2 = dim H^0 = dim H^2, so dim H^1 = 4
+        assert exact_dims(*_HAND_POINTS["diagonal-gl2"]) == (6, 2, 4)
+
+
+_SMALL_SL2 = [[[a, b], [c, d]] for a, b, c, d in itertools.product(range(-3, 4), repeat=4)
+              if a * d - b * c == 1]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(a=st.sampled_from(_SMALL_SL2), b=st.sampled_from(_SMALL_SL2),
+       shift=st.integers(1, 4))
+def test_dims_match_exact_ranks(a, b, shift):
+    """At rational genus-2 SL(2) points (A, B, gBg^-1, gAg^-1), g = [B, A] +
+    shift I, the dims equal the ranks over Q, and dim H^1 = dim Z^1 - dim B^1.
+    Points whose float relator residual exceeds the bound are refused."""
+    images = _commutator_conjugates(a, b, shift)
+    try:
+        dims = _float_dims(Presentation.surface(2), SL2, images)
+    except InvalidInput:
+        assume(False)
+    assert dims == exact_dims(Presentation.surface(2), SL2, images)
+    assert dims[2] == dims[0] - dims[1]
 
 
 def _reference_fox_blocks(rho, r):

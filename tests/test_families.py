@@ -392,6 +392,14 @@ class TestPullback:
         assert not np.isfinite(report["max_d"]) or not np.isfinite(report["scale"])
         assert report["pass"] is False
 
+    def test_two_parameters_do_not_pass(self):
+        """Below 3 parameters there is no triple to check: max_d reads 0 while
+        the grid gives a nonzero scale, and the verdict is no pass."""
+        report = family_pullback(random_family(2, 2, 0, m=2), trace_form(), grid=3)
+        assert report["max_d"] == report["fd_error"] == 0.0
+        assert np.isfinite(report["scale"]) and report["scale"] > 0.1
+        assert report["pass"] is False
+
     def test_coefficients_not_constant(self, family):
         report = family_pullback(family, trace_form(), grid=2, h=1e-3)
         col = [smp["coefficients"]["0,1"] for smp in report["samples"]]
