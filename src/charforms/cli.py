@@ -34,12 +34,13 @@ from .errors import (
 )
 from .families import family_from_json, family_pullback
 from .forms import (
+    _draws,
+    _paired,
     conjugation_invariance,
     contraction_suite,
     eta,
     gram_matrix,
     make_context,
-    random_cocycle,
 )
 from .invariants import check_invariance, polynomial_from_json, trace_form
 from .matgroup import (
@@ -109,9 +110,7 @@ def _rng(args):
 
 
 def _write_report(args, tol: Tolerances, report: dict) -> None:
-    report["tolerances"] = {"rank_rel": tol.rank_rel,
-                            "newton_tol": tol.newton_tol,
-                            "fd_step": args.fd_step}
+    report["tolerances"] = {"rank_rel": tol.rank_rel, "newton_tol": tol.newton_tol}
     report["timestamp"] = datetime.datetime.now(
         datetime.timezone.utc).isoformat()
     # indent= would force json's pure-Python encoder; compact values use C's
@@ -175,7 +174,6 @@ def cmd_eta(args, tol: Tolerances, data: dict) -> dict:
     rho = _representation(data, tol)
     ctx = make_context(rho, _phi(data))
     n = ctx.degree
-    values = []
     if "cocycles" in data:
         with malformed("'cocycles'"):
             if len(data["cocycles"]) != n:
@@ -189,13 +187,12 @@ def cmd_eta(args, tol: Tolerances, data: dict) -> dict:
         resid = np.linalg.norm(sigmas.reshape(n, -1) @ fox_jacobian(rho).T, axis=-1)
         for i in np.flatnonzero(_off_cocycle(resid, sigmas))[:1]:
             raise InvalidInput(f"'cocycles' entry {i} is not a cocycle: {resid[i]:.1e}")
-        values.append(eta(ctx, *map(TangentVector.of, sigmas)))
+        values = [eta(ctx, *map(TangentVector.of, sigmas))]
     else:
-        rng = _rng(args)
-        space = cocycle_space(rho)
-        for _ in range(args.trials):
-            sigmas = [random_cocycle(space, rng) for _ in range(n)]
-            values.append(eta(ctx, *sigmas))
+        # trial t pairs the n columns of its own leading index, read on the diagonal
+        draws = _draws(cocycle_space(rho), _rng(args), n * args.trials)
+        stack = draws.reshape(-1, args.trials, n).swapaxes(0, 1)
+        values = list(_paired(ctx, stack)[(slice(None),) + tuple(range(n))])
     return {"degree": n, "values": values, "pass": True}
 
 

@@ -142,11 +142,19 @@ def eta(ctx: EtaContext, *sigmas: TangentVector) -> complex:
     return complex(_paired(ctx, stacked)[tuple(range(n))])
 
 
+def _draws(space, rng, k: int) -> np.ndarray:
+    """k random complex combinations of the Z^1 basis, stacked (p dim g, k).
+    Raises InvalidInput for k < 1, as a suite of no trials shows nothing."""
+    if k < 1:
+        raise InvalidInput(f"need at least one random cocycle, got {k}")
+    m = len(space.basis_z1)
+    c = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+    return np.stack([s.stacked for s in space.basis_z1], axis=1) @ c
+
+
 def random_cocycle(space, rng) -> TangentVector:
     """Random complex combination of a cocycle-space basis."""
-    basis = space.basis_z1
-    c = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
-    return TangentVector.of(np.tensordot(c, [s.values for s in basis], 1))
+    return TangentVector.from_stacked(_draws(space, rng, 1)[:, 0], space.rho.p)
 
 
 def contraction_suite(ctx: EtaContext, trials: int, rng) -> dict:
@@ -154,22 +162,20 @@ def contraction_suite(ctx: EtaContext, trials: int, rng) -> dict:
 
     The form is basic for the conjugation action, so the report should show a
     deviation below 1e-9 times the scale (the max |eta| over the same trial
-    cocycles)."""
-    space = cocycle_space(ctx.rho)
-    n = ctx.degree
-    d = ctx.rho.dim_g
-    worst = 0.0
-    scale = 0.0
-    for _ in range(trials):
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        db = coboundary(ctx.rho, v)
-        rest = [random_cocycle(space, rng) for _ in range(n - 1)]
-        extra = random_cocycle(space, rng)
-        worst = max(worst, abs(eta(ctx, db, *rest)))
-        scale = max(scale, abs(eta(ctx, extra, *rest)))
-    passed = worst <= 1e-9 * scale if scale > 0 else worst == 0.0
+    cocycles), and the scale must be positive: a form that vanishes shows
+    nothing.  All trials are paired at once, each on its own leading index
+    with the columns (dB, s_2, ..., s_n, s_1)."""
+    n, d = ctx.degree, ctx.rho.dim_g
+    draws = _draws(cocycle_space(ctx.rho), rng, n * trials)
+    v = rng.standard_normal((d, trials)) + 1j * rng.standard_normal((d, trials))
+    stack = np.concatenate([coboundary(ctx.rho, v).T[..., None],
+                            draws.reshape(-1, trials, n).swapaxes(0, 1)], axis=-1)
+    pairs = np.abs(_paired(ctx, stack))
+    rest = tuple(range(1, n))
+    worst = float(pairs[(slice(None), 0) + rest].max())
+    scale = float(pairs[(slice(None), n) + rest].max())
     return {"check": "contraction", "max_dev": worst, "scale": scale,
-            "pass": bool(passed), "trials": trials}
+            "pass": bool(worst <= 1e-9 * scale > 0), "trials": trials}
 
 
 def gram_matrix(ctx: EtaContext, basis):
@@ -192,18 +198,12 @@ def conjugation_invariance(ctx: EtaContext, g, trials: int, rng) -> float:
     ad_g = _ad_matrix(rho.basis, np.asarray(g, dtype=np.complex128),
                       matrix_inverse(np.asarray(g, dtype=np.complex128), rho.tol))
     ctx_c = EtaContext(rho_c, ctx.phi, ctx.tensor, ctx.cycle)
-    space = cocycle_space(rho)
-    worst = 0.0
-    for _ in range(trials):
-        s = random_cocycle(space, rng)
-        t = random_cocycle(space, rng)
-        s = (1.0 / np.linalg.norm(s.stacked)) * s
-        t = (1.0 / np.linalg.norm(t.stacked)) * t
-        s_c = TangentVector.of(s.values @ ad_g.T)
-        t_c = TangentVector.of(t.values @ ad_g.T)
-        dev = abs(eta(ctx_c, s_c, t_c) - eta(ctx, s, t))
-        worst = max(worst, dev)
-    return worst
+    # unit cocycles s_i and their pairs s_{T+i}, paired once at each point
+    s = _draws(cocycle_space(rho), rng, 2 * trials)
+    s = s / np.linalg.norm(s, axis=0)
+    s_c = (ad_g @ s.reshape(rho.p, rho.dim_g, -1)).reshape(s.shape)
+    return float(np.abs(np.diagonal(_paired(ctx_c, s_c), trials)
+                        - np.diagonal(_paired(ctx, s), trials)).max())
 
 
 def endomorphism_pullback(ctx: EtaContext, images, rng, trials: int = 5):
@@ -214,6 +214,8 @@ def endomorphism_pullback(ctx: EtaContext, images, rng, trials: int = 5):
     residual otherwise.  Returns the pulled-back context together with a
     report comparing eta at rho∘phi on pulled-back cocycles against eta at rho.
     """
+    if ctx.degree != 2:
+        raise DegreeMismatch("endomorphism_pullback requires degree 2")
     rho = ctx.rho
     images = tuple(images)
     if len(images) != rho.p:
@@ -224,19 +226,14 @@ def endomorphism_pullback(ctx: EtaContext, images, rng, trials: int = 5):
     except InvalidInput as exc:
         raise NotEndomorphism(f"a relator maps to a nontrivial word: {exc}") from exc
     ctx_new = EtaContext(rho_new, ctx.phi, ctx.tensor, ctx.cycle)
-    space = cocycle_space(rho)
-    ratios = []
-    for _ in range(trials):
-        s, t = random_cocycle(space, rng), random_cocycle(space, rng)
-        # (phi* sigma)(x_k) = sigma(phi(x_k)): both cocycles in one walk
-        table = walk_words(*rho._generator_ad(), np.stack([s.values, t.values], -1),
-                           images)
-        pulled = np.stack([table[w][1] for w in images])
-        base = eta(ctx, s, t)
-        back = eta(ctx_new, TangentVector.of(pulled[..., 0]),
-                   TangentVector.of(pulled[..., 1]))
-        if abs(base) > 1e-12:
-            ratios.append(back / base)
+    s = _draws(cocycle_space(rho), rng, 2 * trials)
+    # (phi* sigma)(x_k) = sigma(phi(x_k)): every cocycle in one walk; the
+    # trial pairs are (s_i, s_{T+i}), paired once at each point
+    table = walk_words(*rho._generator_ad(), s.reshape(rho.p, rho.dim_g, -1), images)
+    pulled = np.stack([table[w][1] for w in images]).reshape(s.shape)
+    base = np.diagonal(_paired(ctx, s), trials)
+    back = np.diagonal(_paired(ctx_new, pulled), trials)
+    ratios = [complex(b / a) for a, b in zip(base, back) if abs(a) > 1e-12]
     report = {
         "ratios": ratios,
         "ratio": complex(np.mean(ratios)) if ratios else None,

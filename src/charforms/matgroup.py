@@ -243,10 +243,12 @@ def evaluate_word(rho: Representation, w: Word) -> np.ndarray:
     return out
 
 
-def coboundary(rho: Representation, v) -> TangentVector:
-    """Cocycle gamma -> v - Ad rho(gamma) v, recorded on the generators."""
+def coboundary(rho: Representation, v):
+    """Cocycle gamma -> v - Ad rho(gamma) v, recorded on the generators: a
+    TangentVector for v (d,), the stacked values (p d, k) for k vectors v (d, k)."""
     v = np.asarray(v, dtype=np.complex128)
-    return TangentVector.of(v - rho._generator_ad()[0] @ v)
+    values = v - rho._generator_ad()[0] @ v
+    return TangentVector.of(values) if v.ndim == 1 else values.reshape(-1, v.shape[-1])
 
 
 def conjugate_representation(rho: Representation, g) -> Representation:

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from charforms import GroupSpec, Presentation, Representation, cli, errors
+from charforms import GroupSpec, Presentation, Representation, cli, errors, forms
 from charforms.cli import _COMMANDS, main
 from charforms.families import FamilySpec, Poly, family_to_json
 from charforms.cohomology import cocycle_space
-from charforms.forms import eta, make_context, random_cocycle
+from charforms.forms import _draws, eta, make_context, random_cocycle
 from charforms.invariants import trace_form
 from charforms.matgroup import (
     TangentVector,
@@ -90,6 +90,46 @@ def test_suite_basic(inputs, tmp_path):
     assert code == 0
     assert report["pass"]
     assert report["max_dev"] <= 1e-9 * report["scale"]
+
+
+def test_suite_basic_fails_on_a_vanishing_form(inputs, tmp_path):
+    """tr - Killing/4 vanishes on sl(2): a contraction check on it shows
+    nothing, so the report is no pass and the exit code 1."""
+    data = json.loads(open(inputs["genus2"]).read())
+    data["phi"] = {"kind": "combo", "terms": [
+        {"kind": "trace_form", "coeff": [1.0, 0.0]},
+        {"kind": "killing", "coeff": [-0.25, 0.0]}]}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(data))
+    code, report = run(["suite-basic", "--input", str(path), "--seed", "2"],
+                       tmp_path / "r.json")
+    assert code == 1 and report["pass"] is False
+    assert report["scale"] == 0.0 and report["max_dev"] == 0.0
+
+
+def test_eta_pairs_all_trials_at_once(inputs, tmp_path, torus_rep, monkeypatch):
+    """The random branch of eta pairs one stack of its trials, and trial t
+    is eta of the draws t n, ..., t n + n - 1 of one Z^1 draw."""
+    calls = {"pairing": 0, "eta": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(forms, "_cycle_pairing", counting("pairing", forms._cycle_pairing))
+    monkeypatch.setattr(cli, "eta", counting("eta", cli.eta))
+    code, report = run(["eta", "--input", inputs["torus"], "--seed", "4",
+                        "--trials", "5"], tmp_path / "r.json")
+    assert code == 0 and calls == {"pairing": 1, "eta": 0}
+    monkeypatch.undo()
+    draws = _draws(cocycle_space(torus_rep), np.random.default_rng(4), 10)
+    sigmas = [TangentVector.from_stacked(c, 2) for c in draws.T]
+    ctx = make_context(torus_rep, trace_form())
+    expected = [eta(ctx, *sigmas[2 * t:2 * t + 2]) for t in range(5)]
+    assert np.allclose([complex(*v) for v in report["values"]], expected,
+                       rtol=1e-12, atol=1e-12 * max(map(abs, expected)))
 
 
 def test_suite_invariance(inputs, tmp_path):
@@ -328,6 +368,18 @@ def test_closedness_reports_fd_error(inputs, tmp_path):
     # the chart is holomorphic: the spread of the partials along 1 and i is
     # truncation error only
     assert 0 < report["cauchy_riemann_dev"] < 1e-3 * report["scale"]
+
+
+def test_closedness_names_only_the_step_it_used(inputs, tmp_path):
+    """The closedness report names its step once, as h; the tolerance echo
+    carries no step, in particular not the family --fd-step it never used."""
+    code, report = run(["closedness", "--input", inputs["genus2"],
+                        "--fd-chart-step", "0.02"], tmp_path / "r.json")
+    assert code == 0 and report["h"] == 0.02
+    assert report["tolerances"] == {"rank_rel": 1e-10, "newton_tol": 1e-12}
+    keys = [key for key, value in report.items()
+            for key in (key, *(value if isinstance(value, dict) else ()))]
+    assert [key for key in keys if "step" in key or key == "h"] == ["h"]
 
 
 def _family_input(tmp_path, drop=None, **changes):

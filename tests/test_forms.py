@@ -14,6 +14,7 @@ from charforms import (
     Representation,
     Word,
     cocycle_space,
+    combination,
     conjugation_invariance,
     contraction_suite,
     eta,
@@ -26,9 +27,22 @@ from charforms import (
     trace_form,
 )
 from charforms.errors import DegreeMismatch, InvalidInput, NotEndomorphism
-from charforms.forms import _cycle_pairing, endomorphism_pullback, random_cocycle
+from charforms.forms import (
+    EtaContext,
+    _cycle_pairing,
+    _draws,
+    _paired,
+    endomorphism_pullback,
+    random_cocycle,
+)
 from charforms.invariants import symmetric_tensor
-from charforms.matgroup import TangentVector, coboundary, lie_algebra_basis, matrix_exp
+from charforms.matgroup import (
+    TangentVector,
+    coboundary,
+    conjugate_representation,
+    lie_algebra_basis,
+    matrix_exp,
+)
 
 from conftest import random_point
 from oracles import adjoint_operator, pair, polarize
@@ -448,3 +462,135 @@ class TestEndomorphismPullback:
         with pytest.raises(NotEndomorphism):
             endomorphism_pullback(ctx, images, trials=2,
                                   rng=np.random.default_rng(8))
+
+
+class TestStackedSuites:
+    """Each randomized suite draws its trials as one stack and pairs it once
+    per context."""
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_stacked_pairing_is_per_trial(self, genus2_rep, degree):
+        """_paired on a stack (T, p dim g, k) equals T separate calls: degree 2
+        at genus 2, degree 3 on TestCyclePairing's F_2 3-chain (not a cycle)."""
+        if degree == 2:
+            ctx, rng = make_context(genus2_rep, trace_form()), np.random.default_rng(20)
+        else:
+            rho, rng = random_point(0, 3, "SL", 3, free=2)
+            ctx = make_context(rho, power_trace(3), TestCyclePairing.cycle)
+        pd = ctx.rho.p * ctx.rho.dim_g
+        stack = rng.standard_normal((4, pd, 3)) + 1j * rng.standard_normal((4, pd, 3))
+        pairs = _paired(ctx, stack)
+        assert pairs.shape == (4,) + (3,) * degree
+        for i in range(4):
+            point = _paired(ctx, stack[i])
+            assert np.abs(pairs[i] - point).max() <= 1e-14 * np.abs(point).max()
+
+    def test_contraction_in_degree_three(self):
+        """The leading-axis stack in degree 3: on the F_2 3-chain a
+        coboundary slot need not vanish, and the suite reports exactly
+        |eta(dB, s_2, s_3)| and |eta(s_1, s_2, s_3)| of its own draws."""
+        rho, _ = random_point(0, 3, "SL", 3, free=2)
+        ctx = make_context(rho, power_trace(3), TestCyclePairing.cycle)
+        space = cocycle_space(rho)
+        report = contraction_suite(ctx, 4, np.random.default_rng(21))
+        rng = np.random.default_rng(21)
+        draws = [TangentVector.from_stacked(c, 2)
+                 for c in _draws(space, rng, 12).T]
+        v = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+        worst = max(abs(eta(ctx, coboundary(rho, v[:, t]), *draws[3 * t:3 * t + 2]))
+                    for t in range(4))
+        scale = max(abs(eta(ctx, draws[3 * t + 2], *draws[3 * t:3 * t + 2]))
+                    for t in range(4))
+        assert report["max_dev"] == pytest.approx(worst, rel=1e-12)
+        assert report["scale"] == pytest.approx(scale, rel=1e-12)
+
+    def test_conjugation_reads_the_pairs(self, genus2_rep):
+        """The suite is the max over i of |eta at g rho g^-1 - eta at rho| on
+        the pair (s_i, s_{T+i}) of its unit draws, here for a symmetric
+        tensor that is not Ad-invariant, where eta(s_i, s_i) is not 0."""
+        ctx = _non_invariant_context(genus2_rep)
+        g = matrix_exp(genus2_rep.basis.matrix_from_coords([0.3, -0.2, 0.5]))
+        dev = conjugation_invariance(ctx, g, 4, np.random.default_rng(23))
+        s = _draws(cocycle_space(genus2_rep), np.random.default_rng(23), 8)
+        s = [TangentVector.from_stacked(c / np.linalg.norm(c), 4) for c in s.T]
+        conj = [TangentVector.of([genus2_rep.basis.coords_from_matrix(
+            g @ genus2_rep.basis.matrix_from_coords(x) @ np.linalg.inv(g))
+            for x in t.values]) for t in s]
+        ctx_c = EtaContext(conjugate_representation(genus2_rep, g), ctx.phi,
+                           ctx.tensor, ctx.cycle)
+        expected = max(abs(eta(ctx_c, conj[i], conj[4 + i]) - eta(ctx, s[i], s[4 + i]))
+                       for i in range(4))
+        assert dev == pytest.approx(expected, rel=1e-10)
+
+    def test_non_invariant_tensor_is_flagged(self, genus2_rep):
+        """Negative control: the suite reports a deviation far above 1 for a
+        symmetric tensor that is not Ad-invariant, against rounding for the
+        trace form."""
+        g = matrix_exp(genus2_rep.basis.matrix_from_coords([0.3, -0.2, 0.5]))
+        good = conjugation_invariance(make_context(genus2_rep, trace_form()), g, 5,
+                                      np.random.default_rng(24))
+        bad = conjugation_invariance(_non_invariant_context(genus2_rep), g, 5,
+                                     np.random.default_rng(24))
+        assert good < 1e-9
+        assert bad > 1.0
+
+    def test_vanishing_form_fails_contraction(self, genus2_rep):
+        """tr - Killing/4 is 0 on sl(2): every eta is 0, so the verdict is no
+        pass, where 0 <= 1e-9 * 0 used to pass."""
+        zero = combination([(1.0, trace_form()), (-0.25, killing_form())])
+        report = contraction_suite(make_context(genus2_rep, zero), 5,
+                                   np.random.default_rng(25))
+        assert report["scale"] == 0.0 and report["max_dev"] == 0.0
+        assert report["pass"] is False
+
+    def test_no_trial_is_refused(self, genus2_rep, torus_rep):
+        ctx = make_context(genus2_rep, trace_form())
+        rng = np.random.default_rng(26)
+        with pytest.raises(InvalidInput, match="at least one"):
+            contraction_suite(ctx, 0, rng)
+        with pytest.raises(InvalidInput, match="at least one"):
+            conjugation_invariance(ctx, np.eye(2), 0, rng)
+        names = torus_rep.presentation.generator_names
+        with pytest.raises(InvalidInput, match="at least one"):
+            endomorphism_pullback(make_context(torus_rep, trace_form()),
+                                  (parse_word("b1", names), parse_word("a1", names)),
+                                  rng, trials=0)
+
+    def test_pullback_refuses_other_degrees(self, torus_rep):
+        names = torus_rep.presentation.generator_names
+        ctx = make_context(torus_rep, power_trace(3),
+                           BarChain.of(3, {(Word.identity(),) * 3: 1}))
+        with pytest.raises(DegreeMismatch, match="degree 2"):
+            endomorphism_pullback(ctx, (parse_word("b1", names), parse_word("a1", names)),
+                                  np.random.default_rng(27))
+
+    def test_one_pairing_per_context(self, genus2_rep, torus_rep, monkeypatch):
+        """Deterministic cost guard: each suite pairs once per context and
+        never calls eta, whatever the number of trials; the pullback walks
+        the image words once for all its cocycles."""
+        ctx = make_context(genus2_rep, trace_form())
+        g = matrix_exp(genus2_rep.basis.matrix_from_coords([0.3, -0.2, 0.5]))
+        names = torus_rep.presentation.generator_names
+        swap = (parse_word("b1", names), parse_word("a1", names))
+        torus_ctx = make_context(torus_rep, trace_form())
+        # walk the cycle words and the relators before counting
+        assert torus_ctx.table and cocycle_space(torus_rep).dims == (4, 2, 2)
+        calls = Counter()
+        _count_calls(monkeypatch, calls, "pairing", charforms.forms._cycle_pairing)
+        _count_calls(monkeypatch, calls, "eta", charforms.forms.eta)
+        contraction_suite(ctx, 20, np.random.default_rng(28))
+        assert calls == Counter(pairing=1)
+        conjugation_invariance(ctx, g, 20, np.random.default_rng(29))
+        assert calls == Counter(pairing=3)
+        _count_calls(monkeypatch, calls, "walk", charforms.cohomology.walk_words)
+        endomorphism_pullback(torus_ctx, swap, np.random.default_rng(30), trials=20)
+        # one walk of the image words, one of the cycle words at the new point
+        assert calls == Counter(pairing=5, walk=2)
+
+
+def _non_invariant_context(rho):
+    """The degree-2 context at rho with a random symmetric tensor that is
+    not Ad-invariant in place of the trace form's."""
+    tensor = np.random.default_rng(22).standard_normal((rho.dim_g,) * 2)
+    ctx = make_context(rho, trace_form())
+    return EtaContext(rho, ctx.phi, tensor + tensor.T, ctx.cycle)
