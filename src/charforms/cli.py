@@ -34,9 +34,9 @@ from .errors import (
 )
 from .families import family_from_json, family_pullback
 from .forms import (
+    _conjugation_pairs,
     _draws,
     _paired,
-    conjugation_invariance,
     contraction_suite,
     eta,
     gram_matrix,
@@ -163,11 +163,13 @@ def cmd_goldman(args, tol: Tolerances, data: dict) -> dict:
     rho = _representation(data, tol)
     ctx = make_context(rho, _phi(data))
     space = cocycle_space(rho)
-    g, rank = gram_matrix(ctx, space.basis_h1)
+    g, rank = gram_matrix(ctx, space.h1)
     norm = np.linalg.norm(g)
     skew = float(np.linalg.norm(g + g.T) / norm) if norm > 0 else 0.0
+    # a zero Gram matrix is skew but shows nothing
     return {"dims": list(space.dims), "gram": g, "gram_rank": rank,
-            "skewness": skew, "skewness_tol": 1e-10, "pass": bool(skew <= 1e-10)}
+            "skewness": skew, "skewness_tol": 1e-10,
+            "pass": bool(norm > 0 and skew <= 1e-10)}
 
 
 def cmd_eta(args, tol: Tolerances, data: dict) -> dict:
@@ -209,23 +211,25 @@ def cmd_suite_invariance(args, tol: Tolerances, data: dict) -> dict:
     phi = _phi(data)
     ctx = make_context(rho, phi)
     rng = _rng(args)
-    worst = 0.0
+    worst = scale = 0.0
     for _ in range(args.trials):
         x = rng.standard_normal(rho.dim_g) + 1j * rng.standard_normal(rho.dim_g)
         g = matrix_exp(rho.basis.matrix_from_coords(
             x / max(np.linalg.norm(x), 1.0)))
-        worst = max(worst, conjugation_invariance(ctx, g, 3, rng))
+        dev, size = _conjugation_pairs(ctx, g, 3, rng)
+        worst, scale = max(worst, dev), max(scale, size)
     phi_dev = check_invariance(phi, rho.basis, args.trials, rng)
-    return {"check": "conjugation-invariance", "max_dev": worst,
+    # a form that vanishes on every pair shows nothing
+    return {"check": "conjugation-invariance", "max_dev": worst, "scale": scale,
             "phi_invariance_dev": phi_dev, "bound": 1e-9, "trials": args.trials,
-            "pass": bool(worst <= 1e-9 and phi_dev <= 1e-9)}
+            "pass": bool(worst <= 1e-9 and phi_dev <= 1e-9 and scale > 0)}
 
 
 def cmd_closedness(args, tol: Tolerances, data: dict) -> dict:
     rho = _representation(data, tol)
     phi = _phi(data)
     space = cocycle_space(rho)
-    if len(space.basis_h1) < 3:
+    if space.dims[2] < 3:
         raise InvalidInput("closedness needs dim H^1 >= 3 for a 3-dim chart")
     chart = Chart(rho, space.basis_h1[:3])
     cycle = fundamental_two_cycle(rho.presentation).chain

@@ -9,7 +9,7 @@ because every value paired with a chain is a genuine function on the group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -56,19 +56,41 @@ def _off_cocycle(resid, sigma) -> np.ndarray:
     return resid > 1e-8 * np.maximum(np.linalg.norm(sigma, axis=(-2, -1)), 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CocycleSpace:
-    """Bases of Z^1, B^1 and H^1-representatives at a representation."""
+    """Orthonormal bases of Z^1 and B^1 at a representation, stacked as
+    columns (p * dim g, k), and H^1 representatives built from them on
+    first use; the ``basis_*`` tuples of TangentVectors are built on demand.
+    """
 
     rho: Representation
-    basis_z1: tuple  # TangentVectors
-    basis_b1: tuple
-    basis_h1: tuple
+    z1: np.ndarray
+    b1: np.ndarray
     rank_gap: float  # least kept / dropped singular-value ratio of Z^1 and B^1
+
+    @cached_property
+    def h1(self) -> np.ndarray:
+        """The orthonormal complement, inside Z^1, of B^1 projected into Z^1:
+        dim Z^1 - dim B^1 columns."""
+        u = np.linalg.svd(self.z1.conj().T @ self.b1)[0]
+        return _read_only(self.z1 @ u[:, self.b1.shape[1]:])
 
     @property
     def dims(self):
-        return (len(self.basis_z1), len(self.basis_b1), len(self.basis_h1))
+        z, b = self.z1.shape[1], self.b1.shape[1]
+        return (z, b, z - b)
+
+    @property
+    def basis_z1(self) -> tuple:
+        return _vectors(self.z1, self.rho.p)
+
+    @property
+    def basis_b1(self) -> tuple:
+        return _vectors(self.b1, self.rho.p)
+
+    @property
+    def basis_h1(self) -> tuple:
+        return _vectors(self.h1, self.rho.p)
 
     def h2_dim(self):
         """dim H^2 as the cokernel of the Fox Jacobian.
@@ -79,13 +101,18 @@ class CocycleSpace:
         if len(self.rho.presentation.relators) != 1:
             return None
         d = self.rho.dim_g
-        return d - (self.rho.p * d - len(self.basis_z1))
+        return d - (self.rho.p * d - self.z1.shape[1])
 
     def report(self) -> dict:
         zi, bi, hi = self.dims
         gap = self.rank_gap
         return {"dims": [zi, bi, hi],
                 "rank_gap": gap if np.isfinite(gap) else None}
+
+
+def _vectors(basis: np.ndarray, p: int) -> tuple:
+    return tuple(TangentVector.from_stacked(basis[:, j], p)
+                 for j in range(basis.shape[1]))
 
 
 def cocycle_space(rho: Representation) -> CocycleSpace:
@@ -105,26 +132,30 @@ def cocycle_space(rho: Representation) -> CocycleSpace:
             raise RankInstability(
                 f"{what}: a singular value lies within a factor "
                 f"{dec.margin:.3g} < 10 of the cutoff")
-    h1 = z1.kernel @ np.linalg.svd(z1.kernel.conj().T @ b1.image)[0][:, b1.rank:]
-
-    def vectors(basis):
-        return tuple(TangentVector.from_stacked(basis[:, j], p)
-                     for j in range(basis.shape[1]))
-
-    return CocycleSpace(rho, vectors(z1.kernel), vectors(b1.image),
-                        vectors(h1), min(z1.gap, b1.gap))
+    return CocycleSpace(rho, _read_only(z1.kernel), _read_only(b1.image),
+                        min(z1.gap, b1.gap))
 
 
 def cocycle_walk(ad, ad_inv, values, letters, start=None):
-    """(Ad rho(uw), sigma(uw)) from start = (Ad rho(u), sigma(u)), u = e by
-    default, one letter of w at a time: sigma(uv) = sigma(u) + Ad rho(u) sigma(v).
+    """(Ad rho(uw), sigma(uw)) from start = (Ad rho(u), sigma(u)), one letter
+    of w at a time: sigma(uv) = sigma(u) + Ad rho(u) sigma(v).  With no start
+    the walk begins at the first letter x^{+-1} of w, (Ad x, sigma(x)) or
+    (Ad x^-1, -Ad x^-1 sigma(x)), and the empty word gives (I, 0).
     Batched over leading axes: ad, ad_inv (..., p, d, d) are the generators'
     Ad matrices and their inverses, values (..., p, d, k) the values of k
     cocycles on the generators; returns (..., d, d) and (..., d, k)."""
-    batch = np.broadcast_shapes(ad.shape[:-3], values.shape[:-3])
-    d, k = values.shape[-2:]
-    acc, sig = start or (np.broadcast_to(np.eye(d, dtype=complex), batch + (d, d)),
-                         np.zeros(batch + (d, k), dtype=complex))
+    if start is None:
+        if letters:
+            (g, s), letters = letters[0], letters[1:]
+            acc = (ad if s == 1 else ad_inv)[..., g, :, :]
+            sig = values[..., g, :, :] if s == 1 else -(acc @ values[..., g, :, :])
+        else:
+            d, k = values.shape[-2:]
+            acc, sig = np.eye(d, dtype=complex), np.zeros((d, k), dtype=complex)
+        batch = np.broadcast_shapes(ad.shape[:-3], values.shape[:-3])
+        start = [x if x.shape[:-2] == batch else np.broadcast_to(x, batch + x.shape[-2:])
+                 for x in (acc, sig)]
+    acc, sig = start
     for g, s in letters:
         if s == 1:
             sig = sig + acc @ values[..., g, :, :]
@@ -138,13 +169,14 @@ def cocycle_walk(ad, ad_inv, values, letters, start=None):
 def walk_words(ad, ad_inv, values, words) -> dict:
     """``cocycle_walk`` of every word, each continued from its longest prefix
     walked before, so a word that extends another by one letter (a relator
-    prefix of the fundamental cycle) costs one letter step."""
+    prefix of the fundamental cycle) costs one letter step; a word with no
+    such prefix starts at its first letter."""
     walked, longest = {}, 0
     for w in sorted(dict.fromkeys(words), key=lambda w: len(w.letters)):
         cut = next((k for k in range(min(len(w.letters) - 1, longest), 0, -1)
                     if w.letters[:k] in walked), 0)
         walked[w.letters] = cocycle_walk(ad, ad_inv, values, w.letters[cut:],
-                                         walked.get(w.letters[:cut]))
+                                         walked[w.letters[:cut]] if cut else None)
         longest = len(w.letters)
     return {w: walked[w.letters] for w in words}
 

@@ -147,9 +147,9 @@ def _draws(space, rng, k: int) -> np.ndarray:
     Raises InvalidInput for k < 1, as a suite of no trials shows nothing."""
     if k < 1:
         raise InvalidInput(f"need at least one random cocycle, got {k}")
-    m = len(space.basis_z1)
+    m = space.z1.shape[1]
     c = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
-    return np.stack([s.stacked for s in space.basis_z1], axis=1) @ c
+    return space.z1 @ c
 
 
 def random_cocycle(space, rng) -> TangentVector:
@@ -179,18 +179,27 @@ def contraction_suite(ctx: EtaContext, trials: int, rng) -> dict:
 
 
 def gram_matrix(ctx: EtaContext, basis):
-    """Matrix G_ij = eta(s_i, s_j), ``_paired`` on S = H the stacked basis,
-    and its SVD rank at the point's tolerance (degree 2)."""
+    """Matrix G_ij = eta(s_i, s_j), ``_paired`` on S = H, and its SVD rank at
+    the point's tolerance (degree 2).  The basis is a tuple of TangentVectors
+    or already stacked as columns (p dim g, k), such as ``CocycleSpace.h1``."""
     if ctx.degree != 2:
         raise DegreeMismatch("gram_matrix requires a degree-2 context")
-    h = np.reshape([s.stacked for s in basis], (len(basis), ctx.rho.p * ctx.rho.dim_g))
-    g = _paired(ctx, h.T)
+    if not isinstance(basis, np.ndarray):
+        basis = np.reshape([s.stacked for s in basis],
+                           (len(basis), ctx.rho.p * ctx.rho.dim_g)).T
+    g = _paired(ctx, basis)
     return g, rank_and_gap(g, ctx.rho.tol).rank
 
 
 def conjugation_invariance(ctx: EtaContext, g, trials: int, rng) -> float:
     """Max |eta_{g rho g^-1}(Ad_g s, Ad_g t) - eta_rho(s, t)| over random
     cocycle pairs."""
+    return _conjugation_pairs(ctx, g, trials, rng)[0]
+
+
+def _conjugation_pairs(ctx: EtaContext, g, trials: int, rng):
+    """``conjugation_invariance`` and the max |eta_rho(s, t)| over the same
+    pairs of unit cocycles, the scale that shows the form is not zero."""
     if ctx.degree != 2:
         raise DegreeMismatch("conjugation_invariance requires degree 2")
     rho = ctx.rho
@@ -202,8 +211,9 @@ def conjugation_invariance(ctx: EtaContext, g, trials: int, rng) -> float:
     s = _draws(cocycle_space(rho), rng, 2 * trials)
     s = s / np.linalg.norm(s, axis=0)
     s_c = (ad_g @ s.reshape(rho.p, rho.dim_g, -1)).reshape(s.shape)
-    return float(np.abs(np.diagonal(_paired(ctx_c, s_c), trials)
-                        - np.diagonal(_paired(ctx, s), trials)).max())
+    base = np.diagonal(_paired(ctx, s), trials)
+    dev = np.abs(np.diagonal(_paired(ctx_c, s_c), trials) - base).max()
+    return float(dev), float(np.abs(base).max())
 
 
 def endomorphism_pullback(ctx: EtaContext, images, rng, trials: int = 5):

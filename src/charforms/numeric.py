@@ -183,21 +183,35 @@ def matrix_exp(m) -> np.ndarray:
 def matrix_inverse(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Inverse of a square matrix or of each matrix of a stack (..., n, n).
 
-    One batched SVD checks them all: a matrix whose smallest singular value
-    is at most tol.rank_rel times its largest raises SingularMatrix, naming
-    its index in the (flattened) stack.
+    A matrix whose smallest singular value is at most tol.rank_rel times its
+    largest raises SingularMatrix, naming its index in the (flattened)
+    stack.  The SVD that decides this runs only on the matrices whose
+    ||m||_F ||m^-1||_F >= kappa_2(m) reaches 0.5 / tol.rank_rel or is not
+    finite, and on the whole stack when np.linalg.inv finds one exactly
+    singular.
     """
     m = _square_stack(m, "matrix_inverse")
+    flat = m.reshape(-1, *m.shape[-2:])
     try:
-        s = np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise ConvergenceFailure(f"SVD failed: {exc}") from exc
-    s = s.reshape(-1, s.shape[-1])
-    singular = (s[:, -1] <= tol.rank_rel * s[:, 0]) | (s[:, -1] == 0.0)
-    if singular.any():
-        k = int(np.argmax(singular))
-        where = f"matrix {k} of {len(s)}: " if m.ndim > 2 else ""
-        raise SingularMatrix(
-            f"{where}smallest singular value {s[k, -1]:.3e} <= rank_rel times "
-            f"the largest, {s[k, 0]:.3e}", index=k)
-    return np.linalg.inv(m)
+        inv = np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        inv, doubtful = None, np.arange(len(flat))
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            kappa = (np.linalg.norm(flat, axis=(-2, -1))
+                     * np.linalg.norm(inv.reshape(flat.shape), axis=(-2, -1)))
+        doubtful = np.flatnonzero(~(kappa < 0.5 / tol.rank_rel))
+    if doubtful.size:
+        try:
+            s = np.linalg.svd(flat[doubtful], compute_uv=False)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
+            raise ConvergenceFailure(f"SVD failed: {exc}") from exc
+        singular = (s[:, -1] <= tol.rank_rel * s[:, 0]) | (s[:, -1] == 0.0)
+        if singular.any():
+            j = int(np.argmax(singular))
+            k = int(doubtful[j])
+            where = f"matrix {k} of {len(flat)}: " if m.ndim > 2 else ""
+            raise SingularMatrix(
+                f"{where}smallest singular value {s[j, -1]:.3e} <= rank_rel times "
+                f"the largest, {s[j, 0]:.3e}", index=k)
+    return np.linalg.inv(m) if inv is None else inv

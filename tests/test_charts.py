@@ -153,7 +153,7 @@ class TestClosedness:
         assert fd["scale"] > 1e-2
         assert fd["max_d"] <= 1e-5 * fd["scale"]
 
-    def test_fd_error_is_the_richardson_difference(self, genus2_chart):
+    def test_fd_error_is_the_half_difference_along_1_and_i(self, genus2_chart):
         fd = _closedness(genus2_chart.center, genus2_chart.directions)
         assert 0 < fd["fd_error"] < 1e-3 * fd["scale"]
 

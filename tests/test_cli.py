@@ -16,6 +16,7 @@ from charforms.matgroup import (
     TangentVector,
     coboundary,
     complex_to_json,
+    matrix_exp,
     representation_to_json,
 )
 
@@ -69,6 +70,28 @@ def test_cohomology(inputs, tmp_path):
     assert report["rank_gap"] is None
 
 
+def test_cohomology_builds_no_vector_and_no_h1(inputs, tmp_path, monkeypatch):
+    """The cohomology report needs only the two rank decisions: no
+    TangentVector is built, and the only SVDs are those two (no H^1 basis,
+    and no SVD screen of the well-conditioned generator images)."""
+    calls = {"vectors": 0, "svd": 0}
+    init, svd = TangentVector.__init__, np.linalg.svd
+
+    def counted_init(self, *args, **kwargs):
+        calls["vectors"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(TangentVector, "__init__", counted_init)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    code, report = run(["cohomology", "--input", inputs["genus2"]], tmp_path / "r.json")
+    assert code == 0 and report["dims"] == [9, 3, 6]
+    assert calls == {"vectors": 0, "svd": 2}
+
+
 def test_goldman(inputs, tmp_path):
     code, report = run(["goldman", "--input", inputs["genus2"]],
                        tmp_path / "r.json")
@@ -92,17 +115,39 @@ def test_suite_basic(inputs, tmp_path):
     assert report["max_dev"] <= 1e-9 * report["scale"]
 
 
-def test_suite_basic_fails_on_a_vanishing_form(inputs, tmp_path):
-    """tr - Killing/4 vanishes on sl(2): a contraction check on it shows
-    nothing, so the report is no pass and the exit code 1."""
+def _vanishing_form(inputs, tmp_path) -> str:
+    """The genus-2 input with phi = tr - Killing/4, which vanishes on sl(2)."""
     data = json.loads(open(inputs["genus2"]).read())
     data["phi"] = {"kind": "combo", "terms": [
         {"kind": "trace_form", "coeff": [1.0, 0.0]},
         {"kind": "killing", "coeff": [-0.25, 0.0]}]}
     path = tmp_path / "zero.json"
     path.write_text(json.dumps(data))
-    code, report = run(["suite-basic", "--input", str(path), "--seed", "2"],
+    return str(path)
+
+
+def test_suite_basic_fails_on_a_vanishing_form(inputs, tmp_path):
+    """A contraction check on a form that vanishes shows nothing, so the
+    report is no pass and the exit code 1."""
+    code, report = run(["suite-basic", "--input", _vanishing_form(inputs, tmp_path),
+                        "--seed", "2"], tmp_path / "r.json")
+    assert code == 1 and report["pass"] is False
+    assert report["scale"] == 0.0 and report["max_dev"] == 0.0
+
+
+def test_goldman_fails_on_a_vanishing_form(inputs, tmp_path):
+    """A zero Gram matrix is skew-symmetric but shows nothing."""
+    code, report = run(["goldman", "--input", _vanishing_form(inputs, tmp_path)],
                        tmp_path / "r.json")
+    assert code == 1 and report["pass"] is False
+    assert report["gram_rank"] == 0 and report["skewness"] == 0.0
+
+
+def test_suite_invariance_fails_on_a_vanishing_form(inputs, tmp_path):
+    """A conjugation check on a form that vanishes on every pair shows
+    nothing: its scale, the largest |eta| over the pairs, is 0."""
+    code, report = run(["suite-invariance", "--input", _vanishing_form(inputs, tmp_path),
+                        "--seed", "3", "--trials", "3"], tmp_path / "r.json")
     assert code == 1 and report["pass"] is False
     assert report["scale"] == 0.0 and report["max_dev"] == 0.0
 
@@ -137,6 +182,32 @@ def test_suite_invariance(inputs, tmp_path):
                         "--seed", "3", "--trials", "3"], tmp_path / "r.json")
     assert code == 0
     assert report["pass"]
+    assert report["max_dev"] <= 1e-9 and report["scale"] > 0.1
+
+
+def test_suite_invariance_scale_is_the_largest_pair(inputs, tmp_path, genus2_rep):
+    """The reported scale is the largest |eta_rho(s, t)| over the unit pairs
+    each conjugation draws, and max_dev stays what conjugation_invariance
+    returns: the rng draws in the same order as the command does."""
+    code, report = run(["suite-invariance", "--input", inputs["genus2"],
+                        "--seed", "3", "--trials", "2"], tmp_path / "r.json")
+    rng = np.random.default_rng(3)
+    ctx = make_context(genus2_rep, trace_form())
+    worst = scale = 0.0
+    for _ in range(2):
+        x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        g = matrix_exp(genus2_rep.basis.matrix_from_coords(
+            x / max(np.linalg.norm(x), 1.0)))
+        draws = rng.bit_generator.state
+        worst = max(worst, forms.conjugation_invariance(ctx, g, 3, rng))
+        rng.bit_generator.state = draws
+        s = _draws(cocycle_space(genus2_rep), rng, 6)
+        s = s / np.linalg.norm(s, axis=0)
+        scale = max(scale, max(abs(eta(ctx, *(TangentVector.from_stacked(s[:, j], 4)
+                                               for j in (i, 3 + i)))) for i in range(3)))
+    assert code == 0
+    assert report["max_dev"] == worst
+    assert report["scale"] == pytest.approx(scale, rel=1e-12)
 
 
 def test_family_with_csv(inputs, tmp_path):

@@ -128,6 +128,61 @@ class TestCocycleSpace:
             assert space.dims == cocycle_space(rho).dims
 
 
+def test_bases_are_the_stacked_columns_and_h1_is_built_once(genus2_rep, monkeypatch):
+    """Z^1 and B^1 are the stacked matrices of the rank decisions; H^1 is
+    one SVD of Z^H B, run on first use and kept; every basis_* tuple is the
+    columns of its matrix, bit for bit."""
+    space = cocycle_space(genus2_rep)
+    svds = Counter()
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        svds["calls"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    h1 = space.h1
+    assert space.h1 is h1 and svds["calls"] == 1
+    pd, (zi, bi, hi) = genus2_rep.p * genus2_rep.dim_g, space.dims
+    assert space.z1.shape == (pd, zi) and space.b1.shape == (pd, bi)
+    assert h1.shape == (pd, hi) == (pd, zi - bi)
+    for matrix, basis in ((space.z1, space.basis_z1), (space.b1, space.basis_b1),
+                          (h1, space.basis_h1)):
+        columns = np.stack([v.stacked for v in basis], axis=1)
+        assert columns.tobytes() == np.ascontiguousarray(matrix).tobytes()
+    assert svds["calls"] == 1
+    assert np.abs(h1.conj().T @ h1 - np.eye(hi)).max() < 1e-12
+    assert np.abs(space.b1.conj().T @ h1).max() < 1e-12
+
+
+@pytest.mark.parametrize("ad_batch,values_batch",
+                         [((), ()), ((3,), ()), ((), (3,)), ((2, 1), (3,))])
+def test_a_walk_starts_at_its_first_letter(ad_batch, values_batch):
+    """A one-letter word x^{+-1} walks to (Ad x, sigma(x)) or (Ad x^-1,
+    -Ad x^-1 sigma(x)) bit for bit, broadcast to the common batch shape,
+    whether or not the empty word is walked beside it."""
+    rng = np.random.default_rng(11)
+    p, d, k = 2, 3, 2
+
+    def draw(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    ad, ad_inv = draw(ad_batch + (p, d, d)), draw(ad_batch + (p, d, d))
+    values = draw(values_batch + (p, d, k))
+    batch = np.broadcast_shapes(ad_batch, values_batch)
+    letters = [Word.generator(g, e) for g in range(p) for e in (1, -1)]
+    for words in (letters, [Word.identity(), *letters]):
+        table = walk_words(ad, ad_inv, values, words)
+        for g in range(p):
+            x, x_inv, v = ad[..., g, :, :], ad_inv[..., g, :, :], values[..., g, :, :]
+            for e, want in ((1, (x, v)), (-1, (x_inv, -(x_inv @ v)))):
+                for got, expected in zip(table[Word.generator(g, e)], want):
+                    expected = np.broadcast_to(expected, batch + expected.shape[-2:])
+                    assert got.shape == expected.shape
+                    assert (np.ascontiguousarray(got).tobytes()
+                            == np.ascontiguousarray(expected).tobytes())
+
+
 def _float_dims(presentation, group, images):
     """``cocycle_space`` dims at the float rounding of exact images."""
     images = [np.array(sympy.Matrix(m).tolist(), dtype=float) for m in images]

@@ -267,3 +267,57 @@ def test_matrix_exp_inverse_pair():
 def test_singular_matrix_detected():
     with pytest.raises(SingularMatrix):
         matrix_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+def _with_singular_values(rng, s):
+    """A complex matrix with the singular values s, in random unitary bases."""
+    n = len(s)
+    u, v = (np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+            for _ in range(2))
+    return (u * np.asarray(s)) @ v.conj().T
+
+
+def _counting_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_matrix_inverse_screens_by_the_frobenius_condition(monkeypatch):
+    """||m||_F ||m^-1||_F bounds kappa_2 from above, so only a matrix whose
+    bound reaches 0.5 / rank_rel gets an SVD: a well-conditioned stack gets
+    none and np.linalg.inv's bits.  kappa_2 = 3e9 (4 x 4, kappa_F ~ 5.2e9) is
+    screened and passed; kappa_2 = 1e11 is refused, and so is an exactly
+    singular matrix, which makes np.linalg.inv refuse the whole stack; the
+    error names the first singular index of the flattened stack."""
+    rng = np.random.default_rng(17)
+    well = [_with_singular_values(rng, [2.0, 1.0, 0.7, 0.5]) for _ in range(4)]
+    doubtful = _with_singular_values(rng, [1.0, 1.0, 1.0, 1 / 3e9])
+    near = _with_singular_values(rng, [1.0, 1.0, 1.0, 1e-11])
+    exact = np.zeros((4, 4))
+    exact[:3, :3] = np.eye(3)
+    calls = _counting_svd(monkeypatch)
+
+    stack = np.array(well).reshape(2, 2, 4, 4)
+    assert matrix_inverse(stack).tobytes() == np.linalg.inv(stack).tobytes()
+    assert calls == []
+
+    stack = np.array([well[0], doubtful, well[1]])
+    assert matrix_inverse(stack).tobytes() == np.linalg.inv(stack).tobytes()
+    assert calls == [(1, 4, 4)]
+
+    for mixed, first in (([well[0], doubtful, well[1], near, well[2]], 3),
+                         ([well[0], doubtful, exact, well[1], near], 2),
+                         ([well[0], doubtful, near, well[1], exact], 2)):
+        with pytest.raises(SingularMatrix, match=f"matrix {first} of 5") as info:
+            matrix_inverse(np.array(mixed))
+        assert info.value.index == first
+    with pytest.raises(SingularMatrix) as info:
+        matrix_inverse(near)
+    assert info.value.index == 0 and "matrix" not in str(info.value)

@@ -1,5 +1,6 @@
 """The public names of ``charforms`` are the API, pinned here so that an API
-change is a deliberate edit of ``API``.
+change is a deliberate edit of ``API``; the census of settable values may
+fall, and grows only by an edit of ``CENSUS``.
 
 The names the layer tracer in perfbench/layertrace.py looks up must exist:
 it wraps ``getattr(module, name)`` for every name in a module's ``__all__``
@@ -79,3 +80,38 @@ def test_every_public_name_resolves(name):
 def test_traced_method_is_a_class_attribute(layer, cls, attr):
     owner = getattr(importlib.import_module(f"charforms.{layer}"), cls)
     assert attr in owner.__dict__
+
+
+# The most settable values the library may hold: defaulted positional and
+# keyword-only parameters, plus annotated class fields with a default other
+# than field(...), over every module but __init__.py.  31 = charts 1, cli 1,
+# cohomology 3, errors 3, families 6, forms 2, invariants 1, matgroup 6,
+# numeric 4, words 4.
+CENSUS = 31
+
+
+def settable_values(source: str) -> int:
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef):
+            count += sum(
+                isinstance(st, ast.AnnAssign) and st.value is not None
+                and not (isinstance(st.value, ast.Call)
+                         and getattr(st.value.func, "id", None) == "field")
+                for st in node.body)
+    return count
+
+
+def test_settable_values_count_defaults_and_fields():
+    source = ("def f(a, b=1, *, c=2, d):\n    g = lambda x=0: x\n"
+              "class K:\n    x: int = 1\n    y: int = field(default=2)\n    z: int\n")
+    assert settable_values(source) == 4
+
+
+def test_census_of_settable_values_does_not_grow():
+    census = {name: settable_values((ROOT / "src" / "charforms" / f"{name}.py").read_text())
+              for name in MODULES}
+    assert sum(census.values()) <= CENSUS, census
