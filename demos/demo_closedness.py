@@ -33,7 +33,7 @@ def main():
     b = np.array([[1.0, 1.0], [1.0, 2.0]])
     rho = Representation(pres, SL2, [a, b, b, a])
     space = cocycle_space(rho)
-    chart = Chart(rho, space.basis_h1[:3])
+    chart = Chart(rho, space.h1[:, :3])
     cycle = fundamental_two_cycle(pres).chain
     fd = chart_closedness(chart, trace_form(), cycle, h=3e-2)
     print("finite-difference exterior derivative on the chart:")

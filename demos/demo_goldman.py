@@ -20,7 +20,7 @@ from charforms import (
     make_context,
     trace_form,
 )
-from charforms.matgroup import TangentVector, matrix_exp
+from charforms.matgroup import matrix_exp
 
 SL2 = GroupSpec("SL", 2)
 
@@ -33,11 +33,11 @@ def main():
     ctx = make_context(rho, trace_form())
     space = cocycle_space(rho)
 
-    g, rank = gram_matrix(ctx, space.basis_h1)
+    g, rank = gram_matrix(ctx, space.h1)
     print("Gram matrix of the 2-form on H^1 representatives (real parts):")
     with np.printoptions(precision=3, suppress=True):
         print(g.real)
-    print(f"rank = {rank} (dim H^1 = {len(space.basis_h1)}), "
+    print(f"rank = {rank} (dim H^1 = {space.dims[2]}), "
           f"skewness = {np.linalg.norm(g + g.T) / np.linalg.norm(g):.2e}")
     print()
 
@@ -55,13 +55,14 @@ def main():
     print()
 
     # torus sanity value: sigma hits the a-handle, tau the b-handle, both
-    # along the diagonal direction H; the pairing is tr(H^2) = 2
+    # along the diagonal direction H; the pairing is tr(H^2) = 2.  A cocycle
+    # is stacked (p * dim g,): generator a's coordinates, then b's
     torus = Presentation.surface(1)
     rho_t = Representation(torus, SL2, [np.diag([2.0, 0.5]),
                                         np.diag([3.0, 1.0 / 3.0])])
     ctx_t = make_context(rho_t, trace_form())
-    sigma = TangentVector.of([[0, 0, 1], [0, 0, 0]])
-    tau = TangentVector.of([[0, 0, 0], [0, 0, 1]])
+    sigma = np.array([0, 0, 1, 0, 0, 0], dtype=complex)
+    tau = np.array([0, 0, 0, 0, 0, 1], dtype=complex)
     print(f"torus hand value eta(sigma, tau) = {eta(ctx_t, sigma, tau).real:+.6f}"
           " (expected +2)")
 

@@ -30,7 +30,6 @@ from .matgroup import (
     GroupSpec,
     LieAlgebraBasis,
     Representation,
-    TangentVector,
     coboundary,
     conjugate_representation,
     evaluate_word,

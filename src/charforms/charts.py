@@ -38,7 +38,6 @@ from .matgroup import (
     GroupSpec,
     LieAlgebraBasis,
     Representation,
-    TangentVector,
     _damped_newton,
     _moved,
     _newton_state,
@@ -64,16 +63,15 @@ __all__ = [
 
 @dataclass
 class Chart:
-    """Center representation plus tangent directions spanning the chart."""
+    """Center representation plus tangent directions spanning the chart,
+    stacked as columns (p * dim g, dim)."""
 
     center: Representation
-    directions: tuple
-    _span: np.ndarray = field(init=False, repr=False)
+    directions: np.ndarray
     _complement: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.directions = tuple(self.directions)
-        self._span = np.stack([s.stacked for s in self.directions], axis=1)
+        self.directions = np.array(self.directions, dtype=np.complex128, order="C")
         # the orthogonal complement of Z^1 at the center; the correction c
         # lives here, so the relator equations fix it uniquely
         jac = fox_jacobian(self.center)
@@ -81,7 +79,7 @@ class Chart:
 
     @property
     def dim(self) -> int:
-        return len(self.directions)
+        return self.directions.shape[1]
 
 
 def _dexp(basis: LieAlgebraBasis, y: np.ndarray) -> np.ndarray:
@@ -121,7 +119,7 @@ def _solve(chart: Chart, t) -> list:
         values = _dexp(rho.basis, state[0]) @ comp.reshape(rho.p, rho.dim_g, -1)
         return _relator_jacobian(rho.presentation, rho.basis, *state[3:], values)
 
-    start, res = at(t @ chart._span.T)
+    start, res = at(t @ chart.directions.T)
     try:
         state = _damped_newton(start, res,
                                lambda state, step: at(state[0] + step @ comp.T),
@@ -156,7 +154,7 @@ def _tangents(chart: Chart, state: list) -> np.ndarray:
     """Values (P, p, d, dim) of the exact chart tangents at the points of a
     ``_solve`` state: c'(t) = -(M C)^+ M S, and the i-th tangent is
     phi(ad Y)(S e_i + C c'_i)."""
-    rho, span, comp = chart.center, chart._span, chart._complement
+    rho, span, comp = chart.center, chart.directions, chart._complement
     shape, phi = (rho.p, rho.dim_g, -1), _dexp(rho.basis, state[0])
     jac = _relator_jacobian(rho.presentation, rho.basis, *state[3:],
                             phi @ np.hstack([span, comp]).reshape(shape))
@@ -164,10 +162,10 @@ def _tangents(chart: Chart, state: list) -> np.ndarray:
     return phi @ moved.reshape(len(phi), rho.p, rho.dim_g, chart.dim)
 
 
-def transported_direction(chart: Chart, t, i: int) -> TangentVector:
+def transported_direction(chart: Chart, t, i: int) -> np.ndarray:
     """Tangent of the i-th chart curve at parameter t: the derivative of
-    retract along e_i, in the left-trivialised coordinates of TangentVector."""
-    return TangentVector.of(_tangents(chart, _solve(chart, t))[0, ..., i])
+    retract along e_i, in left-trivialised coordinates stacked (p * dim g,)."""
+    return _tangents(chart, _solve(chart, t))[0, ..., i].reshape(-1)
 
 
 def eta_coefficients(chart: Chart, phi: InvariantPolynomial, cycle: BarChain):
@@ -284,8 +282,8 @@ def free_group_demo(p: int, group: GroupSpec, rng,
     rho = Representation(pres, group, images, tol=tol)
     space = cocycle_space(rho)
     # dense directions so every generator slot is exercised
-    rng_dirs = [random_cocycle(space, rng) for _ in range(3)]
-    chart = Chart(rho, rng_dirs)
+    dirs = np.stack([random_cocycle(space, rng) for _ in range(3)], axis=1)
+    chart = Chart(rho, dirs)
 
     a, b = Word.generator(0), Word.generator(1)
     non_cycle = BarChain.of(2, {(a, b): 1})
@@ -294,7 +292,7 @@ def free_group_demo(p: int, group: GroupSpec, rng,
     # genuine 2-cycle: boundary of a 3-chain, pairs to ~0 with the cup cocycle
     three = BarChain.of(3, {(a, b, a): 1, (b, a * b, b): 1})
     cycle = bar_boundary(three)
-    s, t_ = rng_dirs[0], rng_dirs[1]
+    s, t_ = dirs[:, 0], dirs[:, 1]
     cycle_value = abs(eta(make_context(rho, phi, cycle), s, t_))
     chain_value = abs(eta(make_context(rho, phi, non_cycle), s, t_))
     return {

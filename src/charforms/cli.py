@@ -38,7 +38,6 @@ from .forms import (
     _draws,
     _paired,
     contraction_suite,
-    eta,
     gram_matrix,
     make_context,
 )
@@ -46,8 +45,7 @@ from .invariants import check_invariance, polynomial_from_json, trace_form
 from .matgroup import (
     GroupSpec,
     Representation,
-    TangentVector,
-    _relator_values,
+    _word_values,
     complex_from_json,
     complex_to_json,
     group_from_json,
@@ -137,7 +135,7 @@ def _open_output(path: str):
 
 def cmd_validate(args, tol: Tolerances, data: dict) -> dict:
     rho = _representation(data, tol)
-    values = _relator_values(rho.presentation, np.array(rho.images), rho._inverses)
+    values = _word_values(rho.presentation.relators, np.array(rho.images), rho._inverses)
     residuals = np.linalg.norm(values - np.eye(rho.group.n), axis=(-2, -1))
     report = {"relator_residuals": {f"relator_{i}": float(r)
                                     for i, r in enumerate(residuals)},
@@ -189,12 +187,12 @@ def cmd_eta(args, tol: Tolerances, data: dict) -> dict:
         resid = np.linalg.norm(sigmas.reshape(n, -1) @ fox_jacobian(rho).T, axis=-1)
         for i in np.flatnonzero(_off_cocycle(resid, sigmas))[:1]:
             raise InvalidInput(f"'cocycles' entry {i} is not a cocycle: {resid[i]:.1e}")
-        values = [eta(ctx, *map(TangentVector.of, sigmas))]
+        stack = sigmas.reshape(1, n, -1).swapaxes(1, 2)
     else:
-        # trial t pairs the n columns of its own leading index, read on the diagonal
         draws = _draws(cocycle_space(rho), _rng(args), n * args.trials)
         stack = draws.reshape(-1, args.trials, n).swapaxes(0, 1)
-        values = list(_paired(ctx, stack)[(slice(None),) + tuple(range(n))])
+    # trial t pairs the n columns of its own leading index, read on the diagonal
+    values = list(_paired(ctx, stack)[(slice(None),) + tuple(range(n))])
     return {"degree": n, "values": values, "pass": True}
 
 
@@ -209,14 +207,14 @@ def cmd_suite_basic(args, tol: Tolerances, data: dict) -> dict:
 def cmd_suite_invariance(args, tol: Tolerances, data: dict) -> dict:
     rho = _representation(data, tol)
     phi = _phi(data)
-    ctx = make_context(rho, phi)
+    ctx, space = make_context(rho, phi), cocycle_space(rho)
     rng = _rng(args)
     worst = scale = 0.0
     for _ in range(args.trials):
         x = rng.standard_normal(rho.dim_g) + 1j * rng.standard_normal(rho.dim_g)
         g = matrix_exp(rho.basis.matrix_from_coords(
             x / max(np.linalg.norm(x), 1.0)))
-        dev, size = _conjugation_pairs(ctx, g, 3, rng)
+        dev, size = _conjugation_pairs(ctx, space, g, 3, rng)
         worst, scale = max(worst, dev), max(scale, size)
     phi_dev = check_invariance(phi, rho.basis, args.trials, rng)
     # a form that vanishes on every pair shows nothing
@@ -231,7 +229,7 @@ def cmd_closedness(args, tol: Tolerances, data: dict) -> dict:
     space = cocycle_space(rho)
     if space.dims[2] < 3:
         raise InvalidInput("closedness needs dim H^1 >= 3 for a 3-dim chart")
-    chart = Chart(rho, space.basis_h1[:3])
+    chart = Chart(rho, space.h1[:, :3])
     cycle = fundamental_two_cycle(rho.presentation).chain
     fd = chart_closedness(chart, phi, cycle, args.fd_chart_step)
     return {"check": "fd-exterior-derivative",

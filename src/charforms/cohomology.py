@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import NotSurfacePresentation, RankInstability
-from .matgroup import Representation, TangentVector, _read_only
+from .matgroup import Representation, _read_only
 from .numeric import rank_and_gap
 from .words import Presentation, Word
 
@@ -60,8 +60,7 @@ def _off_cocycle(resid, sigma) -> np.ndarray:
 class CocycleSpace:
     """Orthonormal bases of Z^1 and B^1 at a representation, stacked as
     columns (p * dim g, k), and H^1 representatives built from them on
-    first use; the ``basis_*`` tuples of TangentVectors are built on demand.
-    """
+    first use."""
 
     rho: Representation
     z1: np.ndarray
@@ -80,18 +79,6 @@ class CocycleSpace:
         z, b = self.z1.shape[1], self.b1.shape[1]
         return (z, b, z - b)
 
-    @property
-    def basis_z1(self) -> tuple:
-        return _vectors(self.z1, self.rho.p)
-
-    @property
-    def basis_b1(self) -> tuple:
-        return _vectors(self.b1, self.rho.p)
-
-    @property
-    def basis_h1(self) -> tuple:
-        return _vectors(self.h1, self.rho.p)
-
     def h2_dim(self):
         """dim H^2 as the cokernel of the Fox Jacobian.
 
@@ -108,11 +95,6 @@ class CocycleSpace:
         gap = self.rank_gap
         return {"dims": [zi, bi, hi],
                 "rank_gap": gap if np.isfinite(gap) else None}
-
-
-def _vectors(basis: np.ndarray, p: int) -> tuple:
-    return tuple(TangentVector.from_stacked(basis[:, j], p)
-                 for j in range(basis.shape[1]))
 
 
 def cocycle_space(rho: Representation) -> CocycleSpace:
@@ -187,11 +169,11 @@ def identity_values(rho: Representation) -> np.ndarray:
     return np.eye(pd, dtype=np.complex128).reshape(rho.p, rho.dim_g, pd)
 
 
-def extend_cocycle(rho: Representation, sigma: TangentVector):
-    """Extend generator values to a function on words by the cocycle rule
-    sigma(uv) = sigma(u) + Ad rho(u) sigma(v): ``walk_words`` of the word on
-    the values sigma(x_k)."""
-    ad, values = rho._generator_ad(), sigma.values[..., None]
+def extend_cocycle(rho: Representation, sigma):
+    """Extend generator values, stacked (p dim g,), to a function on words by
+    the cocycle rule sigma(uv) = sigma(u) + Ad rho(u) sigma(v): ``walk_words``
+    of the word on the values sigma(x_k)."""
+    ad, values = rho._generator_ad(), np.reshape(sigma, (rho.p, rho.dim_g, 1))
     return lambda w: walk_words(*ad, values, [w])[w][1][:, 0]
 
 

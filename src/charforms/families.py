@@ -25,10 +25,9 @@ from .invariants import InvariantPolynomial, symmetric_tensor
 from .matgroup import (
     GroupSpec,
     Representation,
-    TangentVector,
     _ad_pair,
-    _relator_values,
     _violation,
+    _word_values,
     complex_from_json,
     complex_to_json,
     lie_algebra_basis,
@@ -213,7 +212,7 @@ class FamilySpec:
             inverses = matrix_inverse(images, self.tol)
         except SingularMatrix as exc:
             raise SingularMatrix(f"at s={s[exc.index // p]}: {exc}") from exc
-        rel = _relator_values(self.presentation, images, inverses)
+        rel = _word_values(self.presentation.relators, images, inverses)
         return (images, inverses, values[:, 1:], rel,
                 _violation(self.group, images, rel, _RELATOR_BOUND))
 
@@ -262,12 +261,13 @@ def _walk(family: FamilySpec, s, words=()):
     return sigma, table
 
 
-def family_tangent(family: FamilySpec, s, k: int) -> TangentVector:
-    """Cocycle sigma_k(x_j) = (d rho_s(x_j)/d s_k) rho_s(x_j)^-1 at s.
+def family_tangent(family: FamilySpec, s, k: int) -> np.ndarray:
+    """Cocycle sigma_k(x_j) = (d rho_s(x_j)/d s_k) rho_s(x_j)^-1 at s, stacked
+    (p dim g,).
 
     The polynomial derivative is exact.  Raises NotTangent when the result
     fails the Fox-Jacobian residual check (invalid family)."""
-    return TangentVector.of(_walk(family, s)[0][0, k])
+    return _walk(family, s)[0][0, k].reshape(-1)
 
 
 def _coefficients(family: FamilySpec, tensor, cycle: BarChain, points) -> np.ndarray:

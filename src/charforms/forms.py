@@ -24,7 +24,6 @@ from .cohomology import (
 from .errors import DegreeMismatch, InvalidInput, NotEndomorphism
 from .matgroup import (
     Representation,
-    TangentVector,
     _ad_matrix,
     coboundary,
     conjugate_representation,
@@ -131,15 +130,15 @@ def make_context(rho: Representation, phi: InvariantPolynomial,
     return EtaContext(rho, phi, symmetric_tensor(phi, rho.basis), cycle)
 
 
-def eta(ctx: EtaContext, *sigmas: TangentVector) -> complex:
-    """Pairing of the cup product of the cocycles, weighted by tilde-Phi,
-    with the cycle: sum_t c_t tilde-Phi(s_1(g_1), ..., Ad(g_1..g_n-1) s_n(g_n)),
+def eta(ctx: EtaContext, *sigmas) -> complex:
+    """Pairing of the cup product of the cocycles, each stacked (p dim g,),
+    weighted by tilde-Phi, with the cycle:
+    sum_t c_t tilde-Phi(s_1(g_1), ..., Ad(g_1..g_n-1) s_n(g_n)),
     the diagonal entry of ``_paired`` on S = (s_1, ..., s_n)."""
     n = ctx.degree
     if len(sigmas) != n:
         raise DegreeMismatch(f"expected {n} cocycles, got {len(sigmas)}")
-    stacked = np.stack([s.stacked for s in sigmas], axis=1)
-    return complex(_paired(ctx, stacked)[tuple(range(n))])
+    return complex(_paired(ctx, np.stack(sigmas, axis=1))[tuple(range(n))])
 
 
 def _draws(space, rng, k: int) -> np.ndarray:
@@ -152,9 +151,9 @@ def _draws(space, rng, k: int) -> np.ndarray:
     return space.z1 @ c
 
 
-def random_cocycle(space, rng) -> TangentVector:
-    """Random complex combination of a cocycle-space basis."""
-    return TangentVector.from_stacked(_draws(space, rng, 1)[:, 0], space.rho.p)
+def random_cocycle(space, rng) -> np.ndarray:
+    """Random complex combination of the Z^1 basis, stacked (p dim g,)."""
+    return _draws(space, rng, 1)[:, 0]
 
 
 def contraction_suite(ctx: EtaContext, trials: int, rng) -> dict:
@@ -178,15 +177,12 @@ def contraction_suite(ctx: EtaContext, trials: int, rng) -> dict:
             "pass": bool(worst <= 1e-9 * scale > 0), "trials": trials}
 
 
-def gram_matrix(ctx: EtaContext, basis):
-    """Matrix G_ij = eta(s_i, s_j), ``_paired`` on S = H, and its SVD rank at
-    the point's tolerance (degree 2).  The basis is a tuple of TangentVectors
-    or already stacked as columns (p dim g, k), such as ``CocycleSpace.h1``."""
+def gram_matrix(ctx: EtaContext, basis: np.ndarray):
+    """Matrix G_ij = eta(s_i, s_j), ``_paired`` on S = basis, and its SVD rank
+    at the point's tolerance (degree 2).  The basis is stacked as columns
+    (p dim g, k), such as ``CocycleSpace.h1``."""
     if ctx.degree != 2:
         raise DegreeMismatch("gram_matrix requires a degree-2 context")
-    if not isinstance(basis, np.ndarray):
-        basis = np.reshape([s.stacked for s in basis],
-                           (len(basis), ctx.rho.p * ctx.rho.dim_g)).T
     g = _paired(ctx, basis)
     return g, rank_and_gap(g, ctx.rho.tol).rank
 
@@ -194,12 +190,13 @@ def gram_matrix(ctx: EtaContext, basis):
 def conjugation_invariance(ctx: EtaContext, g, trials: int, rng) -> float:
     """Max |eta_{g rho g^-1}(Ad_g s, Ad_g t) - eta_rho(s, t)| over random
     cocycle pairs."""
-    return _conjugation_pairs(ctx, g, trials, rng)[0]
+    return _conjugation_pairs(ctx, cocycle_space(ctx.rho), g, trials, rng)[0]
 
 
-def _conjugation_pairs(ctx: EtaContext, g, trials: int, rng):
-    """``conjugation_invariance`` and the max |eta_rho(s, t)| over the same
-    pairs of unit cocycles, the scale that shows the form is not zero."""
+def _conjugation_pairs(ctx: EtaContext, space, g, trials: int, rng):
+    """``conjugation_invariance``, drawing from the cocycle space of ctx.rho,
+    and the max |eta_rho(s, t)| over the same pairs of unit cocycles, the
+    scale that shows the form is not zero."""
     if ctx.degree != 2:
         raise DegreeMismatch("conjugation_invariance requires degree 2")
     rho = ctx.rho
@@ -208,7 +205,7 @@ def _conjugation_pairs(ctx: EtaContext, g, trials: int, rng):
                       matrix_inverse(np.asarray(g, dtype=np.complex128), rho.tol))
     ctx_c = EtaContext(rho_c, ctx.phi, ctx.tensor, ctx.cycle)
     # unit cocycles s_i and their pairs s_{T+i}, paired once at each point
-    s = _draws(cocycle_space(rho), rng, 2 * trials)
+    s = _draws(space, rng, 2 * trials)
     s = s / np.linalg.norm(s, axis=0)
     s_c = (ad_g @ s.reshape(rho.p, rho.dim_g, -1)).reshape(s.shape)
     base = np.diagonal(_paired(ctx, s), trials)

@@ -29,7 +29,6 @@ __all__ = [
     "GroupSpec",
     "LieAlgebraBasis",
     "lie_algebra_basis",
-    "TangentVector",
     "Representation",
     "evaluate_word",
     "coboundary",
@@ -129,38 +128,6 @@ def lie_algebra_basis(group: GroupSpec) -> LieAlgebraBasis:
     return _BASES[key]
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """One Lie-algebra coordinate vector per generator, shape (p, dim g)."""
-
-    values: np.ndarray
-
-    @staticmethod
-    def of(values) -> "TangentVector":
-        v = np.asarray(values, dtype=np.complex128)
-        if v.ndim != 2:
-            raise ValueError("TangentVector values must have shape (p, dim)")
-        return TangentVector(_read_only(v.copy()))
-
-    @staticmethod
-    def from_stacked(x, p: int) -> "TangentVector":
-        x = np.asarray(x, dtype=np.complex128)
-        return TangentVector.of(x.reshape(p, -1))
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return self.values.reshape(-1)
-
-    def __add__(self, other: "TangentVector") -> "TangentVector":
-        return TangentVector.of(self.values + other.values)
-
-    def __sub__(self, other: "TangentVector") -> "TangentVector":
-        return TangentVector.of(self.values - other.values)
-
-    def __rmul__(self, scalar) -> "TangentVector":
-        return TangentVector.of(scalar * self.values)
-
-
 class Representation:
     """A point of Hom(Gamma, G): one invertible matrix per generator, and the
     tolerances ``tol`` of every decision made at it.
@@ -195,13 +162,10 @@ class Representation:
 
     def validate(self):
         images = np.reshape(self.images, (1,) + self._inverses.shape)
-        values = _relator_values(self.presentation, images, self._inverses[None])
+        values = _word_values(self.presentation.relators, images, self._inverses[None])
         bad = _violation(self.group, images, values, self.tol.relator_bound)
         if bad is not None:
             raise InvalidInput(bad[1])
-
-    def image(self, k: int, sign: int = 1) -> np.ndarray:
-        return self.images[k] if sign == 1 else self._inverses[k]
 
     def _generator_ad(self):
         """Ad rho(x_k) and its inverse for every generator, (2, p, d, d)."""
@@ -237,18 +201,16 @@ def _ad_pair(basis: LieAlgebraBasis, images, inverses) -> np.ndarray:
 
 
 def evaluate_word(rho: Representation, w: Word) -> np.ndarray:
-    out = np.eye(rho.group.n, dtype=np.complex128)
-    for g, s in w.letters:
-        out = out @ rho.image(g, s)
-    return out
+    """rho(w), the one-word case of ``_word_values``."""
+    images = np.reshape(rho.images, rho._inverses.shape)
+    return _word_values([w], images, rho._inverses)[0]
 
 
 def coboundary(rho: Representation, v):
-    """Cocycle gamma -> v - Ad rho(gamma) v, recorded on the generators: a
-    TangentVector for v (d,), the stacked values (p d, k) for k vectors v (d, k)."""
+    """Cocycle gamma -> v - Ad rho(gamma) v, recorded on the generators and
+    stacked: (p d,) for v (d,), (p d, k) for k vectors v (d, k)."""
     v = np.asarray(v, dtype=np.complex128)
-    values = v - rho._generator_ad()[0] @ v
-    return TangentVector.of(values) if v.ndim == 1 else values.reshape(-1, v.shape[-1])
+    return (v - rho._generator_ad()[0] @ v).reshape((-1,) + v.shape[1:])
 
 
 def conjugate_representation(rho: Representation, g) -> Representation:
@@ -259,14 +221,14 @@ def conjugate_representation(rho: Representation, g) -> Representation:
                           tol=rho.tol)
 
 
-def _relator_values(presentation: Presentation, images, inverses) -> np.ndarray:
-    """rho(r) (..., R, n, n) of the relators, from the images and their
-    inverses (..., p, n, n)."""
+def _word_values(words, images, inverses) -> np.ndarray:
+    """rho(w) (..., W, n, n) of the words, from the images and their inverses
+    (..., p, n, n): the one product loop for group words."""
     n = images.shape[-1]
-    out = np.empty(images.shape[:-3] + (len(presentation.relators), n, n), complex)
-    for i, r in enumerate(presentation.relators):
+    out = np.empty(images.shape[:-3] + (len(words), n, n), complex)
+    for i, w in enumerate(words):
         prod = np.eye(n, dtype=complex)
-        for g, s in r.letters:
+        for g, s in w.letters:
             prod = prod @ (images if s == 1 else inverses)[..., g, :, :]
         out[..., i, :, :] = prod
     return out
@@ -276,7 +238,7 @@ def _newton_state(presentation: Presentation, basis: LieAlgebraBasis,
                   images, inverses) -> tuple:
     """State [images, inverses, Ad, Ad^-1, relator values] of images and inverses
     (..., p, n, n), each built once, and residuals vec(rho(r) - I), (..., R n^2)."""
-    rel = _relator_values(presentation, images, inverses)
+    rel = _word_values(presentation.relators, images, inverses)
     res = rel - np.eye(images.shape[-1])
     return ([images, inverses, *_ad_pair(basis, images, inverses), rel],
             res.reshape(res.shape[:-3] + (np.prod(res.shape[-3:], dtype=int),)))

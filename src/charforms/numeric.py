@@ -188,7 +188,8 @@ def matrix_inverse(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     stack.  The SVD that decides this runs only on the matrices whose
     ||m||_F ||m^-1||_F >= kappa_2(m) reaches 0.5 / tol.rank_rel or is not
     finite, and on the whole stack when np.linalg.inv finds one exactly
-    singular.
+    singular; one the cutoff passes, as rank_rel below rounding can, still
+    raises SingularMatrix at the first exact zero pivot.
     """
     m = _square_stack(m, "matrix_inverse")
     flat = m.reshape(-1, *m.shape[-2:])
@@ -214,4 +215,14 @@ def matrix_inverse(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
             raise SingularMatrix(
                 f"{where}smallest singular value {s[j, -1]:.3e} <= rank_rel times "
                 f"the largest, {s[j, 0]:.3e}", index=k)
-    return np.linalg.inv(m) if inv is None else inv
+    if inv is None:
+        inv = np.empty_like(flat)
+        for k, a in enumerate(flat):
+            try:
+                inv[k] = np.linalg.inv(a)
+            except np.linalg.LinAlgError:
+                where = f"matrix {k} of {len(flat)}: " if m.ndim > 2 else ""
+                raise SingularMatrix(f"{where}np.linalg.inv finds an exact zero pivot",
+                                     index=k) from None
+        inv = inv.reshape(m.shape)
+    return inv

@@ -13,7 +13,6 @@ from charforms.cohomology import cocycle_space
 from charforms.forms import _draws, eta, make_context, random_cocycle
 from charforms.invariants import trace_form
 from charforms.matgroup import (
-    TangentVector,
     coboundary,
     complex_to_json,
     matrix_exp,
@@ -71,25 +70,20 @@ def test_cohomology(inputs, tmp_path):
 
 
 def test_cohomology_builds_no_vector_and_no_h1(inputs, tmp_path, monkeypatch):
-    """The cohomology report needs only the two rank decisions: no
-    TangentVector is built, and the only SVDs are those two (no H^1 basis,
-    and no SVD screen of the well-conditioned generator images)."""
-    calls = {"vectors": 0, "svd": 0}
-    init, svd = TangentVector.__init__, np.linalg.svd
-
-    def counted_init(self, *args, **kwargs):
-        calls["vectors"] += 1
-        init(self, *args, **kwargs)
+    """The cohomology report needs only the two rank decisions: the only
+    SVDs are those two (no H^1 basis, and no SVD screen of the
+    well-conditioned generator images)."""
+    calls = {"svd": 0}
+    svd = np.linalg.svd
 
     def counted_svd(*args, **kwargs):
         calls["svd"] += 1
         return svd(*args, **kwargs)
 
-    monkeypatch.setattr(TangentVector, "__init__", counted_init)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     code, report = run(["cohomology", "--input", inputs["genus2"]], tmp_path / "r.json")
     assert code == 0 and report["dims"] == [9, 3, 6]
-    assert calls == {"vectors": 0, "svd": 2}
+    assert calls == {"svd": 2}
 
 
 def test_goldman(inputs, tmp_path):
@@ -155,22 +149,20 @@ def test_suite_invariance_fails_on_a_vanishing_form(inputs, tmp_path):
 def test_eta_pairs_all_trials_at_once(inputs, tmp_path, torus_rep, monkeypatch):
     """The random branch of eta pairs one stack of its trials, and trial t
     is eta of the draws t n, ..., t n + n - 1 of one Z^1 draw."""
-    calls = {"pairing": 0, "eta": 0}
+    calls = {"pairing": 0}
 
-    def counting(name, fn):
-        def counted(*args):
-            calls[name] += 1
-            return fn(*args)
-        return counted
+    def counted(*args):
+        calls["pairing"] += 1
+        return pairing(*args)
 
-    monkeypatch.setattr(forms, "_cycle_pairing", counting("pairing", forms._cycle_pairing))
-    monkeypatch.setattr(cli, "eta", counting("eta", cli.eta))
+    pairing = forms._cycle_pairing
+    monkeypatch.setattr(forms, "_cycle_pairing", counted)
     code, report = run(["eta", "--input", inputs["torus"], "--seed", "4",
                         "--trials", "5"], tmp_path / "r.json")
-    assert code == 0 and calls == {"pairing": 1, "eta": 0}
+    assert code == 0 and calls == {"pairing": 1}
     monkeypatch.undo()
     draws = _draws(cocycle_space(torus_rep), np.random.default_rng(4), 10)
-    sigmas = [TangentVector.from_stacked(c, 2) for c in draws.T]
+    sigmas = list(draws.T)
     ctx = make_context(torus_rep, trace_form())
     expected = [eta(ctx, *sigmas[2 * t:2 * t + 2]) for t in range(5)]
     assert np.allclose([complex(*v) for v in report["values"]], expected,
@@ -203,11 +195,26 @@ def test_suite_invariance_scale_is_the_largest_pair(inputs, tmp_path, genus2_rep
         rng.bit_generator.state = draws
         s = _draws(cocycle_space(genus2_rep), rng, 6)
         s = s / np.linalg.norm(s, axis=0)
-        scale = max(scale, max(abs(eta(ctx, *(TangentVector.from_stacked(s[:, j], 4)
-                                               for j in (i, 3 + i)))) for i in range(3)))
+        scale = max(scale, max(abs(eta(ctx, s[:, i], s[:, 3 + i])) for i in range(3)))
     assert code == 0
     assert report["max_dev"] == worst
     assert report["scale"] == pytest.approx(scale, rel=1e-12)
+
+
+def test_suite_invariance_builds_one_cocycle_space(inputs, tmp_path, monkeypatch):
+    """Every conjugation of one command draws from one cocycle space."""
+    calls = {"cocycle_space": 0}
+
+    def counted(rho):
+        calls["cocycle_space"] += 1
+        return cocycle_space(rho)
+
+    monkeypatch.setattr(cli, "cocycle_space", counted)
+    monkeypatch.setattr(forms, "cocycle_space", counted)
+    code, report = run(["suite-invariance", "--input", inputs["genus2"],
+                        "--seed", "3", "--trials", "5"], tmp_path / "r.json")
+    assert code == 0 and report["trials"] == 5
+    assert calls == {"cocycle_space": 1}
 
 
 def test_family_with_csv(inputs, tmp_path):
@@ -586,14 +593,14 @@ def _eta_input(tmp_path, rep, sigmas):
     path.write_text(json.dumps({
         "presentation": rep.presentation.to_json(),
         "representation": representation_to_json(rep),
-        "cocycles": [dict(zip(names, complex_to_json(s.values))) for s in sigmas]}))
+        "cocycles": [dict(zip(names, complex_to_json(np.reshape(s, (rep.p, -1)))))
+                     for s in sigmas]}))
     return str(path)
 
 
 def test_eta_refuses_values_that_are_not_cocycles(genus2_rep, tmp_path, capsys):
     rng = np.random.default_rng(0)
-    sigmas = [TangentVector.of(rng.standard_normal((4, 3))
-                               + 1j * rng.standard_normal((4, 3))) for _ in range(2)]
+    sigmas = [rng.standard_normal(12) + 1j * rng.standard_normal(12) for _ in range(2)]
     assert main(["eta", "--input", _eta_input(tmp_path, genus2_rep, sigmas)]) == 2
     out, err = capsys.readouterr()
     assert len(out.splitlines()) == 1 and err == ""
@@ -717,6 +724,22 @@ def test_malformed_input_exits_2_with_one_error_line(genus2_rep, tmp_path,
     out, err = capsys.readouterr()
     assert len(out.splitlines()) == 1 and err == ""
     assert json.loads(out)["error"] == error
+
+
+def test_exact_zero_pivot_is_singular_matrix(tmp_path, capsys):
+    """An image that np.linalg.inv finds exactly singular, but whose smallest
+    singular value clears a cutoff of 1e-20, exits 2 as SingularMatrix, not
+    as a malformed representation."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({
+        "presentation": {"generators": ["a"], "relators": []},
+        "representation": {"group": {"kind": "GL", "n": 2},
+                           "images": {"a": complex_to_json(
+                               np.array([[3, 1], [1, 1 / 3]], dtype=complex))}}}))
+    assert main(["cohomology", "--input", str(path), "--tol-rank", "1e-20"]) == 2
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1 and err == ""
+    assert json.loads(out)["error"] == "SingularMatrix"
 
 
 def _torus_sl2_family(tmp_path, a1, b1):

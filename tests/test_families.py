@@ -19,7 +19,7 @@ from charforms.cohomology import fox_jacobian, fundamental_two_cycle
 from charforms.forms import EtaContext, eta
 from charforms.invariants import symmetric_tensor
 from charforms.errors import DegreeMismatch, InvalidInput, NotTangent
-from charforms.matgroup import TangentVector, lie_algebra_basis
+from charforms.matgroup import lie_algebra_basis
 from charforms.numeric import DEFAULT_TOL, Tolerances
 from charforms.families import (
     FamilySpec,
@@ -122,13 +122,13 @@ class TestFamilyTangent:
         jac = fox_jacobian(rho)
         for k in range(3):
             sigma = family_tangent(family, s, k)
-            assert np.linalg.norm(jac @ sigma.stacked) < 1e-10
+            assert np.linalg.norm(jac @ sigma) < 1e-10
 
     def test_matches_finite_difference(self, family):
         s = np.zeros(3, dtype=complex)
         h = 1e-6
         for k in range(3):
-            sigma = family_tangent(family, s, k)
+            sigma = family_tangent(family, s, k).reshape(4, -1)
             e = np.zeros(3, dtype=complex)
             e[k] = h
             rho_p = family.rep_at(s + e)
@@ -138,7 +138,7 @@ class TestFamilyTangent:
                 dm = (rho_p.images[j] - rho_m.images[j]) / (2 * h)
                 fd = rho0.basis.coords_from_matrix(
                     dm @ np.linalg.inv(rho0.images[j]))
-                assert np.linalg.norm(fd - sigma.values[j]) < 1e-8
+                assert np.linalg.norm(fd - sigma[j]) < 1e-8
 
     def test_invalid_tangent_detected(self, family):
         # off the zero set of the relator the derivative is not a cocycle
@@ -162,9 +162,9 @@ def _reference_coefficients(family, s):
                        for name in names])
     rho = Representation(family.presentation, family.group, images, check=False)
     inverses = np.linalg.inv(images)
-    tangents = [TangentVector.of(rho.basis.coords_from_matrix(
+    tangents = [rho.basis.coords_from_matrix(
         np.array([[[e.diff(k)(s) for e in row] for row in family.images[name]]
-                  for name in names]) @ inverses)) for k in range(family.m)]
+                  for name in names]) @ inverses).reshape(-1) for k in range(family.m)]
     ctx = EtaContext(rho, trace_form(),
                      symmetric_tensor(trace_form(), rho.basis),
                      fundamental_two_cycle(family.presentation).chain)

@@ -37,7 +37,6 @@ from charforms.forms import (
 )
 from charforms.invariants import symmetric_tensor
 from charforms.matgroup import (
-    TangentVector,
     coboundary,
     conjugate_representation,
     lie_algebra_basis,
@@ -133,7 +132,8 @@ def oracle_eta(mats, sigma_mats, tau_mats, genus):
 
 
 def _to_matrices(rho, sigma):
-    return [sum(sigma.values[k][j] * _SL2_BASIS[j] for j in range(3))
+    values = np.reshape(sigma, (rho.p, 3))
+    return [sum(values[k][j] * _SL2_BASIS[j] for j in range(3))
             for k in range(rho.p)]
 
 
@@ -191,9 +191,9 @@ class TestAssembledForm:
     @given(genus=st.integers(1, 3), seed=_seeds)
     def test_gram_matches_oracle(self, genus, seed):
         rho, _ = random_point(genus, seed)
-        basis = cocycle_space(rho).basis_h1
+        basis = cocycle_space(rho).h1
         g, _ = gram_matrix(make_context(rho, trace_form()), basis)
-        mats = [_to_matrices(rho, s) for s in basis]
+        mats = [_to_matrices(rho, s) for s in basis.T]
         ora = np.array([[oracle_eta(list(rho.images), mi, mj, genus)
                          for mj in mats] for mi in mats])
         assert np.abs(g - ora).max() <= 1e-11 * np.abs(ora).max()
@@ -205,9 +205,8 @@ class TestAssembledForm:
     def test_power_trace_on_free_group(self, n, kind, size, seed, data):
         rho, rng = random_point(0, seed, kind, size, free=2)
         ctx = make_context(rho, power_trace(n), BarChain.of(n, data.draw(_chains(n))))
-        sigmas = [TangentVector.of(rng.standard_normal((2, rho.dim_g))
-                                   + 1j * rng.standard_normal((2, rho.dim_g)))
-                  for _ in range(n)]
+        sigmas = [rng.standard_normal(2 * rho.dim_g)
+                  + 1j * rng.standard_normal(2 * rho.dim_g) for _ in range(n)]
         value, (ref, scale) = eta(ctx, *sigmas), reference_eta(ctx, *sigmas)
         if not ctx.tensor.any():  # tr vanishes on sl(n): the oracle sums rounding
             assert value == 0
@@ -243,8 +242,8 @@ def test_gram_assembles_once_per_context(monkeypatch):
     and a later eta on the same context walk the cycle words once and never
     evaluate Phi or extend a cocycle pair by pair."""
     rho, _ = random_point(3, 0, "SL", 3)
-    basis = cocycle_space(rho).basis_h1
-    assert len(basis) == 32
+    basis = cocycle_space(rho).h1
+    assert basis.shape[1] == 32
     calls = Counter()
     _count_calls(monkeypatch, calls, "evaluate", charforms.invariants.evaluate)
     _count_calls(monkeypatch, calls, "extend_cocycle",
@@ -253,7 +252,7 @@ def test_gram_assembles_once_per_context(monkeypatch):
     ctx = make_context(rho, trace_form())
     g, rank = gram_matrix(ctx, basis)
     again, _ = gram_matrix(ctx, basis)
-    pairwise = eta(ctx, basis[0], basis[1])
+    pairwise = eta(ctx, basis[:, 0], basis[:, 1])
     assert rank == 32
     assert np.array_equal(g, again)
     assert pairwise == pytest.approx(g[0, 1], abs=1e-12 * np.abs(g).max())
@@ -315,7 +314,7 @@ def test_degree_three_eta_walks_once_per_context(monkeypatch):
     ctx = make_context(rho, power_trace(3), TestCyclePairing.cycle)
     calls = Counter()
     _count_calls(monkeypatch, calls, "walk", charforms.cohomology.walk_words)
-    sigmas = [TangentVector.of(rng.standard_normal((2, 8)) + 0j) for _ in range(6)]
+    sigmas = [rng.standard_normal(16) + 0j for _ in range(6)]
     first, second = eta(ctx, *sigmas[:3]), eta(ctx, *sigmas[3:])
     assert calls == Counter(walk=1)
     assert first != second
@@ -333,8 +332,8 @@ class TestOracleEquivalence:
         for _ in range(25):
             s = random_cocycle(space, rng)
             t = random_cocycle(space, rng)
-            s = (1.0 / np.linalg.norm(s.stacked)) * s
-            t = (1.0 / np.linalg.norm(t.stacked)) * t
+            s = (1.0 / np.linalg.norm(s)) * s
+            t = (1.0 / np.linalg.norm(t)) * t
             lib = eta(ctx, s, t)
             ora = oracle_eta(list(rho.images), _to_matrices(rho, s),
                              _to_matrices(rho, t), genus)
@@ -348,8 +347,8 @@ class TestTorusValue:
     def test_hand_computed_pairing(self, torus_rep):
         # sigma(a) = H, sigma(b) = 0; tau(a) = 0, tau(b) = H; value is 2
         ctx = make_context(torus_rep, trace_form())
-        sigma = TangentVector.of([[0, 0, 1], [0, 0, 0]])
-        tau = TangentVector.of([[0, 0, 0], [0, 0, 1]])
+        sigma = np.array([0, 0, 1, 0, 0, 0], dtype=complex)
+        tau = np.array([0, 0, 0, 0, 0, 1], dtype=complex)
         assert eta(ctx, sigma, tau) == pytest.approx(2.0, abs=1e-12)
         assert eta(ctx, tau, sigma) == pytest.approx(-2.0, abs=1e-12)
 
@@ -383,7 +382,7 @@ class TestStructure:
     def test_gram_rank_and_skewness(self, genus2_rep):
         ctx = make_context(genus2_rep, trace_form())
         space = cocycle_space(genus2_rep)
-        g, rank = gram_matrix(ctx, space.basis_h1)
+        g, rank = gram_matrix(ctx, space.h1)
         assert rank == 6
         assert np.linalg.norm(g + g.T) / np.linalg.norm(g) < 1e-10
 
@@ -418,7 +417,7 @@ class TestStructure:
         ctx = make_context(genus2_rep, trace_form())
         space = cocycle_space(genus2_rep)
         with pytest.raises(DegreeMismatch):
-            eta(ctx, space.basis_h1[0])
+            eta(ctx, space.h1[:, 0])
 
 
 class TestEndomorphismPullback:
@@ -494,8 +493,7 @@ class TestStackedSuites:
         space = cocycle_space(rho)
         report = contraction_suite(ctx, 4, np.random.default_rng(21))
         rng = np.random.default_rng(21)
-        draws = [TangentVector.from_stacked(c, 2)
-                 for c in _draws(space, rng, 12).T]
+        draws = list(_draws(space, rng, 12).T)
         v = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
         worst = max(abs(eta(ctx, coboundary(rho, v[:, t]), *draws[3 * t:3 * t + 2]))
                     for t in range(4))
@@ -512,10 +510,10 @@ class TestStackedSuites:
         g = matrix_exp(genus2_rep.basis.matrix_from_coords([0.3, -0.2, 0.5]))
         dev = conjugation_invariance(ctx, g, 4, np.random.default_rng(23))
         s = _draws(cocycle_space(genus2_rep), np.random.default_rng(23), 8)
-        s = [TangentVector.from_stacked(c / np.linalg.norm(c), 4) for c in s.T]
-        conj = [TangentVector.of([genus2_rep.basis.coords_from_matrix(
-            g @ genus2_rep.basis.matrix_from_coords(x) @ np.linalg.inv(g))
-            for x in t.values]) for t in s]
+        s = [c / np.linalg.norm(c) for c in s.T]
+        conj = [genus2_rep.basis.coords_from_matrix(
+            g @ genus2_rep.basis.matrix_from_coords(t.reshape(4, 3)) @ np.linalg.inv(g)
+        ).reshape(-1) for t in s]
         ctx_c = EtaContext(conjugate_representation(genus2_rep, g), ctx.phi,
                            ctx.tensor, ctx.cycle)
         expected = max(abs(eta(ctx_c, conj[i], conj[4 + i]) - eta(ctx, s[i], s[4 + i]))

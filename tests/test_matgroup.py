@@ -17,7 +17,6 @@ from charforms import (
 from charforms import matgroup
 from charforms.errors import InvalidInput, NoConvergence
 from charforms.matgroup import (
-    TangentVector,
     _ad_matrix,
     _damped_newton,
     complex_from_json,
@@ -232,7 +231,18 @@ class TestCoboundary:
         for _ in range(5):
             v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             db = coboundary(genus2_rep, v)
-            assert np.linalg.norm(jac @ db.stacked) < 1e-10
+            assert np.linalg.norm(jac @ db) < 1e-10
+
+    def test_one_vector_is_one_column(self, genus2_rep):
+        # (d,) gives (p d,) and (d, k) gives (p d, k), column by column
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        stack = coboundary(genus2_rep, v)
+        assert stack.shape == (12, 4)
+        for j in range(4):
+            column = coboundary(genus2_rep, v[:, j])
+            assert column.shape == (12,)
+            assert np.abs(column - stack[:, j]).max() <= 1e-15 * np.abs(stack).max()
 
 
 class TestFindRepresentation:

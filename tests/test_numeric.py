@@ -321,3 +321,17 @@ def test_matrix_inverse_screens_by_the_frobenius_condition(monkeypatch):
     with pytest.raises(SingularMatrix) as info:
         matrix_inverse(near)
     assert info.value.index == 0 and "matrix" not in str(info.value)
+
+
+def test_matrix_inverse_names_an_exact_zero_pivot_the_cutoff_passes():
+    """With rank_rel below rounding the SVD cutoff passes [[3, 1], [1, 1/3]]
+    (smallest singular value 1.05e-16 of 3.33), where np.linalg.inv finds an
+    exact zero pivot: SingularMatrix names that index, not LinAlgError."""
+    m = np.array([[3.0, 1.0], [1.0, 1 / 3]])
+    tol = Tolerances(rank_rel=1e-20)
+    with pytest.raises(SingularMatrix, match="exact zero pivot") as info:
+        matrix_inverse(m, tol)
+    assert info.value.index == 0 and "matrix" not in str(info.value)
+    with pytest.raises(SingularMatrix, match="matrix 2 of 3") as info:
+        matrix_inverse(np.array([np.eye(2), 2 * np.eye(2), m]), tol)
+    assert info.value.index == 2
