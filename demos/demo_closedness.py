@@ -34,7 +34,7 @@ def main():
     rho = Representation(pres, SL2, [a, b, b, a])
     space = cocycle_space(rho)
     chart = Chart(rho, space.h1[:, :3])
-    cycle = fundamental_two_cycle(pres).chain
+    cycle = fundamental_two_cycle(pres)
     fd = chart_closedness(chart, trace_form(), cycle, h=3e-2)
     print("finite-difference exterior derivative on the chart:")
     print(f"  max |d omega| = {fd['max_d']:.3e}")

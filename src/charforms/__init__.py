@@ -40,7 +40,6 @@ from .matgroup import (
 from .cohomology import (
     BarChain,
     CocycleSpace,
-    FundamentalCycle,
     cocycle_space,
     extend_cocycle,
     fox_jacobian,

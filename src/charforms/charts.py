@@ -40,8 +40,10 @@ from .matgroup import (
     Representation,
     _damped_newton,
     _moved,
-    _newton_state,
+    _Points,
     _relator_jacobian,
+    _residual,
+    _stacked_columns,
     _violation,
     lie_algebra_basis,
     matrix_exp,
@@ -71,7 +73,8 @@ class Chart:
     _complement: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.directions = np.array(self.directions, dtype=np.complex128, order="C")
+        self.directions = _stacked_columns(self.center, np.array(
+            self.directions, dtype=np.complex128, order="C"))
         # the orthogonal complement of Z^1 at the center; the correction c
         # lives here, so the relator equations fix it uniquely
         jac = fox_jacobian(self.center)
@@ -97,9 +100,9 @@ def _dexp(basis: LieAlgebraBasis, y: np.ndarray) -> np.ndarray:
     return matrix_exp(block)[..., :d, d:]
 
 
-def _solve(chart: Chart, t) -> list:
-    """The points at the rows of t (P, dim), solved in lockstep: the list of
-    their coordinates Y = S t + C c(t) (P, p * d) and ``_newton_state``.
+def _solve(chart: Chart, t) -> tuple:
+    """The points at the rows of t (P, dim), solved in lockstep: their
+    coordinates Y = S t + C c(t) (P, p * d) and their ``_Points`` record.
 
     The first point that fails the solve (NoConvergence), ``validate``
     (InvalidInput) or moves its images by more than |t| in the correction
@@ -108,16 +111,14 @@ def _solve(chart: Chart, t) -> list:
     rho, comp = chart.center, chart._complement
     t = np.asarray(t, dtype=np.complex128).reshape(-1, chart.dim)
     where = lambda k: f"chart point {k}, t = {np.array2string(t[k], precision=4)}"
-    center = np.array(rho.images), rho._inverses
 
-    def at(y):  # the point exp(Y_k) rho_k's state and relator residual
-        moved = _moved(rho.basis, y.reshape(len(y), rho.p, rho.dim_g), *center)
-        state, res = _newton_state(rho.presentation, rho.basis, *moved)
-        return [y, *state], res
+    def at(y):  # the Newton state [Y, *record] of exp(Y_k) rho_k, and residuals
+        points = _moved(rho, y.reshape(len(y), rho.p, rho.dim_g), rho._at)
+        return [y, *points], _residual(points)
 
     def jacobian(state):  # M C
         values = _dexp(rho.basis, state[0]) @ comp.reshape(rho.p, rho.dim_g, -1)
-        return _relator_jacobian(rho.presentation, rho.basis, *state[3:], values)
+        return _relator_jacobian(rho, _Points(*state[1:]), values)
 
     start, res = at(t @ chart.directions.T)
     try:
@@ -127,15 +128,17 @@ def _solve(chart: Chart, t) -> list:
     except NoConvergence as exc:
         raise NoConvergence(f"{where(exc.index)}: {exc}", exc.residual,
                             exc.index) from exc
-    bad = _violation(rho.group, state[1], state[5], rho.tol.relator_bound)
+    y, points = state[0], _Points(*state[1:])
+    bad = _violation(rho.group, points.images, points.rel, rho.tol.relator_bound)
     if bad is not None:
         raise InvalidInput(f"{where(bad[0])}: {bad[1]}")
-    correction = np.linalg.norm(state[1] - start[1], axis=(-2, -1)).sum(axis=-1)
+    pushed = _Points(*start[1:]).images  # exp(S t) rho, before the correction
+    correction = np.linalg.norm(points.images - pushed, axis=(-2, -1)).sum(axis=-1)
     t_norm = np.linalg.norm(t, axis=-1)
     for k in np.flatnonzero((t_norm > 0) & (correction > t_norm))[:1]:
         raise LeftChart(f"{where(k)}: correction {correction[k]:.3e} "
                         f"exceeds |t| = {t_norm[k]:.3e}")
-    return state
+    return y, points
 
 
 def retract(chart: Chart, t) -> Representation:
@@ -146,18 +149,17 @@ def retract(chart: Chart, t) -> Representation:
     LeftChart when the correction moves the images by more than |t|.
     """
     rho = chart.center
-    return Representation(rho.presentation, rho.group, _solve(chart, t)[1][0],
+    return Representation(rho.presentation, rho.group, _solve(chart, t)[1].images[0],
                           tol=rho.tol, check=False)
 
 
-def _tangents(chart: Chart, state: list) -> np.ndarray:
+def _tangents(chart: Chart, y: np.ndarray, points: _Points) -> np.ndarray:
     """Values (P, p, d, dim) of the exact chart tangents at the points of a
-    ``_solve`` state: c'(t) = -(M C)^+ M S, and the i-th tangent is
-    phi(ad Y)(S e_i + C c'_i)."""
+    ``_solve``, coordinates y and record: c'(t) = -(M C)^+ M S, and the i-th
+    tangent is phi(ad Y)(S e_i + C c'_i)."""
     rho, span, comp = chart.center, chart.directions, chart._complement
-    shape, phi = (rho.p, rho.dim_g, -1), _dexp(rho.basis, state[0])
-    jac = _relator_jacobian(rho.presentation, rho.basis, *state[3:],
-                            phi @ np.hstack([span, comp]).reshape(shape))
+    shape, phi = (rho.p, rho.dim_g, -1), _dexp(rho.basis, y)
+    jac = _relator_jacobian(rho, points, phi @ np.hstack([span, comp]).reshape(shape))
     moved = span + comp @ solve_lsq(jac[..., chart.dim:], -jac[..., :chart.dim])
     return phi @ moved.reshape(len(phi), rho.p, rho.dim_g, chart.dim)
 
@@ -165,7 +167,7 @@ def _tangents(chart: Chart, state: list) -> np.ndarray:
 def transported_direction(chart: Chart, t, i: int) -> np.ndarray:
     """Tangent of the i-th chart curve at parameter t: the derivative of
     retract along e_i, in left-trivialised coordinates stacked (p * dim g,)."""
-    return _tangents(chart, _solve(chart, t))[0, ..., i].reshape(-1)
+    return _tangents(chart, *_solve(chart, t))[0, ..., i].reshape(-1)
 
 
 def eta_coefficients(chart: Chart, phi: InvariantPolynomial, cycle: BarChain):
@@ -182,8 +184,8 @@ def eta_coefficients(chart: Chart, phi: InvariantPolynomial, cycle: BarChain):
     words = [w for gammas, _ in cycle.terms for w in gammas]
 
     def coeffs(t) -> np.ndarray:
-        state = _solve(chart, t)
-        table = walk_words(*state[3:5], _tangents(chart, state), words)
+        y, points = _solve(chart, t)
+        table = walk_words(points.ad, points.ad_inv, _tangents(chart, y, points), words)
         w = np.triu(_cycle_pairing(cycle, tensor, table), 1)
         return (w - np.swapaxes(w, -1, -2)).reshape(np.shape(t)[:-1] + w.shape[-2:])
 

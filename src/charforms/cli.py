@@ -45,7 +45,6 @@ from .invariants import check_invariance, polynomial_from_json, trace_form
 from .matgroup import (
     GroupSpec,
     Representation,
-    _word_values,
     complex_from_json,
     complex_to_json,
     group_from_json,
@@ -135,8 +134,7 @@ def _open_output(path: str):
 
 def cmd_validate(args, tol: Tolerances, data: dict) -> dict:
     rho = _representation(data, tol)
-    values = _word_values(rho.presentation.relators, np.array(rho.images), rho._inverses)
-    residuals = np.linalg.norm(values - np.eye(rho.group.n), axis=(-2, -1))
+    residuals = np.linalg.norm(rho._at.rel - np.eye(rho.group.n), axis=(-2, -1))
     report = {"relator_residuals": {f"relator_{i}": float(r)
                                     for i, r in enumerate(residuals)},
               "group": {"kind": rho.group.kind, "n": rho.group.n},
@@ -208,14 +206,13 @@ def cmd_suite_invariance(args, tol: Tolerances, data: dict) -> dict:
     rho = _representation(data, tol)
     phi = _phi(data)
     ctx, space = make_context(rho, phi), cocycle_space(rho)
-    rng = _rng(args)
-    worst = scale = 0.0
-    for _ in range(args.trials):
-        x = rng.standard_normal(rho.dim_g) + 1j * rng.standard_normal(rho.dim_g)
-        g = matrix_exp(rho.basis.matrix_from_coords(
-            x / max(np.linalg.norm(x), 1.0)))
-        dev, size = _conjugation_pairs(ctx, space, g, 3, rng)
-        worst, scale = max(worst, dev), max(scale, size)
+    rng, x, s = _rng(args), [], []
+    for _ in range(args.trials):  # each g, then its 3 pairs of cocycles
+        v = rng.standard_normal(rho.dim_g) + 1j * rng.standard_normal(rho.dim_g)
+        x.append(v / max(np.linalg.norm(v), 1.0))
+        s.append(_draws(space, rng, 6))
+    g = matrix_exp(rho.basis.matrix_from_coords(np.array(x)))
+    worst, scale = _conjugation_pairs(ctx, g, np.array(s))
     phi_dev = check_invariance(phi, rho.basis, args.trials, rng)
     # a form that vanishes on every pair shows nothing
     return {"check": "conjugation-invariance", "max_dev": worst, "scale": scale,
@@ -230,7 +227,7 @@ def cmd_closedness(args, tol: Tolerances, data: dict) -> dict:
     if space.dims[2] < 3:
         raise InvalidInput("closedness needs dim H^1 >= 3 for a 3-dim chart")
     chart = Chart(rho, space.h1[:, :3])
-    cycle = fundamental_two_cycle(rho.presentation).chain
+    cycle = fundamental_two_cycle(rho.presentation)
     fd = chart_closedness(chart, phi, cycle, args.fd_chart_step)
     return {"check": "fd-exterior-derivative",
             **{key: fd[key] for key in ("bound", "pass", "max_d", "scale",

@@ -14,14 +14,13 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import NotSurfacePresentation, RankInstability
-from .matgroup import Representation, _read_only
+from .matgroup import Representation, _read_only, _stacked_columns
 from .numeric import rank_and_gap
 from .words import Presentation, Word
 
 __all__ = [
     "CocycleSpace",
     "BarChain",
-    "FundamentalCycle",
     "fox_jacobian",
     "cocycle_space",
     "cocycle_walk",
@@ -43,10 +42,9 @@ def fox_jacobian(rho: Representation) -> np.ndarray:
     """
     if rho._fox is None:
         relators = rho.presentation.relators
-        table = walk_words(*rho._generator_ad(), identity_values(rho), relators)
-        rho._fox = _read_only(np.concatenate(
-            [np.zeros((0, rho.p * rho.dim_g), dtype=np.complex128),
-             *(table[r][1] for r in relators)]))
+        table = walk_words(rho._at.ad, rho._at.ad_inv, identity_values(rho), relators)
+        rho._fox = _read_only(np.array([table[r][1] for r in relators],
+                                       dtype=complex).reshape(-1, rho.p * rho.dim_g))
     return rho._fox
 
 
@@ -108,7 +106,7 @@ def cocycle_space(rho: Representation) -> CocycleSpace:
     """
     p, d, tol = rho.p, rho.dim_g, rho.tol
     z1 = rank_and_gap(fox_jacobian(rho), tol)
-    b1 = rank_and_gap((np.eye(d) - rho._generator_ad()[0]).reshape(p * d, d), tol)
+    b1 = rank_and_gap((np.eye(d) - rho._at.ad).reshape(p * d, d), tol)
     for what, dec in (("fox_jacobian", z1), ("coboundary map", b1)):
         if dec.margin < 10:
             raise RankInstability(
@@ -172,9 +170,10 @@ def identity_values(rho: Representation) -> np.ndarray:
 def extend_cocycle(rho: Representation, sigma):
     """Extend generator values, stacked (p dim g,), to a function on words by
     the cocycle rule sigma(uv) = sigma(u) + Ad rho(u) sigma(v): ``walk_words``
-    of the word on the values sigma(x_k)."""
-    ad, values = rho._generator_ad(), np.reshape(sigma, (rho.p, rho.dim_g, 1))
-    return lambda w: walk_words(*ad, values, [w])[w][1][:, 0]
+    of the word on the values sigma(x_k).  Raises InvalidInput unless sigma
+    has p dim g entries."""
+    values = _stacked_columns(rho, np.reshape(sigma, (-1, 1))).reshape(rho.p, -1, 1)
+    return lambda w: walk_words(rho._at.ad, rho._at.ad_inv, values, [w])[w][1][:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -277,30 +276,20 @@ def verify_cycle(chain: BarChain, presentation: Presentation | None = None) -> b
     return bar_boundary(chain, presentation).is_zero()
 
 
-@dataclass(frozen=True)
-class FundamentalCycle:
-    chain: BarChain
-    presentation: Presentation
-
-
 def _surface_genus(presentation: Presentation) -> int:
     """Genus if the presentation is the standard surface one, else raise."""
     p = presentation.p
     if p == 0 or p % 2 != 0 or len(presentation.relators) != 1:
         raise NotSurfacePresentation("need 2g generators and a single relator")
     g = p // 2
-    expected = []
-    for i in range(g):
-        a, b = 2 * i, 2 * i + 1
-        expected += [(a, 1), (b, 1), (a, -1), (b, -1)]
-    if presentation.relators[0].letters != tuple(expected):
+    if presentation.relators[0] != Presentation.surface(g).relators[0]:
         raise NotSurfacePresentation(
             "relator is not the standard product of commutators")
     return g
 
 
 @lru_cache(maxsize=16)
-def fundamental_two_cycle(presentation: Presentation) -> FundamentalCycle:
+def fundamental_two_cycle(presentation: Presentation) -> BarChain:
     """Bar 2-cycle representing the fundamental class of the genus-g surface.
 
     Built and verified once per presentation; the result is immutable.
@@ -312,25 +301,16 @@ def fundamental_two_cycle(presentation: Presentation) -> FundamentalCycle:
     """
     g = _surface_genus(presentation)
     letters = presentation.relators[0].letters
-    acc: dict = {}
-
-    def add(t, c):
-        acc[t] = acc.get(t, 0) + c
-
-    prefix = Word.of(letters[:1])
+    acc, prefix = {}, Word.of(letters[:1])  # every term below is distinct
     for j in range(1, 4 * g):
         y = Word.generator(*letters[j])
-        add((prefix, y), 1)
+        acc[prefix, y] = 1
         prefix = prefix * y
-    for i in range(g):
-        a = Word.generator(2 * i, 1)
-        b = Word.generator(2 * i + 1, 1)
-        add((a, a.inverse()), -1)
-        add((b, b.inverse()), -1)
-    e = Word.identity()
-    add((e, e), -(2 * g - 1))
+    for k in range(2 * g):
+        acc[Word.generator(k), Word.generator(k, -1)] = -1
+    acc[Word.identity(), Word.identity()] = -(2 * g - 1)
     chain = BarChain.of(2, acc)
     if not verify_cycle(chain, presentation):
         raise NotSurfacePresentation("constructed chain is not a cycle")
-    return FundamentalCycle(chain, presentation)
+    return chain
 

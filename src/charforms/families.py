@@ -25,7 +25,7 @@ from .invariants import InvariantPolynomial, symmetric_tensor
 from .matgroup import (
     GroupSpec,
     Representation,
-    _ad_pair,
+    _points,
     _violation,
     _word_values,
     complex_from_json,
@@ -58,8 +58,9 @@ class Poly:
         if coeffs:
             for powers, c in dict(coeffs).items():
                 powers = tuple(natural_int(x, "a 'powers' entry") for x in powers)
-                if len(powers) != nvars:
-                    raise ValueError(f"powers {powers} need {nvars} entries")
+                if len(powers) != nvars or max(powers, default=0) > _TOP_POWER:
+                    raise InvalidInput(f"powers {powers} need {nvars} entries, "
+                                       f"each at most {_TOP_POWER}")
                 c = complex(c)
                 if c != 0:
                     self.coeffs[powers] = c
@@ -171,6 +172,7 @@ class _Compiled:
 # the number of grid and stencil points.
 _BLOCK = 64
 _RELATOR_BOUND = 1e-9  # relator residual accepted on a family
+_TOP_POWER = 1024  # largest exponent of a Poly: bounds the table of powers
 
 
 @dataclass(frozen=True)
@@ -199,37 +201,42 @@ class FamilySpec:
         return _Compiled((entry for name in self.presentation.generator_names
                           for row in self.images[name] for entry in row), self.m)
 
-    def _images(self, s):
-        """Images and their inverses (P, p, n, n), the image derivatives
-        (P, m, p, n, n), the relator values (P, R, n, n) and the first point
-        that leaves Hom(Gamma, G), ``matgroup._violation`` at _RELATOR_BOUND,
-        at the points s (P, m).  Raises SingularMatrix naming the first point
-        with a singular image."""
+    def _evaluate(self, s):
+        """Images and their derivatives d/ds_k, (P, 1 + m, p, n, n), at the
+        points s (P, m), and the inverses of the images.  Raises
+        SingularMatrix naming the first point with a singular image."""
         p, n = self.presentation.p, self.group.n
         values = self._table(s).reshape(len(s), 1 + self.m, p, n, n)
-        images = values[:, 0]
         try:
-            inverses = matrix_inverse(images, self.tol)
+            return values, matrix_inverse(values[:, 0], self.tol)
         except SingularMatrix as exc:
             raise SingularMatrix(f"at s={s[exc.index // p]}: {exc}") from exc
-        rel = _word_values(self.presentation.relators, images, inverses)
-        return (images, inverses, values[:, 1:], rel,
-                _violation(self.group, images, rel, _RELATOR_BOUND))
+
+    def _images(self, s):
+        """The points s (P, m) as one ``matgroup._Points`` record, and their
+        tangents sigma_k(x_j) = (d rho_s(x_j)/d s_k) rho_s(x_j)^-1 (P, m, p, d)."""
+        values, inverses = self._evaluate(s)
+        basis = lie_algebra_basis(self.group)
+        return (_points(self.presentation, basis, values[:, 0], inverses),
+                basis.coords_from_matrix(values[:, 1:] @ inverses[:, None]))
 
     def rep_at(self, s) -> Representation:
-        images, _, _, _, bad = self._images(np.reshape(s, (1, -1)))
+        points = self._images(np.reshape(s, (1, -1)))[0]
+        bad = _violation(self.group, points.images, points.rel, _RELATOR_BOUND)
         if bad is not None:
             raise NotTangent(f"family leaves Hom: {bad[1]} at s={s}")
-        return Representation(self.presentation, self.group, images[0], self.tol,
+        return Representation(self.presentation, self.group, points.images[0], self.tol,
                               check=False)
 
     def validate(self) -> float:
         """Relator residual at 20 seeded random sample points of the polydisc,
-        where every point must lie in Hom(Gamma, G)."""
+        where every point must lie in Hom(Gamma, G).  Builds no Ad matrix."""
         rng = np.random.default_rng(0)
         s = np.array([[r * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / np.sqrt(2)
                        for r in self.domain_radius] for _ in range(20)])
-        _, _, _, rel, bad = self._images(s)
+        values, inverses = self._evaluate(s)
+        rel = _word_values(self.presentation.relators, values[:, 0], inverses)
+        bad = _violation(self.group, values[:, 0], rel, _RELATOR_BOUND)
         if bad is not None:
             raise InvalidInput(f"family {bad[1]} at s={s[bad[0]]}")
         residual = np.linalg.norm(rel - np.eye(self.group.n), axis=(-2, -1))
@@ -240,18 +247,18 @@ def _walk(family: FamilySpec, s, words=()):
     """Tangents sigma_k(x_j) = (d rho_s(x_j)/d s_k) rho_s(x_j)^-1, (P, m, p, d),
     at the points s (P, m) and their ``walk_words`` table over ``words`` and
     the relators.  Raises NotTangent at the first point that leaves Hom
-    (``FamilySpec._images``) or whose sigma_k is ``_off_cocycle``."""
+    (``matgroup._violation`` at _RELATOR_BOUND) or whose sigma_k is
+    ``_off_cocycle``."""
     s = np.asarray(s, dtype=np.complex128).reshape(-1, family.m)
-    images, inverses, derivs, _, left = family._images(s)
-    basis = lie_algebra_basis(family.group)
-    sigma = basis.coords_from_matrix(derivs @ inverses[:, None])
+    points, sigma = family._images(s)
     relators = family.presentation.relators
-    table = walk_words(*_ad_pair(basis, images, inverses),
-                       np.moveaxis(sigma, 1, -1), [*words, *relators])
+    table = walk_words(points.ad, points.ad_inv, np.moveaxis(sigma, 1, -1),
+                       [*words, *relators])
     resid = np.sqrt(sum(np.linalg.norm(table[r][1], axis=1) ** 2
                         for r in relators))  # |J sigma_k|, (P, m)
     bad = _off_cocycle(resid, sigma)
     first = np.flatnonzero(bad.any(axis=1))
+    left = _violation(family.group, points.images, points.rel, _RELATOR_BOUND)
     if left is not None and (not len(first) or left[0] <= first[0]):
         raise NotTangent(f"family leaves Hom: {left[1]} at s={s[left[0]]}")
     for i in first[:1]:
@@ -293,7 +300,7 @@ def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
     """
     if grid < 1:
         raise InvalidInput(f"grid must be at least 1, got {grid}")
-    cycle = fundamental_two_cycle(family.presentation).chain
+    cycle = fundamental_two_cycle(family.presentation)
     tensor = symmetric_tensor(phi, lie_algebra_basis(family.group))
     m = family.m
 
@@ -338,7 +345,7 @@ def compare_base_change(family: FamilySpec, phi: InvariantPolynomial,
     """Max deviation between direct pullback coefficients of the composed
     family and the chain-rule transform of the original coefficients, at
     three random points.  Raises DegreeMismatch unless phi has degree 2."""
-    cycle = fundamental_two_cycle(family.presentation).chain
+    cycle = fundamental_two_cycle(family.presentation)
     pulled = base_change(family, subs, new_params, new_radius)
     tensor = symmetric_tensor(phi, lie_algebra_basis(family.group))
     m_new = len(new_params)

@@ -25,8 +25,10 @@ from .errors import DegreeMismatch, InvalidInput, NotEndomorphism
 from .matgroup import (
     Representation,
     _ad_matrix,
+    _points,
+    _stacked_columns,
+    _violation,
     coboundary,
-    conjugate_representation,
     evaluate_word,
     matrix_inverse,
 )
@@ -104,13 +106,15 @@ class EtaContext:
 
     @cached_property
     def table(self) -> dict:
-        return walk_words(*self.rho._generator_ad(), identity_values(self.rho),
+        at = self.rho._at
+        return walk_words(at.ad, at.ad_inv, identity_values(self.rho),
                           [w for gammas, _ in self.cycle.terms for w in gammas])
 
 
 def _paired(ctx: EtaContext, stacked: np.ndarray) -> np.ndarray:
-    """The cycle pairing (k,) * n of k stacked cocycles (p dim g, k): the
-    context's table with J_w replaced by J_w S, S = stacked."""
+    """The cycle pairing (..., k, ..., k) of k stacked cocycles S (..., p dim
+    g, k), ``_stacked_columns``: the context's table with J_w replaced by J_w S."""
+    stacked = _stacked_columns(ctx.rho, stacked)
     table = {w: (ad, jac @ stacked) for w, (ad, jac) in ctx.table.items()}
     return _cycle_pairing(ctx.cycle, ctx.tensor, table)
 
@@ -123,7 +127,7 @@ def make_context(rho: Representation, phi: InvariantPolynomial,
         if phi.degree != 2:
             raise DegreeMismatch(
                 "automatic cycle only available in degree 2; supply one")
-        cycle = fundamental_two_cycle(rho.presentation).chain
+        cycle = fundamental_two_cycle(rho.presentation)
     if cycle.degree != phi.degree:
         raise DegreeMismatch(
             f"cycle degree {cycle.degree} != polynomial degree {phi.degree}")
@@ -190,27 +194,32 @@ def gram_matrix(ctx: EtaContext, basis: np.ndarray):
 def conjugation_invariance(ctx: EtaContext, g, trials: int, rng) -> float:
     """Max |eta_{g rho g^-1}(Ad_g s, Ad_g t) - eta_rho(s, t)| over random
     cocycle pairs."""
-    return _conjugation_pairs(ctx, cocycle_space(ctx.rho), g, trials, rng)[0]
+    s = _draws(cocycle_space(ctx.rho), rng, 2 * trials)
+    return _conjugation_pairs(ctx, np.asarray(g)[None], s[None])[0]
 
 
-def _conjugation_pairs(ctx: EtaContext, space, g, trials: int, rng):
-    """``conjugation_invariance``, drawing from the cocycle space of ctx.rho,
-    and the max |eta_rho(s, t)| over the same pairs of unit cocycles, the
-    scale that shows the form is not zero."""
+def _conjugation_pairs(ctx: EtaContext, g, s):
+    """``conjugation_invariance`` over a stack of g (G, n, n), each on its own
+    draws s (G, p dim g, 2T) made unit and paired as (s_i, s_{T+i}), and the
+    max |eta_rho(s, t)| over them, the scale that shows the form is not zero.
+    All g rho g^-1, the products, are checked and give one stacked Fox table."""
     if ctx.degree != 2:
         raise DegreeMismatch("conjugation_invariance requires degree 2")
-    rho = ctx.rho
-    rho_c = conjugate_representation(rho, g)
-    ad_g = _ad_matrix(rho.basis, np.asarray(g, dtype=np.complex128),
-                      matrix_inverse(np.asarray(g, dtype=np.complex128), rho.tol))
-    ctx_c = EtaContext(rho_c, ctx.phi, ctx.tensor, ctx.cycle)
-    # unit cocycles s_i and their pairs s_{T+i}, paired once at each point
-    s = _draws(space, rng, 2 * trials)
-    s = s / np.linalg.norm(s, axis=0)
-    s_c = (ad_g @ s.reshape(rho.p, rho.dim_g, -1)).reshape(s.shape)
-    base = np.diagonal(_paired(ctx, s), trials)
-    dev = np.abs(np.diagonal(_paired(ctx_c, s_c), trials) - base).max()
-    return float(dev), float(np.abs(base).max())
+    rho, g = ctx.rho, np.asarray(g, dtype=np.complex128)
+    g_inv = matrix_inverse(g, rho.tol)
+    images = g[:, None] @ rho._at.images @ g_inv[:, None]
+    conj = _points(rho.presentation, rho.basis, images, matrix_inverse(images, rho.tol))
+    bad = _violation(rho.group, conj.images, conj.rel, rho.tol.relator_bound)
+    if bad is not None:
+        raise InvalidInput(bad[1])
+    s = s / np.linalg.norm(s, axis=-2, keepdims=True)
+    ad_g = _ad_matrix(rho.basis, g, g_inv)[:, None]
+    s_c = (ad_g @ s.reshape(len(g), rho.p, rho.dim_g, -1)).reshape(s.shape)
+    table = walk_words(conj.ad, conj.ad_inv, identity_values(rho), list(ctx.table))
+    table = {w: (ad, jac @ s_c) for w, (ad, jac) in table.items()}
+    base, back = (np.diagonal(pairs, s.shape[-1] // 2, -2, -1) for pairs in (
+        _paired(ctx, s), _cycle_pairing(ctx.cycle, ctx.tensor, table)))
+    return float(np.abs(back - base).max()), float(np.abs(base).max())
 
 
 def endomorphism_pullback(ctx: EtaContext, images, rng, trials: int = 5):
@@ -236,7 +245,8 @@ def endomorphism_pullback(ctx: EtaContext, images, rng, trials: int = 5):
     s = _draws(cocycle_space(rho), rng, 2 * trials)
     # (phi* sigma)(x_k) = sigma(phi(x_k)): every cocycle in one walk; the
     # trial pairs are (s_i, s_{T+i}), paired once at each point
-    table = walk_words(*rho._generator_ad(), s.reshape(rho.p, rho.dim_g, -1), images)
+    table = walk_words(rho._at.ad, rho._at.ad_inv, s.reshape(rho.p, rho.dim_g, -1),
+                       images)
     pulled = np.stack([table[w][1] for w in images]).reshape(s.shape)
     base = np.diagonal(_paired(ctx, s), trials)
     back = np.diagonal(_paired(ctx_new, pulled), trials)

@@ -8,8 +8,9 @@ row-major order.  Every coordinate vector elsewhere refers to this ordering.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -129,8 +130,8 @@ def lie_algebra_basis(group: GroupSpec) -> LieAlgebraBasis:
 
 
 class Representation:
-    """A point of Hom(Gamma, G): one invertible matrix per generator, and the
-    tolerances ``tol`` of every decision made at it.
+    """A point of Hom(Gamma, G): one invertible matrix per generator, the
+    ``_Points`` record ``_at`` and the tolerances ``tol`` of its decisions.
 
     Relator residuals and (for SL) the determinant constraint are checked on
     construction unless ``check=False``."""
@@ -147,8 +148,9 @@ class Representation:
             if m.shape != (group.n, group.n):
                 raise InvalidInput(f"image shape {m.shape} != ({group.n},{group.n})")
         self.basis, n = lie_algebra_basis(group), group.n
-        self._inverses = matrix_inverse(np.reshape(self.images, (-1, n, n)), tol)
-        self._ad_gen = self._fox = None  # built on first use
+        images = np.reshape(self.images, (-1, n, n))
+        self._at = _points(presentation, self.basis, images, matrix_inverse(images, tol))
+        self._fox = None  # built on first use
         if check:
             self.validate()
 
@@ -161,18 +163,29 @@ class Representation:
         return self.basis.dim
 
     def validate(self):
-        images = np.reshape(self.images, (1,) + self._inverses.shape)
-        values = _word_values(self.presentation.relators, images, self._inverses[None])
-        bad = _violation(self.group, images, values, self.tol.relator_bound)
+        bad = _violation(self.group, self._at.images[None], self._at.rel[None],
+                         self.tol.relator_bound)
         if bad is not None:
             raise InvalidInput(bad[1])
 
-    def _generator_ad(self):
-        """Ad rho(x_k) and its inverse for every generator, (2, p, d, d)."""
-        if self._ad_gen is None:
-            images = np.reshape(self.images, self._inverses.shape)
-            self._ad_gen = _ad_pair(self.basis, images, self._inverses)
-        return self._ad_gen
+
+_Points = namedtuple("_Points", "images inverses ad ad_inv rel")  # built by _points
+
+
+def _points(presentation: Presentation, basis: LieAlgebraBasis, images,
+            inverses) -> _Points:
+    """Points of Hom(Gamma, G) evaluated once, over the leading axes of their
+    images and inverses (..., p, n, n): both, Ad of both (..., p, d, d) from
+    one ``_ad_matrix`` and the relator values (..., R, n, n)."""
+    ad = _ad_matrix(basis, np.stack([images, inverses]), np.stack([inverses, images]))
+    return _Points(images, inverses, *ad,
+                   _word_values(presentation.relators, images, inverses))
+
+
+def _residual(points: _Points) -> np.ndarray:
+    """Newton residuals vec(rho(r) - I) of the points, (..., R n^2)."""
+    res = points.rel - np.eye(points.rel.shape[-1])
+    return res.reshape(res.shape[:-3] + (np.prod(res.shape[-3:], dtype=int),))
 
 
 def _ad_matrix(basis: LieAlgebraBasis, left, right) -> np.ndarray:
@@ -195,30 +208,30 @@ def _ad_matrix(basis: LieAlgebraBasis, left, right) -> np.ndarray:
     return np.swapaxes(basis.coords_from_matrix(images), -1, -2)
 
 
-def _ad_pair(basis: LieAlgebraBasis, images, inverses) -> np.ndarray:
-    """Ad g and Ad g^-1 of g = images, (2, ..., d, d), from one ``_ad_matrix``."""
-    return _ad_matrix(basis, np.stack([images, inverses]), np.stack([inverses, images]))
-
-
 def evaluate_word(rho: Representation, w: Word) -> np.ndarray:
     """rho(w), the one-word case of ``_word_values``."""
-    images = np.reshape(rho.images, rho._inverses.shape)
-    return _word_values([w], images, rho._inverses)[0]
+    return _word_values([w], rho._at.images, rho._at.inverses)[0]
 
 
 def coboundary(rho: Representation, v):
     """Cocycle gamma -> v - Ad rho(gamma) v, recorded on the generators and
     stacked: (p d,) for v (d,), (p d, k) for k vectors v (d, k)."""
     v = np.asarray(v, dtype=np.complex128)
-    return (v - rho._generator_ad()[0] @ v).reshape((-1,) + v.shape[1:])
+    return (v - rho._at.ad @ v).reshape((-1,) + v.shape[1:])
+
+
+def _stacked_columns(rho: Representation, a) -> np.ndarray:
+    """a if it stacks cocycles at rho in columns (..., p dim g, k), else InvalidInput."""
+    if np.shape(a)[-2:-1] != (rho.p * rho.dim_g,):
+        raise InvalidInput(f"a stacked cocycle has p dim g = {rho.p * rho.dim_g} "
+                           f"entries: not the columns of shape {np.shape(a)}")
+    return a
 
 
 def conjugate_representation(rho: Representation, g) -> Representation:
     g = as_cmatrix(g)
-    g_inv = matrix_inverse(g, rho.tol)
     return Representation(rho.presentation, rho.group,
-                          [g @ m @ g_inv for m in rho.images],
-                          tol=rho.tol)
+                          g @ rho._at.images @ matrix_inverse(g, rho.tol), tol=rho.tol)
 
 
 def _word_values(words, images, inverses) -> np.ndarray:
@@ -234,28 +247,18 @@ def _word_values(words, images, inverses) -> np.ndarray:
     return out
 
 
-def _newton_state(presentation: Presentation, basis: LieAlgebraBasis,
-                  images, inverses) -> tuple:
-    """State [images, inverses, Ad, Ad^-1, relator values] of images and inverses
-    (..., p, n, n), each built once, and residuals vec(rho(r) - I), (..., R n^2)."""
-    rel = _word_values(presentation.relators, images, inverses)
-    res = rel - np.eye(images.shape[-1])
-    return ([images, inverses, *_ad_pair(basis, images, inverses), rel],
-            res.reshape(res.shape[:-3] + (np.prod(res.shape[-3:], dtype=int),)))
-
-
-def _relator_jacobian(presentation: Presentation, basis: LieAlgebraBasis,
-                      ad, ad_inv, rel, values) -> np.ndarray:
-    """Derivative (..., R n^2, k) of the ``_newton_state`` residual along k
-    directions with generator values (..., p, d, k), at the state's Ad pair and
-    relator values: moving rho(x_j) to exp(X_j) rho(x_j) moves rho(r) by
-    (J_r X) rho(r), J_r X the ``cocycle_walk`` of r on X."""
+def _relator_jacobian(rho: Representation, points: _Points, values) -> np.ndarray:
+    """Derivative (..., R n^2, k) of the ``_residual`` of points of rho's
+    presentation along k directions with generator values (..., p, d, k):
+    moving rho(x_j) to exp(X_j) rho(x_j) moves rho(r) by (J_r X) rho(r),
+    J_r X the ``cocycle_walk`` of r on X."""
     from .cohomology import cocycle_walk  # cohomology imports this module
-    rows, k = basis.n ** 2, values.shape[-1]
+    rel, rows, k = points.rel, rho.basis.n ** 2, values.shape[-1]
     out = np.empty(rel.shape[:-2] + (k, rows), complex)
-    for i, r in enumerate(presentation.relators):
-        walked = np.swapaxes(cocycle_walk(ad, ad_inv, values, r.letters)[1], -1, -2)
-        moved = basis.matrix_from_coords(walked) @ rel[..., i, None, :, :]
+    for i, r in enumerate(rho.presentation.relators):
+        walked = np.swapaxes(
+            cocycle_walk(points.ad, points.ad_inv, values, r.letters)[1], -1, -2)
+        moved = rho.basis.matrix_from_coords(walked) @ rel[..., i, None, :, :]
         out[..., i, :, :] = moved.reshape(moved.shape[:-2] + (rows,))
     return out.swapaxes(-1, -2).reshape(rel.shape[:-3] + (rel.shape[-3] * rows, k))
 
@@ -277,11 +280,12 @@ def _violation(group: GroupSpec, images, values, relator_bound: float):
     return None
 
 
-def _moved(basis: LieAlgebraBasis, x, images, inverses):
-    """exp(X_j) rho(x_j) and rho(x_j)^-1 exp(-X_j) for coordinates x (..., p, d)
-    and images and inverses (..., p, n, n): one matrix_exp, no inversion."""
-    e = matrix_exp(basis.matrix_from_coords(np.stack([x, -x])))
-    return e[0] @ images, inverses @ e[1]
+def _moved(rho: Representation, x, points: _Points) -> _Points:
+    """The points exp(X_j) rho(x_j) for coordinates x (..., p, d) and points of
+    rho's presentation: one matrix_exp, no inversion."""
+    e = matrix_exp(rho.basis.matrix_from_coords(np.stack([x, -x])))
+    return _points(rho.presentation, rho.basis, e[0] @ points.images,
+                   points.inverses @ e[1])
 
 
 def _damped_newton(state, res, trial, jacobian, tol: Tolerances, max_iter: int):
@@ -341,14 +345,15 @@ def find_representation(presentation: Presentation, group: GroupSpec, seed_image
         images = [m / np.linalg.det(m) ** (1.0 / group.n) for m in images]
     rho = Representation(presentation, group, images, tol=tol, check=False)
     identity = np.eye(rho.p * rho.dim_g).reshape(rho.p, rho.dim_g, -1)
-    state_at = partial(_newton_state, presentation, rho.basis)
-    images = _damped_newton(
-        *state_at(np.array(rho.images)[None], rho._inverses[None]),
-        lambda state, step: state_at(*_moved(
-            rho.basis, step.reshape(len(step), rho.p, rho.dim_g), *state[:2])),
-        lambda state: _relator_jacobian(presentation, rho.basis, *state[2:], identity),
-        tol, max_iter)[0]
-    return Representation(presentation, group, images[0], tol=tol)
+
+    def trial(state, step):  # the Newton state is the record's fields
+        points = _moved(rho, step.reshape(len(step), rho.p, rho.dim_g), _Points(*state))
+        return list(points), _residual(points)
+
+    state = _damped_newton(
+        [a[None] for a in rho._at], _residual(rho._at)[None], trial,
+        lambda state: _relator_jacobian(rho, _Points(*state), identity), tol, max_iter)
+    return Representation(presentation, group, _Points(*state).images[0], tol=tol)
 
 
 def is_irreducible(rho: Representation) -> bool:

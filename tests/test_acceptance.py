@@ -84,7 +84,7 @@ def test_03_fundamental_cycle():
     ok = True
     for genus in (1, 2, 3):
         pres = Presentation.surface(genus)
-        chain = fundamental_two_cycle(pres).chain
+        chain = fundamental_two_cycle(pres)
         if not verify_cycle(chain, pres):
             ok = False
         for i in range(len(chain.terms)):
@@ -153,7 +153,7 @@ def test_05_oracle_equivalence(torus_rep, genus2_rep):
 def test_06_closedness_chart(genus2_rep):
     space = cocycle_space(genus2_rep)
     chart = Chart(genus2_rep, space.h1[:, :3])
-    cycle = fundamental_two_cycle(genus2_rep.presentation).chain
+    cycle = fundamental_two_cycle(genus2_rep.presentation)
     coeffs = eta_coefficients(chart, trace_form(), cycle)
     fd = fd_exterior_derivative(3, coeffs, h=3e-2)
 

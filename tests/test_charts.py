@@ -32,8 +32,7 @@ SL2 = GroupSpec("SL", 2)
 def _pushed_images(chart, t):
     """Images of the uncorrected point exp(S t) rho."""
     rho, y = chart.center, chart.directions @ np.asarray(t, dtype=np.complex128)
-    return _moved(rho.basis, y.reshape(rho.p, -1), np.array(rho.images),
-                  rho._inverses)[0]
+    return _moved(rho, y.reshape(rho.p, -1), rho._at).images
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +75,12 @@ class TestRetract:
         for m1, m2 in zip(rho.images, _pushed_images(chart, t)):
             assert np.allclose(m1, m2, atol=1e-14)
 
+    def test_directions_of_the_wrong_length_are_refused(self, genus2_rep):
+        """A direction has p dim g = 12 entries at the acceptance point."""
+        for directions in (np.ones((5, 3)), np.ones(12), np.ones((3, 12))):
+            with pytest.raises(InvalidInput, match="p dim g = 12"):
+                Chart(genus2_rep, directions)
+
     def test_left_chart_on_non_cocycle_direction(self, genus2_rep):
         # a direction violating the linearized relator needs a first-order
         # correction, which exceeds |t|
@@ -93,7 +98,7 @@ def _difference(chart, t, e, h):
     plus, minus = retract(chart, t + h * e), retract(chart, t - h * e)
     rho = retract(chart, t)
     dm = (np.array(plus.images) - np.array(minus.images)) / (2 * h)
-    return rho.basis.coords_from_matrix(dm @ rho._inverses).reshape(-1)
+    return rho.basis.coords_from_matrix(dm @ rho._at.inverses).reshape(-1)
 
 
 class TestTransport:
@@ -139,14 +144,14 @@ class TestTransport:
 def _closedness(rho, directions):
     """The closedness check of acceptance criterion 6 on the chart."""
     chart = Chart(rho, directions)
-    cycle = fundamental_two_cycle(rho.presentation).chain
+    cycle = fundamental_two_cycle(rho.presentation)
     return fd_exterior_derivative(
         3, eta_coefficients(chart, trace_form(), cycle), h=3e-2)
 
 
 class TestClosedness:
     def test_goldman_closed_on_chart(self, genus2_chart):
-        cycle = fundamental_two_cycle(genus2_chart.center.presentation).chain
+        cycle = fundamental_two_cycle(genus2_chart.center.presentation)
         coeffs = eta_coefficients(genus2_chart, trace_form(), cycle)
         fd = fd_exterior_derivative(3, coeffs, h=3e-2)
         assert fd["scale"] > 1e-2
@@ -204,7 +209,7 @@ class TestClosedness:
                             counting("walk_words", charts.walk_words))
         monkeypatch.setattr(forms, "EtaContext",
                             counting("EtaContext", forms.EtaContext))
-        cycle = fundamental_two_cycle(genus2_chart.center.presentation).chain
+        cycle = fundamental_two_cycle(genus2_chart.center.presentation)
         fd = chart_closedness(genus2_chart, trace_form(), cycle, 3e-2)
         assert fd["evaluations"] == 12
         assert counts == {"newton": 1, "walk_words": 1, "EtaContext": 0}
@@ -226,14 +231,14 @@ class TestClosedness:
         rho = Representation(genus2_rep.presentation, genus2_rep.group,
                              genus2_rep.images)
         chart = Chart(rho, cocycle_space(rho).h1[:, :3])
-        cycle = fundamental_two_cycle(rho.presentation).chain
+        cycle = fundamental_two_cycle(rho.presentation)
         assert chart_closedness(chart, trace_form(), cycle, 3e-2)["pass"]
         assert counts["_ad_matrix"] <= 4
         assert counts["_word_values"] <= 4
         assert counts["walk_words"] == 1
 
     def test_degree_mismatch(self, genus2_chart):
-        cycle = fundamental_two_cycle(genus2_chart.center.presentation).chain
+        cycle = fundamental_two_cycle(genus2_chart.center.presentation)
         with pytest.raises(DegreeMismatch):
             eta_coefficients(genus2_chart, power_trace(3), cycle)
         with pytest.raises(DegreeMismatch):
@@ -244,7 +249,7 @@ class TestClosedness:
         # truncation error only; 1e-3 conj(t0) in w_12 differentiates to 1e-3
         # along 1 and -1e-3 along i: a spread of 2e-3 that their mean,
         # and so max_d, does not see
-        cycle = fundamental_two_cycle(genus2_chart.center.presentation).chain
+        cycle = fundamental_two_cycle(genus2_chart.center.presentation)
         coeffs = eta_coefficients(genus2_chart, trace_form(), cycle)
         fd = fd_exterior_derivative(3, coeffs, h=3e-2)
         assert fd["cauchy_riemann_dev"] <= 1e-4
@@ -262,7 +267,7 @@ class TestClosedness:
         assert bad["max_d"] == pytest.approx(fd["max_d"], abs=1e-12)
 
     def test_perturbation_detected(self, genus2_chart):
-        cycle = fundamental_two_cycle(genus2_chart.center.presentation).chain
+        cycle = fundamental_two_cycle(genus2_chart.center.presentation)
         coeffs = eta_coefficients(genus2_chart, trace_form(), cycle)
 
         def perturbed(t):
@@ -286,7 +291,7 @@ class TestLockstep:
             kind, n = point.split("-")
             rho = random_point(2, 0, kind, int(n))[0]
         chart = Chart(rho, cocycle_space(rho).h1[:, :3])
-        cycle = fundamental_two_cycle(rho.presentation).chain
+        cycle = fundamental_two_cycle(rho.presentation)
         stacked = chart_closedness(chart, trace_form(), cycle, 3e-2)
         pointwise = fd_exterior_derivative(
             3, eta_coefficients(chart, trace_form(), cycle), 3e-2)
@@ -301,7 +306,7 @@ class TestLockstep:
             rho = random_point(2, seed, "SL", 3)[0]
             chart = Chart(rho, cocycle_space(rho).h1[:, :3])
         points = _stencil(3, 3e-2)
-        images = charts._solve(chart, points)[1]
+        images = charts._solve(chart, points)[1].images
         for t, stacked in zip(points, images):
             single = np.array(retract(chart, t).images)
             assert np.abs(stacked - single).max() <= 1e-12
@@ -329,14 +334,14 @@ class TestLockstep:
         assert info.value.index == 1
         assert str(info.value).startswith("chart point 1, t = [0.01")
         assert info.value.residual <= 1e-12
-        cycle = fundamental_two_cycle(genus2_rep.presentation).chain
+        cycle = fundamental_two_cycle(genus2_rep.presentation)
         with pytest.raises(NoConvergence):
             chart_closedness(chart, trace_form(), cycle, 3e-2)
 
     def test_no_triple_below_dimension_three(self, genus2_rep):
         # no stencil point is sampled, so the verdict has nothing to pass on
         chart = Chart(genus2_rep, cocycle_space(genus2_rep).h1[:, :2])
-        cycle = fundamental_two_cycle(genus2_rep.presentation).chain
+        cycle = fundamental_two_cycle(genus2_rep.presentation)
         fd = chart_closedness(chart, trace_form(), cycle, 3e-2)
         assert fd == {"max_d": 0.0, "scale": 0.0, "fd_error": 0.0,
                       "cauchy_riemann_dev": 0.0, "h": 3e-2, "evaluations": 0,

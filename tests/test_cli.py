@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from charforms import GroupSpec, Presentation, Representation, cli, errors, forms
+from charforms import GroupSpec, Presentation, Representation, cli, errors, forms, matgroup
 from charforms.cli import _COMMANDS, main
 from charforms.families import FamilySpec, Poly, family_to_json
 from charforms.cohomology import cocycle_space
@@ -215,6 +215,65 @@ def test_suite_invariance_builds_one_cocycle_space(inputs, tmp_path, monkeypatch
                         "--seed", "3", "--trials", "5"], tmp_path / "r.json")
     assert code == 0 and report["trials"] == 5
     assert calls == {"cocycle_space": 1}
+
+
+def test_suite_invariance_is_one_stacked_pass(inputs, tmp_path, monkeypatch):
+    """All conjugations of one command are paired in one stack: two cycle
+    pairings (at rho and at every g rho g^-1) and one Representation, the
+    input point, for --trials 5."""
+    calls = {"pairing": 0, "representation": 0}
+    pairing, init = forms._cycle_pairing, Representation.__init__
+
+    def counted_pairing(*args):
+        calls["pairing"] += 1
+        return pairing(*args)
+
+    def counted_init(*args, **kwargs):
+        calls["representation"] += 1
+        init(*args, **kwargs)
+
+    monkeypatch.setattr(forms, "_cycle_pairing", counted_pairing)
+    monkeypatch.setattr(Representation, "__init__", counted_init)
+    code, report = run(["suite-invariance", "--input", inputs["genus2"],
+                        "--seed", "3", "--trials", "5"], tmp_path / "r.json")
+    assert code == 0 and report["trials"] == 5
+    assert calls == {"pairing": 2, "representation": 1}
+
+
+def test_validate_evaluates_the_relators_once(inputs, tmp_path, monkeypatch):
+    """The relator residuals of the report are those of the point's record."""
+    calls = {"word_values": 0}
+    word_values = matgroup._word_values
+
+    def counted(*args):
+        calls["word_values"] += 1
+        return word_values(*args)
+
+    monkeypatch.setattr(matgroup, "_word_values", counted)
+    code, report = run(["validate", "--input", inputs["genus2"]], tmp_path / "r.json")
+    assert code == 0 and len(report["relator_residuals"]) == 1
+    assert calls == {"word_values": 1}
+
+
+@pytest.mark.parametrize("power", [2 ** 63, 2 ** 40, 1025, 1024])
+def test_family_exponents_are_bounded(inputs, tmp_path, capsys, power):
+    """An exponent above 1024 exits 2 as InvalidInput: 2^63 no longer
+    overflows int64 and 2^40 no longer asks for a table of 2^40 powers.
+    1024 itself is accepted."""
+    data = json.loads(open(inputs["family"]).read())
+    data["family"]["images"]["a1"][0][0].append({"coeff": [0.5, 0.0],
+                                                 "powers": [power, 0, 0]})
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code = main(["family", "--input", str(path), "--grid", "2",
+                 "--output", str(tmp_path / "r.json")])
+    out, err = capsys.readouterr()
+    if power > 1024:
+        assert code == 2 and err == ""
+        assert json.loads(out) == {"error": "InvalidInput", "detail": (
+            f"powers ({power}, 0, 0) need 3 entries, each at most 1024")}
+    else:
+        assert code == 0 and out == ""
 
 
 def test_family_with_csv(inputs, tmp_path):

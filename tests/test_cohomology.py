@@ -34,7 +34,6 @@ from charforms.cohomology import (
 )
 from charforms.matgroup import (
     _relator_jacobian,
-    _word_values,
     coboundary,
     evaluate_word,
     matrix_exp,
@@ -297,10 +296,7 @@ def test_jacobians_match_fox_oracle(genus, kind, n):
                           for r in rho.presentation.relators])
     assert np.abs(fox_jacobian(rho) - ref).max() <= 1e-12 * np.abs(ref).max()
     ref = _reference_relator_jacobian(rho)
-    jac = _relator_jacobian(rho.presentation, rho.basis, *rho._generator_ad(),
-                            _word_values(rho.presentation.relators,
-                                         np.stack(rho.images), rho._inverses),
-                            identity_values(rho))
+    jac = _relator_jacobian(rho, rho._at, identity_values(rho))
     assert np.abs(jac - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -344,7 +340,7 @@ def test_walk_is_evaluated_fox_derivative(genus2_rep, letters):
     """J_w from the cocycle rule equals the Ad-evaluated exact Fox
     derivatives of w, block by block, and Ad rho(w) comes along."""
     w = Word.of(letters)
-    ad_w, jac = walk_words(*genus2_rep._generator_ad(),
+    ad_w, jac = walk_words(genus2_rep._at.ad, genus2_rep._at.ad_inv,
                            identity_values(genus2_rep), [w])[w]
     fox = np.concatenate(_reference_fox_blocks(genus2_rep, w), axis=1)
     ad_ref = adjoint_operator(genus2_rep, w)
@@ -358,7 +354,7 @@ def test_prefix_walk_matches_fox_oracle(monkeypatch):
     66 when each prefix is walked from e) and matches Ad rho(w) and the
     Ad-evaluated exact Fox derivatives of every word."""
     rho, _ = random_point(3, 2, "SL", 3)
-    words = [w for gammas, _ in fundamental_two_cycle(rho.presentation).chain.terms
+    words = [w for gammas, _ in fundamental_two_cycle(rho.presentation).terms
              for w in gammas]
     steps = Counter()
     walk = charforms.cohomology.cocycle_walk
@@ -368,7 +364,7 @@ def test_prefix_walk_matches_fox_oracle(monkeypatch):
         return walk(ad, ad_inv, values, letters, start)
 
     monkeypatch.setattr(charforms.cohomology, "cocycle_walk", counted)
-    table = walk_words(*rho._generator_ad(), identity_values(rho), words)
+    table = walk_words(rho._at.ad, rho._at.ad_inv, identity_values(rho), words)
     distinct = {w for w in words if w.letters}
     assert len(distinct) == 22 and steps["letters"] == 22
     monkeypatch.undo()
@@ -395,8 +391,8 @@ def test_batched_walk_matches_per_point(letters, seed):
                                         + 1j * rng.standard_normal((4, 3))))),
         check=False) for _ in range(3)]
     values = rng.standard_normal((3, 4, 3, 2)) + 1j * rng.standard_normal((3, 4, 3, 2))
-    ad = np.stack([rho._generator_ad()[0] for rho in points])
-    ad_inv = np.stack([rho._generator_ad()[1] for rho in points])
+    ad = np.stack([rho._at.ad for rho in points])
+    ad_inv = np.stack([rho._at.ad_inv for rho in points])
     w = Word.of(letters)
     ad_w, sigma_w = cocycle_walk(ad, ad_inv, values, w.letters)
     for rho, x, a, s in zip(points, values, ad_w, sigma_w):
@@ -430,18 +426,18 @@ class TestFundamentalCycle:
     def test_boundary_vanishes(self, genus):
         pres = Presentation.surface(genus)
         cycle = fundamental_two_cycle(pres)
-        assert verify_cycle(cycle.chain, pres)
+        assert verify_cycle(cycle, pres)
 
     @pytest.mark.parametrize("genus", [1, 2, 3])
     def test_term_count(self, genus):
-        chain = fundamental_two_cycle(Presentation.surface(genus)).chain
+        chain = fundamental_two_cycle(Presentation.surface(genus))
         # 4g - 1 prefix terms, 2g inverse-pair terms, one [e|e] term
         assert len(chain.terms) == 6 * genus
 
     @pytest.mark.parametrize("genus", [1, 2, 3])
     def test_each_term_essential(self, genus):
         pres = Presentation.surface(genus)
-        chain = fundamental_two_cycle(pres).chain
+        chain = fundamental_two_cycle(pres)
         for i in range(len(chain.terms)):
             assert not verify_cycle(chain.drop_term(i), pres)
 

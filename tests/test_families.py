@@ -6,6 +6,7 @@ import pytest
 
 import charforms.cohomology
 import charforms.families
+import charforms.matgroup
 from charforms import (
     GroupSpec,
     Presentation,
@@ -56,6 +57,14 @@ class TestPoly:
         p = x * y + Poly.const(2, 1.0)
         assert p([2.0, 3.0 + 1.0j]) == pytest.approx(7.0 + 2.0j)
 
+    def test_exponents_are_bounded(self):
+        """An exponent above 1024 is refused: it would set the width of the
+        compiled table of powers."""
+        assert Poly(2, {(1024, 3): 1.0}).coeffs == {(1024, 3): 1.0}
+        for powers in ((1025, 0), (0, 2 ** 40), (2 ** 63, 1)):
+            with pytest.raises(InvalidInput, match="at most 1024"):
+                Poly(2, {powers: 1.0})
+
     def test_compose(self):
         x = Poly.var(1, 0)
         p = x * x + 2.0 * x
@@ -70,6 +79,21 @@ class TestPoly:
 class TestFamilySpec:
     def test_validate(self, family):
         assert family.validate() < 1e-12
+
+    def test_validate_builds_no_ad_matrix(self, family, monkeypatch):
+        """validate reads only the relator values: it builds no Ad matrix,
+        while a tangent at one point builds its record's Ad pair once."""
+        calls = Counter()
+        ad_matrix = charforms.matgroup._ad_matrix
+
+        def counted(*args):
+            calls["ad"] += 1
+            return ad_matrix(*args)
+
+        monkeypatch.setattr(charforms.matgroup, "_ad_matrix", counted)
+        assert family.validate() < 1e-12 and calls == Counter()
+        family_tangent(family, np.zeros(3), 0)
+        assert calls == Counter(ad=1)
 
     def test_rep_at_center(self, family):
         rho = family.rep_at(np.zeros(3))
@@ -167,7 +191,7 @@ def _reference_coefficients(family, s):
                   for name in names]) @ inverses).reshape(-1) for k in range(family.m)]
     ctx = EtaContext(rho, trace_form(),
                      symmetric_tensor(trace_form(), rho.basis),
-                     fundamental_two_cycle(family.presentation).chain)
+                     fundamental_two_cycle(family.presentation))
     return {f"{k},{l}": eta(ctx, tangents[k], tangents[l])
             for k in range(family.m) for l in range(k + 1, family.m)}
 
@@ -374,7 +398,7 @@ class TestPullback:
         # operator on the family's coefficients at its stencil
         h = 1e-3
         report = family_pullback(family, trace_form(), grid=2, h=h)
-        cycle = fundamental_two_cycle(family.presentation).chain
+        cycle = fundamental_two_cycle(family.presentation)
         tensor = symmetric_tensor(trace_form(), lie_algebra_basis(family.group))
         w = charforms.families._coefficients(
             family, tensor, cycle, _stencil(family.m, h))

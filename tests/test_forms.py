@@ -29,6 +29,7 @@ from charforms import (
 from charforms.errors import DegreeMismatch, InvalidInput, NotEndomorphism
 from charforms.forms import (
     EtaContext,
+    _conjugation_pairs,
     _cycle_pairing,
     _draws,
     _paired,
@@ -584,6 +585,79 @@ class TestStackedSuites:
         endomorphism_pullback(torus_ctx, swap, np.random.default_rng(30), trials=20)
         # one walk of the image words, one of the cycle words at the new point
         assert calls == Counter(pairing=5, walk=2)
+
+
+class TestStackedConjugations:
+    @pytest.mark.parametrize("invariant", [True, False])
+    def test_stack_matches_the_per_g_loop(self, genus2_rep, invariant):
+        """One stacked pass over 4 g equals, to 1e-12 times the scale, the
+        per-g loop over conjugate_representation and eta, for the trace
+        form and for a tensor that is not Ad-invariant (deviation of order
+        one); Ad_g s is computed from matrices here."""
+        rho = genus2_rep
+        ctx = (make_context(rho, trace_form()) if invariant
+               else _non_invariant_context(rho))
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+        g = matrix_exp(rho.basis.matrix_from_coords(0.5 * x))
+        s = np.stack([_draws(cocycle_space(rho), rng, 6) for _ in g])
+        dev, scale = _conjugation_pairs(ctx, g, s)
+        worst = size = 0.0
+        for g_k, s_k in zip(g, s):
+            s_k = [c / np.linalg.norm(c) for c in s_k.T]
+            conj = [rho.basis.coords_from_matrix(
+                g_k @ rho.basis.matrix_from_coords(t.reshape(4, 3)) @ np.linalg.inv(g_k)
+            ).reshape(-1) for t in s_k]
+            ctx_c = EtaContext(conjugate_representation(rho, g_k), ctx.phi,
+                               ctx.tensor, ctx.cycle)
+            for i in range(3):
+                base = eta(ctx, s_k[i], s_k[3 + i])
+                worst = max(worst, abs(eta(ctx_c, conj[i], conj[3 + i]) - base))
+                size = max(size, abs(base))
+        assert scale > 0.1 and abs(scale - size) <= 1e-12 * size
+        assert abs(dev - worst) <= 1e-12 * size
+        assert (dev < 1e-9) if invariant else (dev > 1.0)
+
+    def test_one_point_record_and_one_walk_for_all_g(self, genus2_rep, monkeypatch):
+        """The conjugated points are one stacked record and one Fox table,
+        whatever the number of g: no Representation is built."""
+        ctx = make_context(genus2_rep, trace_form())
+        rng = np.random.default_rng(42)
+        g = matrix_exp(genus2_rep.basis.matrix_from_coords(
+            0.3 * rng.standard_normal((5, 3))))
+        s = np.stack([_draws(cocycle_space(genus2_rep), rng, 6) for _ in g])
+        assert ctx.table
+        calls = Counter()
+        _count_calls(monkeypatch, calls, "walk", charforms.cohomology.walk_words)
+        _count_calls(monkeypatch, calls, "pairing", charforms.forms._cycle_pairing)
+        init = Representation.__init__
+        monkeypatch.setattr(Representation, "__init__", lambda *a, **k: (
+            calls.update(["representation"]), init(*a, **k))[1])
+        _conjugation_pairs(ctx, g, s)
+        assert calls == Counter(walk=1, pairing=2)
+
+
+class TestCocycleShape:
+    """A cocycle whose length is not p dim g (12 at the acceptance point) is
+    refused with InvalidInput by every entry point that takes one."""
+
+    def test_eta_and_gram(self, genus2_rep):
+        ctx = make_context(genus2_rep, trace_form())
+        space = cocycle_space(genus2_rep)
+        s, t = space.z1[:, 0], space.z1[:, 1]
+        with pytest.raises(InvalidInput, match="p dim g = 12"):
+            eta(ctx, s.reshape(4, 3), t.reshape(4, 3))
+        with pytest.raises(InvalidInput, match="p dim g = 12"):
+            gram_matrix(ctx, space.h1.T)
+        with pytest.raises(InvalidInput, match="p dim g = 12"):
+            gram_matrix(ctx, space.h1[:, 0])
+        assert gram_matrix(ctx, space.h1)[1] == 6
+
+    def test_extend_cocycle(self, genus2_rep):
+        with pytest.raises(InvalidInput, match="p dim g = 12"):
+            extend_cocycle(genus2_rep, np.ones(11))
+        ext = extend_cocycle(genus2_rep, cocycle_space(genus2_rep).z1[:, 0])
+        assert np.linalg.norm(ext(genus2_rep.presentation.relators[0])) < 1e-10
 
 
 def _non_invariant_context(rho):

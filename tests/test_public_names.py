@@ -25,7 +25,7 @@ MODULES = sorted(p.stem for p in (ROOT / "src" / "charforms").glob("*.py")
 
 API = [
     "BarChain", "CharformsError", "Chart", "CocycleSpace", "ConvergenceFailure",
-    "DegreeMismatch", "EtaContext", "FamilySpec", "FundamentalCycle",
+    "DegreeMismatch", "EtaContext", "FamilySpec",
     "GroupRingElement", "GroupSpec", "IndexOutOfRange", "InvalidInput",
     "InvariantPolynomial", "LeftChart", "LieAlgebraBasis", "NoConvergence",
     "NotEndomorphism", "NotSurfacePresentation", "NotTangent", "Poly",
