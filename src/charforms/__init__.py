@@ -41,7 +41,6 @@ from .cohomology import (
     BarChain,
     CocycleSpace,
     cocycle_space,
-    extend_cocycle,
     fox_jacobian,
     fundamental_two_cycle,
     verify_cycle,
@@ -50,7 +49,6 @@ from .invariants import (
     InvariantPolynomial,
     check_invariance,
     combination,
-    evaluate,
     killing_form,
     power_trace,
     symmetric_tensor,
@@ -71,8 +69,6 @@ from .charts import (
     eta_coefficients,
     fd_exterior_derivative,
     free_group_demo,
-    retract,
-    transported_direction,
 )
 from .families import (
     FamilySpec,
@@ -80,7 +76,6 @@ from .families import (
     base_change,
     compare_base_change,
     family_pullback,
-    family_tangent,
 )
 
 __version__ = "0.1.0"

@@ -17,11 +17,11 @@ differencing: c'(t) = -(M C)^+ M S, and the i-th tangent is
 phi(ad Y) (S e_i + C c'_i).
 
 Every computation takes a stack of parameters t: all stencil points of a
-closedness check go through one lockstep Newton pass, one tangent solve and
-one ``walk_words`` table, as a family's points do; ``retract``,
-``transported_direction`` and ``eta_coefficients(...)(t)`` are one-point
-stacks.  One holomorphic finite-difference operator, ``_fd_d``, takes the
-exterior derivative of a pulled-back form on a chart or a family.
+closedness check go through one lockstep Newton pass (``_solve``), one
+tangent solve (``_tangents``) and one ``walk_words`` table, as a family's
+points do; ``eta_coefficients(...)(t)`` at one point is a one-point stack.
+One holomorphic finite-difference operator, ``_fd_d``, takes the exterior
+derivative of a pulled-back form on a chart or a family.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ from .words import Presentation, Word
 
 __all__ = [
     "Chart",
-    "retract",
-    "transported_direction",
     "eta_coefficients",
     "chart_closedness",
     "fd_exterior_derivative",
@@ -141,18 +139,6 @@ def _solve(chart: Chart, t) -> tuple:
     return y, points
 
 
-def retract(chart: Chart, t) -> Representation:
-    """Map chart parameters to the point rho(t, c(t)) of Hom(Gamma, G).
-
-    retract(0) is the center; for a free group the chart is the exponential
-    curve itself.  Raises NoConvergence when Newton's method fails and
-    LeftChart when the correction moves the images by more than |t|.
-    """
-    rho = chart.center
-    return Representation(rho.presentation, rho.group, _solve(chart, t)[1].images[0],
-                          tol=rho.tol, check=False)
-
-
 def _tangents(chart: Chart, y: np.ndarray, points: _Points) -> np.ndarray:
     """Values (P, p, d, dim) of the exact chart tangents at the points of a
     ``_solve``, coordinates y and record: c'(t) = -(M C)^+ M S, and the i-th
@@ -162,12 +148,6 @@ def _tangents(chart: Chart, y: np.ndarray, points: _Points) -> np.ndarray:
     jac = _relator_jacobian(rho, points, phi @ np.hstack([span, comp]).reshape(shape))
     moved = span + comp @ solve_lsq(jac[..., chart.dim:], -jac[..., :chart.dim])
     return phi @ moved.reshape(len(phi), rho.p, rho.dim_g, chart.dim)
-
-
-def transported_direction(chart: Chart, t, i: int) -> np.ndarray:
-    """Tangent of the i-th chart curve at parameter t: the derivative of
-    retract along e_i, in left-trivialised coordinates stacked (p * dim g,)."""
-    return _tangents(chart, *_solve(chart, t))[0, ..., i].reshape(-1)
 
 
 def eta_coefficients(chart: Chart, phi: InvariantPolynomial, cycle: BarChain):

@@ -13,8 +13,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import NotSurfacePresentation, RankInstability
-from .matgroup import Representation, _read_only, _stacked_columns
+from .errors import InvalidInput, NotSurfacePresentation, RankInstability
+from .matgroup import Representation, _read_only
 from .numeric import rank_and_gap
 from .words import Presentation, Word
 
@@ -25,7 +25,6 @@ __all__ = [
     "cocycle_space",
     "cocycle_walk",
     "walk_words",
-    "extend_cocycle",
     "fundamental_two_cycle",
     "bar_boundary",
     "verify_cycle",
@@ -167,15 +166,6 @@ def identity_values(rho: Representation) -> np.ndarray:
     return np.eye(pd, dtype=np.complex128).reshape(rho.p, rho.dim_g, pd)
 
 
-def extend_cocycle(rho: Representation, sigma):
-    """Extend generator values, stacked (p dim g,), to a function on words by
-    the cocycle rule sigma(uv) = sigma(u) + Ad rho(u) sigma(v): ``walk_words``
-    of the word on the values sigma(x_k).  Raises InvalidInput unless sigma
-    has p dim g entries."""
-    values = _stacked_columns(rho, np.reshape(sigma, (-1, 1))).reshape(rho.p, -1, 1)
-    return lambda w: walk_words(rho._at.ad, rho._at.ad_inv, values, [w])[w][1][:, 0]
-
-
 # ---------------------------------------------------------------------------
 # Bar chains
 
@@ -193,28 +183,11 @@ class BarChain:
         for tup, c in dict(mapping).items():
             tup = tuple(tup)
             if len(tup) != degree:
-                raise ValueError(f"tuple {tup} does not match degree {degree}")
+                raise InvalidInput(f"tuple {tup} does not match degree {degree}")
             if c != 0:
                 items.append((tup, int(c)))
         items.sort(key=lambda t: tuple((len(w.letters), w.letters) for w in t[0]))
         return BarChain(degree, tuple(items))
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
-    def __add__(self, other: "BarChain") -> "BarChain":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        acc = self.as_dict()
-        for tup, c in other.terms:
-            acc[tup] = acc.get(tup, 0) + c
-        return BarChain.of(self.degree, acc)
-
-    def __neg__(self) -> "BarChain":
-        return BarChain(self.degree, tuple((t, -c) for t, c in self.terms))
-
-    def __sub__(self, other: "BarChain") -> "BarChain":
-        return self + (-other)
 
     def drop_term(self, index: int) -> "BarChain":
         return BarChain(self.degree,
@@ -258,7 +231,7 @@ def bar_boundary(chain: BarChain, presentation: Presentation | None = None) -> B
     each word in its normal form."""
     n = chain.degree
     if n < 1:
-        raise ValueError(f"boundary needs degree at least 1, not {n}")
+        raise InvalidInput(f"boundary needs degree at least 1, not {n}")
     acc: dict = {}
     for gammas, c in chain.terms:
         faces = [gammas[1:]]

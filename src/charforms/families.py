@@ -38,7 +38,6 @@ from .words import Presentation
 __all__ = [
     "Poly",
     "FamilySpec",
-    "family_tangent",
     "family_pullback",
     "base_change",
     "compare_base_change",
@@ -102,15 +101,6 @@ class Poly:
             return other
         return Poly.const(self.nvars, other)
 
-    def diff(self, k: int) -> "Poly":
-        acc = {}
-        for p, c in self.coeffs.items():
-            if p[k] > 0:
-                q = list(p)
-                q[k] -= 1
-                acc[tuple(q)] = c * p[k]
-        return Poly(self.nvars, acc)
-
     def __call__(self, s) -> complex:
         s = np.asarray(s, dtype=np.complex128)
         total = 0.0 + 0.0j
@@ -126,7 +116,7 @@ class Poly:
         """Substitute subs[k] (polynomials in new variables) for variable k."""
         subs = list(subs)
         if len(subs) != self.nvars:
-            raise ValueError("need one substitution polynomial per variable")
+            raise InvalidInput("need one substitution polynomial per variable")
         nv = subs[0].nvars
         out = Poly(nv)
         for p, c in self.coeffs.items():
@@ -266,15 +256,6 @@ def _walk(family: FamilySpec, s, words=()):
         raise NotTangent(f"tangent {k} fails cocycle check, residual "
                          f"{resid[i, k]:.3e} at s={s[i]}")
     return sigma, table
-
-
-def family_tangent(family: FamilySpec, s, k: int) -> np.ndarray:
-    """Cocycle sigma_k(x_j) = (d rho_s(x_j)/d s_k) rho_s(x_j)^-1 at s, stacked
-    (p dim g,).
-
-    The polynomial derivative is exact.  Raises NotTangent when the result
-    fails the Fox-Jacobian residual check (invalid family)."""
-    return _walk(family, s)[0][0, k].reshape(-1)
 
 
 def _coefficients(family: FamilySpec, tensor, cycle: BarChain, points) -> np.ndarray:

@@ -54,9 +54,9 @@ def as_cmatrix(data) -> np.ndarray:
     if m.ndim == 1:
         m = m[:, None]
     if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={m.ndim}")
+        raise InvalidInput(f"expected a matrix, got ndim={m.ndim}")
     if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
+        raise InvalidInput("matrix has non-finite entries")
     return m
 
 
@@ -65,9 +65,9 @@ def _square_stack(data, what: str) -> np.ndarray:
     rejecting non-finite entries."""
     m = np.asarray(data, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"{what} requires square matrices, got shape {m.shape}")
+        raise InvalidInput(f"{what} requires square matrices, got shape {m.shape}")
     if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
+        raise InvalidInput("matrix has non-finite entries")
     return m
 
 
@@ -118,7 +118,7 @@ def solve_lsq(a, b) -> np.ndarray:
     times the largest count as zero."""
     a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
     if not np.isfinite(a).all():
-        raise ValueError("matrix has non-finite entries")
+        raise InvalidInput("matrix has non-finite entries")
     vector = b.ndim == a.ndim - 1
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     with np.errstate(divide="ignore"):

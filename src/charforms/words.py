@@ -54,9 +54,9 @@ class Word:
     def __post_init__(self):
         for (g, s) in self.letters:
             if s not in (1, -1):
-                raise ValueError(f"letter sign must be +-1, got {s}")
+                raise InvalidInput(f"letter sign must be +-1, got {s}")
         if self.letters != _free_reduce(self.letters):
-            raise ValueError("letters are not freely reduced; use Word.of")
+            raise InvalidInput("letters are not freely reduced; use Word.of")
 
     def __mul__(self, other: "Word") -> "Word":
         return Word(_free_reduce(self.letters + other.letters))
@@ -67,14 +67,8 @@ class Word:
     def __len__(self):
         return len(self.letters)
 
-    def is_identity(self) -> bool:
-        return not self.letters
-
     def max_index(self) -> int:
         return max((g for g, _ in self.letters), default=-1)
-
-    def exponent_sum(self, k: int) -> int:
-        return sum(s for g, s in self.letters if g == k)
 
     def __repr__(self):
         if not self.letters:
@@ -147,10 +141,10 @@ class Presentation:
         object.__setattr__(self, "generator_names", names)
         object.__setattr__(self, "relators", tuple(self.relators))
         if len(set(names)) != len(names):
-            raise ValueError("generator names must be distinct")
+            raise InvalidInput("generator names must be distinct")
         for n in names:
             if not _NAME_RE.match(n):
-                raise ValueError(f"invalid generator name {n!r}")
+                raise InvalidInput(f"invalid generator name {n!r}")
         for r in self.relators:
             if r.max_index() >= len(names):
                 raise IndexOutOfRange(
@@ -171,7 +165,7 @@ class Presentation:
     def surface(genus: int) -> "Presentation":
         """Standard genus-g presentation <a1,b1,...,ag,bg | prod [ai,bi]>."""
         if genus < 1:
-            raise ValueError("genus must be >= 1")
+            raise InvalidInput("genus must be >= 1")
         names = []
         for i in range(1, genus + 1):
             names += [f"a{i}", f"b{i}"]
@@ -224,11 +218,8 @@ class GroupRingElement:
     def word(w: Word) -> "GroupRingElement":
         return GroupRingElement.of({w: 1})
 
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
     def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        acc = self.as_dict()
+        acc = dict(self.terms)
         for w, c in other.terms:
             acc[w] = acc.get(w, 0) + c
         return GroupRingElement.of(acc)
@@ -247,11 +238,6 @@ class GroupRingElement:
                 acc[w] = acc.get(w, 0) + a * b
         return GroupRingElement.of(acc)
 
-    def left_translate(self, u: Word) -> "GroupRingElement":
-        return GroupRingElement.of({u * w: c for w, c in self.terms})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
 
 def fox_derivative(w: Word, k: int) -> GroupRingElement:

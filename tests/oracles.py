@@ -2,10 +2,12 @@
 
 Each one computes its result a second way, from definitions, and shares no
 kernel with the path it checks: Ad rho(w) comes from explicit products
-g B_a g^-1 (not ``matgroup._ad_matrix`` or the Fox walk), the polarization
-tilde-Phi from evaluations of Phi (not ``invariants.symmetric_tensor``) and
-the pairing with a chain from one evaluation per term (not
-``forms._cycle_pairing``).  ``test_oracle_independence.py`` checks that it stays so.
+g B_a g^-1 (not ``matgroup._ad_matrix`` or the Fox walk), a cocycle's value
+on a word from exact Fox derivatives (not ``cohomology.walk_words``), Phi
+from matrix powers and the polarization tilde-Phi from evaluations of Phi
+(not ``invariants.symmetric_tensor``) and the pairing with a chain from one
+evaluation per term (not ``forms._cycle_pairing``).
+``test_oracle_independence.py`` checks that it stays so.
 """
 
 import itertools
@@ -15,7 +17,7 @@ import numpy as np
 import sympy
 
 from charforms.errors import DegreeMismatch
-from charforms.invariants import evaluate
+from charforms.families import Poly
 from charforms.matgroup import lie_algebra_basis
 from charforms.words import fox_derivative
 
@@ -87,6 +89,39 @@ def evaluate_groupring(rho, xi):
     return out
 
 
+def fox_blocks(rho, w):
+    """Ad-evaluated exact Fox derivatives of w, term by term: the blocks
+    (dim g, dim g) of J_w, one per generator."""
+    return [evaluate_groupring(rho, fox_derivative(w, k)) for k in range(rho.p)]
+
+
+def evaluate(phi, basis, x) -> complex:
+    """Phi on a coordinate vector in the fixed basis: tr(X^n) from a matrix
+    power, tr(ad X ad X) for the Killing form, linear in a combination."""
+    x = np.asarray(x, dtype=np.complex128)
+    if x.shape != (basis.dim,):
+        raise DegreeMismatch(
+            f"coordinate vector of length {x.shape} != dim g = {basis.dim}")
+    if phi.kind == "combo":
+        return sum(c * evaluate(t, basis, x) for c, t in phi.terms)
+    if phi.kind == "power_trace":
+        m = basis.matrix_from_coords(x)
+        return complex(np.trace(np.linalg.matrix_power(m, phi.degree)))
+    ad = basis.ad(x)
+    return complex(np.trace(ad @ ad))
+
+
+def diff(poly, k):
+    """The exact partial derivative d/ds_k of a ``Poly``, monomial by monomial."""
+    acc = {}
+    for p, c in poly.coeffs.items():
+        if p[k] > 0:
+            q = list(p)
+            q[k] -= 1
+            acc[tuple(q)] = c * p[k]
+    return Poly(poly.nvars, acc)
+
+
 def polarize(phi, basis):
     """Symmetric n-linear evaluator with tilde-Phi(X,...,X) = Phi(X).
 
@@ -119,3 +154,34 @@ def pair(evaluator, chain):
     for tup, c in chain.terms:
         total += c * evaluator(*tup)
     return total
+
+
+def cup_cocycle(ctx, *sigmas):
+    """The degree-n cup product of the cocycles sigmas (stacked (p dim g,))
+    on a bar tuple: (g_1..g_n) -> tilde-Phi(s_1(g_1), Ad(g_1) s_2(g_2), ...,
+    Ad(g_1...g_n-1) s_n(g_n)), each s_i(g) = J_g s_i from ``fox_blocks``,
+    Ad from ``adjoint_operator`` and tilde-Phi from ``polarize``."""
+    rho = ctx.rho
+    phi_pol = polarize(ctx.phi, rho.basis)
+
+    def evaluator(*gammas):
+        args = []
+        acc = np.eye(rho.dim_g, dtype=complex)
+        for sigma, g in zip(sigmas, gammas):
+            args.append(acc @ np.concatenate(fox_blocks(rho, g), axis=1) @ sigma)
+            acc = acc @ adjoint_operator(rho, g)
+        # polarize unit vectors and scale back (multilinearity): polarizing
+        # arguments of very different norms cancels away their digits
+        norms = [np.linalg.norm(a) or 1.0 for a in args]
+        return np.prod(norms) * phi_pol(*(a / r for a, r in zip(args, norms)))
+
+    return evaluator
+
+
+def reference_eta(ctx, *sigmas):
+    """The pairing of ``cup_cocycle`` with the context's chain, term by term,
+    and the sum of the moduli of its terms (the scale that rounding errors
+    are relative to)."""
+    ev = cup_cocycle(ctx, *sigmas)
+    scale = sum(abs(c * ev(*tup)) for tup, c in ctx.cycle.terms)
+    return pair(ev, ctx.cycle), scale

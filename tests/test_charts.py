@@ -8,9 +8,7 @@ from charforms import (
     cocycle_space,
     fundamental_two_cycle,
     power_trace,
-    retract,
     trace_form,
-    transported_direction,
 )
 from charforms.charts import (
     _fd_d,
@@ -29,6 +27,19 @@ from conftest import random_point
 SL2 = GroupSpec("SL", 2)
 
 
+def _retract(chart, t):
+    """The chart point at t as a Representation: a one-point ``_solve``."""
+    rho = chart.center
+    return Representation(rho.presentation, rho.group,
+                          charts._solve(chart, t)[1].images[0], check=False)
+
+
+def _transported(chart, t, i):
+    """The exact tangent of the i-th chart curve at t, stacked (p * dim g,):
+    ``_tangents`` at a one-point ``_solve``."""
+    return charts._tangents(chart, *charts._solve(chart, t))[0, ..., i].reshape(-1)
+
+
 def _pushed_images(chart, t):
     """Images of the uncorrected point exp(S t) rho."""
     rho, y = chart.center, chart.directions @ np.asarray(t, dtype=np.complex128)
@@ -43,12 +54,12 @@ def genus2_chart(genus2_rep):
 
 class TestRetract:
     def test_center_fixed(self, genus2_chart):
-        rho = retract(genus2_chart, [0.0, 0.0, 0.0])
+        rho = _retract(genus2_chart, [0.0, 0.0, 0.0])
         for m1, m2 in zip(rho.images, genus2_chart.center.images):
             assert np.allclose(m1, m2, atol=1e-12)
 
     def test_stays_on_variety(self, genus2_chart):
-        rho = retract(genus2_chart, [0.02, -0.01, 0.015])
+        rho = _retract(genus2_chart, [0.02, -0.01, 0.015])
         r = rho.presentation.relators[0]
         assert np.linalg.norm(evaluate_word(rho, r) - np.eye(2)) < 1e-11
 
@@ -57,8 +68,8 @@ class TestRetract:
         # Gauss-Newton correction shrinks like |t|^2
         def correction(scale):
             t = scale * np.array([1.0, 0.5, -0.7]) / np.sqrt(1.74)
-            start = retract(Chart(genus2_chart.center, genus2_chart.directions),
-                            t)
+            start = _retract(Chart(genus2_chart.center, genus2_chart.directions),
+                             t)
             pushed = _pushed_images(genus2_chart, t)
             return sum(np.linalg.norm(a - b)
                        for a, b in zip(start.images, pushed))
@@ -71,7 +82,7 @@ class TestRetract:
         space = cocycle_space(f2_rep)
         chart = Chart(f2_rep, space.z1[:, :2])
         t = [0.1, -0.2]
-        rho = retract(chart, t)
+        rho = _retract(chart, t)
         for m1, m2 in zip(rho.images, _pushed_images(chart, t)):
             assert np.allclose(m1, m2, atol=1e-14)
 
@@ -88,15 +99,15 @@ class TestRetract:
         bad = rng.standard_normal((12, 1))
         chart = Chart(genus2_rep, bad)
         with pytest.raises(LeftChart):
-            retract(chart, [0.05])
+            _retract(chart, [0.05])
 
 
 def _difference(chart, t, e, h):
-    """Central difference of retract along the complex vector e, in the
-    left-trivialised coordinates at retract(t), stacked (p * dim g,)."""
+    """Central difference of the chart point along the complex vector e, in
+    the left-trivialised coordinates at the point t, stacked (p * dim g,)."""
     t, e = np.asarray(t, dtype=np.complex128), np.asarray(e, dtype=np.complex128)
-    plus, minus = retract(chart, t + h * e), retract(chart, t - h * e)
-    rho = retract(chart, t)
+    plus, minus = _retract(chart, t + h * e), _retract(chart, t - h * e)
+    rho = _retract(chart, t)
     dm = (np.array(plus.images) - np.array(minus.images)) / (2 * h)
     return rho.basis.coords_from_matrix(dm @ rho._at.inverses).reshape(-1)
 
@@ -106,14 +117,14 @@ class TestTransport:
 
     def test_matches_direction_at_center(self, genus2_chart):
         for i in range(3):
-            v = transported_direction(genus2_chart, [0.0, 0.0, 0.0], i)
+            v = _transported(genus2_chart, [0.0, 0.0, 0.0], i)
             ref = genus2_chart.directions[:, i]
             assert np.linalg.norm(v - ref) < 1e-6
 
     def test_exact_direction_at_center(self, genus2_chart):
         # c'(0) = 0 since the directions are cocycles, and phi(ad 0) = 1
         for i in range(3):
-            v = transported_direction(genus2_chart, [0.0, 0.0, 0.0], i)
+            v = _transported(genus2_chart, [0.0, 0.0, 0.0], i)
             ref = genus2_chart.directions[:, i]
             assert np.linalg.norm(v - ref) <= 1e-12
 
@@ -121,7 +132,7 @@ class TestTransport:
         for i in range(3):
             e = np.eye(3)[i]
             ref = _difference(genus2_chart, self.T, e, 1e-5)
-            v = transported_direction(genus2_chart, self.T, i)
+            v = _transported(genus2_chart, self.T, i)
             assert np.linalg.norm(v - ref) <= 1e-8
 
     def test_cauchy_riemann(self, genus2_chart):
@@ -137,7 +148,7 @@ class TestTransport:
         space = cocycle_space(f2_rep)
         chart = Chart(f2_rep, space.z1[:, :1])
         ref = _difference(chart, [0.3], [1.0], 1e-5)
-        v = transported_direction(chart, [0.3], 0)
+        v = _transported(chart, [0.3], 0)
         assert np.linalg.norm(v - ref) <= 1e-8
 
 
@@ -281,7 +292,7 @@ class TestClosedness:
 
 class TestLockstep:
     """``chart_closedness`` solves all stencil points in one lockstep pass;
-    ``retract`` and ``eta_coefficients(...)(t)`` are one-point stacks."""
+    ``_retract`` and ``eta_coefficients(...)(t)`` are one-point stacks."""
 
     @pytest.mark.parametrize("point", ["acceptance", "SL-2", "GL-2", "SL-3"])
     def test_matches_the_pointwise_check(self, genus2_rep, point):
@@ -308,7 +319,7 @@ class TestLockstep:
         points = _stencil(3, 3e-2)
         images = charts._solve(chart, points)[1].images
         for t, stacked in zip(points, images):
-            single = np.array(retract(chart, t).images)
+            single = np.array(_retract(chart, t).images)
             assert np.abs(stacked - single).max() <= 1e-12
 
     def test_left_chart_names_the_point(self, genus2_rep):

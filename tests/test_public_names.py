@@ -34,13 +34,13 @@ API = [
     "base_change", "chart_closedness", "check_invariance", "coboundary",
     "cocycle_space", "combination", "compare_base_change",
     "conjugate_representation", "conjugation_invariance", "contraction_suite",
-    "endomorphism_pullback", "eta", "eta_coefficients", "evaluate",
-    "evaluate_word", "extend_cocycle", "family_pullback", "family_tangent",
+    "endomorphism_pullback", "eta", "eta_coefficients", "evaluate_word",
+    "family_pullback",
     "fd_exterior_derivative", "find_representation", "fox_derivative",
     "fox_jacobian", "free_group_demo", "fundamental_two_cycle", "gram_matrix",
     "is_irreducible", "killing_form", "lie_algebra_basis", "make_context",
-    "parse_word", "power_trace", "render_word", "retract", "symmetric_tensor",
-    "trace_form", "transported_direction", "verify_cycle",
+    "parse_word", "power_trace", "render_word", "symmetric_tensor",
+    "trace_form", "verify_cycle",
 ]
 
 

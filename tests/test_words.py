@@ -31,25 +31,20 @@ class TestWord:
 
     def test_reduction_cascades(self):
         w = Word.of([(0, 1), (1, 1), (1, -1), (0, -1)])
-        assert w.is_identity()
+        assert w == Word.identity()
 
     def test_inverse(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             w = random_word(rng, 4, 12)
-            assert (w * w.inverse()).is_identity()
-            assert (w.inverse() * w).is_identity()
+            assert w * w.inverse() == Word.identity()
+            assert w.inverse() * w == Word.identity()
 
     def test_associativity(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             u, v, w = (random_word(rng, 3, 8) for _ in range(3))
             assert (u * v) * w == u * (v * w)
-
-    def test_exponent_sum(self):
-        w = parse_word("a b a a B", ["a", "b"])
-        assert w.exponent_sum(0) == 3
-        assert w.exponent_sum(1) == 0
 
     def test_rejects_unreduced_letters(self):
         with pytest.raises(ValueError):
@@ -98,7 +93,7 @@ class TestPresentation:
         assert pres.generator_names == ("a1", "b1", "a2", "b2")
         r = pres.relators[0]
         assert len(r) == 8
-        assert all(r.exponent_sum(k) == 0 for k in range(4))
+        assert all(sum(s for g, s in r.letters if g == k) == 0 for k in range(4))
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
@@ -135,14 +130,15 @@ class TestGroupRing:
 
     def test_zero_coefficients_dropped(self):
         w = Word.generator(0)
-        assert (GroupRingElement.word(w) - GroupRingElement.word(w)).is_zero()
+        one = GroupRingElement.word(w)
+        assert one - one == GroupRingElement.zero()
 
 
 class TestFoxDerivative:
     def test_generator_rules(self):
         x = Word.generator(0)
         assert fox_derivative(x, 0) == GroupRingElement.one()
-        assert fox_derivative(x, 1).is_zero()
+        assert fox_derivative(x, 1) == GroupRingElement.zero()
         assert fox_derivative(x.inverse(), 0) == GroupRingElement.of(
             {x.inverse(): -1})
 
@@ -153,7 +149,8 @@ class TestFoxDerivative:
             v = random_word(rng, 3, 10)
             for k in range(3):
                 lhs = fox_derivative(u * v, k)
-                rhs = fox_derivative(u, k) + fox_derivative(v, k).left_translate(u)
+                rhs = (fox_derivative(u, k)
+                       + GroupRingElement.word(u) * fox_derivative(v, k))
                 assert lhs == rhs
 
     def test_fundamental_identity(self):
