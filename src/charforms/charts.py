@@ -16,12 +16,18 @@ solve proceeds.  The tangents come from the same theorem rather than from
 differencing: c'(t) = -(M C)^+ M S, and the i-th tangent is
 phi(ad Y) (S e_i + C c'_i).
 
-Every computation takes a stack of parameters t: all stencil points of a
-closedness check go through one lockstep Newton pass (``_solve``), one
-tangent solve (``_tangents``) and one ``walk_words`` table, as a family's
-points do; ``eta_coefficients(...)(t)`` at one point is a one-point stack.
-One holomorphic finite-difference operator, ``_fd_d``, takes the exterior
-derivative of a pulled-back form on a chart or a family.
+Every computation takes a stack of parameters t: all stencil points of an
+FD check go through one lockstep Newton pass (``_solve``), one tangent
+solve (``_tangents``) and one ``walk_words`` table, as a family's points
+do; ``eta_coefficients(...)(t)`` at one point is a one-point stack.  One
+holomorphic finite-difference operator, ``_fd_d``, takes the exterior
+derivative of a pulled-back form on a family, or on a chart through
+``fd_exterior_derivative``.
+
+``chart_closedness`` needs neither: d(f* eta) = f*(d eta), so d omega at
+the center reads only the chart's 1-jet there, and ``_jet`` takes it
+exactly from one ``walk_words`` table over the dual numbers C[eps]/eps^2,
+with no Newton solve and no step.
 """
 
 from __future__ import annotations
@@ -150,6 +156,15 @@ def _tangents(chart: Chart, y: np.ndarray, points: _Points) -> np.ndarray:
     return phi @ moved.reshape(len(phi), rho.p, rho.dim_g, chart.dim)
 
 
+def _pullback(chart: Chart, phi: InvariantPolynomial, cycle: BarChain) -> tuple:
+    """The tensor of phi in the center's basis and the words of the cycle
+    that a chart pullback pairs; DegreeMismatch unless both have degree 2."""
+    if phi.degree != 2 or cycle.degree != 2:
+        raise DegreeMismatch("the chart pullback needs a degree-2 polynomial and cycle")
+    words = [w for gammas, _ in cycle.terms for w in gammas]
+    return symmetric_tensor(phi, chart.center.basis), words
+
+
 def eta_coefficients(chart: Chart, phi: InvariantPolynomial, cycle: BarChain):
     """Coefficient function of the pulled-back 2-form on the chart.
 
@@ -158,10 +173,7 @@ def eta_coefficients(chart: Chart, phi: InvariantPolynomial, cycle: BarChain):
     tangents; for a stack t (P, dim) it is (P, dim, dim), from one lockstep
     solve, tangent solve, ``walk_words`` table and cycle pairing.
     """
-    if phi.degree != 2 or cycle.degree != 2:
-        raise DegreeMismatch("the chart pullback needs a degree-2 polynomial and cycle")
-    tensor = symmetric_tensor(phi, chart.center.basis)
-    words = [w for gammas, _ in cycle.terms for w in gammas]
+    tensor, words = _pullback(chart, phi, cycle)
 
     def coeffs(t) -> np.ndarray:
         y, points = _solve(chart, t)
@@ -234,19 +246,66 @@ def fd_exterior_derivative(chart_dim: int, coeffs, h: float) -> dict:
     return _fd_report(np.reshape(w, (-1, chart_dim, chart_dim)), h)
 
 
-def chart_closedness(chart: Chart, phi: InvariantPolynomial, cycle: BarChain,
-                     h: float) -> dict:
-    """``fd_exterior_derivative`` of the form pulled back to the chart, with
-    the coefficients at every stencil point from one lockstep pass."""
-    coeffs = eta_coefficients(chart, phi, cycle)
-    return _fd_report(coeffs(_stencil(chart.dim, h)), h)
+def _dual(top: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """The block matrices [[top, 0], [low, top]] (..., 2d, 2d): the action of
+    top + eps low on (a; b) = a + eps b over the dual numbers C[eps]/eps^2."""
+    d = low.shape[-1]
+    out = np.zeros(low.shape[:-2] + (2 * d, 2 * d), dtype=np.complex128)
+    out[..., :d, :d] = out[..., d:, d:] = top
+    out[..., d:, :d] = low
+    return out
+
+
+def _jet(chart: Chart, phi: InvariantPolynomial, cycle: BarChain) -> tuple:
+    """The 1-jet at t = 0 of the 2-form omega pulled back to the chart: its
+    coefficients (m, m) and derivatives D[k, i, j] = d_k omega_ij (m, m, m),
+    both alternated over (i, j), ``(P - P^T) / 2`` of the raw pairing P.
+
+    d(f* eta) = f*(d eta) reads only the 1-jet of f, so the chart's tangents
+    v = ``_tangents`` at the center fix d omega(0); the map
+    t -> exp(sum_k t_k v_k) rho has the same 1-jet, and along it
+    d_k sigma_i(x) = [v_k(x), v_i(x)] / 2 and d_k Ad x = ad v_k(x) Ad x.
+    One ``walk_words`` table over the dual numbers, batched over k, carries
+    both: Ad pairs [[Ad x, 0], [ad v_k(x) Ad x, Ad x]] and
+    [[Ad x^-1, 0], [-Ad x^-1 ad v_k(x), Ad x^-1]], values
+    (v_i(x); [v_k(x), v_i(x)] / 2).  Pairing it with [[0, T], [T, 0]] gives
+    d_k P_ij, and its top blocks with T give P_ij.  The upper triangle of P
+    alone is not a form on G^p: off the cycles its d depends on the
+    coordinates."""
+    tensor, words = _pullback(chart, phi, cycle)
+    rho, m, d = chart.center, chart.dim, chart.center.dim_g
+    center = _Points(*(a[None] for a in rho._at))
+    v = _tangents(chart, np.zeros((1, rho.p * d)), center)[0]  # (p, d, m)
+    ad_v = rho.basis.ad(np.moveaxis(v, -1, 0))  # ad v_k(x), (m, p, d, d)
+    ad, ad_inv = rho._at.ad, rho._at.ad_inv
+    values = np.concatenate([np.broadcast_to(v, (m, *v.shape)), ad_v @ v / 2], axis=-2)
+    table = walk_words(_dual(ad, ad_v @ ad), _dual(ad_inv, -ad_inv @ ad_v),
+                       values, words)
+    jet = _cycle_pairing(cycle, np.kron([[0, 1], [1, 0]], tensor), table)
+    at = _cycle_pairing(cycle, tensor, {w: (a[0, :d, :d], s[0, :d])
+                                        for w, (a, s) in table.items()})
+    return tuple((x - np.swapaxes(x, -1, -2)) / 2 for x in (at, jet))
+
+
+def chart_closedness(chart: Chart, phi: InvariantPolynomial, cycle: BarChain) -> dict:
+    """Exact d omega at the chart's center from ``_jet``, with no Newton
+    solve and no step: max_d the largest |D_ijk - D_jik + D_kij| over
+    i < j < k, scale max |omega_ij(0)|, and the ``_closed`` verdict as
+    ``pass`` with its ``bound``."""
+    at, jet = _jet(chart, phi, cycle)
+    d = [jet[i, j, k] - jet[j, i, k] + jet[k, i, j]
+         for i, j, k in itertools.combinations(range(chart.dim), 3)]
+    max_d = float(np.abs(d).max(initial=0.0))
+    scale = float(np.abs(np.triu(at, 1)).max(initial=0.0))
+    return {"max_d": max_d, "scale": scale, "bound": _CLOSED_BOUND,
+            "pass": _closed(max_d, scale, chart.dim)}
 
 
 def free_group_demo(p: int, group: GroupSpec, rng,
                     tol: Tolerances = DEFAULT_TOL) -> dict:
     """Chain-level Killing 2-form on Hom(F_p, G) against a non-cycle chain.
 
-    Its finite-difference exterior derivative is genuinely nonzero; paired
+    Its exterior derivative is genuinely nonzero; paired
     against an actual 2-cycle (necessarily a boundary, H_2(F_p) = 0) the form
     evaluates to zero instead.  H^2(F_p) = 0, so the cohomology-valued
     statement is vacuously closed; this demo shows the chain-level behavior.
@@ -269,7 +328,7 @@ def free_group_demo(p: int, group: GroupSpec, rng,
 
     a, b = Word.generator(0), Word.generator(1)
     non_cycle = BarChain.of(2, {(a, b): 1})
-    fd = chart_closedness(chart, phi, non_cycle, 1e-2)
+    exact = chart_closedness(chart, phi, non_cycle)
 
     # genuine 2-cycle: boundary of a 3-chain, pairs to ~0 with the cup cocycle
     three = BarChain.of(3, {(a, b, a): 1, (b, a * b, b): 1})
@@ -279,9 +338,9 @@ def free_group_demo(p: int, group: GroupSpec, rng,
     chain_value = abs(eta(make_context(rho, phi, non_cycle), s, t_))
     return {
         "check": "free-group-chain-level",
-        "max_d": fd["max_d"],
-        "scale": fd["scale"],
-        "nonclosed": bool(fd["max_d"] > 1e-3 * fd["scale"]),
+        "max_d": exact["max_d"],
+        "scale": exact["scale"],
+        "nonclosed": bool(exact["max_d"] > 1e-3 * exact["scale"]),
         "cycle_pairing": cycle_value,
         "chain_pairing_scale": max(chain_value, 1e-300),
         "note": "H2 of a free group vanishes, so the cohomology-valued form "

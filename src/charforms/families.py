@@ -221,9 +221,9 @@ class FamilySpec:
     def validate(self) -> float:
         """Relator residual at 20 seeded random sample points of the polydisc,
         where every point must lie in Hom(Gamma, G).  Builds no Ad matrix."""
-        rng = np.random.default_rng(0)
-        s = np.array([[r * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / np.sqrt(2)
-                       for r in self.domain_radius] for _ in range(20)])
+        radius = np.array(self.domain_radius, dtype=float)[:, None]
+        v = radius * np.random.default_rng(0).uniform(-1, 1, (20, self.m, 2)) / np.sqrt(2)
+        s = v[..., 0] + 1j * v[..., 1]
         values, inverses = self._evaluate(s)
         rel = _word_values(self.presentation.relators, values[:, 0], inverses)
         bad = _violation(self.group, values[:, 0], rel, _RELATOR_BOUND)

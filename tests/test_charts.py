@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from charforms import charts, cohomology, forms, matgroup
 from charforms import (
+    BarChain,
     Chart,
     GroupSpec,
+    Word,
     cocycle_space,
     fundamental_two_cycle,
     power_trace,
@@ -12,6 +16,8 @@ from charforms import (
 )
 from charforms.charts import (
     _fd_d,
+    _fd_report,
+    _jet,
     _stencil,
     chart_closedness,
     eta_coefficients,
@@ -20,6 +26,7 @@ from charforms.charts import (
 )
 from charforms.errors import DegreeMismatch, InvalidInput, LeftChart, NoConvergence
 from charforms.forms import random_cocycle
+from charforms.invariants import symmetric_tensor
 from charforms.matgroup import Representation, _moved, evaluate_word
 from charforms.numeric import Tolerances
 from conftest import random_point
@@ -152,6 +159,20 @@ class TestTransport:
         assert np.linalg.norm(v - ref) <= 1e-8
 
 
+def _stacked_fd(chart, phi, cycle, h=3e-2):
+    """``_fd_report`` of the chart coefficients at all stencil points, from
+    one lockstep ``eta_coefficients`` stack."""
+    return _fd_report(eta_coefficients(chart, phi, cycle)(_stencil(chart.dim, h)), h)
+
+
+def _acceptance_or_seeded(genus2_rep, point):
+    """The acceptance point, or the seed-0 genus-2 point named "SL-3" etc."""
+    if point == "acceptance":
+        return genus2_rep
+    kind, n = point.split("-")
+    return random_point(2, 0, kind, int(n))[0]
+
+
 def _closedness(rho, directions):
     """The closedness check of acceptance criterion 6 on the chart."""
     chart = Chart(rho, directions)
@@ -221,7 +242,7 @@ class TestClosedness:
         monkeypatch.setattr(forms, "EtaContext",
                             counting("EtaContext", forms.EtaContext))
         cycle = fundamental_two_cycle(genus2_chart.center.presentation)
-        fd = chart_closedness(genus2_chart, trace_form(), cycle, 3e-2)
+        fd = _stacked_fd(genus2_chart, trace_form(), cycle)
         assert fd["evaluations"] == 12
         assert counts == {"newton": 1, "walk_words": 1, "EtaContext": 0}
 
@@ -243,7 +264,7 @@ class TestClosedness:
                              genus2_rep.images)
         chart = Chart(rho, cocycle_space(rho).h1[:, :3])
         cycle = fundamental_two_cycle(rho.presentation)
-        assert chart_closedness(chart, trace_form(), cycle, 3e-2)["pass"]
+        assert _stacked_fd(chart, trace_form(), cycle)["pass"]
         assert counts["_ad_matrix"] <= 4
         assert counts["_word_values"] <= 4
         assert counts["walk_words"] == 1
@@ -253,7 +274,10 @@ class TestClosedness:
         with pytest.raises(DegreeMismatch):
             eta_coefficients(genus2_chart, power_trace(3), cycle)
         with pytest.raises(DegreeMismatch):
-            chart_closedness(genus2_chart, power_trace(3), cycle, 3e-2)
+            chart_closedness(genus2_chart, power_trace(3), cycle)
+        with pytest.raises(DegreeMismatch):
+            chart_closedness(genus2_chart, trace_form(),
+                             BarChain.of(1, {(Word.generator(0),): 1}))
 
     def test_cauchy_riemann_dev_flags_an_antiholomorphic_term(self, genus2_chart):
         # the chart's coefficients are holomorphic, so their deviation is
@@ -264,7 +288,7 @@ class TestClosedness:
         coeffs = eta_coefficients(genus2_chart, trace_form(), cycle)
         fd = fd_exterior_derivative(3, coeffs, h=3e-2)
         assert fd["cauchy_riemann_dev"] <= 1e-4
-        stacked = chart_closedness(genus2_chart, trace_form(), cycle, 3e-2)
+        stacked = _stacked_fd(genus2_chart, trace_form(), cycle)
         assert stacked["cauchy_riemann_dev"] == pytest.approx(
             fd["cauchy_riemann_dev"], rel=1e-6)
 
@@ -291,19 +315,15 @@ class TestClosedness:
 
 
 class TestLockstep:
-    """``chart_closedness`` solves all stencil points in one lockstep pass;
+    """``eta_coefficients`` solves all stencil points in one lockstep pass;
     ``_retract`` and ``eta_coefficients(...)(t)`` are one-point stacks."""
 
     @pytest.mark.parametrize("point", ["acceptance", "SL-2", "GL-2", "SL-3"])
     def test_matches_the_pointwise_check(self, genus2_rep, point):
-        if point == "acceptance":
-            rho = genus2_rep
-        else:
-            kind, n = point.split("-")
-            rho = random_point(2, 0, kind, int(n))[0]
+        rho = _acceptance_or_seeded(genus2_rep, point)
         chart = Chart(rho, cocycle_space(rho).h1[:, :3])
         cycle = fundamental_two_cycle(rho.presentation)
-        stacked = chart_closedness(chart, trace_form(), cycle, 3e-2)
+        stacked = _stacked_fd(chart, trace_form(), cycle)
         pointwise = fd_exterior_derivative(
             3, eta_coefficients(chart, trace_form(), cycle), 3e-2)
         assert stacked["evaluations"] == pointwise["evaluations"] == 12
@@ -347,16 +367,124 @@ class TestLockstep:
         assert info.value.residual <= 1e-12
         cycle = fundamental_two_cycle(genus2_rep.presentation)
         with pytest.raises(NoConvergence):
-            chart_closedness(chart, trace_form(), cycle, 3e-2)
+            _stacked_fd(chart, trace_form(), cycle)
+        # the exact check solves nothing, so nothing stalls
+        assert chart_closedness(chart, trace_form(), cycle)["pass"]
 
     def test_no_triple_below_dimension_three(self, genus2_rep):
         # no stencil point is sampled, so the verdict has nothing to pass on
         chart = Chart(genus2_rep, cocycle_space(genus2_rep).h1[:, :2])
         cycle = fundamental_two_cycle(genus2_rep.presentation)
-        fd = chart_closedness(chart, trace_form(), cycle, 3e-2)
+        fd = _stacked_fd(chart, trace_form(), cycle)
         assert fd == {"max_d": 0.0, "scale": 0.0, "fd_error": 0.0,
                       "cauchy_riemann_dev": 0.0, "h": 3e-2, "evaluations": 0,
                       "bound": 1e-5, "pass": False}
+        # the exact check sees a nonzero form but no triple either
+        exact = chart_closedness(chart, trace_form(), cycle)
+        assert exact["max_d"] == 0.0 and exact["scale"] > 1e-2
+        assert exact["pass"] is False
+
+
+def _triples(jet):
+    """(d omega)_ijk = D_ijk - D_jik + D_kij over i < j < k, from the
+    derivatives D[k, i, j] = d_k omega_ij of an alternated form."""
+    return np.array([jet[i, j, k] - jet[j, i, k] + jet[k, i, j]
+                     for i, j, k in itertools.combinations(range(len(jet)), 3)])
+
+
+def _alternated_fd(chart, cycle, h=5e-3):
+    """d omega of the alternated trace-form pullback (P - P^T) / 2 on the
+    true (Newton-solved) chart, from the holomorphic central differences at
+    ``_stencil(m, h)``, the mean of the partials along 1 and along i."""
+    m, rho = chart.dim, chart.center
+    y, points = charts._solve(chart, _stencil(m, h))
+    words = [w for gammas, _ in cycle.terms for w in gammas]
+    table = cohomology.walk_words(points.ad, points.ad_inv,
+                                  charts._tangents(chart, y, points), words)
+    p = forms._cycle_pairing(cycle, symmetric_tensor(trace_form(), rho.basis), table)
+    w = ((p - np.swapaxes(p, -1, -2)) / 2).reshape(m, 2, 2, m, m)
+    partial = (w[:, :, 0] - w[:, :, 1]) / (h * np.array([1, 1j]))[:, None, None]
+    return _triples(partial.mean(axis=1))
+
+
+class TestExactClosedness:
+    """``chart_closedness`` reads d omega at the center from the chart's
+    1-jet, one walk over the dual numbers; alternated FD on the true chart
+    is its reference wherever d omega is not zero."""
+
+    def test_closed_at_the_acceptance_point(self, genus2_chart):
+        cycle = fundamental_two_cycle(genus2_chart.center.presentation)
+        exact = chart_closedness(genus2_chart, trace_form(), cycle)
+        assert exact["scale"] > 1e-2 and exact["pass"]
+        assert exact["max_d"] <= 1e-11 * exact["scale"]
+        assert sorted(exact) == ["bound", "max_d", "pass", "scale"]
+
+    @pytest.mark.parametrize("kind,n", [("SL", 2), ("GL", 2), ("SL", 3)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_closed_at_seeded_points(self, kind, n, seed):
+        rho = random_point(2 + seed % 2, seed, kind, n)[0]
+        chart = Chart(rho, cocycle_space(rho).h1[:, :3])
+        exact = chart_closedness(chart, trace_form(),
+                                 fundamental_two_cycle(rho.presentation))
+        assert exact["scale"] > 1e-2 and exact["pass"]
+        assert exact["max_d"] <= 1e-11 * exact["scale"]
+
+    @pytest.mark.parametrize("point", ["acceptance", "SL-3", "GL-2"])
+    def test_matches_fd_off_the_cycles(self, genus2_rep, point):
+        # without term 8 the chain is no cycle and d omega is of order scale
+        rho = _acceptance_or_seeded(genus2_rep, point)
+        chart = Chart(rho, cocycle_space(rho).h1[:, :3])
+        chain = fundamental_two_cycle(rho.presentation).drop_term(8)
+        exact = _triples(_jet(chart, trace_form(), chain)[1])
+        fd = _alternated_fd(chart, chain)
+        assert np.abs(exact).max() >= 1e-2
+        assert np.abs(exact - fd).max() <= 1e-8 * np.abs(exact).max()
+        report = chart_closedness(chart, trace_form(), chain)
+        assert report["max_d"] == np.abs(exact).max() and not report["pass"]
+
+    def test_matches_fd_on_the_free_group_demo_chain(self):
+        # dense directions, as the demo draws them, reach both generators
+        rho, rng = random_point(0, 3, "SL", 2, free=2)
+        space = cocycle_space(rho)
+        chart = Chart(rho, np.stack([random_cocycle(space, rng) for _ in range(3)], 1))
+        a, b = Word.generator(0), Word.generator(1)
+        chain = BarChain.of(2, {(a, b): 1})
+        exact = _triples(_jet(chart, trace_form(), chain)[1])
+        assert np.abs(exact).max() >= 1e-2
+        assert np.abs(exact - _alternated_fd(chart, chain)).max() <= (
+            1e-8 * np.abs(exact).max())
+
+    def test_matches_fd_off_z1(self, genus2_rep):
+        # the third direction leaves Z^1, so the chart's tangent there is
+        # its projection, not the direction itself
+        h1 = cocycle_space(genus2_rep).h1
+        off = np.random.default_rng(0).standard_normal(12)
+        directions = h1[:, :3].copy()
+        directions[:, 2] += 0.3 * off / np.linalg.norm(off)
+        chart = Chart(genus2_rep, directions)
+        v = _transported(chart, np.zeros(3), 2)
+        assert np.linalg.norm(v - directions[:, 2]) >= 0.05
+        chain = fundamental_two_cycle(genus2_rep.presentation).drop_term(8)
+        exact = _triples(_jet(chart, trace_form(), chain)[1])
+        fd = _alternated_fd(chart, chain)
+        assert np.abs(exact - fd).max() <= 1e-8 * np.abs(exact).max()
+
+    def test_one_walk_and_two_pairings_per_check(self, genus2_chart, monkeypatch):
+        # no Newton solve; the center's own record serves, so no Ad matrix
+        # or word value is built either
+        names = ((charts, "_solve"), (charts, "_damped_newton"),
+                 (charts, "walk_words"), (charts, "_cycle_pairing"),
+                 (matgroup, "_ad_matrix"), (matgroup, "_word_values"))
+        counts = dict.fromkeys((name for _, name in names), 0)
+        for module, name in names:
+            def wrapper(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+        cycle = fundamental_two_cycle(genus2_chart.center.presentation)
+        assert chart_closedness(genus2_chart, trace_form(), cycle)["pass"]
+        assert counts == {"_solve": 0, "_damped_newton": 0, "walk_words": 1,
+                          "_cycle_pairing": 2, "_ad_matrix": 0, "_word_values": 0}
 
 
 def _form(m, entries):

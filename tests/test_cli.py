@@ -497,26 +497,30 @@ def test_closedness_after_overflowing_step_is_typed(tmp_path):
 
 
 def test_closedness_reports_fd_error(inputs, tmp_path):
+    """d omega is exact at the center, so the report carries no FD error
+    estimate and no Cauchy-Riemann deviation: only the verdict and the two
+    numbers it compares."""
     code, report = run(["closedness", "--input", inputs["genus2"]],
                        tmp_path / "r.json")
     assert code == 0 and report["pass"]
-    assert report["max_d"] <= 1e-5 * report["scale"]
-    assert 0 < report["fd_error"] < 1e-3 * report["scale"]
-    # the chart is holomorphic: the spread of the partials along 1 and i is
-    # truncation error only
-    assert 0 < report["cauchy_riemann_dev"] < 1e-3 * report["scale"]
+    assert report["check"] == "exterior-derivative" and report["bound"] == 1e-5
+    assert report["max_d"] <= 1e-11 * report["scale"]
+    assert sorted(report) == ["bound", "check", "command", "max_d", "pass",
+                              "scale", "timestamp", "tolerances"]
 
 
 def test_closedness_names_only_the_step_it_used(inputs, tmp_path):
-    """The closedness report names its step once, as h; the tolerance echo
-    carries no step, in particular not the family --fd-step it never used."""
+    """The closedness check uses no step: neither its report nor the
+    tolerance echo names one, not even the family --fd-step it never used."""
     code, report = run(["closedness", "--input", inputs["genus2"],
-                        "--fd-chart-step", "0.02"], tmp_path / "r.json")
-    assert code == 0 and report["h"] == 0.02
+                        "--fd-step", "0.02"], tmp_path / "r.json")
+    assert code == 0
     assert report["tolerances"] == {"rank_rel": 1e-10, "newton_tol": 1e-12}
     keys = [key for key, value in report.items()
             for key in (key, *(value if isinstance(value, dict) else ()))]
-    assert [key for key in keys if "step" in key or key == "h"] == ["h"]
+    assert [key for key in keys if "step" in key or key == "h"] == []
+    with pytest.raises(SystemExit):  # the chart step flag is gone
+        main(["closedness", "--input", inputs["genus2"], "--fd-chart-step", "0.02"])
 
 
 def _family_input(tmp_path, drop=None, **changes):
@@ -610,13 +614,13 @@ def test_family_short_domain_radius_is_invalid_input(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [["--fd-step", "0"], ["--tol-newton", "-1"],
                                    ["--tol-rank", "nan"],
-                                   ["--fd-chart-step", "0"]])
+                                   ["--tol-rank", "1"]])
 @pytest.mark.parametrize("command", ["closedness", "cohomology"])
 def test_bad_tolerance_flag_is_invalid_input(inputs, capsys, flags, command):
     _assert_invalid_input(capsys, [command, "--input", inputs["genus2"], *flags])
 
 
-@pytest.mark.parametrize("flag", ["--tol-newton", "--fd-step", "--fd-chart-step"])
+@pytest.mark.parametrize("flag", ["--tol-newton", "--fd-step", "--tol-rank"])
 def test_infinite_tolerance_flag_is_invalid_input(genus2_rep, tmp_path, capsys, flag):
     """An infinite tolerance would pass any point (here one whose relator
     residual is of order 1) and write Infinity, which is not JSON.  The flag

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from collections import Counter
 
@@ -100,6 +101,25 @@ class TestFamilySpec:
         assert family.validate() < 1e-12 and calls == Counter()
         _tangent(family, np.zeros(3), 0)
         assert calls == Counter(ad=1)
+
+    @pytest.mark.parametrize("radius", [(0.5, 0.3, 0.7), (1.0, 2.0, 0.25), (3, 1, 0.1)])
+    def test_validate_draws_the_points_of_the_scalar_loop(self, family, radius,
+                                                          monkeypatch):
+        """The 20 sample points come from one uniform draw, bit for bit the
+        points of a loop of two scalar draws, re then im, per radius."""
+        family = dataclasses.replace(family, domain_radius=radius)
+        seen, evaluate = [], FamilySpec._evaluate
+
+        def recorded(self, s):
+            seen.append(s)
+            return evaluate(self, s)
+
+        monkeypatch.setattr(FamilySpec, "_evaluate", recorded)
+        family.validate()
+        rng = np.random.default_rng(0)
+        loop = np.array([[r * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / np.sqrt(2)
+                          for r in radius] for _ in range(20)])
+        assert seen[0].tobytes() == loop.tobytes()
 
     def test_rep_at_center(self, family):
         rho = family.rep_at(np.zeros(3))
