@@ -16,18 +16,12 @@ solve proceeds.  The tangents come from the same theorem rather than from
 differencing: c'(t) = -(M C)^+ M S, and the i-th tangent is
 phi(ad Y) (S e_i + C c'_i).
 
-Every computation takes a stack of parameters t: all stencil points of an
-FD check go through one lockstep Newton pass (``_solve``), one tangent
-solve (``_tangents``) and one ``walk_words`` table, as a family's points
-do; ``eta_coefficients(...)(t)`` at one point is a one-point stack.  One
-holomorphic finite-difference operator, ``_fd_d``, takes the exterior
-derivative of a pulled-back form on a family, or on a chart through
-``fd_exterior_derivative``.
-
-``chart_closedness`` needs neither: d(f* eta) = f*(d eta), so d omega at
-the center reads only the chart's 1-jet there, and ``_jet`` takes it
-exactly from one ``walk_words`` table over the dual numbers C[eps]/eps^2,
-with no Newton solve and no step.
+The FD cross-check ``fd_exterior_derivative`` (the holomorphic difference
+rule ``_fd_d``) takes all its stencil points through one lockstep Newton pass
+(``_solve``), one tangent solve (``_tangents``) and one ``walk_words`` table.
+``chart_closedness`` needs none of it: d(f* eta) = f*(d eta) reads only the
+1-jet at the center, which ``_jet`` pairs exactly over the dual numbers
+C[eps]/eps^2, as it does a family's at s = 0.
 """
 
 from __future__ import annotations
@@ -145,12 +139,12 @@ def _solve(chart: Chart, t) -> tuple:
     return y, points
 
 
-def _tangents(chart: Chart, y: np.ndarray, points: _Points) -> np.ndarray:
+def _tangents(chart: Chart, phi: np.ndarray, points: _Points) -> np.ndarray:
     """Values (P, p, d, dim) of the exact chart tangents at the points of a
-    ``_solve``, coordinates y and record: c'(t) = -(M C)^+ M S, and the i-th
-    tangent is phi(ad Y)(S e_i + C c'_i)."""
+    ``_solve``, from their record and phi(ad Y) (P, p, d, d), I at the center:
+    c'(t) = -(M C)^+ M S, and the i-th tangent is phi(ad Y)(S e_i + C c'_i)."""
     rho, span, comp = chart.center, chart.directions, chart._complement
-    shape, phi = (rho.p, rho.dim_g, -1), _dexp(rho.basis, y)
+    shape = (rho.p, rho.dim_g, -1)
     jac = _relator_jacobian(rho, points, phi @ np.hstack([span, comp]).reshape(shape))
     moved = span + comp @ solve_lsq(jac[..., chart.dim:], -jac[..., :chart.dim])
     return phi @ moved.reshape(len(phi), rho.p, rho.dim_g, chart.dim)
@@ -165,21 +159,22 @@ def _pullback(chart: Chart, phi: InvariantPolynomial, cycle: BarChain) -> tuple:
     return symmetric_tensor(phi, chart.center.basis), words
 
 
-def eta_coefficients(chart: Chart, phi: InvariantPolynomial, cycle: BarChain):
-    """Coefficient function of the pulled-back 2-form on the chart.
+def _alternated(p: np.ndarray) -> np.ndarray:
+    """The 2-form (P - P^T) / 2 of a raw pairing P, a form off the cycles too."""
+    return (p - np.swapaxes(p, -1, -2)) / 2
 
-    ``coeffs(t)`` is the antisymmetric (dim, dim) array with
-    eta(sigma_i(t), sigma_j(t)) above the diagonal, sigma_i the chart
-    tangents; for a stack t (P, dim) it is (P, dim, dim), from one lockstep
-    solve, tangent solve, ``walk_words`` table and cycle pairing.
-    """
+
+def eta_coefficients(chart: Chart, phi: InvariantPolynomial, cycle: BarChain):
+    """Coefficient function of the pulled-back 2-form on the chart: ``coeffs(t)``
+    is the ``_alternated`` pairing of the chart tangents, (..., dim, dim) for a
+    stack t (..., dim), from one lockstep solve, tangent solve and walk."""
     tensor, words = _pullback(chart, phi, cycle)
 
     def coeffs(t) -> np.ndarray:
         y, points = _solve(chart, t)
-        table = walk_words(points.ad, points.ad_inv, _tangents(chart, y, points), words)
-        w = np.triu(_cycle_pairing(cycle, tensor, table), 1)
-        return (w - np.swapaxes(w, -1, -2)).reshape(np.shape(t)[:-1] + w.shape[-2:])
+        values = _tangents(chart, _dexp(chart.center.basis, y), points)
+        w = _cycle_pairing(cycle, tensor, walk_words(*points[2:4], values, words))
+        return _alternated(w).reshape(np.shape(t)[:-1] + w.shape[-2:])
 
     return coeffs
 
@@ -221,12 +216,22 @@ def _fd_d(w: np.ndarray, h: float) -> tuple:
 _CLOSED_BOUND = 1e-5
 
 
-def _closed(max_d: float, scale: float, m: int) -> bool:
+def _closed(max_d: float, scale: float, m: int, floor: float) -> bool:
     """The one closedness verdict on a chart or a family of m parameters:
-    max |d omega| <= _CLOSED_BOUND * scale, both finite, scale > 0 and m >= 3,
-    as a form that vanishes, or one with no triple to check, shows nothing."""
+    max |d omega| <= _CLOSED_BOUND * scale, both finite, m >= 3 and scale
+    above the rounding floor: a vanishing form, or no triple, shows nothing."""
     return bool(m >= 3 and np.isfinite([max_d, scale]).all()
-                and max_d <= _CLOSED_BOUND * scale > 0)
+                and max_d <= _CLOSED_BOUND * scale and scale > floor)
+
+
+def _floor(tensor: np.ndarray, top: dict, cycle: BarChain) -> float:
+    """1e3 eps |T| sum_t |c_t| |s(g_1)| |Ad g_1| |s(g_2)| over the terms [g_1|g_2]
+    of the walk ``top``: the rounding floor of |omega|, below which an
+    isotropic chart or family, with exact d omega 0, would pass."""
+    ad, s = (dict(zip(top, np.linalg.norm([x[i] for x in top.values()], axis=(1, 2))))
+             for i in (0, 1))
+    size = sum(abs(c) * s[g] * ad[g] * s[h] for (g, h), c in cycle.terms)
+    return float(1e3 * np.finfo(float).eps * np.linalg.norm(tensor) * size)
 
 
 def _fd_report(w: np.ndarray, h: float) -> dict:
@@ -234,7 +239,7 @@ def _fd_report(w: np.ndarray, h: float) -> dict:
     scale = float(np.abs(np.triu(w, 1)).max(initial=0.0))
     return {"max_d": max_d, "scale": scale, "fd_error": fd_error,
             "cauchy_riemann_dev": cr_dev, "h": h, "evaluations": len(w),
-            "bound": _CLOSED_BOUND, "pass": _closed(max_d, scale, w.shape[-1])}
+            "bound": _CLOSED_BOUND, "pass": _closed(max_d, scale, w.shape[-1], 0.0)}
 
 
 def fd_exterior_derivative(chart_dim: int, coeffs, h: float) -> dict:
@@ -256,49 +261,44 @@ def _dual(top: np.ndarray, low: np.ndarray) -> np.ndarray:
     return out
 
 
-def _jet(chart: Chart, phi: InvariantPolynomial, cycle: BarChain) -> tuple:
-    """The 1-jet at t = 0 of the 2-form omega pulled back to the chart: its
-    coefficients (m, m) and derivatives D[k, i, j] = d_k omega_ij (m, m, m),
-    both alternated over (i, j), ``(P - P^T) / 2`` of the raw pairing P.
-
-    d(f* eta) = f*(d eta) reads only the 1-jet of f, so the chart's tangents
-    v = ``_tangents`` at the center fix d omega(0); the map
-    t -> exp(sum_k t_k v_k) rho has the same 1-jet, and along it
-    d_k sigma_i(x) = [v_k(x), v_i(x)] / 2 and d_k Ad x = ad v_k(x) Ad x.
-    One ``walk_words`` table over the dual numbers, batched over k, carries
-    both: Ad pairs [[Ad x, 0], [ad v_k(x) Ad x, Ad x]] and
-    [[Ad x^-1, 0], [-Ad x^-1 ad v_k(x), Ad x^-1]], values
-    (v_i(x); [v_k(x), v_i(x)] / 2).  Pairing it with [[0, T], [T, 0]] gives
-    d_k P_ij, and its top blocks with T give P_ij.  The upper triangle of P
-    alone is not a form on G^p: off the cycles its d depends on the
-    coordinates."""
-    tensor, words = _pullback(chart, phi, cycle)
-    rho, m, d = chart.center, chart.dim, chart.center.dim_g
-    center = _Points(*(a[None] for a in rho._at))
-    v = _tangents(chart, np.zeros((1, rho.p * d)), center)[0]  # (p, d, m)
-    ad_v = rho.basis.ad(np.moveaxis(v, -1, 0))  # ad v_k(x), (m, p, d, d)
-    ad, ad_inv = rho._at.ad, rho._at.ad_inv
+def _jet(basis: LieAlgebraBasis, point: _Points, v: np.ndarray, tensor: np.ndarray,
+         cycle: BarChain) -> tuple:
+    """D[k, i, j] = d_k omega_ij (m, m, m), ``_alternated``, of the 2-form
+    pulled back along any map with tangents v (p, d, m) at the unbatched
+    ``point``, and the walk of v there.  d(f* eta) = f*(d eta) reads only the
+    1-jet of f, which t -> exp(sum_k t_k v_k) rho shares: along it
+    d_k v_i(x) = [v_k, v_i](x) / 2 and d_k Ad x = ad v_k(x) Ad x, which one
+    ``walk_words`` table over the dual numbers carries, batched over k."""
+    m, d = v.shape[-1], v.shape[-2]
+    ad_v = basis.ad(np.moveaxis(v, -1, 0))  # ad v_k(x), (m, p, d, d)
     values = np.concatenate([np.broadcast_to(v, (m, *v.shape)), ad_v @ v / 2], axis=-2)
-    table = walk_words(_dual(ad, ad_v @ ad), _dual(ad_inv, -ad_inv @ ad_v),
-                       values, words)
+    table = walk_words(_dual(point.ad, ad_v @ point.ad),
+                       _dual(point.ad_inv, -point.ad_inv @ ad_v), values,
+                       [w for gammas, _ in cycle.terms for w in gammas])
     jet = _cycle_pairing(cycle, np.kron([[0, 1], [1, 0]], tensor), table)
-    at = _cycle_pairing(cycle, tensor, {w: (a[0, :d, :d], s[0, :d])
-                                        for w, (a, s) in table.items()})
-    return tuple((x - np.swapaxes(x, -1, -2)) / 2 for x in (at, jet))
+    return _alternated(jet), {w: (a[0, :d, :d], s[0, :d]) for w, (a, s) in table.items()}
+
+
+def _max_d(jet: np.ndarray) -> float:
+    """max |D_ijk - D_jik + D_kij| over i < j < k of a ``_jet``, NaN kept."""
+    d = [jet[i, j, k] - jet[j, i, k] + jet[k, i, j]
+         for i, j, k in itertools.combinations(range(len(jet)), 3)]
+    return float(np.abs(d).max(initial=0.0))
 
 
 def chart_closedness(chart: Chart, phi: InvariantPolynomial, cycle: BarChain) -> dict:
-    """Exact d omega at the chart's center from ``_jet``, with no Newton
-    solve and no step: max_d the largest |D_ijk - D_jik + D_kij| over
-    i < j < k, scale max |omega_ij(0)|, and the ``_closed`` verdict as
-    ``pass`` with its ``bound``."""
-    at, jet = _jet(chart, phi, cycle)
-    d = [jet[i, j, k] - jet[j, i, k] + jet[k, i, j]
-         for i, j, k in itertools.combinations(range(chart.dim), 3)]
-    max_d = float(np.abs(d).max(initial=0.0))
+    """Exact d omega at the chart's center: ``_max_d`` of ``_jet`` on the
+    tangents there (no solve, no step, no exponential), scale max |omega(0)|
+    and the ``_closed`` verdict above the ``_floor`` as ``pass``."""
+    tensor, rho, d = _pullback(chart, phi, cycle)[0], chart.center, chart.center.dim_g
+    center = _Points(*(a[None] for a in rho._at))
+    v = _tangents(chart, np.eye(d)[None, None], center)[0]  # (p, d, m)
+    jet, top = _jet(rho.basis, rho._at, v, tensor, cycle)
+    max_d = _max_d(jet)
+    at = _alternated(_cycle_pairing(cycle, tensor, top))  # omega(0)
     scale = float(np.abs(np.triu(at, 1)).max(initial=0.0))
     return {"max_d": max_d, "scale": scale, "bound": _CLOSED_BOUND,
-            "pass": _closed(max_d, scale, chart.dim)}
+            "pass": _closed(max_d, scale, chart.dim, _floor(tensor, top, cycle))}
 
 
 def free_group_demo(p: int, group: GroupSpec, rng,

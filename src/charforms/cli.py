@@ -58,8 +58,6 @@ __all__ = ["main"]
 
 
 def _tolerances(args) -> Tolerances:
-    if not 0 < args.fd_step < np.inf:
-        raise InvalidInput(f"--fd-step {args.fd_step} is not finite and positive")
     if args.trials < 1:
         raise InvalidInput(f"--trials must be at least 1, got {args.trials}")
     return Tolerances(rank_rel=args.tol_rank, newton_tol=args.tol_newton)
@@ -237,7 +235,7 @@ def cmd_family(args, tol: Tolerances, data: dict) -> dict:
         raise InvalidInput("input needs a 'family' object")
     fam = family_from_json(data["family"], pres, group, tol)
     fam.validate()
-    report = family_pullback(fam, _phi(data), grid=args.grid, h=args.fd_step)
+    report = family_pullback(fam, _phi(data), grid=args.grid)
     # one row per grid point: re and im of s, then of each coefficient w_kl
     report["csv"] = (args.output or "family").removesuffix(".json") + ".csv"
     pairs = sorted({key for smp in report["samples"] for key in smp["coefficients"]})
@@ -288,7 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--grid", type=int, default=3)
     parser.add_argument("--tol-rank", type=float, default=1e-10)
     parser.add_argument("--tol-newton", type=float, default=1e-12)
-    parser.add_argument("--fd-step", type=float, default=1e-4)
     return parser
 
 

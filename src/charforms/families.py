@@ -5,8 +5,8 @@ satisfies the relators identically (checked at random points of the polydisc).
 The entries are compiled once into a monomial table, so the images and their
 exact parameter derivatives at a stack of points are one contraction; tangent
 cocycles, their checks and the pulled-back form then go through the stack in
-blocks of _BLOCK points.  Finite differences enter only in the closedness check,
-through the holomorphic FD operator shared with charts.
+blocks of _BLOCK points.  The closedness check at s = 0 is the chart's exact
+operator ``charts._jet`` on the family's tangents there.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .charts import _closed, _fd_d, _stencil
+from .charts import _closed, _floor, _jet, _max_d
 from .cohomology import BarChain, _off_cocycle, fundamental_two_cycle, walk_words
 from .errors import InvalidInput, NotTangent, SingularMatrix, malformed, natural_int
 from .forms import _cycle_pairing
@@ -26,6 +26,7 @@ from .matgroup import (
     GroupSpec,
     Representation,
     _points,
+    _Points,
     _violation,
     _word_values,
     complex_from_json,
@@ -159,7 +160,7 @@ class _Compiled:
 
 
 # Points per pass of a family evaluation; the working arrays do not grow with
-# the number of grid and stencil points.
+# the number of grid points.
 _BLOCK = 64
 _RELATOR_BOUND = 1e-9  # relator residual accepted on a family
 _TOP_POWER = 1024  # largest exponent of a Poly: bounds the table of powers
@@ -235,10 +236,10 @@ class FamilySpec:
 
 def _walk(family: FamilySpec, s, words=()):
     """Tangents sigma_k(x_j) = (d rho_s(x_j)/d s_k) rho_s(x_j)^-1, (P, m, p, d),
-    at the points s (P, m) and their ``walk_words`` table over ``words`` and
-    the relators.  Raises NotTangent at the first point that leaves Hom
-    (``matgroup._violation`` at _RELATOR_BOUND) or whose sigma_k is
-    ``_off_cocycle``."""
+    at the points s (P, m), their ``walk_words`` table over ``words`` and
+    the relators, and their ``_Points`` record.  Raises NotTangent at the
+    first point that leaves Hom (``matgroup._violation`` at _RELATOR_BOUND)
+    or whose sigma_k is ``_off_cocycle``."""
     s = np.asarray(s, dtype=np.complex128).reshape(-1, family.m)
     points, sigma = family._images(s)
     relators = family.presentation.relators
@@ -255,45 +256,49 @@ def _walk(family: FamilySpec, s, words=()):
         k = int(np.argmax(bad[i]))
         raise NotTangent(f"tangent {k} fails cocycle check, residual "
                          f"{resid[i, k]:.3e} at s={s[i]}")
-    return sigma, table
+    return sigma, table, points
 
 
-def _coefficients(family: FamilySpec, tensor, cycle: BarChain, points) -> np.ndarray:
+def _coefficients(family: FamilySpec, tensor, cycle: BarChain, points) -> tuple:
     """Coefficients eta(sigma_k, sigma_l), (P, m, m), of the pulled-back
-    form at the points (P, m), _BLOCK points per pass."""
+    form at the points (P, m), _BLOCK points per pass, and the record and
+    sigma (m, p, d) of the last point, copied out so its block is freed."""
     points = np.asarray(points, dtype=np.complex128).reshape(-1, family.m)
-    words = [w for gammas, _ in cycle.terms for w in gammas]
-    return np.concatenate([
-        _cycle_pairing(cycle, tensor, _walk(family, points[i:i + _BLOCK], words)[1])
-        for i in range(0, len(points), _BLOCK)])
+    words, blocks = [w for gammas, _ in cycle.terms for w in gammas], []
+    for i in range(0, len(points), _BLOCK):
+        sigma, table, record = _walk(family, points[i:i + _BLOCK], words)
+        blocks.append(_cycle_pairing(cycle, tensor, table))
+        last = _Points(*(a[-1].copy() for a in record)), sigma[-1].copy()
+        del sigma, table, record  # one block's arrays at a time
+    return np.concatenate(blocks), last
 
 
 def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
-                    grid: int = 3, h: float = 1e-4) -> dict:
+                    grid: int = 3) -> dict:
     """Sample the pulled-back 2-form on a real grid and check closedness.
 
-    Coefficients use exact polynomial tangents, at the grid and the stencil
-    in one batched pass.  ``charts._fd_d`` (central differences of width h
-    along 1 and along i, averaged) gives max |d omega|, ``fd_error`` and the
-    difference of the real and imaginary estimates as a Cauchy-Riemann
-    diagnostic, and ``charts._closed`` gives the verdict.  Raises
-    DegreeMismatch unless phi has degree 2.
+    Coefficients use exact polynomial tangents, at the grid and then s = 0,
+    in one batched pass and its checks.  ``charts._jet`` of sigma(0) gives
+    d omega at s = 0 exactly, scale is the largest grid coefficient and
+    ``charts._closed`` the verdict.  DegreeMismatch unless phi has degree 2.
     """
     if grid < 1:
         raise InvalidInput(f"grid must be at least 1, got {grid}")
     cycle = fundamental_two_cycle(family.presentation)
-    tensor = symmetric_tensor(phi, lie_algebra_basis(family.group))
-    m = family.m
+    basis, m = lie_algebra_basis(family.group), family.m
+    tensor = symmetric_tensor(phi, basis)
 
     axes = [np.linspace(-r / 2, r / 2, grid) for r in family.domain_radius]
     grid_points = list(itertools.product(*axes))
-    coeffs = _coefficients(family, tensor, cycle, [*grid_points, *_stencil(m, h)])
+    coeffs, (center, sigma) = _coefficients(family, tensor, cycle,
+                                            [*grid_points, [0] * m])
     samples = [{"s": [complex(z) for z in point],
                 "coefficients": {f"{k},{l}": complex(c[k, l])
                                  for k in range(m) for l in range(k + 1, m)}}
                for point, c in zip(grid_points, coeffs)]
-    scale = float(np.abs(np.triu(coeffs[:len(grid_points)], 1)).max(initial=0.0))
-    max_d, fd_error, cr_dev = _fd_d(coeffs[len(grid_points):], h)
+    scale = float(np.abs(np.triu(coeffs[:-1], 1)).max(initial=0.0))
+    jet, top = _jet(basis, center, np.moveaxis(sigma, 0, -1), tensor, cycle)
+    max_d = _max_d(jet)
 
     return {
         "check": "family-closedness",
@@ -301,10 +306,7 @@ def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
         "samples": samples,
         "scale": scale,
         "max_d": max_d,
-        "fd_error": fd_error,
-        "cauchy_riemann_dev": cr_dev,
-        "pass": _closed(max_d, scale, m),
-        "h": h,
+        "pass": _closed(max_d, scale, m, _floor(tensor, top, cycle)),
     }
 
 
@@ -333,8 +335,8 @@ def compare_base_change(family: FamilySpec, phi: InvariantPolynomial,
     u = np.array([[r * rng.uniform(-0.4, 0.4) for r in new_radius]
                   for _ in range(3)], dtype=np.complex128)
     values = _Compiled(subs, m_new)(u)  # s, then ds/du_a
-    direct = _coefficients(pulled, tensor, cycle, u)
-    orig = np.triu(_coefficients(family, tensor, cycle, values[:, 0]), 1)
+    direct = _coefficients(pulled, tensor, cycle, u)[0]
+    orig = np.triu(_coefficients(family, tensor, cycle, values[:, 0])[0], 1)
     jac = values[:, 1:]
     via_chain = jac @ (orig - np.swapaxes(orig, 1, 2)) @ np.swapaxes(jac, 1, 2)
     a, b = np.triu_indices(m_new, 1)

@@ -170,7 +170,7 @@ def test_06_closedness_chart(genus2_rep):
 
 
 def test_07_family_mode(family):
-    report = family_pullback(family, trace_form(), grid=2, h=1e-3)
+    report = family_pullback(family, trace_form(), grid=2)
     rng = np.random.default_rng(107)
     worst_bc = 0.0
     for _ in range(5):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from charforms import charts, cohomology, forms, matgroup
+from charforms import charts, cohomology, forms, matgroup, numeric
 from charforms import (
     BarChain,
     Chart,
@@ -25,7 +25,7 @@ from charforms.charts import (
     free_group_demo,
 )
 from charforms.errors import DegreeMismatch, InvalidInput, LeftChart, NoConvergence
-from charforms.forms import random_cocycle
+from charforms.forms import gram_matrix, make_context, random_cocycle
 from charforms.invariants import symmetric_tensor
 from charforms.matgroup import Representation, _moved, evaluate_word
 from charforms.numeric import Tolerances
@@ -44,7 +44,14 @@ def _retract(chart, t):
 def _transported(chart, t, i):
     """The exact tangent of the i-th chart curve at t, stacked (p * dim g,):
     ``_tangents`` at a one-point ``_solve``."""
-    return charts._tangents(chart, *charts._solve(chart, t))[0, ..., i].reshape(-1)
+    return _solved_tangents(chart, t)[0, ..., i].reshape(-1)
+
+
+def _solved_tangents(chart, t):
+    """``_tangents`` (P, p, d, dim) at the ``_solve`` of the rows of t, from
+    ``_dexp`` of their coordinates."""
+    y, points = charts._solve(chart, t)
+    return charts._tangents(chart, charts._dexp(chart.center.basis, y), points)
 
 
 def _pushed_images(chart, t):
@@ -392,6 +399,15 @@ def _triples(jet):
                      for i, j, k in itertools.combinations(range(len(jet)), 3)])
 
 
+def _center_jet(chart, chain):
+    """D[k, i, j] = d_k omega_ij of the trace-form pullback at the chart's
+    center: ``_jet`` on the chart tangents there, through ``_dexp`` at 0."""
+    rho = chart.center
+    v = _solved_tangents(chart, np.zeros(chart.dim))[0]
+    return _jet(rho.basis, rho._at, v, symmetric_tensor(trace_form(), rho.basis),
+                chain)[0]
+
+
 def _alternated_fd(chart, cycle, h=5e-3):
     """d omega of the alternated trace-form pullback (P - P^T) / 2 on the
     true (Newton-solved) chart, from the holomorphic central differences at
@@ -399,8 +415,8 @@ def _alternated_fd(chart, cycle, h=5e-3):
     m, rho = chart.dim, chart.center
     y, points = charts._solve(chart, _stencil(m, h))
     words = [w for gammas, _ in cycle.terms for w in gammas]
-    table = cohomology.walk_words(points.ad, points.ad_inv,
-                                  charts._tangents(chart, y, points), words)
+    values = charts._tangents(chart, charts._dexp(rho.basis, y), points)
+    table = cohomology.walk_words(points.ad, points.ad_inv, values, words)
     p = forms._cycle_pairing(cycle, symmetric_tensor(trace_form(), rho.basis), table)
     w = ((p - np.swapaxes(p, -1, -2)) / 2).reshape(m, 2, 2, m, m)
     partial = (w[:, :, 0] - w[:, :, 1]) / (h * np.array([1, 1j]))[:, None, None]
@@ -435,7 +451,7 @@ class TestExactClosedness:
         rho = _acceptance_or_seeded(genus2_rep, point)
         chart = Chart(rho, cocycle_space(rho).h1[:, :3])
         chain = fundamental_two_cycle(rho.presentation).drop_term(8)
-        exact = _triples(_jet(chart, trace_form(), chain)[1])
+        exact = _triples(_center_jet(chart, chain))
         fd = _alternated_fd(chart, chain)
         assert np.abs(exact).max() >= 1e-2
         assert np.abs(exact - fd).max() <= 1e-8 * np.abs(exact).max()
@@ -449,7 +465,7 @@ class TestExactClosedness:
         chart = Chart(rho, np.stack([random_cocycle(space, rng) for _ in range(3)], 1))
         a, b = Word.generator(0), Word.generator(1)
         chain = BarChain.of(2, {(a, b): 1})
-        exact = _triples(_jet(chart, trace_form(), chain)[1])
+        exact = _triples(_center_jet(chart, chain))
         assert np.abs(exact).max() >= 1e-2
         assert np.abs(exact - _alternated_fd(chart, chain)).max() <= (
             1e-8 * np.abs(exact).max())
@@ -465,7 +481,7 @@ class TestExactClosedness:
         v = _transported(chart, np.zeros(3), 2)
         assert np.linalg.norm(v - directions[:, 2]) >= 0.05
         chain = fundamental_two_cycle(genus2_rep.presentation).drop_term(8)
-        exact = _triples(_jet(chart, trace_form(), chain)[1])
+        exact = _triples(_center_jet(chart, chain))
         fd = _alternated_fd(chart, chain)
         assert np.abs(exact - fd).max() <= 1e-8 * np.abs(exact).max()
 
@@ -485,6 +501,81 @@ class TestExactClosedness:
         assert chart_closedness(genus2_chart, trace_form(), cycle)["pass"]
         assert counts == {"_solve": 0, "_damped_newton": 0, "walk_words": 1,
                           "_cycle_pairing": 2, "_ad_matrix": 0, "_word_values": 0}
+
+    def test_no_exponential_at_the_center(self, genus2_chart, monkeypatch):
+        # phi(ad 0) = I: the center's tangents need no block matrix_exp
+        calls = []
+        for module in (charts, matgroup, numeric):
+            monkeypatch.setattr(module, "matrix_exp",
+                                lambda *args, **kwargs: calls.append(args))
+        cycle = fundamental_two_cycle(genus2_chart.center.presentation)
+        assert chart_closedness(genus2_chart, trace_form(), cycle)["pass"]
+        assert calls == []
+
+    def test_alternated_fd_of_eta_coefficients_is_the_exact_value(self):
+        # off the cycles eta_coefficients and the exact check read one form,
+        # (P - P^T) / 2, on the free-group demo's chain
+        rho, rng = random_point(0, 7, "SL", 2, free=2)
+        space = cocycle_space(rho)
+        chart = Chart(rho, np.stack([random_cocycle(space, rng) for _ in range(3)], 1))
+        a, b = Word.generator(0), Word.generator(1)
+        chain = BarChain.of(2, {(a, b): 1})
+        exact = chart_closedness(chart, trace_form(), chain)
+        fd = fd_exterior_derivative(3, eta_coefficients(chart, trace_form(), chain), 5e-3)
+        assert exact["max_d"] >= 1e-2
+        assert abs(fd["max_d"] - exact["max_d"]) <= 1e-8 * exact["max_d"]
+        assert abs(fd["scale"] - exact["scale"]) <= 1e-2 * exact["scale"]
+
+
+def _lagrangian_chart(rho):
+    """A 3-dim chart on an isotropic subspace of H^1: greedy, each direction
+    the last right singular vector of the Gram rows of those before it and of
+    their conjugates, so omega vanishes on every pair of directions."""
+    h1 = cocycle_space(rho).h1
+    gram = gram_matrix(make_context(rho, trace_form()), h1)[0]
+    c = [np.eye(len(gram))[0]]
+    for _ in range(2):
+        rows = np.vstack([np.array(c) @ gram, np.conj(c)])
+        c.append(np.linalg.svd(rows)[2][-1].conj())
+    return Chart(rho, h1 @ np.array(c).T)
+
+
+def _verdict_inputs(monkeypatch, check, *args):
+    """The (max_d, scale, m, floor) that ``check(*args)`` hands ``_closed``,
+    and its report."""
+    seen = []
+    monkeypatch.setattr(charts, "_closed",
+                        lambda *a, _closed=charts._closed: seen.append(a) or _closed(*a))
+    report = check(*args)
+    return seen[0], report
+
+
+class TestRoundingFloor:
+    """A scale below ``_floor`` is rounding: no verdict rests on it."""
+
+    @pytest.mark.parametrize("kind,n", [("SL", 2), ("GL", 2), ("SL", 3)])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_lagrangian_chart_is_no_pass(self, kind, n, seed, monkeypatch):
+        rho = random_point(2, seed, kind, n)[0]
+        chart = _lagrangian_chart(rho)
+        (max_d, scale, m, floor), report = _verdict_inputs(
+            monkeypatch, chart_closedness, chart, trace_form(),
+            fundamental_two_cycle(rho.presentation))
+        assert 0 < floor <= 1e-9
+        assert scale <= 1e-3 * floor and report["pass"] is False
+
+    def test_acceptance_point_is_far_above_the_floor(self, genus2_chart, monkeypatch):
+        (max_d, scale, m, floor), report = _verdict_inputs(
+            monkeypatch, chart_closedness, genus2_chart, trace_form(),
+            fundamental_two_cycle(genus2_chart.center.presentation))
+        assert report["pass"] and scale >= 1e6 * floor > 0
+
+    @pytest.mark.parametrize("max_d,scale,floor,verdict", [
+        (0.0, 1e-12, 1e-11, False), (0.0, 1e-11, 1e-11, False),
+        (0.0, 2e-11, 1e-11, True), (1e-17, 1e-12, 1e-11, False),
+        (0.0, 1.0, float("nan"), False)])
+    def test_no_verdict_at_or_below_the_floor(self, max_d, scale, floor, verdict):
+        assert charts._closed(max_d, scale, 3, floor) is verdict
 
 
 def _form(m, entries):
@@ -589,12 +680,12 @@ class TestFdOperator:
         (float("nan"), 1.0, False), (0.0, float("nan"), False),
         (1e-6, float("inf"), False), (float("inf"), float("inf"), False)])
     def test_one_closedness_verdict(self, max_d, scale, verdict):
-        assert charts._closed(max_d, scale, 3) is verdict
+        assert charts._closed(max_d, scale, 3, 0.0) is verdict
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_no_verdict_without_a_triple(self, m):
         # a nonzero scale and max_d 0 show nothing when no triple is checked
-        assert charts._closed(0.0, 1.0, m) is False
+        assert charts._closed(0.0, 1.0, m, 0.0) is False
 
     def test_no_triple_below_dimension_three(self):
         fd = fd_exterior_derivative(2, _form(2, {(0, 1): lambda t: t[0]}), self.H)

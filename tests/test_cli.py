@@ -278,8 +278,7 @@ def test_family_exponents_are_bounded(inputs, tmp_path, capsys, power):
 
 def test_family_with_csv(inputs, tmp_path):
     out = tmp_path / "fam.json"
-    code, report = run(["family", "--input", inputs["family"],
-                        "--grid", "2", "--fd-step", "1e-3"], out)
+    code, report = run(["family", "--input", inputs["family"], "--grid", "2"], out)
     assert code == 0
     assert report["pass"]
     csv_text = (tmp_path / "fam.csv").read_text().splitlines()
@@ -288,10 +287,18 @@ def test_family_with_csv(inputs, tmp_path):
 
 
 def test_family_reports_fd_error(inputs, tmp_path):
-    code, report = run(["family", "--input", inputs["family"],
-                        "--grid", "2", "--fd-step", "1e-3"], tmp_path / "fam.json")
+    """d omega at s = 0 is exact, so the family report carries no FD error
+    estimate, no Cauchy-Riemann deviation and no step, and the step flag is
+    gone: argparse refuses it with exit code 2."""
+    code, report = run(["family", "--input", inputs["family"], "--grid", "2"],
+                       tmp_path / "fam.json")
     assert code == 0 and report["pass"]
-    assert 0 <= report["fd_error"] < 1e-3 * report["scale"]
+    assert report["max_d"] == 0.0 and report["scale"] > 1.0  # a diagonal family
+    assert sorted(report) == ["check", "command", "csv", "grid", "max_d", "pass",
+                              "samples", "scale", "timestamp", "tolerances"]
+    with pytest.raises(SystemExit) as info:
+        main(["family", "--input", inputs["family"], "--fd-step", "1e-3"])
+    assert info.value.code == 2
 
 
 def test_two_parameter_family_exits_1(tmp_path):
@@ -511,16 +518,16 @@ def test_closedness_reports_fd_error(inputs, tmp_path):
 
 def test_closedness_names_only_the_step_it_used(inputs, tmp_path):
     """The closedness check uses no step: neither its report nor the
-    tolerance echo names one, not even the family --fd-step it never used."""
-    code, report = run(["closedness", "--input", inputs["genus2"],
-                        "--fd-step", "0.02"], tmp_path / "r.json")
+    tolerance echo names one."""
+    code, report = run(["closedness", "--input", inputs["genus2"]], tmp_path / "r.json")
     assert code == 0
     assert report["tolerances"] == {"rank_rel": 1e-10, "newton_tol": 1e-12}
     keys = [key for key, value in report.items()
             for key in (key, *(value if isinstance(value, dict) else ()))]
     assert [key for key in keys if "step" in key or key == "h"] == []
-    with pytest.raises(SystemExit):  # the chart step flag is gone
-        main(["closedness", "--input", inputs["genus2"], "--fd-chart-step", "0.02"])
+    for flag in ("--fd-chart-step", "--fd-step"):  # both step flags are gone
+        with pytest.raises(SystemExit):
+            main(["closedness", "--input", inputs["genus2"], flag, "0.02"])
 
 
 def _family_input(tmp_path, drop=None, **changes):
@@ -612,7 +619,7 @@ def test_family_short_domain_radius_is_invalid_input(tmp_path, capsys):
     _assert_invalid_input(capsys, ["family", "--input", path])
 
 
-@pytest.mark.parametrize("flags", [["--fd-step", "0"], ["--tol-newton", "-1"],
+@pytest.mark.parametrize("flags", [["--tol-newton", "0"], ["--tol-newton", "-1"],
                                    ["--tol-rank", "nan"],
                                    ["--tol-rank", "1"]])
 @pytest.mark.parametrize("command", ["closedness", "cohomology"])
@@ -620,7 +627,7 @@ def test_bad_tolerance_flag_is_invalid_input(inputs, capsys, flags, command):
     _assert_invalid_input(capsys, [command, "--input", inputs["genus2"], *flags])
 
 
-@pytest.mark.parametrize("flag", ["--tol-newton", "--fd-step", "--tol-rank"])
+@pytest.mark.parametrize("flag", ["--tol-newton", "--tol-rank"])
 def test_infinite_tolerance_flag_is_invalid_input(genus2_rep, tmp_path, capsys, flag):
     """An infinite tolerance would pass any point (here one whose relator
     residual is of order 1) and write Infinity, which is not JSON.  The flag

@@ -9,15 +9,17 @@ import charforms.cohomology
 import charforms.families
 import charforms.matgroup
 from charforms import (
+    BarChain,
     GroupSpec,
     Presentation,
     Representation,
     combination,
     power_trace,
     trace_form,
+    Word,
 )
-from charforms.charts import _fd_d, _stencil
-from charforms.cohomology import fox_jacobian, fundamental_two_cycle
+from charforms.charts import _jet, _max_d, _stencil
+from charforms.cohomology import bar_boundary, fox_jacobian, fundamental_two_cycle
 from charforms.forms import EtaContext, eta
 from charforms.invariants import symmetric_tensor
 from charforms.errors import DegreeMismatch, InvalidInput, NotTangent
@@ -247,9 +249,9 @@ def _counting(monkeypatch, calls, name, target, attr):
 
 
 def test_pullback_cost_does_not_grow_with_grid(family, monkeypatch):
-    """grid=2 (20 points with the stencil) and grid=3 (39 points) make the
-    same number of batched inverses and walks, and no per-point
-    Representation or EtaContext."""
+    """grid=2 (9 points with s = 0) and grid=3 (28 points) make the same
+    number of batched inverses and walks, and no per-point Representation
+    or EtaContext."""
     counts = []
     for grid in (2, 3):
         calls = Counter()
@@ -260,16 +262,17 @@ def test_pullback_cost_does_not_grow_with_grid(family, monkeypatch):
             _counting(mp, calls, "letter", charforms.cohomology, "cocycle_walk")
             _counting(mp, calls, "Representation", Representation, "__init__")
             _counting(mp, calls, "EtaContext", EtaContext, "__init__")
-            family_pullback(family, trace_form(), grid=grid, h=1e-3)
+            family_pullback(family, trace_form(), grid=grid)
         counts.append(calls)
     assert counts[0] == counts[1]
     assert counts[0]["matrix_inverse"] == 1 and counts[0]["walk"] == 1
     assert counts[0]["Representation"] == counts[0]["EtaContext"] == 0
 
 
-def test_grid_3_evaluates_39_points(family, monkeypatch):
-    """A 3-parameter family at grid=3 sends its 27 grid points and 12 stencil
-    points, +-(h/2) and +-(ih/2) on each axis, through one coefficient pass."""
+def test_grid_3_evaluates_28_points(family, monkeypatch):
+    """A 3-parameter family at grid=3 sends its 27 grid points and then
+    s = 0, where the closedness check reads the 1-jet, through one
+    coefficient pass."""
     sizes = []
     original = charforms.families._coefficients
 
@@ -280,23 +283,24 @@ def test_grid_3_evaluates_39_points(family, monkeypatch):
     monkeypatch.setattr(charforms.families, "_coefficients", counted)
     assert family.m == 3
     family_pullback(family, trace_form(), grid=3)
-    assert sizes == [39]
+    assert sizes == [28]
 
 
 def test_blocks_that_split_the_stencil_give_the_same_report(monkeypatch):
     family = random_family(2, 3, seed=2)
     whole = family_pullback(family, trace_form(), grid=3)
-    monkeypatch.setattr(charforms.families, "_BLOCK", 5)  # 39 points: 8 blocks
+    monkeypatch.setattr(charforms.families, "_BLOCK", 5)  # 28 points: 6 blocks
     split = family_pullback(family, trace_form(), grid=3)
     assert split == whole
 
 
 def test_pullback_memory_does_not_grow_with_grid():
-    """Points pass in fixed-size blocks: 1,740 points at grid=12 peak at
-    most twice as high as 39 points at grid=3 (the report itself included)."""
+    """Points pass in fixed-size blocks: 1,729 points at grid=12 peak at
+    most twice as high as 65 points at grid=4, one full block and s = 0
+    (the report itself included)."""
     family = random_family(3, 3, seed=4)
     peaks = []
-    for grid in (3, 12):
+    for grid in (4, 12):
         family_pullback(family, trace_form(), grid=1)  # compile outside
         tracemalloc.start()
         report = family_pullback(family, trace_form(), grid=grid)
@@ -412,33 +416,30 @@ class TestFamilyInput:
 
 class TestPullback:
     def test_closedness_report(self, family):
-        report = family_pullback(family, trace_form(), grid=2, h=1e-3)
+        report = family_pullback(family, trace_form(), grid=2)
         assert report["pass"]
         assert report["scale"] > 1.0
         assert report["max_d"] <= 1e-5 * report["scale"]
-        assert report["cauchy_riemann_dev"] < 1e-8
         assert len(report["samples"]) == 8
 
-    def test_fd_error_from_the_shared_operator(self, family):
-        # the report's max_d, fd_error and deviation are the charts' FD
-        # operator on the family's coefficients at its stencil
-        h = 1e-3
-        report = family_pullback(family, trace_form(), grid=2, h=h)
+    def test_max_d_from_the_shared_jet(self, family):
+        # the report's max_d is the charts' exact operator on the family's
+        # record and tangents at s = 0
+        report = family_pullback(family, trace_form(), grid=2)
         cycle = fundamental_two_cycle(family.presentation)
-        tensor = symmetric_tensor(trace_form(), lie_algebra_basis(family.group))
-        w = charforms.families._coefficients(
-            family, tensor, cycle, _stencil(family.m, h))
-        max_d, fd_error, cr_dev = _fd_d(w, h)
-        assert (report["max_d"], report["fd_error"],
-                report["cauchy_riemann_dev"]) == (max_d, fd_error, cr_dev)
-        assert 0 <= report["fd_error"] < 1e-9 * report["scale"]
+        basis = lie_algebra_basis(family.group)
+        tensor = symmetric_tensor(trace_form(), basis)
+        point, sigma = charforms.families._coefficients(
+            family, tensor, cycle, np.zeros(family.m))[1]
+        jet = _jet(basis, point, np.moveaxis(sigma, 0, -1), tensor, cycle)[0]
+        assert report["max_d"] == _max_d(jet) == 0.0
 
     def test_infinite_polynomial_does_not_pass(self, family):
         """An infinite coefficient of phi makes every pulled-back coefficient
         NaN or infinite; the verdict is not a pass."""
         with np.errstate(invalid="ignore"):
             report = family_pullback(family, combination([(np.inf, trace_form())]),
-                                     grid=2, h=1e-3)
+                                     grid=2)
         assert not np.isfinite(report["max_d"]) or not np.isfinite(report["scale"])
         assert report["pass"] is False
 
@@ -446,14 +447,120 @@ class TestPullback:
         """Below 3 parameters there is no triple to check: max_d reads 0 while
         the grid gives a nonzero scale, and the verdict is no pass."""
         report = family_pullback(random_family(2, 2, 0, m=2), trace_form(), grid=3)
-        assert report["max_d"] == report["fd_error"] == 0.0
+        assert report["max_d"] == 0.0
         assert np.isfinite(report["scale"]) and report["scale"] > 0.1
         assert report["pass"] is False
 
     def test_coefficients_not_constant(self, family):
-        report = family_pullback(family, trace_form(), grid=2, h=1e-3)
+        report = family_pullback(family, trace_form(), grid=2)
         col = [smp["coefficients"]["0,1"] for smp in report["samples"]]
         assert max(abs(a - b) for a in col for b in col) > 1.0
+
+
+def _free_family(n, seed, m=3):
+    """Seeded m-parameter family on F_2 = <a, b> in GL(n): every entry of
+    both images a polynomial of degree at most 2 with complex coefficients
+    of size 0.3, plus 1 on the diagonal, so the images do not commute."""
+    rng = np.random.default_rng(seed)
+    z = lambda: complex(0.3 * (rng.standard_normal() + 1j * rng.standard_normal()))
+    monomials = [p for p in np.ndindex(*(3,) * m) if sum(p) <= 2]
+    images = {name: [[Poly(m, {p: (i == j and sum(p) == 0) + z() for p in monomials})
+                      for j in range(n)] for i in range(n)] for name in "ab"}
+    return FamilySpec(Presentation.free(["a", "b"]), GroupSpec("GL", n),
+                      tuple(f"s{k + 1}" for k in range(m)), (0.2,) * m, images)
+
+
+def _exact_d(family, chain):
+    """(d omega)_012 at s = 0 of the trace-form pullback against chain:
+    ``charts._jet`` on the family's record and tangents there."""
+    basis = lie_algebra_basis(family.group)
+    tensor = symmetric_tensor(trace_form(), basis)
+    point, sigma = charforms.families._coefficients(
+        family, tensor, chain, np.zeros(family.m))[1]
+    jet = _jet(basis, point, np.moveaxis(sigma, 0, -1), tensor, chain)[0]
+    return jet[0, 1, 2] - jet[1, 0, 2] + jet[2, 0, 1]
+
+
+def _isotropic_family():
+    """Genus-3 diagonal GL(2) family whose i-th handle moves with s_i alone:
+    omega pairs a_i with b_i, so it vanishes identically, and exact d omega
+    at s = 0 is 0.0, while the grid coefficients are rounding."""
+    s = [Poly.var(3, k) for k in range(3)]
+    c = lambda v: Poly.const(3, v)
+    diag = lambda p, q: [[p, Poly(3)], [Poly(3), q]]
+    rng = np.random.default_rng(0)
+    images = {}
+    for i in range(3):
+        z = np.exp(0.3 * rng.standard_normal(4) + 0.3j * rng.standard_normal(4))
+        images[f"a{i + 1}"] = diag(c(z[0]) + 0.7 * s[i], c(z[1]) - 0.3 * s[i])
+        images[f"b{i + 1}"] = diag(c(z[2]) + 0.2 * s[i], c(z[3]) + s[i] * s[i])
+    return FamilySpec(Presentation.surface(3), GL2, ("s1", "s2", "s3"), (0.2,) * 3,
+                      images)
+
+
+class TestExactClosedness:
+    """The family verdict is the charts' operator at s = 0: d omega there
+    reads only the family's 1-jet, the tangents sigma(0)."""
+
+    A, B = Word.generator(0), Word.generator(1)
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
+    def test_matches_central_differences_off_the_cycles(self, n, seed):
+        # non-commuting images and a chain that is no cycle: d omega is of
+        # the order of omega, and the alternated pairing (P - P^T) / 2 from
+        # families._coefficients, differenced along 1 and i, agrees with it
+        family, h = _free_family(n, seed), 1e-3
+        chain = BarChain.of(2, {(self.A, self.B): 1, (self.A * self.B, self.B): -1})
+        exact = _exact_d(family, chain)
+        tensor = symmetric_tensor(trace_form(), lie_algebra_basis(family.group))
+        p = charforms.families._coefficients(family, tensor, chain, _stencil(3, h))[0]
+        w = ((p - np.swapaxes(p, -1, -2)) / 2).reshape(3, 2, 2, 3, 3)
+        partial = ((w[:, :, 0] - w[:, :, 1])
+                   / (h * np.array([1, 1j]))[:, None, None]).mean(axis=1)
+        fd = partial[0, 1, 2] - partial[1, 0, 2] + partial[2, 0, 1]
+        assert abs(exact) >= 0.1
+        assert abs(exact - fd) <= 1e-9 * abs(exact)
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
+    def test_vanishes_on_a_bar_boundary(self, n, seed):
+        a, b = self.A, self.B
+        cycle = bar_boundary(BarChain.of(3, {(a, b, a): 1, (b, a * b, b): 1}))
+        assert abs(_exact_d(_free_family(n, seed), cycle)) <= 1e-13
+
+    @pytest.mark.parametrize("build", [
+        diagonal_family, lambda: random_family(2, 2, 1), lambda: random_family(2, 3, 2),
+        lambda: random_family(3, 2, 3), lambda: random_family(3, 3, 4)])
+    def test_diagonal_families_read_zero_far_above_the_floor(self, build, monkeypatch):
+        seen = []
+        monkeypatch.setattr(charforms.families, "_closed",
+                            lambda *a, _closed=charforms.families._closed:
+                            seen.append(a) or _closed(*a))
+        report = family_pullback(build(), trace_form(), grid=3)
+        (max_d, scale, m, floor), = seen
+        assert report["pass"] and report["max_d"] == max_d == 0.0
+        assert scale == report["scale"] >= 1e6 * floor > 0
+        assert sorted(report) == ["check", "grid", "max_d", "pass", "samples", "scale"]
+
+    def test_isotropic_family_is_no_pass(self, monkeypatch):
+        # max_d is exactly 0 and the scale is rounding, nonzero: without the
+        # floor, max_d <= 1e-5 * scale would pass
+        seen = []
+        monkeypatch.setattr(charforms.families, "_closed",
+                            lambda *a, _closed=charforms.families._closed:
+                            seen.append(a) or _closed(*a))
+        report = family_pullback(_isotropic_family(), trace_form(), grid=3)
+        (max_d, scale, m, floor), = seen
+        assert max_d == 0.0 and 0 < scale <= 1e-6 * floor
+        assert report["pass"] is False
+
+    def test_one_jet_per_check(self, family, monkeypatch):
+        # one walk of the grid and s = 0, one dual walk and pairing at s = 0
+        calls = Counter()
+        _counting(monkeypatch, calls, "jet", charforms.families, "_jet")
+        _counting(monkeypatch, calls, "walk", charforms.families, "_walk")
+        _counting(monkeypatch, calls, "dual walk", charforms.charts, "walk_words")
+        family_pullback(family, trace_form(), grid=3)
+        assert calls == {"jet": 1, "walk": 1, "dual walk": 1}
 
 
 class TestBaseChange:
