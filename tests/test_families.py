@@ -498,6 +498,17 @@ def _isotropic_family():
                       images)
 
 
+def _verdict_inputs(monkeypatch, family):
+    """The (max_d, scale, m, floor) that ``family_pullback`` at grid 3 hands
+    ``charts._closed``, and its report."""
+    seen = []
+    monkeypatch.setattr(charforms.families, "_closed",
+                        lambda *a, _closed=charforms.families._closed:
+                        seen.append(a) or _closed(*a))
+    report = family_pullback(family, trace_form(), grid=3)
+    return seen[0], report
+
+
 class TestExactClosedness:
     """The family verdict is the charts' operator at s = 0: d omega there
     reads only the family's 1-jet, the tangents sigma(0)."""
@@ -531,12 +542,7 @@ class TestExactClosedness:
         diagonal_family, lambda: random_family(2, 2, 1), lambda: random_family(2, 3, 2),
         lambda: random_family(3, 2, 3), lambda: random_family(3, 3, 4)])
     def test_diagonal_families_read_zero_far_above_the_floor(self, build, monkeypatch):
-        seen = []
-        monkeypatch.setattr(charforms.families, "_closed",
-                            lambda *a, _closed=charforms.families._closed:
-                            seen.append(a) or _closed(*a))
-        report = family_pullback(build(), trace_form(), grid=3)
-        (max_d, scale, m, floor), = seen
+        (max_d, scale, m, floor), report = _verdict_inputs(monkeypatch, build())
         assert report["pass"] and report["max_d"] == max_d == 0.0
         assert scale == report["scale"] >= 1e6 * floor > 0
         assert sorted(report) == ["check", "grid", "max_d", "pass", "samples", "scale"]
@@ -544,12 +550,8 @@ class TestExactClosedness:
     def test_isotropic_family_is_no_pass(self, monkeypatch):
         # max_d is exactly 0 and the scale is rounding, nonzero: without the
         # floor, max_d <= 1e-5 * scale would pass
-        seen = []
-        monkeypatch.setattr(charforms.families, "_closed",
-                            lambda *a, _closed=charforms.families._closed:
-                            seen.append(a) or _closed(*a))
-        report = family_pullback(_isotropic_family(), trace_form(), grid=3)
-        (max_d, scale, m, floor), = seen
+        (max_d, scale, m, floor), report = _verdict_inputs(monkeypatch,
+                                                           _isotropic_family())
         assert max_d == 0.0 and 0 < scale <= 1e-6 * floor
         assert report["pass"] is False
 
