@@ -17,11 +17,12 @@ differencing: c'(t) = -(M C)^+ M S, and the i-th tangent is
 phi(ad Y) (S e_i + C c'_i).
 
 The FD cross-check ``fd_exterior_derivative`` (the holomorphic difference
-rule ``_fd_d``) takes all its stencil points through one lockstep Newton pass
-(``_solve``), one tangent solve (``_tangents``) and one ``walk_words`` table.
-``chart_closedness`` needs none of it: d(f* eta) = f*(d eta) reads only the
-1-jet at the center, which ``_jet`` pairs exactly over the dual numbers
-C[eps]/eps^2, as it does a family's at s = 0.
+rule ``_fd_d``) evaluates ``eta_coefficients`` one stencil point at a time:
+a Newton solve (``_solve``), a tangent solve (``_tangents``) and a
+``walk_words`` table per point.  ``chart_closedness`` needs none of it:
+d(f* eta) = f*(d eta) reads only the 1-jet at the center, which ``_jet``
+pairs exactly over the dual numbers C[eps]/eps^2, as it does a family's at
+s = 0.
 """
 
 from __future__ import annotations
@@ -99,19 +100,21 @@ def _dexp(basis: LieAlgebraBasis, y: np.ndarray) -> np.ndarray:
 
 
 def _solve(chart: Chart, t) -> tuple:
-    """The points at the rows of t (P, dim), solved in lockstep: their
-    coordinates Y = S t + C c(t) (P, p * d) and their ``_Points`` record.
+    """The chart point at t (dim,): its coordinates Y = S t + C c(t) (p * d,)
+    and its ``_Points`` record.
 
-    The first point that fails the solve (NoConvergence), ``validate``
-    (InvalidInput) or moves its images by more than |t| in the correction
-    (LeftChart) raises, named by its row and t.
+    A t of another shape is InvalidInput.  A point that fails the solve
+    (NoConvergence), ``validate`` (InvalidInput) or moves its images by more
+    than |t| in the correction (LeftChart) raises, named by t.
     """
     rho, comp = chart.center, chart._complement
-    t = np.asarray(t, dtype=np.complex128).reshape(-1, chart.dim)
-    where = lambda k: f"chart point {k}, t = {np.array2string(t[k], precision=4)}"
+    t = np.asarray(t, dtype=np.complex128)
+    if t.shape != (chart.dim,):
+        raise InvalidInput(f"a chart point has shape ({chart.dim},), got {t.shape}")
+    where = f"chart point t = {np.array2string(t, precision=4)}"
 
-    def at(y):  # the Newton state [Y, *record] of exp(Y_k) rho_k, and residuals
-        points = _moved(rho, y.reshape(len(y), rho.p, rho.dim_g), rho._at)
+    def at(y):  # the Newton state [Y, *record] of exp(Y_k) rho_k, and residual
+        points = _moved(rho, y.reshape(rho.p, rho.dim_g), rho._at)
         return [y, *points], _residual(points)
 
     def jacobian(state):  # M C
@@ -124,30 +127,30 @@ def _solve(chart: Chart, t) -> tuple:
                                lambda state, step: at(state[0] + step @ comp.T),
                                jacobian, rho.tol, 50)
     except NoConvergence as exc:
-        raise NoConvergence(f"{where(exc.index)}: {exc}", exc.residual,
-                            exc.index) from exc
+        raise NoConvergence(f"{where}: {exc}", exc.residual) from exc
     y, points = state[0], _Points(*state[1:])
-    bad = _violation(rho.group, points.images, points.rel, rho.tol.relator_bound)
+    bad = _violation(rho.group, points.images[None], points.rel[None],
+                     rho.tol.relator_bound)
     if bad is not None:
-        raise InvalidInput(f"{where(bad[0])}: {bad[1]}")
+        raise InvalidInput(f"{where}: {bad[1]}")
     pushed = _Points(*start[1:]).images  # exp(S t) rho, before the correction
-    correction = np.linalg.norm(points.images - pushed, axis=(-2, -1)).sum(axis=-1)
-    t_norm = np.linalg.norm(t, axis=-1)
-    for k in np.flatnonzero((t_norm > 0) & (correction > t_norm))[:1]:
-        raise LeftChart(f"{where(k)}: correction {correction[k]:.3e} "
-                        f"exceeds |t| = {t_norm[k]:.3e}")
+    correction = np.linalg.norm(points.images - pushed, axis=(-2, -1)).sum()
+    t_norm = np.linalg.norm(t)
+    if 0 < t_norm < correction:
+        raise LeftChart(f"{where}: correction {correction:.3e} "
+                        f"exceeds |t| = {t_norm:.3e}")
     return y, points
 
 
 def _tangents(chart: Chart, phi: np.ndarray, points: _Points) -> np.ndarray:
-    """Values (P, p, d, dim) of the exact chart tangents at the points of a
-    ``_solve``, from their record and phi(ad Y) (P, p, d, d), I at the center:
+    """Values (p, d, dim) of the exact chart tangents at one point of the
+    chart, from its record and phi(ad Y) (p, d, d), I at the center:
     c'(t) = -(M C)^+ M S, and the i-th tangent is phi(ad Y)(S e_i + C c'_i)."""
     rho, span, comp = chart.center, chart.directions, chart._complement
     shape = (rho.p, rho.dim_g, -1)
     jac = _relator_jacobian(rho, points, phi @ np.hstack([span, comp]).reshape(shape))
-    moved = span + comp @ solve_lsq(jac[..., chart.dim:], -jac[..., :chart.dim])
-    return phi @ moved.reshape(len(phi), rho.p, rho.dim_g, chart.dim)
+    moved = span + comp @ solve_lsq(jac[:, chart.dim:], -jac[:, :chart.dim])
+    return phi @ moved.reshape(shape)
 
 
 def _pullback(chart: Chart, phi: InvariantPolynomial, cycle: BarChain) -> tuple:
@@ -166,15 +169,15 @@ def _alternated(p: np.ndarray) -> np.ndarray:
 
 def eta_coefficients(chart: Chart, phi: InvariantPolynomial, cycle: BarChain):
     """Coefficient function of the pulled-back 2-form on the chart: ``coeffs(t)``
-    is the ``_alternated`` pairing of the chart tangents, (..., dim, dim) for a
-    stack t (..., dim), from one lockstep solve, tangent solve and walk."""
+    is the ``_alternated`` pairing of the chart tangents, (dim, dim) at one
+    point t (dim,), from its ``_solve``, tangent solve and walk."""
     tensor, words = _pullback(chart, phi, cycle)
 
     def coeffs(t) -> np.ndarray:
         y, points = _solve(chart, t)
         values = _tangents(chart, _dexp(chart.center.basis, y), points)
-        w = _cycle_pairing(cycle, tensor, walk_words(*points[2:4], values, words))
-        return _alternated(w).reshape(np.shape(t)[:-1] + w.shape[-2:])
+        return _alternated(
+            _cycle_pairing(cycle, tensor, walk_words(*points[2:4], values, words)))
 
     return coeffs
 
@@ -234,21 +237,18 @@ def _floor(tensor: np.ndarray, top: dict, cycle: BarChain) -> float:
     return float(1e3 * np.finfo(float).eps * np.linalg.norm(tensor) * size)
 
 
-def _fd_report(w: np.ndarray, h: float) -> dict:
-    max_d, fd_error, cr_dev = _fd_d(w, h)
-    scale = float(np.abs(np.triu(w, 1)).max(initial=0.0))
-    return {"max_d": max_d, "scale": scale, "fd_error": fd_error,
-            "cauchy_riemann_dev": cr_dev, "h": h, "evaluations": len(w),
-            "bound": _CLOSED_BOUND, "pass": _closed(max_d, scale, w.shape[-1], 0.0)}
-
-
 def fd_exterior_derivative(chart_dim: int, coeffs, h: float) -> dict:
     """``_fd_d`` of a 2-form on a chart: its coefficient array ``coeffs(t)``,
     read above the diagonal, on ``_stencil``: max |d omega|, ``fd_error``,
     ``cauchy_riemann_dev``, the scale max |w| over the evaluated points and
     the ``_closed`` verdict as ``pass`` with its ``bound``."""
-    w = [coeffs(t) for t in _stencil(chart_dim, h)]
-    return _fd_report(np.reshape(w, (-1, chart_dim, chart_dim)), h)
+    w = np.reshape([coeffs(t) for t in _stencil(chart_dim, h)],
+                   (-1, chart_dim, chart_dim))
+    max_d, fd_error, cr_dev = _fd_d(w, h)
+    scale = float(np.abs(np.triu(w, 1)).max(initial=0.0))
+    return {"max_d": max_d, "scale": scale, "fd_error": fd_error,
+            "cauchy_riemann_dev": cr_dev, "h": h, "evaluations": len(w),
+            "bound": _CLOSED_BOUND, "pass": _closed(max_d, scale, chart_dim, 0.0)}
 
 
 def _dual(top: np.ndarray, low: np.ndarray) -> np.ndarray:
@@ -291,8 +291,7 @@ def chart_closedness(chart: Chart, phi: InvariantPolynomial, cycle: BarChain) ->
     tangents there (no solve, no step, no exponential), scale max |omega(0)|
     and the ``_closed`` verdict above the ``_floor`` as ``pass``."""
     tensor, rho, d = _pullback(chart, phi, cycle)[0], chart.center, chart.center.dim_g
-    center = _Points(*(a[None] for a in rho._at))
-    v = _tangents(chart, np.eye(d)[None, None], center)[0]  # (p, d, m)
+    v = _tangents(chart, np.eye(d), rho._at)  # (p, d, m)
     jet, top = _jet(rho.basis, rho._at, v, tensor, cycle)
     max_d = _max_d(jet)
     at = _alternated(_cycle_pairing(cycle, tensor, top))  # omega(0)

@@ -32,12 +32,11 @@ class ConvergenceFailure(CharformsError, RuntimeError):
 
 
 class NoConvergence(CharformsError, RuntimeError):
-    """Gauss-Newton did not reach the residual tolerance, ``index`` of a stack."""
+    """Gauss-Newton did not reach the residual tolerance."""
 
-    def __init__(self, message, residual=None, index=0):
+    def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-        self.index = index
 
 
 class RankInstability(CharformsError, RuntimeError):

@@ -234,7 +234,7 @@ class FamilySpec:
         return float(residual.max(initial=0.0))
 
 
-def _walk(family: FamilySpec, s, words=()):
+def _walk(family: FamilySpec, s, words):
     """Tangents sigma_k(x_j) = (d rho_s(x_j)/d s_k) rho_s(x_j)^-1, (P, m, p, d),
     at the points s (P, m), their ``walk_words`` table over ``words`` and
     the relators, and their ``_Points`` record.  Raises NotTangent at the
@@ -336,11 +336,10 @@ def compare_base_change(family: FamilySpec, phi: InvariantPolynomial,
                   for _ in range(3)], dtype=np.complex128)
     values = _Compiled(subs, m_new)(u)  # s, then ds/du_a
     direct = _coefficients(pulled, tensor, cycle, u)[0]
-    orig = np.triu(_coefficients(family, tensor, cycle, values[:, 0])[0], 1)
-    jac = values[:, 1:]
-    via_chain = jac @ (orig - np.swapaxes(orig, 1, 2)) @ np.swapaxes(jac, 1, 2)
-    a, b = np.triu_indices(m_new, 1)
-    return float(np.abs(direct - via_chain)[:, a, b].max(initial=0.0))
+    orig = _coefficients(family, tensor, cycle, values[:, 0])[0]
+    jac = values[:, 1:]  # the pairing is bilinear in the tangents
+    via_chain = jac @ orig @ np.swapaxes(jac, 1, 2)
+    return float(np.abs(direct - via_chain).max())
 
 
 # ---------------------------------------------------------------------------

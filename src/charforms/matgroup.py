@@ -289,51 +289,43 @@ def _moved(rho: Representation, x, points: _Points) -> _Points:
 
 
 def _damped_newton(state, res, trial, jacobian, tol: Tolerances, max_iter: int):
-    """Gauss-Newton with step halving on P problems in lockstep; returns the
-    state once every residual norm meets tol.newton_tol.
+    """Gauss-Newton with step halving; returns the state once its residual
+    norm meets tol.newton_tol.
 
-    ``state`` is a list of arrays with leading axis P and ``res`` (P, r) their
-    residuals; ``trial(rows, step)`` gives the (state, residual) of the state
-    rows ``rows`` moved by ``step`` (rows, k) and ``jacobian(rows)`` their
-    derivatives (rows, r, k).  Each row halves its own step until its residual
-    norm falls, at most 40 times per iteration, and stops once converged; a
-    non-finite trial is rejected for its own row.  Raises NoConvergence, with
-    the row as ``index``, when a row runs out of halvings or iterations.
+    ``state`` is a list of arrays and ``res`` (r,) its residual;
+    ``trial(state, step)`` gives the (state, residual) of the state moved by
+    ``step`` (k,) and ``jacobian(state)`` its derivative (r, k).  The step is
+    halved until the residual norm falls, at most 40 times per iteration; a
+    non-finite trial counts as rejected.  Raises NoConvergence when the
+    halvings or the iterations run out.
     """
-    state, res = [np.array(a) for a in state], np.array(res)
     norm = np.linalg.norm(res, axis=-1)
     for _ in range(max_iter):
-        live = np.flatnonzero(norm > tol.newton_tol)
-        if not len(live):
+        if norm <= tol.newton_tol:
             return state
-        step, scale = solve_lsq(jacobian([a[live] for a in state]), -res[live]), 1.0
+        step = solve_lsq(jacobian(state), -res)
         for _ in range(40):
             with np.errstate(over="ignore", invalid="ignore"):
-                cand, cand_res = trial([a[live] for a in state], scale * step)
+                cand, cand_res = trial(state, step)
                 cand_norm = np.linalg.norm(cand_res, axis=-1)
-            ok = cand_norm < norm[live]  # False where the trial is not finite
-            for a, c in zip(state, cand):
-                a[live[ok]] = c[ok]
-            res[live[ok]], norm[live[ok]] = cand_res[ok], cand_norm[ok]
-            live, step, scale = live[~ok], step[~ok], 0.5 * scale
-            if not len(live):
+            if cand_norm < norm:  # False if the trial is not finite
                 break
+            step = 0.5 * step
         else:
-            raise NoConvergence(
-                f"backtracking stalled at residual {norm[live[0]]:.3e}",
-                residual=float(norm[live[0]]), index=int(live[0]))
-    for k in np.flatnonzero(norm > tol.newton_tol)[:1]:
+            raise NoConvergence(f"backtracking stalled at residual {norm:.3e}",
+                                residual=float(norm))
+        state, res, norm = cand, cand_res, cand_norm
+    if norm > tol.newton_tol:
         raise NoConvergence(
-            f"no convergence after {max_iter} iterations, residual {norm[k]:.3e}",
-            residual=float(norm[k]), index=int(k))
+            f"no convergence after {max_iter} iterations, residual {norm:.3e}",
+            residual=float(norm))
     return state
 
 
 def find_representation(presentation: Presentation, group: GroupSpec, seed_images,
-                        tol: Tolerances = DEFAULT_TOL,
-                        max_iter: int = 50) -> Representation:
+                        tol: Tolerances = DEFAULT_TOL) -> Representation:
     """Gauss-Newton solve of the relator equations starting from seed images,
-    ``_damped_newton`` with P = 1.
+    ``_damped_newton`` with at most 50 iterations.
 
     Perturbations act as rho(x_k) -> exp(X_k) rho(x_k) with X_k in the fixed
     Lie-algebra basis (traceless for SL, so the determinant constraint is
@@ -347,13 +339,13 @@ def find_representation(presentation: Presentation, group: GroupSpec, seed_image
     identity = np.eye(rho.p * rho.dim_g).reshape(rho.p, rho.dim_g, -1)
 
     def trial(state, step):  # the Newton state is the record's fields
-        points = _moved(rho, step.reshape(len(step), rho.p, rho.dim_g), _Points(*state))
+        points = _moved(rho, step.reshape(rho.p, rho.dim_g), _Points(*state))
         return list(points), _residual(points)
 
     state = _damped_newton(
-        [a[None] for a in rho._at], _residual(rho._at)[None], trial,
-        lambda state: _relator_jacobian(rho, _Points(*state), identity), tol, max_iter)
-    return Representation(presentation, group, _Points(*state).images[0], tol=tol)
+        list(rho._at), _residual(rho._at), trial,
+        lambda state: _relator_jacobian(rho, _Points(*state), identity), tol, 50)
+    return Representation(presentation, group, _Points(*state).images, tol=tol)
 
 
 def is_irreducible(rho: Representation) -> bool:

@@ -16,7 +16,6 @@ from charforms import (
 )
 from charforms.charts import (
     _fd_d,
-    _fd_report,
     _jet,
     _stencil,
     chart_closedness,
@@ -35,21 +34,21 @@ SL2 = GroupSpec("SL", 2)
 
 
 def _retract(chart, t):
-    """The chart point at t as a Representation: a one-point ``_solve``."""
+    """The chart point at t as a Representation, from its ``_solve``."""
     rho = chart.center
     return Representation(rho.presentation, rho.group,
-                          charts._solve(chart, t)[1].images[0], check=False)
+                          charts._solve(chart, t)[1].images, check=False)
 
 
 def _transported(chart, t, i):
     """The exact tangent of the i-th chart curve at t, stacked (p * dim g,):
-    ``_tangents`` at a one-point ``_solve``."""
-    return _solved_tangents(chart, t)[0, ..., i].reshape(-1)
+    ``_tangents`` at the ``_solve`` of t."""
+    return _solved_tangents(chart, t)[..., i].reshape(-1)
 
 
 def _solved_tangents(chart, t):
-    """``_tangents`` (P, p, d, dim) at the ``_solve`` of the rows of t, from
-    ``_dexp`` of their coordinates."""
+    """``_tangents`` (p, d, dim) at the ``_solve`` of t (dim,), from ``_dexp``
+    of its coordinates."""
     y, points = charts._solve(chart, t)
     return charts._tangents(chart, charts._dexp(chart.center.basis, y), points)
 
@@ -166,12 +165,6 @@ class TestTransport:
         assert np.linalg.norm(v - ref) <= 1e-8
 
 
-def _stacked_fd(chart, phi, cycle, h=3e-2):
-    """``_fd_report`` of the chart coefficients at all stencil points, from
-    one lockstep ``eta_coefficients`` stack."""
-    return _fd_report(eta_coefficients(chart, phi, cycle)(_stencil(chart.dim, h)), h)
-
-
 def _acceptance_or_seeded(genus2_rep, point):
     """The acceptance point, or the seed-0 genus-2 point named "SL-3" etc."""
     if point == "acceptance":
@@ -230,39 +223,18 @@ class TestClosedness:
         assert fd["scale"] > 1e-2
         assert fd["max_d"] <= 1e-5 * fd["scale"]
 
-    def test_one_lockstep_solve_per_check(self, genus2_chart, monkeypatch):
-        # all 12 stencil points of a 3-dimensional chart are solved in one
-        # Newton pass and their tangents paired in one walk of the cycle
-        # words, with no per-point form context
-        counts = {"newton": 0, "walk_words": 0, "EtaContext": 0}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(charts, "_damped_newton",
-                            counting("newton", charts._damped_newton))
-        monkeypatch.setattr(charts, "walk_words",
-                            counting("walk_words", charts.walk_words))
-        monkeypatch.setattr(forms, "EtaContext",
-                            counting("EtaContext", forms.EtaContext))
-        cycle = fundamental_two_cycle(genus2_chart.center.presentation)
-        fd = _stacked_fd(genus2_chart, trace_form(), cycle)
-        assert fd["evaluations"] == 12
-        assert counts == {"newton": 1, "walk_words": 1, "EtaContext": 0}
-
     def test_each_point_is_evaluated_once(self, genus2_rep, monkeypatch):
-        # one acceptance-point closedness task from its images: the Ad pair
-        # and the relator values are built once per Newton state (the center,
-        # the stencil start and one trial for each of the two steps), and
-        # cocycle_space and Chart share one Fox walk.  The structure constants
-        # behind basis.ad are built once per process, so before counting.
+        # one coeffs(t) call at a stencil point of the acceptance chart, built
+        # from its images: the Ad pair and the relator values are built once
+        # per Newton state (the center, the start at t and one trial for each
+        # of the two steps), cocycle_space and Chart share one Fox walk, and
+        # the tangents are paired in one walk with no form context.  The
+        # structure constants behind basis.ad are built once per process, so
+        # before counting.
         genus2_rep.basis.ad(np.zeros(genus2_rep.dim_g))
-        counts = {"_ad_matrix": 0, "_word_values": 0, "walk_words": 0}
+        counts = {"_ad_matrix": 0, "_word_values": 0, "walk_words": 0, "EtaContext": 0}
         for module, name in ((matgroup, "_ad_matrix"), (matgroup, "_word_values"),
-                             (cohomology, "walk_words")):
+                             (cohomology, "walk_words"), (forms, "EtaContext")):
             def wrapper(*args, _fn=getattr(module, name), _name=name, **kwargs):
                 counts[_name] += 1
                 return _fn(*args, **kwargs)
@@ -271,10 +243,11 @@ class TestClosedness:
                              genus2_rep.images)
         chart = Chart(rho, cocycle_space(rho).h1[:, :3])
         cycle = fundamental_two_cycle(rho.presentation)
-        assert _stacked_fd(chart, trace_form(), cycle)["pass"]
+        w = eta_coefficients(chart, trace_form(), cycle)(_stencil(3, 3e-2)[0])
+        assert w.shape == (3, 3) and np.isfinite(w).all()
         assert counts["_ad_matrix"] <= 4
         assert counts["_word_values"] <= 4
-        assert counts["walk_words"] == 1
+        assert counts["walk_words"] == 1 and counts["EtaContext"] == 0
 
     def test_degree_mismatch(self, genus2_chart):
         cycle = fundamental_two_cycle(genus2_chart.center.presentation)
@@ -295,9 +268,6 @@ class TestClosedness:
         coeffs = eta_coefficients(genus2_chart, trace_form(), cycle)
         fd = fd_exterior_derivative(3, coeffs, h=3e-2)
         assert fd["cauchy_riemann_dev"] <= 1e-4
-        stacked = _stacked_fd(genus2_chart, trace_form(), cycle)
-        assert stacked["cauchy_riemann_dev"] == pytest.approx(
-            fd["cauchy_riemann_dev"], rel=1e-6)
 
         def perturbed(t):
             c = coeffs(t)
@@ -322,32 +292,9 @@ class TestClosedness:
 
 
 class TestLockstep:
-    """``eta_coefficients`` solves all stencil points in one lockstep pass;
-    ``_retract`` and ``eta_coefficients(...)(t)`` are one-point stacks."""
-
-    @pytest.mark.parametrize("point", ["acceptance", "SL-2", "GL-2", "SL-3"])
-    def test_matches_the_pointwise_check(self, genus2_rep, point):
-        rho = _acceptance_or_seeded(genus2_rep, point)
-        chart = Chart(rho, cocycle_space(rho).h1[:, :3])
-        cycle = fundamental_two_cycle(rho.presentation)
-        stacked = _stacked_fd(chart, trace_form(), cycle)
-        pointwise = fd_exterior_derivative(
-            3, eta_coefficients(chart, trace_form(), cycle), 3e-2)
-        assert stacked["evaluations"] == pointwise["evaluations"] == 12
-        for key in ("max_d", "fd_error", "scale"):
-            assert abs(stacked[key] - pointwise[key]) <= 1e-12 * pointwise["scale"]
-
-    @pytest.mark.parametrize("seed", range(2))
-    def test_stacked_images_equal_retract(self, genus2_chart, seed):
-        chart = genus2_chart
-        if seed:
-            rho = random_point(2, seed, "SL", 3)[0]
-            chart = Chart(rho, cocycle_space(rho).h1[:, :3])
-        points = _stencil(3, 3e-2)
-        images = charts._solve(chart, points)[1].images
-        for t, stacked in zip(points, images):
-            single = np.array(_retract(chart, t).images)
-            assert np.abs(stacked - single).max() <= 1e-12
+    """``_solve`` takes one chart point t (dim,) and names it by t when it
+    fails; ``fd_exterior_derivative`` evaluates ``eta_coefficients`` at one
+    stencil point at a time."""
 
     def test_left_chart_names_the_point(self, genus2_rep):
         # only the last point moves along a direction that violates the
@@ -355,10 +302,10 @@ class TestLockstep:
         h1 = cocycle_space(genus2_rep).h1
         bad = np.random.default_rng(0).standard_normal((12, 1))
         chart = Chart(genus2_rep, np.hstack([h1[:, :2], bad]))
-        points = [[0.01, 0, 0], [0, 0.01, 0], [0, 0, 0.05]]
-        with pytest.raises(LeftChart, match=r"chart point 2, t = \[0"):
-            charts._solve(chart, points)
-        charts._solve(chart, points[:2])
+        charts._solve(chart, [0.01, 0, 0])
+        charts._solve(chart, [0, 0.01, 0])
+        with pytest.raises(LeftChart, match=r"chart point t = \[0\..* 0\.05\+0\.j\]: corr"):
+            charts._solve(chart, [0, 0, 0.05])
 
     def test_forced_stall_names_the_point(self, genus2_rep):
         # a center built with a residual bound of 1e-300: its relator holds
@@ -367,22 +314,31 @@ class TestLockstep:
         center = Representation(genus2_rep.presentation, genus2_rep.group,
                                 genus2_rep.images, tol=Tolerances(newton_tol=1e-300))
         chart = Chart(center, cocycle_space(center).h1[:, :3])
+        charts._solve(chart, [0, 0, 0])
         with pytest.raises(NoConvergence, match="backtracking stalled") as info:
-            charts._solve(chart, [[0, 0, 0], [0.01, 0, 0], [0, 0, 0]])
-        assert info.value.index == 1
-        assert str(info.value).startswith("chart point 1, t = [0.01")
+            charts._solve(chart, [0.01, 0, 0])
+        assert str(info.value).startswith("chart point t = [0.01")
         assert info.value.residual <= 1e-12
         cycle = fundamental_two_cycle(genus2_rep.presentation)
         with pytest.raises(NoConvergence):
-            _stacked_fd(chart, trace_form(), cycle)
+            fd_exterior_derivative(3, eta_coefficients(chart, trace_form(), cycle), 3e-2)
         # the exact check solves nothing, so nothing stalls
         assert chart_closedness(chart, trace_form(), cycle)["pass"]
+
+    def test_a_mis_shaped_point_is_invalid_input(self, genus2_chart):
+        # a 3-dim chart takes t of shape (3,): neither a short point nor a
+        # stack of points
+        cycle = fundamental_two_cycle(genus2_chart.center.presentation)
+        coeffs = eta_coefficients(genus2_chart, trace_form(), cycle)
+        for t in ([0.01, 0.02], np.full((2, 3), 0.01)):
+            with pytest.raises(InvalidInput, match=r"shape \(3,\), got \(2"):
+                coeffs(t)
 
     def test_no_triple_below_dimension_three(self, genus2_rep):
         # no stencil point is sampled, so the verdict has nothing to pass on
         chart = Chart(genus2_rep, cocycle_space(genus2_rep).h1[:, :2])
         cycle = fundamental_two_cycle(genus2_rep.presentation)
-        fd = _stacked_fd(chart, trace_form(), cycle)
+        fd = fd_exterior_derivative(2, eta_coefficients(chart, trace_form(), cycle), 3e-2)
         assert fd == {"max_d": 0.0, "scale": 0.0, "fd_error": 0.0,
                       "cauchy_riemann_dev": 0.0, "h": 3e-2, "evaluations": 0,
                       "bound": 1e-5, "pass": False}
@@ -403,7 +359,7 @@ def _center_jet(chart, chain):
     """D[k, i, j] = d_k omega_ij of the trace-form pullback at the chart's
     center: ``_jet`` on the chart tangents there, through ``_dexp`` at 0."""
     rho = chart.center
-    v = _solved_tangents(chart, np.zeros(chart.dim))[0]
+    v = _solved_tangents(chart, np.zeros(chart.dim))
     return _jet(rho.basis, rho._at, v, symmetric_tensor(trace_form(), rho.basis),
                 chain)[0]
 
@@ -413,11 +369,14 @@ def _alternated_fd(chart, cycle, h=5e-3):
     true (Newton-solved) chart, from the holomorphic central differences at
     ``_stencil(m, h)``, the mean of the partials along 1 and along i."""
     m, rho = chart.dim, chart.center
-    y, points = charts._solve(chart, _stencil(m, h))
     words = [w for gammas, _ in cycle.terms for w in gammas]
-    values = charts._tangents(chart, charts._dexp(rho.basis, y), points)
-    table = cohomology.walk_words(points.ad, points.ad_inv, values, words)
-    p = forms._cycle_pairing(cycle, symmetric_tensor(trace_form(), rho.basis), table)
+    tensor, p = symmetric_tensor(trace_form(), rho.basis), []
+    for t in _stencil(m, h):
+        y, points = charts._solve(chart, t)
+        values = charts._tangents(chart, charts._dexp(rho.basis, y), points)
+        table = cohomology.walk_words(points.ad, points.ad_inv, values, words)
+        p.append(forms._cycle_pairing(cycle, tensor, table))
+    p = np.array(p)
     w = ((p - np.swapaxes(p, -1, -2)) / 2).reshape(m, 2, 2, m, m)
     partial = (w[:, :, 0] - w[:, :, 1]) / (h * np.array([1, 1j]))[:, None, None]
     return _triples(partial.mean(axis=1))

@@ -44,7 +44,7 @@ GL2 = GroupSpec("GL", 2)
 
 def _tangent(family, s, k):
     """sigma_k at the point s, stacked (p dim g,): one row of ``_walk``."""
-    return _walk(family, s)[0][0, k].reshape(-1)
+    return _walk(family, s, ())[0][0, k].reshape(-1)
 
 
 class TestPoly:

@@ -267,13 +267,6 @@ class TestFindRepresentation:
         rho = find_representation(pres, GL2, [np.diag([1e-3, 1.0])])
         assert np.linalg.norm(rho.images[0] - np.eye(2)) < 1e-12
 
-    def test_no_convergence_reported(self):
-        # relator a with image far from I and a 1-step budget
-        pres = Presentation.parse(["a"], ["a"])
-        seed = [np.array([[2.0, 1.0], [1.0, 1.0]])]
-        with pytest.raises(NoConvergence):
-            find_representation(pres, SL2, seed, max_iter=1)
-
 
 @pytest.mark.parametrize("shape", [(4,), (12, 4), (64, 6)], ids=str)
 @pytest.mark.parametrize("kind,n", [("SL", 2), ("SL", 3), ("GL", 2), ("GL", 3)])
@@ -294,56 +287,53 @@ def test_ad_matrix_matches_the_product_definition(kind, n, shape):
 
 
 class TestDampedNewton:
-    """The lockstep Newton on P scalar problems x^2 = 4.  A trial farther
-    than 10 from 0 is non-finite, and a poisoned row never gets a finite
-    residual; a label travels with each row so the trials can tell rows apart."""
+    """Newton on the scalar problem x^2 = 4, its trials recorded.  A trial
+    farther than 10 from 0 is non-finite, and so is every trial of a
+    poisoned problem."""
 
     @staticmethod
-    def solve(x0, poisoned=(), max_iter=50):
-        trials = {}
-
+    def solve(x0, trials, max_iter=50, poisoned=False):
         def trial(state, step):
-            x, label = state[0] + step, state[1]
-            for k in label[:, 0]:
-                trials[int(k)] = trials.get(int(k), 0) + 1
-            with np.errstate(invalid="ignore"):
-                res = np.where((np.abs(x) > 10) | np.isin(label, poisoned),
-                               np.nan, x ** 2 - 4)
-            return [x, label], res
+            x = state[0] + step
+            trials.append(complex(x[0]))
+            finite = abs(x[0]) <= 10 and not poisoned
+            return [x], x ** 2 - 4 if finite else np.full(1, np.nan)
 
-        x0 = np.asarray(x0, dtype=complex).reshape(-1, 1)
-        label = np.arange(len(x0)).reshape(-1, 1)
-        x, _ = _damped_newton([x0, label], x0 ** 2 - 4, trial,
-                              lambda state: 2 * state[0][:, :, None],
-                              matgroup.DEFAULT_TOL, max_iter)
-        return x[:, 0], trials
+        x0 = np.array([x0], dtype=complex)
+        x, = _damped_newton([x0], x0 ** 2 - 4, trial, lambda state: 2 * state[0][:, None],
+                            matgroup.DEFAULT_TOL, max_iter)
+        return x[0]
 
-    def test_rows_step_and_halve_on_their_own(self):
-        # the full first step from 0.05 lands near 40: it is halved until
-        # finite and smaller, while the other rows take full steps
-        starts = [1.0, 0.05, 3.0, -1.5]
-        x, trials = self.solve(starts)
-        for k, start in enumerate(starts):
-            alone, alone_trials = self.solve([start])
-            assert x[k] == alone[0]
-            assert trials[k] == alone_trials[0]
-        assert np.abs(np.abs(x) - 2).max() <= 1e-12
-        assert trials[1] > trials[0]
+    def test_overflowing_step_is_halved(self):
+        # the full first step from 0.05 lands near 40, where the trial is not
+        # finite: it is halved until finite and smaller, here 4 times
+        trials = []
+        assert abs(self.solve(0.05, trials) - 2) <= 1e-12
+        full = (4 - 0.05 ** 2) / 0.1
+        assert np.array(trials[:5]) - 0.05 == pytest.approx(
+            full * 0.5 ** np.arange(5), rel=1e-12)
+        assert abs(trials[4]) < 10 < abs(trials[2])
 
-    def test_stall_names_its_row(self):
+    def test_stall_on_a_non_finite_trial(self):
+        # every trial is rejected: 40 halvings, then the residual at the start
+        trials = []
         with pytest.raises(NoConvergence, match="backtracking stalled") as info:
-            self.solve([1.0, 3.0, 0.5], poisoned=(2,))
-        assert info.value.index == 2
+            self.solve(3.0, trials, poisoned=True)
+        assert info.value.residual == 5.0
+        assert len(trials) == 40
 
-    def test_iteration_budget_names_its_row(self):
-        with pytest.raises(NoConvergence, match="after 2 iterations") as info:
-            self.solve([2.0, 2.0 + 1e-9, 0.05], max_iter=2)
-        assert info.value.index == 2
+    def test_no_convergence_reported(self):
+        # a one-iteration budget, passed positionally: one full step from 3
+        # to 3 - 5/6, whose residual is reported
+        trials = []
+        with pytest.raises(NoConvergence, match="after 1 iterations") as info:
+            self.solve(3.0, trials, 1)
+        assert trials == [pytest.approx(3 - 5 / 6, rel=1e-15)]
+        assert info.value.residual == pytest.approx((3 - 5 / 6) ** 2 - 4, rel=1e-14)
 
 
 # Gauss-Newton iterations (one solve_lsq each) of find_representation from
-# the seeded points of conftest.random_point moved by 1e-2 of noise, as the
-# per-point solver took them before it became the P = 1 lockstep solve.
+# the seeded points of conftest.random_point moved by 1e-2 of noise.
 _ITERATIONS = {("SL", 3, 3, 0): 4, ("SL", 3, 3, 2): 4}
 
 
