@@ -297,14 +297,14 @@ class TestLockstep:
     stencil point at a time."""
 
     def test_left_chart_names_the_point(self, genus2_rep):
-        # only the last point moves along a direction that violates the
-        # linearised relator, so only its correction exceeds |t|
+        # only the third direction violates the linearised relator, so only
+        # the point along it moves by more than |t| in its correction
         h1 = cocycle_space(genus2_rep).h1
         bad = np.random.default_rng(0).standard_normal((12, 1))
         chart = Chart(genus2_rep, np.hstack([h1[:, :2], bad]))
         charts._solve(chart, [0.01, 0, 0])
         charts._solve(chart, [0, 0.01, 0])
-        with pytest.raises(LeftChart, match=r"chart point t = \[0\..* 0\.05\+0\.j\]: corr"):
+        with pytest.raises(LeftChart, match=r"chart point t = \[0.* 0\.05\+0\.j\]: correction"):
             charts._solve(chart, [0, 0, 0.05])
 
     def test_forced_stall_names_the_point(self, genus2_rep):
