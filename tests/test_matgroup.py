@@ -267,6 +267,14 @@ class TestFindRepresentation:
         rho = find_representation(pres, GL2, [np.diag([1e-3, 1.0])])
         assert np.linalg.norm(rho.images[0] - np.eye(2)) < 1e-12
 
+    def test_no_convergence_reported(self):
+        # relator a^100 at diag(2, 1): each full step takes about 1/100 off
+        # log 2, so the 50-iteration budget ends near exp(100 log 2 - 50) - 1
+        pres = Presentation.parse(["a"], ["a^100"])
+        with pytest.raises(NoConvergence, match="after 50 iterations") as info:
+            find_representation(pres, GL2, [np.diag([2.0, 1.0])])
+        assert np.exp(15) < info.value.residual < np.exp(25)
+
 
 @pytest.mark.parametrize("shape", [(4,), (12, 4), (64, 6)], ids=str)
 @pytest.mark.parametrize("kind,n", [("SL", 2), ("SL", 3), ("GL", 2), ("GL", 3)])
@@ -322,9 +330,9 @@ class TestDampedNewton:
         assert info.value.residual == 5.0
         assert len(trials) == 40
 
-    def test_no_convergence_reported(self):
+    def test_iteration_budget_names_its_row(self):
         # a one-iteration budget, passed positionally: one full step from 3
-        # to 3 - 5/6, whose residual is reported
+        # to 3 - 5/6, whose residual the error names
         trials = []
         with pytest.raises(NoConvergence, match="after 1 iterations") as info:
             self.solve(3.0, trials, 1)
