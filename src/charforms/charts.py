@@ -19,7 +19,7 @@ phi(ad Y) (S e_i + C c'_i).
 The FD cross-check ``fd_exterior_derivative`` (the holomorphic difference
 rule ``_fd_d``) evaluates ``eta_coefficients`` one stencil point at a time:
 a Newton solve (``_solve``), a tangent solve (``_tangents``) and a
-``walk_words`` table per point.  ``chart_closedness`` needs none of it:
+``forms._pair`` per point.  ``chart_closedness`` needs none of it:
 d(f* eta) = f*(d eta) reads only the 1-jet at the center, which ``_jet``
 pairs exactly over the dual numbers C[eps]/eps^2, as it does a family's at
 s = 0.
@@ -34,7 +34,7 @@ import numpy as np
 
 from .cohomology import BarChain, bar_boundary, cocycle_space, fox_jacobian, walk_words
 from .errors import DegreeMismatch, InvalidInput, LeftChart, NoConvergence
-from .forms import _cycle_pairing, eta, make_context, random_cocycle
+from .forms import _cycle_pairing, _pair, eta, make_context, random_cocycle
 from .matgroup import (
     GroupSpec,
     LieAlgebraBasis,
@@ -129,8 +129,7 @@ def _solve(chart: Chart, t) -> tuple:
     except NoConvergence as exc:
         raise NoConvergence(f"{where}: {exc}", exc.residual) from exc
     y, points = state[0], _Points(*state[1:])
-    bad = _violation(rho.group, points.images[None], points.rel[None],
-                     rho.tol.relator_bound)
+    bad = _violation(rho.group, points.images, points.rel, rho.tol.relator_bound)
     if bad is not None:
         raise InvalidInput(f"{where}: {bad[1]}")
     pushed = _Points(*start[1:]).images  # exp(S t) rho, before the correction
@@ -153,13 +152,12 @@ def _tangents(chart: Chart, phi: np.ndarray, points: _Points) -> np.ndarray:
     return phi @ moved.reshape(shape)
 
 
-def _pullback(chart: Chart, phi: InvariantPolynomial, cycle: BarChain) -> tuple:
-    """The tensor of phi in the center's basis and the words of the cycle
-    that a chart pullback pairs; DegreeMismatch unless both have degree 2."""
+def _pullback(chart: Chart, phi: InvariantPolynomial, cycle: BarChain) -> np.ndarray:
+    """The tensor of phi in the center's basis that a chart pullback pairs;
+    DegreeMismatch unless phi and the cycle have degree 2."""
     if phi.degree != 2 or cycle.degree != 2:
         raise DegreeMismatch("the chart pullback needs a degree-2 polynomial and cycle")
-    words = [w for gammas, _ in cycle.terms for w in gammas]
-    return symmetric_tensor(phi, chart.center.basis), words
+    return symmetric_tensor(phi, chart.center.basis)
 
 
 def _alternated(p: np.ndarray) -> np.ndarray:
@@ -170,14 +168,13 @@ def _alternated(p: np.ndarray) -> np.ndarray:
 def eta_coefficients(chart: Chart, phi: InvariantPolynomial, cycle: BarChain):
     """Coefficient function of the pulled-back 2-form on the chart: ``coeffs(t)``
     is the ``_alternated`` pairing of the chart tangents, (dim, dim) at one
-    point t (dim,), from its ``_solve``, tangent solve and walk."""
-    tensor, words = _pullback(chart, phi, cycle)
+    point t (dim,), from its ``_solve``, tangent solve and ``_pair``."""
+    tensor = _pullback(chart, phi, cycle)
 
     def coeffs(t) -> np.ndarray:
         y, points = _solve(chart, t)
         values = _tangents(chart, _dexp(chart.center.basis, y), points)
-        return _alternated(
-            _cycle_pairing(cycle, tensor, walk_words(*points[2:4], values, words)))
+        return _alternated(_pair(points, values, cycle, tensor))
 
     return coeffs
 
@@ -189,31 +186,39 @@ def _stencil(m: int, h: float) -> np.ndarray:
     return (axes * (h / 2 * np.array([1, -1, 1j, -1j]))[:, None]).reshape(-1, m)
 
 
+def _max_d(jet: np.ndarray) -> float:
+    """max |D_ijk - D_jik + D_kij| over i < j < k of D[k, i, j] = d_k omega_ij
+    (m, m, m), a ``_jet`` or a difference quotient of ``_fd_d``, NaN kept."""
+    d = [jet[i, j, k] - jet[j, i, k] + jet[k, i, j]
+         for i, j, k in itertools.combinations(range(len(jet)), 3)]
+    return float(np.abs(d).max(initial=0.0))
+
+
+def _scale(w: np.ndarray) -> float:
+    """The scale max |w_ij| over i < j of 2-form coefficients w (..., m, m)."""
+    return float(np.abs(np.triu(w, 1)).max(initial=0.0))
+
+
 def _fd_d(w: np.ndarray, h: float) -> tuple:
     """Max |d omega|, ``fd_error`` and the Cauchy-Riemann deviation of a
     holomorphic 2-form from its coefficients w (P, m, m) on ``_stencil(m, h)``,
     of which only the upper triangles are read.
 
-    (d omega)_{ijk} = d_i w_{jk} - d_j w_{ik} + d_k w_{ij} for i < j < k, each
-    partial the mean of the central differences of width h along 1 and along
-    i: the 4-point trapezoid rule on the circle |t_k| = h/2, whose h^2 terms
-    cancel, leaving c_5 h^4 / 16.  ``fd_error`` is the largest half-difference
-    of d along 1 and along i, the error of either width-h difference alone;
-    the deviation is the largest spread of a partial over the two directions.
+    ``max_d`` is ``_max_d`` of the partials d_k w_ij, each the mean of the
+    central differences of width h along 1 and along i: the 4-point trapezoid
+    rule on the circle |t_k| = h/2, whose h^2 terms cancel, leaving
+    c_5 h^4 / 16.  ``fd_error`` is ``_max_d`` of their half-difference, the
+    error of either width-h difference alone; the deviation is the largest
+    spread of a partial d_k w_ij, k not in {i, j}, over the two directions.
     """
     m = w.shape[-1]
     w = np.triu(w, 1)
     w = (w - np.swapaxes(w, 1, 2)).reshape(len(w) // 4, 2, 2, m, m)
     partial = (w[:, :, 0] - w[:, :, 1]) / (h * np.array([1, 1j]))[:, None, None]
-    rows = [np.zeros(5)]  # per triple: max_d, fd_error, three partial spreads
-    for (i, j, k) in itertools.combinations(range(m), 3):
-        terms = (partial[i, :, j, k], partial[j, :, i, k], partial[k, :, i, j])
-        total = terms[0] - terms[1] + terms[2]  # along 1 and along i
-        rows.append([abs(total.mean()), abs(total[0] - total[1]) / 2,
-                     *(abs(t[0] - t[1]) for t in terms)])
-    # numpy's max keeps a NaN wherever it comes; Python's drops one after a number
-    worst = np.max(rows, axis=0)
-    return float(worst[0]), float(worst[1]), float(worst[2:].max())
+    diff = partial[:, 0] - partial[:, 1]  # [k, i, j]: along 1 minus along i
+    k, i, j = np.indices(diff.shape)
+    spread = np.abs(diff[(i < j) & (k != i) & (k != j)]).max(initial=0.0)
+    return _max_d(partial.mean(axis=1)), _max_d(diff / 2), float(spread)
 
 
 _CLOSED_BOUND = 1e-5
@@ -245,7 +250,7 @@ def fd_exterior_derivative(chart_dim: int, coeffs, h: float) -> dict:
     w = np.reshape([coeffs(t) for t in _stencil(chart_dim, h)],
                    (-1, chart_dim, chart_dim))
     max_d, fd_error, cr_dev = _fd_d(w, h)
-    scale = float(np.abs(np.triu(w, 1)).max(initial=0.0))
+    scale = _scale(w)
     return {"max_d": max_d, "scale": scale, "fd_error": fd_error,
             "cauchy_riemann_dev": cr_dev, "h": h, "evaluations": len(w),
             "bound": _CLOSED_BOUND, "pass": _closed(max_d, scale, chart_dim, 0.0)}
@@ -273,29 +278,20 @@ def _jet(basis: LieAlgebraBasis, point: _Points, v: np.ndarray, tensor: np.ndarr
     ad_v = basis.ad(np.moveaxis(v, -1, 0))  # ad v_k(x), (m, p, d, d)
     values = np.concatenate([np.broadcast_to(v, (m, *v.shape)), ad_v @ v / 2], axis=-2)
     table = walk_words(_dual(point.ad, ad_v @ point.ad),
-                       _dual(point.ad_inv, -point.ad_inv @ ad_v), values,
-                       [w for gammas, _ in cycle.terms for w in gammas])
+                       _dual(point.ad_inv, -point.ad_inv @ ad_v), values, cycle.words)
     jet = _cycle_pairing(cycle, np.kron([[0, 1], [1, 0]], tensor), table)
     return _alternated(jet), {w: (a[0, :d, :d], s[0, :d]) for w, (a, s) in table.items()}
-
-
-def _max_d(jet: np.ndarray) -> float:
-    """max |D_ijk - D_jik + D_kij| over i < j < k of a ``_jet``, NaN kept."""
-    d = [jet[i, j, k] - jet[j, i, k] + jet[k, i, j]
-         for i, j, k in itertools.combinations(range(len(jet)), 3)]
-    return float(np.abs(d).max(initial=0.0))
 
 
 def chart_closedness(chart: Chart, phi: InvariantPolynomial, cycle: BarChain) -> dict:
     """Exact d omega at the chart's center: ``_max_d`` of ``_jet`` on the
     tangents there (no solve, no step, no exponential), scale max |omega(0)|
     and the ``_closed`` verdict above the ``_floor`` as ``pass``."""
-    tensor, rho, d = _pullback(chart, phi, cycle)[0], chart.center, chart.center.dim_g
+    tensor, rho, d = _pullback(chart, phi, cycle), chart.center, chart.center.dim_g
     v = _tangents(chart, np.eye(d), rho._at)  # (p, d, m)
     jet, top = _jet(rho.basis, rho._at, v, tensor, cycle)
     max_d = _max_d(jet)
-    at = _alternated(_cycle_pairing(cycle, tensor, top))  # omega(0)
-    scale = float(np.abs(np.triu(at, 1)).max(initial=0.0))
+    scale = _scale(_alternated(_cycle_pairing(cycle, tensor, top)))  # of omega(0)
     return {"max_d": max_d, "scale": scale, "bound": _CLOSED_BOUND,
             "pass": _closed(max_d, scale, chart.dim, _floor(tensor, top, cycle))}
 

@@ -144,9 +144,9 @@ def cmd_validate(args, tol: Tolerances, data: dict) -> dict:
 def cmd_cohomology(args, tol: Tolerances, data: dict) -> dict:
     rho = _representation(data, tol)
     space = cocycle_space(rho)
-    report = space.report()
-    if len(rho.presentation.relators) == 1:
-        report["dim_h2"] = space.h2_dim()
+    report, h2 = space.report(), space.h2_dim()
+    if h2 is not None:
+        report["dim_h2"] = h2
     report["pass"] = True
     return report
 

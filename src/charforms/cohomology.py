@@ -189,6 +189,11 @@ class BarChain:
         items.sort(key=lambda t: tuple((len(w.letters), w.letters) for w in t[0]))
         return BarChain(degree, tuple(items))
 
+    @property
+    def words(self) -> list:
+        """The words a pairing walks: those of every term, in term order."""
+        return [w for gammas, _ in self.terms for w in gammas]
+
     def drop_term(self, index: int) -> "BarChain":
         return BarChain(self.degree,
                         self.terms[:index] + self.terms[index + 1:])

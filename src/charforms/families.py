@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .charts import _closed, _floor, _jet, _max_d
+from .charts import _closed, _floor, _jet, _max_d, _scale
 from .cohomology import BarChain, _off_cocycle, fundamental_two_cycle, walk_words
 from .errors import InvalidInput, NotTangent, SingularMatrix, malformed, natural_int
 from .forms import _cycle_pairing
@@ -264,9 +264,9 @@ def _coefficients(family: FamilySpec, tensor, cycle: BarChain, points) -> tuple:
     form at the points (P, m), _BLOCK points per pass, and the record and
     sigma (m, p, d) of the last point, copied out so its block is freed."""
     points = np.asarray(points, dtype=np.complex128).reshape(-1, family.m)
-    words, blocks = [w for gammas, _ in cycle.terms for w in gammas], []
+    blocks = []
     for i in range(0, len(points), _BLOCK):
-        sigma, table, record = _walk(family, points[i:i + _BLOCK], words)
+        sigma, table, record = _walk(family, points[i:i + _BLOCK], cycle.words)
         blocks.append(_cycle_pairing(cycle, tensor, table))
         last = _Points(*(a[-1].copy() for a in record)), sigma[-1].copy()
         del sigma, table, record  # one block's arrays at a time
@@ -296,7 +296,7 @@ def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
                 "coefficients": {f"{k},{l}": complex(c[k, l])
                                  for k in range(m) for l in range(k + 1, m)}}
                for point, c in zip(grid_points, coeffs)]
-    scale = float(np.abs(np.triu(coeffs[:-1], 1)).max(initial=0.0))
+    scale = _scale(coeffs[:-1])
     jet, top = _jet(basis, center, np.moveaxis(sigma, 0, -1), tensor, cycle)
     max_d = _max_d(jet)
 

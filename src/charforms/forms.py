@@ -10,22 +10,16 @@ conjugation invariance and pullback along group endomorphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .cohomology import (
-    BarChain,
-    cocycle_space,
-    fundamental_two_cycle,
-    identity_values,
-    walk_words,
-)
+from .cohomology import BarChain, cocycle_space, fundamental_two_cycle, walk_words
 from .errors import DegreeMismatch, InvalidInput, NotEndomorphism
 from .matgroup import (
     Representation,
     _ad_matrix,
     _points,
+    _Points,
     _stacked_columns,
     _violation,
     coboundary,
@@ -86,14 +80,21 @@ def _cycle_pairing(cycle: BarChain, tensor: np.ndarray, table: dict):
     return total.reshape(total.shape[:-2] + (total.shape[-1],) * n)
 
 
+def _pair(point: _Points, values: np.ndarray, cycle: BarChain,
+          tensor: np.ndarray) -> np.ndarray:
+    """The one pairing of k cocycles at a ``_Points`` record: ``_cycle_pairing``
+    (..., k, ..., k) of the ``walk_words`` table of ``cycle.words`` on their
+    generator values (..., p, d, k)."""
+    return _cycle_pairing(cycle, tensor,
+                          walk_words(point.ad, point.ad_inv, values, cycle.words))
+
+
 @dataclass(frozen=True, eq=False)
 class EtaContext:
     """A form at rho: the cycle to pair against and the coefficient tensor
     of tilde-Phi (``invariants.symmetric_tensor`` of ``phi`` in rho's basis).
-
-    The ``walk_words`` table (Ad rho(w), J_w) of the cycle words is built on
-    first use and kept; ``eta`` and ``gram_matrix`` pair it in every degree.
-    """
+    Each ``eta`` or ``gram_matrix`` call walks the cycle words on the values
+    it pairs, ``_pair``; the context keeps no table."""
 
     rho: Representation
     phi: InvariantPolynomial
@@ -104,19 +105,13 @@ class EtaContext:
     def degree(self) -> int:
         return self.phi.degree
 
-    @cached_property
-    def table(self) -> dict:
-        at = self.rho._at
-        return walk_words(at.ad, at.ad_inv, identity_values(self.rho),
-                          [w for gammas, _ in self.cycle.terms for w in gammas])
-
 
 def _paired(ctx: EtaContext, stacked: np.ndarray) -> np.ndarray:
     """The cycle pairing (..., k, ..., k) of k stacked cocycles S (..., p dim
-    g, k), ``_stacked_columns``: the context's table with J_w replaced by J_w S."""
-    stacked = _stacked_columns(ctx.rho, stacked)
-    table = {w: (ad, jac @ stacked) for w, (ad, jac) in ctx.table.items()}
-    return _cycle_pairing(ctx.cycle, ctx.tensor, table)
+    g, k), ``_stacked_columns``: ``_pair`` at rho of their generator values."""
+    rho, stacked = ctx.rho, _stacked_columns(ctx.rho, stacked)
+    values = stacked.reshape(stacked.shape[:-2] + (rho.p, rho.dim_g, -1))
+    return _pair(rho._at, values, ctx.cycle, ctx.tensor)
 
 
 def make_context(rho: Representation, phi: InvariantPolynomial,
@@ -202,7 +197,8 @@ def _conjugation_pairs(ctx: EtaContext, g, s):
     """``conjugation_invariance`` over a stack of g (G, n, n), each on its own
     draws s (G, p dim g, 2T) made unit and paired as (s_i, s_{T+i}), and the
     max |eta_rho(s, t)| over them, the scale that shows the form is not zero.
-    All g rho g^-1, the products, are checked and give one stacked Fox table."""
+    All g rho g^-1, the products, are checked as one record and paired in
+    one walk of the cycle words on the values Ad_g s."""
     if ctx.degree != 2:
         raise DegreeMismatch("conjugation_invariance requires degree 2")
     rho, g = ctx.rho, np.asarray(g, dtype=np.complex128)
@@ -214,11 +210,9 @@ def _conjugation_pairs(ctx: EtaContext, g, s):
         raise InvalidInput(bad[1])
     s = s / np.linalg.norm(s, axis=-2, keepdims=True)
     ad_g = _ad_matrix(rho.basis, g, g_inv)[:, None]
-    s_c = (ad_g @ s.reshape(len(g), rho.p, rho.dim_g, -1)).reshape(s.shape)
-    table = walk_words(conj.ad, conj.ad_inv, identity_values(rho), list(ctx.table))
-    table = {w: (ad, jac @ s_c) for w, (ad, jac) in table.items()}
+    s_c = ad_g @ s.reshape(len(g), rho.p, rho.dim_g, -1)
     base, back = (np.diagonal(pairs, s.shape[-1] // 2, -2, -1) for pairs in (
-        _paired(ctx, s), _cycle_pairing(ctx.cycle, ctx.tensor, table)))
+        _paired(ctx, s), _pair(conj, s_c, ctx.cycle, ctx.tensor)))
     return float(np.abs(back - base).max()), float(np.abs(base).max())
 
 
@@ -242,14 +236,13 @@ def endomorphism_pullback(ctx: EtaContext, images, rng, trials: int = 5):
     except InvalidInput as exc:
         raise NotEndomorphism(f"a relator maps to a nontrivial word: {exc}") from exc
     ctx_new = EtaContext(rho_new, ctx.phi, ctx.tensor, ctx.cycle)
-    s = _draws(cocycle_space(rho), rng, 2 * trials)
+    s = _draws(cocycle_space(rho), rng, 2 * trials).reshape(rho.p, rho.dim_g, -1)
     # (phi* sigma)(x_k) = sigma(phi(x_k)): every cocycle in one walk; the
     # trial pairs are (s_i, s_{T+i}), paired once at each point
-    table = walk_words(rho._at.ad, rho._at.ad_inv, s.reshape(rho.p, rho.dim_g, -1),
-                       images)
-    pulled = np.stack([table[w][1] for w in images]).reshape(s.shape)
-    base = np.diagonal(_paired(ctx, s), trials)
-    back = np.diagonal(_paired(ctx_new, pulled), trials)
+    table = walk_words(rho._at.ad, rho._at.ad_inv, s, images)
+    pulled = np.stack([table[w][1] for w in images])
+    base, back = (np.diagonal(_pair(point, values, ctx.cycle, ctx.tensor), trials)
+                  for point, values in ((rho._at, s), (rho_new._at, pulled)))
     ratios = [complex(b / a) for a, b in zip(base, back) if abs(a) > 1e-12]
     report = {
         "ratios": ratios,

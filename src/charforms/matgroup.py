@@ -163,7 +163,7 @@ class Representation:
         return self.basis.dim
 
     def validate(self):
-        bad = _violation(self.group, self._at.images[None], self._at.rel[None],
+        bad = _violation(self.group, self._at.images, self._at.rel,
                          self.tol.relator_bound)
         if bad is not None:
             raise InvalidInput(bad[1])
@@ -264,11 +264,13 @@ def _relator_jacobian(rho: Representation, points: _Points, values) -> np.ndarra
 
 
 def _violation(group: GroupSpec, images, values, relator_bound: float):
-    """(index, reason) for the first point of a stack, images (P, p, n, n)
-    with relator values (P, R, n, n), that leaves Hom(Gamma, G): an SL image
-    off det = 1, or a relator residual above ``relator_bound``; None if none.
-    Hadamard: |det m| is at most the product of the row norms of m, which
-    scales the rounding error of det."""
+    """(index, reason) for the first point, by flat index over the leading
+    axes of images (..., p, n, n) and relator values (..., R, n, n), that
+    leaves Hom(Gamma, G): an SL image off det = 1, or a relator residual
+    above ``relator_bound``; None if none.  Hadamard: |det m| is at most the
+    product of the row norms of m, which scales the rounding error of det."""
+    size = int(np.prod(images.shape[:-3]))
+    images, values = (np.reshape(a, (size,) + a.shape[-3:]) for a in (images, values))
     if group.kind == "SL":
         bound = 1e-10 * np.prod(np.linalg.norm(images, axis=-1), axis=-1)
         for k, j in np.argwhere(np.abs(np.linalg.det(images) - 1.0) > bound)[:1]:

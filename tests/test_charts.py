@@ -369,12 +369,11 @@ def _alternated_fd(chart, cycle, h=5e-3):
     true (Newton-solved) chart, from the holomorphic central differences at
     ``_stencil(m, h)``, the mean of the partials along 1 and along i."""
     m, rho = chart.dim, chart.center
-    words = [w for gammas, _ in cycle.terms for w in gammas]
     tensor, p = symmetric_tensor(trace_form(), rho.basis), []
     for t in _stencil(m, h):
         y, points = charts._solve(chart, t)
         values = charts._tangents(chart, charts._dexp(rho.basis, y), points)
-        table = cohomology.walk_words(points.ad, points.ad_inv, values, words)
+        table = cohomology.walk_words(points.ad, points.ad_inv, values, cycle.words)
         p.append(forms._cycle_pairing(cycle, tensor, table))
     p = np.array(p)
     w = ((p - np.swapaxes(p, -1, -2)) / 2).reshape(m, 2, 2, m, m)
@@ -567,6 +566,23 @@ def _holomorphic_fd(m, coeffs, h):
     return _fd_d(w, h)
 
 
+def _fd_d_by_triples(w, h):
+    """``_fd_d`` one triple i < j < k at a time: the reference loop over
+    (d omega)_{ijk} = d_i w_jk - d_j w_ik + d_k w_ij and its three partials."""
+    m = w.shape[-1]
+    w = np.triu(w, 1)
+    w = (w - np.swapaxes(w, 1, 2)).reshape(len(w) // 4, 2, 2, m, m)
+    partial = (w[:, :, 0] - w[:, :, 1]) / (h * np.array([1, 1j]))[:, None, None]
+    rows = [np.zeros(5)]  # per triple: max_d, fd_error, three partial spreads
+    for (i, j, k) in itertools.combinations(range(m), 3):
+        terms = (partial[i, :, j, k], partial[j, :, i, k], partial[k, :, i, j])
+        total = terms[0] - terms[1] + terms[2]  # along 1 and along i
+        rows.append([abs(total.mean()), abs(total[0] - total[1]) / 2,
+                     *(abs(t[0] - t[1]) for t in terms)])
+    worst = np.max(rows, axis=0)
+    return float(worst[0]), float(worst[1]), float(worst[2:].max())
+
+
 class TestFdOperator:
     """Exact-polynomial oracles: central differences are exact for
     coefficients of degree at most 2, so d(omega) is known to rounding."""
@@ -600,6 +616,17 @@ class TestFdOperator:
             assert fd["cauchy_riemann_dev"] <= 1e-12 * fd["scale"]
             assert _holomorphic_fd(m, coeffs, self.H) == (
                 fd["max_d"], fd["fd_error"], fd["cauchy_riemann_dev"])
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_matches_the_per_triple_loop(self, m):
+        # random coefficients, not a form: every triple reads a different d
+        rng = np.random.default_rng(m)
+        w = rng.standard_normal((4 * m, m, m)) + 1j * rng.standard_normal((4 * m, m, m))
+        max_d, fd_error, cr_dev = _fd_d(w, self.H)
+        ref = _fd_d_by_triples(w, self.H)
+        assert max_d == pytest.approx(ref[0], rel=1e-13)
+        assert fd_error == pytest.approx(ref[1], rel=1e-13)
+        assert cr_dev == ref[2]
 
     def test_quintic_leaves_h4_over_16(self):
         # t0^5 dt1 ^ dt2: d omega is 5 t0^4 = 0 at the center, and the width-h

@@ -357,8 +357,7 @@ def test_prefix_walk_matches_fox_oracle(monkeypatch):
     66 when each prefix is walked from e) and matches Ad rho(w) and the
     Ad-evaluated exact Fox derivatives of every word."""
     rho, _ = random_point(3, 2, "SL", 3)
-    words = [w for gammas, _ in fundamental_two_cycle(rho.presentation).terms
-             for w in gammas]
+    words = fundamental_two_cycle(rho.presentation).words
     steps = Counter()
     walk = charforms.cohomology.cocycle_walk
 
@@ -491,6 +490,18 @@ class TestBarBoundary:
     def test_boundary_below_degree_one(self):
         with pytest.raises(ValueError):
             bar_boundary(BarChain.of(0, {(): 1}))
+
+    def test_words_of_every_term_in_term_order(self):
+        """``BarChain.words``, the words a pairing walks: every slot of every
+        term, in the sorted term order, repeats kept (``walk_words`` walks
+        each word once); a zero coefficient drops its term."""
+        e, a, b = Word.identity(), Word.generator(0), Word.generator(1)
+        chain = BarChain.of(2, {(a * b, a): 2, (a, b): -1, (e, a): 1, (b, b): 0})
+        assert chain.words == [e, a, a, b, a * b, a]
+        assert BarChain.of(3, {}).words == []
+        cycle = fundamental_two_cycle(Presentation.surface(2))
+        assert len(cycle.words) == 2 * len(cycle.terms)
+        assert set(cycle.words) == {w for gammas, _ in cycle.terms for w in gammas}
 
     def test_pair_linear(self, torus_rep):
         a, b = Word.generator(0), Word.generator(1)

@@ -25,6 +25,7 @@ from charforms import (
     power_trace,
     trace_form,
 )
+from charforms.cohomology import identity_values, walk_words
 from charforms.errors import DegreeMismatch, InvalidInput, NotEndomorphism
 from charforms.forms import (
     EtaContext,
@@ -203,13 +204,15 @@ def _count_calls(monkeypatch, calls, name, fn):
 
 
 def test_gram_assembles_once_per_context(monkeypatch):
-    """Deterministic cost guard: the Gram matrix on a 32-dimensional H^1
-    and a later eta on the same context walk the cycle words once."""
+    """Deterministic cost guard: the Gram matrix on a 32-dimensional H^1,
+    again, and a later eta on the same context each pair once, walking the
+    cycle words once on the values they pair."""
     rho, _ = random_point(3, 0, "SL", 3)
     basis = cocycle_space(rho).h1
     assert basis.shape[1] == 32
     calls = Counter()
     _count_calls(monkeypatch, calls, "walk", charforms.cohomology.walk_words)
+    _count_calls(monkeypatch, calls, "pairing", charforms.forms._cycle_pairing)
     ctx = make_context(rho, trace_form())
     g, rank = gram_matrix(ctx, basis)
     again, _ = gram_matrix(ctx, basis)
@@ -217,7 +220,7 @@ def test_gram_assembles_once_per_context(monkeypatch):
     assert rank == 32
     assert np.array_equal(g, again)
     assert pairwise == pytest.approx(g[0, 1], abs=1e-12 * np.abs(g).max())
-    assert calls == Counter(walk=1)
+    assert calls == Counter(walk=3, pairing=3)
 
 
 def _random_table(words, shape, d, k, seed):
@@ -270,15 +273,45 @@ def test_zero_chain_is_refused(f2_rep, n):
 
 
 def test_degree_three_eta_walks_once_per_context(monkeypatch):
-    """Two degree-3 eta calls on one context walk the cycle words once."""
+    """Each of two degree-3 eta calls on one context walks the cycle words
+    once, on its own cocycles, and pairs once."""
     rho, rng = random_point(0, 3, "SL", 3, free=2)
     ctx = make_context(rho, power_trace(3), TestCyclePairing.cycle)
     calls = Counter()
     _count_calls(monkeypatch, calls, "walk", charforms.cohomology.walk_words)
+    _count_calls(monkeypatch, calls, "pairing", charforms.forms._cycle_pairing)
     sigmas = [rng.standard_normal(16) + 0j for _ in range(6)]
     first, second = eta(ctx, *sigmas[:3]), eta(ctx, *sigmas[3:])
-    assert calls == Counter(walk=1)
+    assert calls == Counter(walk=2, pairing=2)
     assert first != second
+
+
+def _substituted_identity_walk(ctx, stacked):
+    """The pairing as the form context once built it: the identity walk
+    (Ad rho(w), J_w) of the cycle words, each J_w replaced by J_w S."""
+    rho, words = ctx.rho, [w for gammas, _ in ctx.cycle.terms for w in gammas]
+    table = walk_words(rho._at.ad, rho._at.ad_inv, identity_values(rho), words)
+    return _cycle_pairing(ctx.cycle, ctx.tensor,
+                          {w: (ad, jac @ stacked) for w, (ad, jac) in table.items()})
+
+
+@pytest.mark.parametrize("shape", [(), (4,)])
+@pytest.mark.parametrize("degree", [2, 3])
+def test_paired_equals_the_substituted_identity_walk(degree, shape):
+    """``_paired``, which walks the values it pairs, equals the walk of the
+    identity values with J_w S in place of J_w, to 1e-13 relative, for
+    unstacked S (p dim g, 5) and a stack (4, p dim g, 5)."""
+    if degree == 2:
+        rho, rng = random_point(2, 5, "SL", 3)
+        ctx = make_context(rho, trace_form())
+    else:
+        rho, rng = random_point(0, 5, "SL", 3, free=2)
+        ctx = make_context(rho, power_trace(3), TestCyclePairing.cycle)
+    size = shape + (rho.p * rho.dim_g, 5)
+    s = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    lib, ref = _paired(ctx, s), _substituted_identity_walk(ctx, s)
+    assert lib.shape == ref.shape == shape + (5,) * degree
+    assert np.abs(lib - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestOracleEquivalence:
@@ -525,26 +558,28 @@ class TestStackedSuites:
 
     def test_one_pairing_per_context(self, genus2_rep, torus_rep, monkeypatch):
         """Deterministic cost guard: each suite pairs once per context and
-        never calls eta, whatever the number of trials; the pullback walks
-        the image words once for all its cocycles."""
+        never calls eta, whatever the number of trials, and each pairing
+        walks the cycle words once; the pullback walks the image words once
+        for all its cocycles."""
         ctx = make_context(genus2_rep, trace_form())
         g = matrix_exp(genus2_rep.basis.matrix_from_coords([0.3, -0.2, 0.5]))
         names = torus_rep.presentation.generator_names
         swap = (parse_word("b1", names), parse_word("a1", names))
         torus_ctx = make_context(torus_rep, trace_form())
-        # walk the cycle words and the relators before counting
-        assert torus_ctx.table and cocycle_space(torus_rep).dims == (4, 2, 2)
+        # walk the relators of both Fox Jacobians before counting
+        assert cocycle_space(torus_rep).dims == (4, 2, 2)
+        assert cocycle_space(genus2_rep).dims[2] == 6
         calls = Counter()
         _count_calls(monkeypatch, calls, "pairing", charforms.forms._cycle_pairing)
         _count_calls(monkeypatch, calls, "eta", charforms.forms.eta)
-        contraction_suite(ctx, 20, np.random.default_rng(28))
-        assert calls == Counter(pairing=1)
-        conjugation_invariance(ctx, g, 20, np.random.default_rng(29))
-        assert calls == Counter(pairing=3)
         _count_calls(monkeypatch, calls, "walk", charforms.cohomology.walk_words)
+        contraction_suite(ctx, 20, np.random.default_rng(28))
+        assert calls == Counter(pairing=1, walk=1)
+        conjugation_invariance(ctx, g, 20, np.random.default_rng(29))
+        assert calls == Counter(pairing=3, walk=3)
         endomorphism_pullback(torus_ctx, swap, np.random.default_rng(30), trials=20)
-        # one walk of the image words, one of the cycle words at the new point
-        assert calls == Counter(pairing=5, walk=2)
+        # one walk of the image words, one of the cycle words at each point
+        assert calls == Counter(pairing=5, walk=6)
 
 
 class TestStackedConjugations:
@@ -579,14 +614,14 @@ class TestStackedConjugations:
         assert (dev < 1e-9) if invariant else (dev > 1.0)
 
     def test_one_point_record_and_one_walk_for_all_g(self, genus2_rep, monkeypatch):
-        """The conjugated points are one stacked record and one Fox table,
-        whatever the number of g: no Representation is built."""
+        """The conjugated points are one stacked record and one walk, whatever
+        the number of g, beside the one walk at rho: no Representation is
+        built."""
         ctx = make_context(genus2_rep, trace_form())
         rng = np.random.default_rng(42)
         g = matrix_exp(genus2_rep.basis.matrix_from_coords(
             0.3 * rng.standard_normal((5, 3))))
         s = np.stack([_draws(cocycle_space(genus2_rep), rng, 6) for _ in g])
-        assert ctx.table
         calls = Counter()
         _count_calls(monkeypatch, calls, "walk", charforms.cohomology.walk_words)
         _count_calls(monkeypatch, calls, "pairing", charforms.forms._cycle_pairing)
@@ -594,7 +629,7 @@ class TestStackedConjugations:
         monkeypatch.setattr(Representation, "__init__", lambda *a, **k: (
             calls.update(["representation"]), init(*a, **k))[1])
         _conjugation_pairs(ctx, g, s)
-        assert calls == Counter(walk=1, pairing=2)
+        assert calls == Counter(walk=2, pairing=2)
 
 
 class TestCocycleShape:

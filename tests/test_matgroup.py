@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from charforms.errors import InvalidInput, NoConvergence
 from charforms.matgroup import (
     _ad_matrix,
     _damped_newton,
+    _violation,
+    _word_values,
     complex_from_json,
     complex_to_json,
     representation_from_json,
@@ -123,6 +127,27 @@ class TestRepresentation:
             Representation(pres, SL2, [p @ np.diag([1e3, 1e-3]) @ np.linalg.inv(p)])
         with pytest.raises(InvalidInput):
             Representation(pres, SL2, [np.diag([1.01, 1.0])])
+
+    @pytest.mark.parametrize("images,reason", [
+        ([np.diag([2.0, 1.0]), np.eye(2)], "SL image has |det - 1| > "),
+        ([[[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]], "relator residual "),
+    ])
+    def test_violation_of_one_point_equals_its_stack(self, images, reason):
+        """``_violation`` reads any leading axes: one bad torus point, as
+        it is and as a 1-stack, gets the same reason at index 0, and in a
+        (2, 3) stack of good points it is named by its flat index 4."""
+        pres, images = Presentation.surface(1), np.array(images, dtype=complex)
+        rel = _word_values(pres.relators, images, np.linalg.inv(images))
+        one = _violation(SL2, images, rel, 1e-9)
+        assert one[0] == 0 and one[1].startswith(reason)
+        assert _violation(SL2, images[None], rel[None], 1e-9) == one
+        stack = np.broadcast_to(np.eye(2, dtype=complex), (2, 3, 2, 2, 2)).copy()
+        rels = np.broadcast_to(np.eye(2, dtype=complex), (2, 3, 1, 2, 2)).copy()
+        assert _violation(SL2, stack, rels, 1e-9) is None
+        stack[1, 1], rels[1, 1] = images, rel
+        assert _violation(SL2, stack, rels, 1e-9) == (4, one[1])
+        with pytest.raises(InvalidInput, match=re.escape(reason)):
+            Representation(pres, SL2, images)
 
     def test_evaluate_word(self, f2_rep):
         w = parse_word("a b A B", ["a", "b"])
