@@ -113,26 +113,25 @@ def _solve(chart: Chart, t) -> tuple:
         raise InvalidInput(f"a chart point has shape ({chart.dim},), got {t.shape}")
     where = f"chart point t = {np.array2string(t, precision=4)}"
 
-    def at(y):  # the Newton state [Y, *record] of exp(Y_k) rho_k, and residual
+    def at(y):  # the Newton state (Y, record of exp(Y_k) rho_k) and its residual
         points = _moved(rho, y.reshape(rho.p, rho.dim_g), rho._at)
-        return [y, *points], _residual(points)
+        return (y, points), _residual(points)
 
     def jacobian(state):  # M C
         values = _dexp(rho.basis, state[0]) @ comp.reshape(rho.p, rho.dim_g, -1)
-        return _relator_jacobian(rho, _Points(*state[1:]), values)
+        return _relator_jacobian(rho, state[1], values)
 
     start, res = at(t @ chart.directions.T)
     try:
-        state = _damped_newton(start, res,
-                               lambda state, step: at(state[0] + step @ comp.T),
-                               jacobian, rho.tol, 50)
+        y, points = _damped_newton(start, res,
+                                   lambda state, step: at(state[0] + step @ comp.T),
+                                   jacobian, rho.tol)
     except NoConvergence as exc:
         raise NoConvergence(f"{where}: {exc}", exc.residual) from exc
-    y, points = state[0], _Points(*state[1:])
     bad = _violation(rho.group, points.images, points.rel, rho.tol.relator_bound)
     if bad is not None:
         raise InvalidInput(f"{where}: {bad[1]}")
-    pushed = _Points(*start[1:]).images  # exp(S t) rho, before the correction
+    pushed = start[1].images  # exp(S t) rho, before the correction
     correction = np.linalg.norm(points.images - pushed, axis=(-2, -1)).sum()
     t_norm = np.linalg.norm(t)
     if 0 < t_norm < correction:

@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import InvalidInput, NotSurfacePresentation, RankInstability
-from .matgroup import Representation, _read_only
+from .matgroup import Representation, _read_only, identity_values
 from .numeric import rank_and_gap
 from .words import Presentation, Word
 
@@ -122,18 +122,19 @@ def cocycle_walk(ad, ad_inv, values, letters, start=None):
     (Ad x^-1, -Ad x^-1 sigma(x)), and the empty word gives (I, 0).
     Batched over leading axes: ad, ad_inv (..., p, d, d) are the generators'
     Ad matrices and their inverses, values (..., p, d, k) the values of k
-    cocycles on the generators; returns (..., d, d) and (..., d, k)."""
+    cocycles on the generators.  Ad rho(w) (..., d, d) keeps the batch of
+    ad; sigma(w) (..., d, k) takes the joint batch of ad and values."""
     if start is None:
+        batch = np.broadcast_shapes(ad.shape[:-3], values.shape[:-3])
+        d, k = values.shape[-2:]
         if letters:
             (g, s), letters = letters[0], letters[1:]
             acc = (ad if s == 1 else ad_inv)[..., g, :, :]
             sig = values[..., g, :, :] if s == 1 else -(acc @ values[..., g, :, :])
         else:
-            d, k = values.shape[-2:]
-            acc, sig = np.eye(d, dtype=complex), np.zeros((d, k), dtype=complex)
-        batch = np.broadcast_shapes(ad.shape[:-3], values.shape[:-3])
-        start = [x if x.shape[:-2] == batch else np.broadcast_to(x, batch + x.shape[-2:])
-                 for x in (acc, sig)]
+            acc = np.broadcast_to(np.eye(d, dtype=complex), ad.shape[:-3] + (d, d))
+            sig = np.zeros((d, k), dtype=complex)
+        start = acc, np.broadcast_to(sig, batch + (d, k))
     acc, sig = start
     for g, s in letters:
         if s == 1:
@@ -146,24 +147,17 @@ def cocycle_walk(ad, ad_inv, values, letters, start=None):
 
 
 def walk_words(ad, ad_inv, values, words) -> dict:
-    """``cocycle_walk`` of every word, each continued from its longest prefix
-    walked before, so a word that extends another by one letter (a relator
-    prefix of the fundamental cycle) costs one letter step; a word with no
-    such prefix starts at its first letter."""
-    walked, longest = {}, 0
+    """``cocycle_walk`` of every word, shortest first: a word continues by
+    one letter step from the nonempty word one letter shorter when that was
+    walked (a relator prefix of the fundamental cycle), else it starts at its
+    first letter.  Either way its letters multiply in the same order."""
+    walked = {}
     for w in sorted(dict.fromkeys(words), key=lambda w: len(w.letters)):
-        cut = next((k for k in range(min(len(w.letters) - 1, longest), 0, -1)
-                    if w.letters[:k] in walked), 0)
-        walked[w.letters] = cocycle_walk(ad, ad_inv, values, w.letters[cut:],
-                                         walked[w.letters[:cut]] if cut else None)
-        longest = len(w.letters)
+        head = w.letters[:-1]
+        walked[w.letters] = (
+            cocycle_walk(ad, ad_inv, values, w.letters[-1:], walked[head])
+            if head and head in walked else cocycle_walk(ad, ad_inv, values, w.letters))
     return {w: walked[w.letters] for w in words}
-
-
-def identity_values(rho: Representation) -> np.ndarray:
-    """Generator values (p, d, p * d) whose walk sigma(w) is J_w."""
-    pd = rho.p * rho.dim_g
-    return np.eye(pd, dtype=np.complex128).reshape(rho.p, rho.dim_g, pd)
 
 
 # ---------------------------------------------------------------------------

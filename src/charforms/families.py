@@ -88,7 +88,7 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return Poly(self.nvars, {p: c * other for p, c in self.coeffs.items()})
-        acc: dict = {}
+        other, acc = self._coerce(other), {}
         for p1, c1 in self.coeffs.items():
             for p2, c2 in other.coeffs.items():
                 p = tuple(a + b for a, b in zip(p1, p2))
@@ -97,10 +97,13 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def _coerce(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            return other
-        return Poly.const(self.nvars, other)
+    def _coerce(self, other) -> "Poly":  # a Poly in self's variables
+        if not isinstance(other, Poly):
+            return Poly.const(self.nvars, other)
+        if other.nvars != self.nvars:
+            raise InvalidInput(f"cannot combine polynomials in {self.nvars} "
+                               f"and {other.nvars} variables")
+        return other
 
     def __call__(self, s) -> complex:
         s = np.asarray(s, dtype=np.complex128)
@@ -179,9 +182,14 @@ class FamilySpec:
         if len(self.domain_radius) != len(self.params):
             raise InvalidInput(f"domain_radius has {len(self.domain_radius)} "
                                f"radii for {len(self.params)} params")
-        n = self.group.n
-        if any(np.shape(rows) != (n, n) for rows in self.images.values()):
-            raise InvalidInput(f"family images must be {n} x {n}")
+        n, m, names = self.group.n, self.m, self.presentation.generator_names
+        if self.images.keys() != set(names):
+            raise InvalidInput(f"family images {sorted(self.images)} are not for {names}")
+        for name, rows in self.images.items():
+            if len(rows) != n or any(len(row) != n for row in rows):
+                raise InvalidInput(f"family image {name!r} must be {n} x {n}")
+            if any(not isinstance(e, Poly) or e.nvars != m for row in rows for e in row):
+                raise InvalidInput(f"family image {name!r} needs Polys in {m} variables")
 
     @property
     def m(self) -> int:

@@ -80,7 +80,7 @@ def symmetric_tensor(phi: InvariantPolynomial, basis: LieAlgebraBasis) -> np.nda
     if phi.kind == "killing":
         ads = basis.ad(np.eye(basis.dim))
         return np.einsum("aij,bji->ab", ads, ads)
-    mats = np.stack(basis.matrices)
+    mats = basis.matrices
     n, d = phi.degree, basis.dim
     prods = mats
     for _ in range(n - 1):

@@ -58,15 +58,16 @@ class GroupSpec:
             raise InvalidInput("matrix size must be >= 2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieAlgebraBasis:
-    """The fixed ordered basis of the Lie algebra with coordinate converters.
+    """The fixed ordered basis of the Lie algebra with coordinate converters:
+    ``matrices`` is one read-only array (dim, n, n) of the basis matrices.
 
     Coordinates are read off matrix entries by index, so only the basis
     built by ``lie_algebra_basis`` is supported.
     """
 
-    matrices: tuple  # tuple of (n, n) arrays
+    matrices: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -74,16 +75,12 @@ class LieAlgebraBasis:
 
     @property
     def n(self) -> int:
-        return self.matrices[0].shape[0]
-
-    @cached_property
-    def _stack(self) -> np.ndarray:
-        return _read_only(np.stack(self.matrices))
+        return self.matrices.shape[-1]
 
     @cached_property
     def _structure(self) -> np.ndarray:  # row a: ad B_a flattened, (d, d * d)
         eye = np.eye(self.n)
-        ads = _ad_matrix(self, self._stack, eye) - _ad_matrix(self, eye, self._stack)
+        ads = _ad_matrix(self, self.matrices, eye) - _ad_matrix(self, eye, self.matrices)
         return _read_only(ads.reshape(self.dim, -1))
 
     def ad(self, x) -> np.ndarray:
@@ -93,7 +90,7 @@ class LieAlgebraBasis:
     def matrix_from_coords(self, x) -> np.ndarray:
         """Matrices (..., n, n) of coordinate vectors x (..., dim)."""
         x = np.asarray(x, dtype=np.complex128)
-        return np.tensordot(x, self._stack, axes=(-1, 0))
+        return np.tensordot(x, self.matrices, axes=(-1, 0))
 
     def coords_from_matrix(self, m) -> np.ndarray:
         """Coordinates (..., dim) of the orthogonal projection of m (..., n, n)
@@ -124,8 +121,8 @@ def lie_algebra_basis(group: GroupSpec) -> LieAlgebraBasis:
         unit = np.eye(n * n, dtype=np.complex128).reshape(n, n, n, n)
         diagonal = unit[range(n), range(n)]  # unit[i, j] = E_ij
         diagonal = diagonal[:-1] - diagonal[1:] if group.kind == "SL" else diagonal
-        _BASES[key] = LieAlgebraBasis(tuple(_read_only(np.concatenate(
-            [unit[~np.eye(n, dtype=bool)], diagonal]))))
+        _BASES[key] = LieAlgebraBasis(_read_only(np.concatenate(
+            [unit[~np.eye(n, dtype=bool)], diagonal])))
     return _BASES[key]
 
 
@@ -182,10 +179,9 @@ def _points(presentation: Presentation, basis: LieAlgebraBasis, images,
                    _word_values(presentation.relators, images, inverses))
 
 
-def _residual(points: _Points) -> np.ndarray:
-    """Newton residuals vec(rho(r) - I) of the points, (..., R n^2)."""
-    res = points.rel - np.eye(points.rel.shape[-1])
-    return res.reshape(res.shape[:-3] + (np.prod(res.shape[-3:], dtype=int),))
+def _residual(point: _Points) -> np.ndarray:
+    """Newton residual vec(rho(r) - I) of one point, (R n^2,)."""
+    return (point.rel - np.eye(point.rel.shape[-1])).reshape(-1)
 
 
 def _ad_matrix(basis: LieAlgebraBasis, left, right) -> np.ndarray:
@@ -199,11 +195,11 @@ def _ad_matrix(basis: LieAlgebraBasis, left, right) -> np.ndarray:
     left, right = np.asarray(left), np.asarray(right)
     n = basis.n
     k = n * n if basis.dim == n * n else n * n - n  # the units lead the basis
-    units = np.flatnonzero(basis._stack[:k].reshape(k, -1)) % (n * n)
+    units = np.flatnonzero(basis.matrices[:k].reshape(k, -1)) % (n * n)
     outer = left.swapaxes(-1, -2)[..., :, None, :, None] * right[..., None, :, None, :]
     images = outer.reshape(outer.shape[:-4] + (n * n, n, n))[..., units, :, :]
     if k < basis.dim:  # left H_i is left times the diagonal of H_i, exactly
-        scaled = left[..., None, :, :] * np.diagonal(basis._stack[k:], 0, 1, 2)[:, None]
+        scaled = left[..., None, :, :] * np.diagonal(basis.matrices[k:], 0, 1, 2)[:, None]
         images = np.concatenate([images, scaled @ right[..., None, :, :]], axis=-3)
     return np.swapaxes(basis.coords_from_matrix(images), -1, -2)
 
@@ -247,20 +243,24 @@ def _word_values(words, images, inverses) -> np.ndarray:
     return out
 
 
-def _relator_jacobian(rho: Representation, points: _Points, values) -> np.ndarray:
-    """Derivative (..., R n^2, k) of the ``_residual`` of points of rho's
-    presentation along k directions with generator values (..., p, d, k):
+def _relator_jacobian(rho: Representation, point: _Points, values) -> np.ndarray:
+    """Derivative (R n^2, k) of the ``_residual`` of one point of rho's
+    presentation along k directions with generator values (p, d, k):
     moving rho(x_j) to exp(X_j) rho(x_j) moves rho(r) by (J_r X) rho(r),
     J_r X the ``cocycle_walk`` of r on X."""
     from .cohomology import cocycle_walk  # cohomology imports this module
-    rel, rows, k = points.rel, rho.basis.n ** 2, values.shape[-1]
-    out = np.empty(rel.shape[:-2] + (k, rows), complex)
+    rel, rows, k = point.rel, rho.basis.n ** 2, values.shape[-1]
+    out = np.empty((len(rel), k, rows), complex)
     for i, r in enumerate(rho.presentation.relators):
-        walked = np.swapaxes(
-            cocycle_walk(points.ad, points.ad_inv, values, r.letters)[1], -1, -2)
-        moved = rho.basis.matrix_from_coords(walked) @ rel[..., i, None, :, :]
-        out[..., i, :, :] = moved.reshape(moved.shape[:-2] + (rows,))
-    return out.swapaxes(-1, -2).reshape(rel.shape[:-3] + (rel.shape[-3] * rows, k))
+        walked = cocycle_walk(point.ad, point.ad_inv, values, r.letters)[1].T
+        out[i] = (rho.basis.matrix_from_coords(walked) @ rel[i]).reshape(k, rows)
+    return out.swapaxes(1, 2).reshape(-1, k)
+
+
+def identity_values(rho: Representation) -> np.ndarray:
+    """Generator values (p, d, p * d) whose walk sigma(w) is J_w."""
+    pd = rho.p * rho.dim_g
+    return np.eye(pd, dtype=np.complex128).reshape(rho.p, rho.dim_g, pd)
 
 
 def _violation(group: GroupSpec, images, values, relator_bound: float):
@@ -290,19 +290,23 @@ def _moved(rho: Representation, x, points: _Points) -> _Points:
                    points.inverses @ e[1])
 
 
-def _damped_newton(state, res, trial, jacobian, tol: Tolerances, max_iter: int):
+_NEWTON_ITERATIONS = 50  # the iteration budget of every damped Newton solve
+
+
+def _damped_newton(state, res, trial, jacobian, tol: Tolerances):
     """Gauss-Newton with step halving; returns the state once its residual
     norm meets tol.newton_tol.
 
-    ``state`` is a list of arrays and ``res`` (r,) its residual;
-    ``trial(state, step)`` gives the (state, residual) of the state moved by
-    ``step`` (k,) and ``jacobian(state)`` its derivative (r, k).  The step is
-    halved until the residual norm falls, at most 40 times per iteration; a
-    non-finite trial counts as rejected.  Raises NoConvergence when the
-    halvings or the iterations run out.
+    ``state`` is the caller's own record, passed through untouched, and
+    ``res`` (r,) its residual; ``trial(state, step)`` gives the (state,
+    residual) of the state moved by ``step`` (k,) and ``jacobian(state)`` its
+    derivative (r, k).  The step is halved until the residual norm falls, at
+    most 40 times per iteration; a non-finite trial counts as rejected.
+    Raises NoConvergence when the halvings or the _NEWTON_ITERATIONS
+    iterations run out.
     """
     norm = np.linalg.norm(res, axis=-1)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_ITERATIONS):
         if norm <= tol.newton_tol:
             return state
         step = solve_lsq(jacobian(state), -res)
@@ -318,16 +322,15 @@ def _damped_newton(state, res, trial, jacobian, tol: Tolerances, max_iter: int):
                                 residual=float(norm))
         state, res, norm = cand, cand_res, cand_norm
     if norm > tol.newton_tol:
-        raise NoConvergence(
-            f"no convergence after {max_iter} iterations, residual {norm:.3e}",
-            residual=float(norm))
+        raise NoConvergence(f"no convergence after {_NEWTON_ITERATIONS} "
+                            f"iterations, residual {norm:.3e}", residual=float(norm))
     return state
 
 
 def find_representation(presentation: Presentation, group: GroupSpec, seed_images,
                         tol: Tolerances = DEFAULT_TOL) -> Representation:
     """Gauss-Newton solve of the relator equations starting from seed images,
-    ``_damped_newton`` with at most 50 iterations.
+    ``_damped_newton`` on the ``_Points`` record of the images.
 
     Perturbations act as rho(x_k) -> exp(X_k) rho(x_k) with X_k in the fixed
     Lie-algebra basis (traceless for SL, so the determinant constraint is
@@ -338,16 +341,15 @@ def find_representation(presentation: Presentation, group: GroupSpec, seed_image
     if group.kind == "SL":
         images = [m / np.linalg.det(m) ** (1.0 / group.n) for m in images]
     rho = Representation(presentation, group, images, tol=tol, check=False)
-    identity = np.eye(rho.p * rho.dim_g).reshape(rho.p, rho.dim_g, -1)
+    identity = identity_values(rho)
 
-    def trial(state, step):  # the Newton state is the record's fields
-        points = _moved(rho, step.reshape(rho.p, rho.dim_g), _Points(*state))
-        return list(points), _residual(points)
+    def trial(points, step):
+        points = _moved(rho, step.reshape(rho.p, rho.dim_g), points)
+        return points, _residual(points)
 
-    state = _damped_newton(
-        list(rho._at), _residual(rho._at), trial,
-        lambda state: _relator_jacobian(rho, _Points(*state), identity), tol, 50)
-    return Representation(presentation, group, _Points(*state).images, tol=tol)
+    points = _damped_newton(rho._at, _residual(rho._at), trial,
+                            lambda points: _relator_jacobian(rho, points, identity), tol)
+    return Representation(presentation, group, points.images, tol=tol)
 
 
 def is_irreducible(rho: Representation) -> bool:

@@ -51,8 +51,6 @@ DEFAULT_TOL = Tolerances()
 def as_cmatrix(data) -> np.ndarray:
     """Coerce to a 2-d complex128 array, rejecting non-finite entries."""
     m = np.asarray(data, dtype=np.complex128)
-    if m.ndim == 1:
-        m = m[:, None]
     if m.ndim != 2:
         raise InvalidInput(f"expected a matrix, got ndim={m.ndim}")
     if not np.isfinite(m).all():
@@ -112,20 +110,17 @@ def rank_and_gap(m, tol: Tolerances = DEFAULT_TOL) -> RankDecision:
 
 
 def solve_lsq(a, b) -> np.ndarray:
-    """Minimum-norm least-squares solution of a x = b, batched over the
-    leading axes of a (..., m, k) and b (..., m, q), or of b (..., m).  One
-    SVD per matrix; singular values at most the default relative rank cutoff
-    times the largest count as zero."""
-    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
-    if not np.isfinite(a).all():
-        raise InvalidInput("matrix has non-finite entries")
-    vector = b.ndim == a.ndim - 1
+    """Minimum-norm least-squares solution of one system a x = b, a (m, k)
+    and b (m,) or (m, q), from one SVD; singular values at most the default
+    relative rank cutoff times the largest count as zero.  A system of no
+    rows (m = 0) has x = 0."""
+    a, b = as_cmatrix(a), np.asarray(b, dtype=np.complex128)
+    column = b.ndim == 1
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     with np.errstate(divide="ignore"):
-        inv = np.where(s > DEFAULT_TOL.rank_rel * s[..., :1], 1.0 / s, 0.0)[..., None]
-    x = np.conj(vh).swapaxes(-1, -2) @ (
-        inv * (np.conj(u).swapaxes(-1, -2) @ (b[..., None] if vector else b)))
-    return x[..., 0] if vector else x
+        inv = np.where(s > DEFAULT_TOL.rank_rel * s[:1], 1.0 / s, 0.0)[:, None]
+    x = np.conj(vh).T @ (inv * (np.conj(u).T @ (b[:, None] if column else b)))
+    return x[:, 0] if column else x
 
 
 # Pade degrees m and the 1-norms theta_m up to which degree m is accurate to

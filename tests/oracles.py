@@ -27,7 +27,7 @@ def ad_by_products(basis, left, right):
     matrix E_b, read off in the basis."""
     left = np.asarray(left)[..., None, :, :]
     right = np.asarray(right)[..., None, :, :]
-    return np.swapaxes(basis.coords_from_matrix(left @ basis._stack @ right), -1, -2)
+    return np.swapaxes(basis.coords_from_matrix(left @ basis.matrices @ right), -1, -2)
 
 
 def adjoint_operator(rho, w):
@@ -52,7 +52,7 @@ def exact_dims(presentation, group, images):
     dim Z^1 = p dim g - rank J, dim B^1 = rank of v -> (v - Ad rho(x_k) v)_k.
     """
     flat = sympy.Matrix([[int(x.real) for x in e.ravel()]
-                         for e in lie_algebra_basis(group)._stack]).T
+                         for e in lie_algebra_basis(group).matrices]).T
     coords = (flat.T * flat).inv() * flat.T  # vec(X) -> coordinates of X in g
     mats = [sympy.Matrix(m).applyfunc(sympy.Rational) for m in images]
     invs = [m.inv() for m in mats]

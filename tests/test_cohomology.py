@@ -149,8 +149,9 @@ def test_bases_are_the_stacked_columns_and_h1_is_built_once(genus2_rep, monkeypa
                          [((), ()), ((3,), ()), ((), (3,)), ((2, 1), (3,))])
 def test_a_walk_starts_at_its_first_letter(ad_batch, values_batch):
     """A one-letter word x^{+-1} walks to (Ad x, sigma(x)) or (Ad x^-1,
-    -Ad x^-1 sigma(x)) bit for bit, broadcast to the common batch shape,
-    whether or not the empty word is walked beside it."""
+    -Ad x^-1 sigma(x)) bit for bit, Ad at the batch of ad and sigma
+    broadcast to the joint batch, whether or not the empty word is walked
+    beside it."""
     rng = np.random.default_rng(11)
     p, d, k = 2, 3, 2
 
@@ -166,8 +167,9 @@ def test_a_walk_starts_at_its_first_letter(ad_batch, values_batch):
         for g in range(p):
             x, x_inv, v = ad[..., g, :, :], ad_inv[..., g, :, :], values[..., g, :, :]
             for e, want in ((1, (x, v)), (-1, (x_inv, -(x_inv @ v)))):
-                for got, expected in zip(table[Word.generator(g, e)], want):
-                    expected = np.broadcast_to(expected, batch + expected.shape[-2:])
+                for got, expected, shape in zip(table[Word.generator(g, e)], want,
+                                                (ad_batch, batch)):
+                    expected = np.broadcast_to(expected, shape + expected.shape[-2:])
                     assert got.shape == expected.shape
                     assert (np.ascontiguousarray(got).tobytes()
                             == np.ascontiguousarray(expected).tobytes())

@@ -74,6 +74,14 @@ class TestPoly:
             with pytest.raises(InvalidInput, match="at most 1024"):
                 Poly(2, {powers: 1.0})
 
+    def test_other_variable_counts_are_refused(self):
+        """A product of Polys in 2 and 3 variables, and a substitution mixing
+        1 and 3 variables, used to drop a variable without a word."""
+        with pytest.raises(InvalidInput, match="in 2 and 3 variables"):
+            Poly.var(2, 0) * Poly.var(3, 2)
+        with pytest.raises(InvalidInput, match="in 1 and 3 variables"):
+            Poly.var(2, 1).compose([Poly.var(1, 0), Poly.var(3, 0)])
+
     def test_compose(self):
         x = Poly.var(1, 0)
         p = x * x + 2.0 * x
@@ -412,6 +420,36 @@ class TestFamilyInput:
         del data["params"]
         with pytest.raises(InvalidInput, match="params"):
             family_from_json(data, family.presentation, family.group)
+
+
+    @staticmethod
+    def _torus(**images):
+        """A genus-1 GL(2) family of diagonal images in one parameter s, with
+        the given images over them; an image given as None is left out."""
+        s, one, zero = Poly.var(1, 0), Poly.const(1, 1.0), Poly(1)
+        images = {"a1": [[one + s, zero], [zero, one]],
+                  "b1": [[one, zero], [zero, one + s]], **images}
+        return FamilySpec(Presentation.surface(1), GL2, ("s",), (0.2,),
+                          {name: v for name, v in images.items() if v is not None})
+
+    def test_images_name_the_generators(self):
+        assert self._torus().validate() < 1e-12
+        with pytest.raises(InvalidInput, match="not for"):
+            self._torus(b1=None)
+        with pytest.raises(InvalidInput, match="not for"):
+            self._torus(c1=self._torus().images["a1"])
+
+    def test_ragged_image_row(self):
+        one, zero = Poly.const(1, 1.0), Poly(1)
+        with pytest.raises(InvalidInput, match="must be 2 x 2"):
+            self._torus(b1=[[one, zero], [one]])
+
+    def test_entries_in_the_params(self):
+        one, zero = Poly.const(2, 1.0), Poly(2)
+        with pytest.raises(InvalidInput, match="Polys in 1 variables"):
+            self._torus(b1=[[one, zero], [zero, one]])
+        with pytest.raises(InvalidInput, match="Polys in 1 variables"):
+            self._torus(b1=[[1.0, 0.0], [0.0, 1.0]])
 
 
 class TestPullback:

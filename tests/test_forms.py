@@ -457,6 +457,25 @@ class TestEndomorphismPullback:
                                   rng=np.random.default_rng(8))
 
 
+def test_degree_one_pairing_matches_the_oracle():
+    """phi = tr on F_2 in GL(2) against the 1-chain [a] - 2[b] + 3[ab]: eta
+    equals the oracle's term-by-term pairing, and a stack of T trials pairs
+    as T single calls."""
+    rho, rng = random_point(0, 4, "GL", 2, free=2)
+    a, b = Word.generator(0), Word.generator(1)
+    ctx = make_context(rho, power_trace(1), BarChain.of(1, {(a,): 1, (b,): -2, (a * b,): 3}))
+    pd = rho.p * rho.dim_g
+    sigma = rng.standard_normal(pd) + 1j * rng.standard_normal(pd)
+    ref, scale = reference_eta(ctx, sigma)
+    assert abs(eta(ctx, sigma) - ref) <= 1e-13 * scale
+    stack = rng.standard_normal((4, pd, 3)) + 1j * rng.standard_normal((4, pd, 3))
+    pairs = _paired(ctx, stack)
+    assert pairs.shape == (4, 3)
+    for i in range(4):
+        point = _paired(ctx, stack[i])
+        assert np.abs(pairs[i] - point).max() <= 1e-14 * np.abs(point).max()
+
+
 class TestStackedSuites:
     """Each randomized suite draws its trials as one stack and pairs it once
     per context."""
@@ -477,6 +496,21 @@ class TestStackedSuites:
         for i in range(4):
             point = _paired(ctx, stack[i])
             assert np.abs(pairs[i] - point).max() <= 1e-14 * np.abs(point).max()
+
+    def test_walk_keeps_ad_at_the_point(self, genus2_rep, monkeypatch):
+        """20 trials paired at one genus-2 SL(2) point: every Ad entry of the
+        walk table is (d, d), once for all trials, and every sigma entry is
+        (20, d, k)."""
+        ctx, rng = make_context(genus2_rep, trace_form()), np.random.default_rng(22)
+        pd, d = genus2_rep.p * genus2_rep.dim_g, genus2_rep.dim_g
+        stack = rng.standard_normal((20, pd, 2)) + 1j * rng.standard_normal((20, pd, 2))
+        tables, pairing = [], charforms.forms._cycle_pairing
+        monkeypatch.setattr(charforms.forms, "_cycle_pairing", lambda cycle, tensor, table:
+                            tables.append(table) or pairing(cycle, tensor, table))
+        _paired(ctx, stack)
+        table, = tables
+        assert {ad.shape for ad, _ in table.values()} == {(d, d)}
+        assert {sigma.shape for _, sigma in table.values()} == {(20, d, 2)}
 
     def test_contraction_in_degree_three(self):
         """The leading-axis stack in degree 3: on the F_2 3-chain a

@@ -98,7 +98,7 @@ class TestLieAlgebraBasis:
         assert lie_algebra_basis(GroupSpec("SL", 2)) is basis
         assert lie_algebra_basis(GroupSpec("GL", 2)) is not basis
         basis.ad(np.zeros(basis.dim))
-        for a in (*basis.matrices, basis._stack, basis._structure):
+        for a in (basis.matrices, *basis.matrices, basis._structure):
             assert not a.flags.writeable
         with pytest.raises(ValueError):
             basis.matrices[0][0, 1] = 2.0
@@ -325,42 +325,43 @@ class TestDampedNewton:
     poisoned problem."""
 
     @staticmethod
-    def solve(x0, trials, max_iter=50, poisoned=False):
-        def trial(state, step):
-            x = state[0] + step
+    def solve(monkeypatch, x0, trials, max_iter=50, poisoned=False):
+        def trial(x, step):
+            x = x + step
             trials.append(complex(x[0]))
             finite = abs(x[0]) <= 10 and not poisoned
-            return [x], x ** 2 - 4 if finite else np.full(1, np.nan)
+            return x, x ** 2 - 4 if finite else np.full(1, np.nan)
 
+        monkeypatch.setattr(matgroup, "_NEWTON_ITERATIONS", max_iter)
         x0 = np.array([x0], dtype=complex)
-        x, = _damped_newton([x0], x0 ** 2 - 4, trial, lambda state: 2 * state[0][:, None],
-                            matgroup.DEFAULT_TOL, max_iter)
+        x = _damped_newton(x0, x0 ** 2 - 4, trial, lambda x: 2 * x[:, None],
+                           matgroup.DEFAULT_TOL)
         return x[0]
 
-    def test_overflowing_step_is_halved(self):
+    def test_overflowing_step_is_halved(self, monkeypatch):
         # the full first step from 0.05 lands near 40, where the trial is not
         # finite: it is halved until finite and smaller, here 4 times
         trials = []
-        assert abs(self.solve(0.05, trials) - 2) <= 1e-12
+        assert abs(self.solve(monkeypatch, 0.05, trials) - 2) <= 1e-12
         full = (4 - 0.05 ** 2) / 0.1
         assert np.array(trials[:5]) - 0.05 == pytest.approx(
             full * 0.5 ** np.arange(5), rel=1e-12)
         assert abs(trials[4]) < 10 < abs(trials[2])
 
-    def test_stall_on_a_non_finite_trial(self):
+    def test_stall_on_a_non_finite_trial(self, monkeypatch):
         # every trial is rejected: 40 halvings, then the residual at the start
         trials = []
         with pytest.raises(NoConvergence, match="backtracking stalled") as info:
-            self.solve(3.0, trials, poisoned=True)
+            self.solve(monkeypatch, 3.0, trials, poisoned=True)
         assert info.value.residual == 5.0
         assert len(trials) == 40
 
-    def test_iteration_budget_names_its_row(self):
-        # a one-iteration budget, passed positionally: one full step from 3
-        # to 3 - 5/6, whose residual the error names
+    def test_iteration_budget_names_its_row(self, monkeypatch):
+        # a one-iteration budget, set on the module: one full step from 3 to
+        # 3 - 5/6, whose residual the error names
         trials = []
         with pytest.raises(NoConvergence, match="after 1 iterations") as info:
-            self.solve(3.0, trials, 1)
+            self.solve(monkeypatch, 3.0, trials, 1)
         assert trials == [pytest.approx(3 - 5 / 6, rel=1e-15)]
         assert info.value.residual == pytest.approx((3 - 5 / 6) ** 2 - 4, rel=1e-14)
 

@@ -35,6 +35,11 @@ def test_as_cmatrix_rejects_nan():
         as_cmatrix([[np.nan, 0], [0, 1]])
 
 
+def test_as_cmatrix_refuses_a_vector():
+    with pytest.raises(InvalidInput, match="ndim=1"):
+        as_cmatrix([1.0, 2.0])
+
+
 def test_rank_and_gap():
     m = np.diag([1.0, 1e-3, 1e-14])
     dec = rank_and_gap(m)
@@ -145,10 +150,10 @@ def test_solve_lsq_drops_singular_values_below_the_rank_cutoff():
 
 @pytest.mark.parametrize("rows,cols", [(5, 3), (3, 5), (4, 4)])
 def test_solve_lsq_matches_gelsd_on_stacks(rows, cols):
-    """The batched SVD solve against LAPACK's gelsd under the same cutoff,
-    one matrix at a time, on a seeded (2, 3) stack with rank-deficient
-    members: a repeated column, rank one, zero, and a singular value planted
-    below the cutoff."""
+    """The SVD solve against LAPACK's gelsd under the same cutoff, one
+    system at a time, on a seeded stack of six with rank-deficient members:
+    a repeated column, rank one, zero, and a singular value planted below
+    the cutoff."""
     rng = np.random.default_rng(rows * cols)
 
     def draw(*shape):
@@ -161,14 +166,25 @@ def test_solve_lsq_matches_gelsd_on_stacks(rows, cols):
     u, s, vh = np.linalg.svd(a[4], full_matrices=False)
     s[-1] = 1e-13 * s[0]
     a[4] = (u * s) @ vh
-    x = solve_lsq(a.reshape(2, 3, rows, cols), b.reshape(2, 3, rows, 2))
-    x_vec = solve_lsq(a, b[..., 0])
-    assert x.shape == (2, 3, cols, 2) and x_vec.shape == (6, cols)
     for k in range(6):
+        x, x_vec = solve_lsq(a[k], b[k]), solve_lsq(a[k], b[k, :, 0])
+        assert x.shape == (cols, 2) and x_vec.shape == (cols,)
         ref = scipy.linalg.lstsq(a[k], b[k], cond=1e-10, lapack_driver="gelsd")[0]
         bound = 1e-12 * max(1.0, np.abs(ref).max())
-        assert np.abs(x.reshape(6, cols, 2)[k] - ref).max() <= bound
-        assert np.abs(x_vec[k] - ref[:, 0]).max() <= bound
+        assert np.abs(x - ref).max() <= bound
+        assert np.abs(x_vec - ref[:, 0]).max() <= bound
+
+
+@pytest.mark.parametrize("b", [np.zeros(0), np.zeros((0, 2))], ids=["vector", "matrix"])
+def test_solve_lsq_of_no_rows_is_zero(b):
+    """A system of no rows, as a free group's relator Jacobian, solves to 0."""
+    x = solve_lsq(np.zeros((0, 3)), b)
+    assert x.shape == (3,) + b.shape[1:] and not x.any()
+
+
+def test_solve_lsq_refuses_a_stack():
+    with pytest.raises(InvalidInput, match="ndim=3"):
+        solve_lsq(np.ones((2, 2, 2)), np.ones((2, 2)))
 
 
 def _with_norm(rng, n, norm):
