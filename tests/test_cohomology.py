@@ -160,6 +160,7 @@ def test_a_walk_starts_at_its_first_letter(ad_batch, values_batch):
 
     ad, ad_inv = draw(ad_batch + (p, d, d)), draw(ad_batch + (p, d, d))
     values = draw(values_batch + (p, d, k))
+    values[..., 0, 0, 0] = -0.0  # would read +0.0 in a walk continued from (I, 0)
     batch = np.broadcast_shapes(ad_batch, values_batch)
     letters = [Word.generator(g, e) for g in range(p) for e in (1, -1)]
     for words in (letters, [Word.identity(), *letters]):
