@@ -421,7 +421,6 @@ class TestFamilyInput:
         with pytest.raises(InvalidInput, match="params"):
             family_from_json(data, family.presentation, family.group)
 
-
     @staticmethod
     def _torus(**images):
         """A genus-1 GL(2) family of diagonal images in one parameter s, with
