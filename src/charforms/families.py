@@ -179,9 +179,10 @@ class FamilySpec:
     tol: Tolerances = DEFAULT_TOL  # of every decision made on the family
 
     def __post_init__(self):
-        if len(self.domain_radius) != len(self.params):
-            raise InvalidInput(f"domain_radius has {len(self.domain_radius)} "
-                               f"radii for {len(self.params)} params")
+        radii = self.domain_radius
+        if len(radii) != len(self.params) or not all(0 < r < np.inf for r in radii):
+            raise InvalidInput(f"domain_radius {radii} needs one finite radius > 0 "
+                               f"per param of {self.params}")
         n, m, names = self.group.n, self.m, self.presentation.generator_names
         if self.images.keys() != set(names):
             raise InvalidInput(f"family images {sorted(self.images)} are not for {names}")

@@ -3,8 +3,8 @@
 Built on numpy alone.  Every rank, column-space and null-space decision in the
 library is one call of ``rank_and_gap``: one SVD under one relative cutoff, so
 dimension counts elsewhere agree and each decision carries its gap and margin.
-``matrix_exp`` is Higham's Pade scaling and squaring (SIAM J. Matrix Anal. Appl.
-26, 2005), batched over a stack.
+``matrix_exp`` is one path of Higham's Pade scaling and squaring (SIAM J.
+Matrix Anal. Appl. 26, 2005), degree 13 on every matrix of a stack.
 """
 
 from __future__ import annotations
@@ -123,56 +123,41 @@ def solve_lsq(a, b) -> np.ndarray:
     return x[:, 0] if column else x
 
 
-# Pade degrees m and the 1-norms theta_m up to which degree m is accurate to
-# unit roundoff (Higham 2005, Table 2.3)
-_DEGREES = (3, 5, 7, 9, 13)
-_THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
-          2.097847961257068, 5.371920351148152)
+# theta_13, the 1-norm up to which the [13/13] Pade approximant of exp is
+# accurate to unit roundoff (Higham 2005, Table 2.3), and its coefficients
+# b_j = (26 - j)! / (j! (13 - j)!) divided by b_0, so that exp(0) = I exactly
+_THETA_13 = 5.371920351148152
+_B = [factorial(26 - j) * factorial(13) / (factorial(j) * factorial(13 - j) * factorial(26))
+      for j in range(14)]
 
 
-def _pade(a, m: int):
-    """The [m/m] Pade approximant (V - U)^-1 (V + U) of exp on a stack a, with
-    U + V = sum_j b_j a^j, U odd, V even and b_j = (2m - j)! / (j! (m - j)!)."""
-    b = [factorial(2 * m - j) / (factorial(j) * factorial(m - j)) for j in range(m + 1)]
-    ident, a2 = np.eye(a.shape[-1]), a @ a
-    if m == 13:  # Higham's evaluation, with a^8, a^10, a^12 as a^6 times a^2, a^4, a^6
+def matrix_exp(m) -> np.ndarray:
+    """Exponential of a square matrix or of each matrix of a stack (..., n, n).
+
+    Each matrix is scaled by 2^-s, s the least that brings its 1-norm to at
+    most theta_13, takes the [13/13] Pade approximant (V - U)^-1 (V + U) from
+    a^2, a^4 and a^6 and is squared s times: the same result alone or in a
+    stack, and exp(0) = I exactly.  A matrix whose exponential overflows gets
+    non-finite entries; the others are unaffected.
+    """
+    m = _square_stack(m, "matrix_exp")
+    b, ident = _B, np.eye(m.shape[-1])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        norm = np.abs(m).sum(axis=-2).max(axis=-1, initial=0.0)
+        s = np.clip(np.ceil(np.log2(norm / _THETA_13)), 0, 1024).astype(int)
+        a = m * 0.5 ** s[..., None, None]
+        a2 = a @ a
         a4 = a2 @ a2
         a6 = a4 @ a2
         u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
                  + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
         v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
              + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    else:
-        powers = [ident, a2]
-        while len(powers) <= m // 2:
-            powers.append(powers[-1] @ a2)
-        u = a @ sum(b[2 * k + 1] * x for k, x in enumerate(powers))
-        v = sum(b[2 * k] * x for k, x in enumerate(powers))
-    return np.linalg.solve(v - u, v + u)
-
-
-def matrix_exp(m) -> np.ndarray:
-    """Exponential of a square matrix or of each matrix of a stack (..., n, n).
-
-    Each matrix takes the least Pade degree whose theta_m bounds its 1-norm, or
-    degree 13 on it scaled by 2^-s and then squared s times, so it gets the same
-    result alone or in a stack.  A matrix whose exponential overflows gets
-    non-finite entries; the others are unaffected.
-    """
-    m = _square_stack(m, "matrix_exp")
-    a = m.reshape(-1, *m.shape[-2:])
-    out = np.empty_like(a)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        norm = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
-        degree = np.minimum(np.searchsorted(_THETA, norm), 4)
-        s = np.clip(np.ceil(np.log2(norm / _THETA[-1])), 0, 1024).astype(int)
-        for k in np.unique(degree):
-            rows = np.flatnonzero(degree == k)
-            out[rows] = _pade(a[rows] * 0.5 ** s[rows, None, None], _DEGREES[k])
+        out = np.linalg.solve(v - u, v + u)
         for i in range(s.max(initial=0)):
-            rows = np.flatnonzero(s > i)
+            rows = s > i
             out[rows] = out[rows] @ out[rows]
-    return out.reshape(m.shape)
+    return out
 
 
 def matrix_inverse(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -210,14 +195,8 @@ def matrix_inverse(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
             raise SingularMatrix(
                 f"{where}smallest singular value {s[j, -1]:.3e} <= rank_rel times "
                 f"the largest, {s[j, 0]:.3e}", index=k)
-    if inv is None:
-        inv = np.empty_like(flat)
-        for k, a in enumerate(flat):
-            try:
-                inv[k] = np.linalg.inv(a)
-            except np.linalg.LinAlgError:
-                where = f"matrix {k} of {len(flat)}: " if m.ndim > 2 else ""
-                raise SingularMatrix(f"{where}np.linalg.inv finds an exact zero pivot",
-                                     index=k) from None
-        inv = inv.reshape(m.shape)
+    if inv is None:  # the cutoff passed a matrix whose LU has an exact zero pivot
+        k = int(np.argmax(np.linalg.slogdet(flat)[0] == 0))
+        where = f"matrix {k} of {len(flat)}: " if m.ndim > 2 else ""
+        raise SingularMatrix(f"{where}np.linalg.inv finds an exact zero pivot", index=k)
     return inv

@@ -812,6 +812,63 @@ def test_exact_zero_pivot_is_singular_matrix(tmp_path, capsys):
     assert json.loads(out)["error"] == "SingularMatrix"
 
 
+def _error(capsys, argv) -> dict:
+    """The one JSON error line of a run that exits 2."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1 and err == ""
+    return json.loads(out)
+
+
+def test_no_input_flag_is_invalid_input(capsys):
+    error = _error(capsys, ["validate"])
+    assert error["error"] == "InvalidInput" and "--input" in error["detail"]
+
+
+@pytest.mark.parametrize("command,drop", [("validate", "presentation"),
+                                          ("cohomology", "representation"),
+                                          ("family", "family")])
+def test_missing_object_is_invalid_input(inputs, tmp_path, capsys, command, drop):
+    source = inputs["family" if command == "family" else "genus2"]
+    with open(source) as fh:
+        data = json.load(fh)
+    del data[drop]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    error = _error(capsys, [command, "--input", str(path)])
+    assert error == {"error": "InvalidInput",
+                     "detail": f"input needs a '{drop}' object"}
+
+
+def test_eta_with_the_wrong_number_of_cocycles(genus2_rep, tmp_path, capsys):
+    rng = np.random.default_rng(2)
+    space = cocycle_space(genus2_rep)
+    sigmas = [random_cocycle(space, rng) for _ in range(3)]
+    error = _error(capsys, ["eta", "--input", _eta_input(tmp_path, genus2_rep, sigmas)])
+    assert error == {"error": "InvalidInput",
+                     "detail": "need 2 cocycles for a degree-2 form"}
+
+
+def test_closedness_needs_three_chart_directions(inputs, capsys):
+    # the generic diagonal torus point has dim H^1 = 2
+    error = _error(capsys, ["closedness", "--input", inputs["torus"]])
+    assert error["error"] == "InvalidInput" and "dim H^1 >= 3" in error["detail"]
+
+
+def test_family_singular_at_a_grid_point_names_it(tmp_path, capsys):
+    """diag(s, 1) and I commute, so the family passes validation at its
+    random points, but its image is singular at the grid point s = 0."""
+    one, zero, s = Poly.const(1, 1.0), Poly(1), Poly.var(1, 0)
+    fam = FamilySpec(Presentation.surface(1), GroupSpec("GL", 2), ("s",), (0.2,),
+                     {"a1": [[s, zero], [zero, one]], "b1": [[one, zero], [zero, one]]})
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"presentation": fam.presentation.to_json(),
+                                "group": {"kind": "GL", "n": 2},
+                                "family": family_to_json(fam)}))
+    error = _error(capsys, ["family", "--input", str(path), "--grid", "3"])
+    assert error["error"] == "SingularMatrix" and error["detail"].startswith("at s=[0.")
+
+
 def _torus_sl2_family(tmp_path, a1, b1):
     """Path of the CLI input of an SL(2) family on the torus whose images a1
     and b1 are 2 x 2 lists of polynomials in s1, s2."""

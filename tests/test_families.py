@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 from collections import Counter
 
@@ -401,6 +402,17 @@ class TestFamilyInput:
         data["domain_radius"] = data["domain_radius"][:2]
         with pytest.raises(InvalidInput, match="domain_radius"):
             family_from_json(data, family.presentation, family.group)
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -0.2])
+    def test_domain_radius_is_finite_and_positive(self, family, radius):
+        data = family_to_json(family)
+        data["domain_radius"][1] = radius
+        match = f"domain_radius .*{re.escape(str(radius))}"
+        with pytest.raises(InvalidInput, match=match):
+            family_from_json(data, family.presentation, family.group)
+        with pytest.raises(InvalidInput, match=match):
+            base_change(family, [Poly.var(2, 0), Poly.var(2, 1), Poly.var(2, 0)],
+                        ("u1", "u2"), (0.2, radius))
 
     def test_negative_power(self, family):
         data = family_to_json(family)

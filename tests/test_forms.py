@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -433,17 +434,20 @@ class TestEndomorphismPullback:
 
     def test_residual_is_checked_once_at_the_point_tolerance(self):
         """The shear a1 -> a1 b1^6 at the commuting SL(2) pair A = exp(X),
-        B = exp(-0.7 X): the mapped relator has residual 1.9e-10, above the
-        point's bound 1e-11, and is NotEndomorphism naming it, where a second
-        check used to raise InvalidInput."""
+        B = exp(-0.7 X): [A B^6, B] = [A, B] in the group, so the mapped
+        relator's residual is rounding, 4.7e-11 with A and B from scipy's
+        expm.  It is above the point's bound 1e-11 and is NotEndomorphism
+        naming it, where a second check used to raise InvalidInput."""
         x = np.array([[2.0, 1.0], [0.3, -2.0]])
         rho = Representation(Presentation.surface(1), SL2,
-                             [matrix_exp(x), matrix_exp(-0.7 * x)])
+                             [scipy.linalg.expm(x), scipy.linalg.expm(-0.7 * x)])
         names = rho.presentation.generator_names
         images = (parse_word("a1 b1^6", names), parse_word("b1", names))
-        with pytest.raises(NotEndomorphism, match=r"relator residual 1\.9\d*e-10"):
+        with pytest.raises(NotEndomorphism, match=r"relator residual 4\.7\d*e-11") as info:
             endomorphism_pullback(make_context(rho, trace_form()), images,
                                   trials=2, rng=np.random.default_rng(9))
+        residual = float(str(info.value).split("residual ")[1].split()[0])
+        assert residual > rho.tol.relator_bound
 
     def test_non_endomorphism_rejected(self, genus2_rep):
         ctx = make_context(genus2_rep, trace_form())

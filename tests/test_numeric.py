@@ -202,7 +202,7 @@ def _rel_err(e, ref):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 8])
 def test_matrix_exp_matches_scipy(n):
-    """Each Pade degree and the scaled branch, alone and as one stack."""
+    """Norms from 0 to 20, unscaled and scaled, alone and as one stack."""
     rng = np.random.default_rng(n)
     x = np.array([_with_norm(rng, n, norm) for norm in NORMS for _ in range(3)])
     ref = np.array([scipy.linalg.expm(m) for m in x])
@@ -223,7 +223,7 @@ def _mpmath_expm(x):
 @pytest.mark.parametrize("n", [2, 3, 6])
 def test_matrix_exp_planted_mixed_stack(n):
     """A (2, 3) stack mixing members of norm 1e-6 and about 300, which take
-    degree 3 and degree 13 with six squarings.  Every member is within 1e-13
+    no squaring and six squarings.  Every member is within 1e-13
     of mpmath; against scipy the bound is the sum of both errors, since at
     norm 300 scipy's own error reaches 1.2e-13 (n = 3, member (0, 1))."""
     rng = np.random.default_rng(10 + n)
