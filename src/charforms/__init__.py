@@ -31,7 +31,6 @@ from .matgroup import (
     LieAlgebraBasis,
     Representation,
     coboundary,
-    conjugate_representation,
     evaluate_word,
     find_representation,
     is_irreducible,

@@ -30,7 +30,6 @@ from .matgroup import (
     _violation,
     _word_values,
     complex_from_json,
-    complex_to_json,
     lie_algebra_basis,
 )
 from .numeric import DEFAULT_TOL, Tolerances, matrix_inverse
@@ -42,7 +41,6 @@ __all__ = [
     "family_pullback",
     "base_change",
     "compare_base_change",
-    "family_to_json",
     "family_from_json",
 ]
 
@@ -131,9 +129,6 @@ class Poly:
             out = out + term
         return out
 
-    def __repr__(self):
-        return f"Poly({self.nvars}, {self.coeffs})"
-
 
 class _Compiled:
     """Polynomials in m variables as a monomial table: coefficients (terms,
@@ -204,13 +199,17 @@ class FamilySpec:
     def _evaluate(self, s):
         """Images and their derivatives d/ds_k, (P, 1 + m, p, n, n), at the
         points s (P, m), and the inverses of the images.  Raises
-        SingularMatrix naming the first point with a singular image."""
+        SingularMatrix naming the first point with a singular image and the
+        generator of that image."""
         p, n = self.presentation.p, self.group.n
         values = self._table(s).reshape(len(s), 1 + self.m, p, n, n)
         try:
             return values, matrix_inverse(values[:, 0], self.tol)
         except SingularMatrix as exc:
-            raise SingularMatrix(f"at s={s[exc.index // p]}: {exc}") from exc
+            point, k = divmod(exc.index, p)
+            name = self.presentation.generator_names[k]
+            reason = str(exc).removeprefix(f"matrix {exc.index} of {p * len(s)}: ")
+            raise SingularMatrix(f"at s={s[point]}: image of {name}: {reason}") from exc
 
     def _images(self, s):
         """The points s (P, m) as one ``matgroup._Points`` record, and their
@@ -355,11 +354,6 @@ def compare_base_change(family: FamilySpec, phi: InvariantPolynomial,
 # JSON wire format
 
 
-def _poly_to_json(poly: Poly) -> list:
-    return [{"coeff": complex_to_json(c), "powers": list(p)}
-            for p, c in sorted(poly.coeffs.items())]
-
-
 def _poly_terms(data) -> dict:
     """The raw 'coeff' of each term of one family entry, keyed by its powers;
     an entry that lists one monomial twice is invalid input."""
@@ -370,17 +364,6 @@ def _poly_terms(data) -> dict:
             raise InvalidInput(f"family entry repeats the monomial {list(powers)}")
         terms[powers] = term["coeff"]
     return terms
-
-
-def family_to_json(family: FamilySpec) -> dict:
-    return {
-        "params": list(family.params),
-        "domain_radius": list(family.domain_radius),
-        "images": {
-            name: [[_poly_to_json(e) for e in row] for row in rows]
-            for name, rows in family.images.items()
-        },
-    }
 
 
 def family_from_json(data: dict, presentation: Presentation, group: GroupSpec,

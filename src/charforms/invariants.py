@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegreeMismatch, InvalidInput, positive_int
-from .matgroup import LieAlgebraBasis, _ad_matrix, complex_from_json, complex_to_json
+from .matgroup import LieAlgebraBasis, _ad_matrix, complex_from_json
 from .numeric import matrix_exp, matrix_inverse
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "combination",
     "symmetric_tensor",
     "check_invariance",
-    "polynomial_to_json",
     "polynomial_from_json",
 ]
 
@@ -106,16 +105,6 @@ def check_invariance(phi: InvariantPolynomial, basis: LieAlgebraBasis,
     for _ in range(phi.degree):  # contract the last slot of T with each column
         v = np.einsum("...am,am->...m", v, columns)
     return float(np.abs(v[samples:] - v[:samples]).max(initial=0.0))
-
-
-def polynomial_to_json(phi: InvariantPolynomial) -> dict:
-    if phi.kind == "combo":
-        return {"kind": "combo",
-                "terms": [{"coeff": complex_to_json(c), **polynomial_to_json(t)}
-                          for c, t in phi.terms]}
-    if phi.kind == "power_trace":
-        return {"kind": "power_trace", "n": phi.degree}
-    return {"kind": phi.kind}
 
 
 def polynomial_from_json(data: dict) -> InvariantPolynomial:

@@ -33,7 +33,6 @@ __all__ = [
     "Representation",
     "evaluate_word",
     "coboundary",
-    "conjugate_representation",
     "find_representation",
     "is_irreducible",
     "representation_to_json",
@@ -222,12 +221,6 @@ def _stacked_columns(rho: Representation, a) -> np.ndarray:
         raise InvalidInput(f"a stacked cocycle has p dim g = {rho.p * rho.dim_g} "
                            f"entries: not the columns of shape {np.shape(a)}")
     return a
-
-
-def conjugate_representation(rho: Representation, g) -> Representation:
-    g = as_cmatrix(g)
-    return Representation(rho.presentation, rho.group,
-                          g @ rho._at.images @ matrix_inverse(g, rho.tol), tol=rho.tol)
 
 
 def _word_values(words, images, inverses) -> np.ndarray:

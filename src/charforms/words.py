@@ -64,9 +64,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple((g, -s) for g, s in reversed(self.letters)))
 
-    def __len__(self):
-        return len(self.letters)
-
     def max_index(self) -> int:
         return max((g for g, _ in self.letters), default=-1)
 

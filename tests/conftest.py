@@ -43,15 +43,13 @@ def h0_dim(rho):
     return rho.dim_g - cocycle_space(rho).dims[1]
 
 
-@pytest.fixture(scope="session")
-def torus_rep():
+def torus_point():
     """Generic diagonal point on the torus: commuting hyperbolics."""
     pres = Presentation.surface(1)
     return Representation(pres, SL2, [np.diag([2.0, 0.5]), np.diag([3.0, 1.0 / 3.0])])
 
 
-@pytest.fixture(scope="session")
-def genus2_rep():
+def genus2_point():
     """Irreducible genus-2 point: the doubled pair (A, B, B, A).
 
     [B, A] = [A, B]^-1, so the surface relator holds exactly in floating
@@ -63,13 +61,30 @@ def genus2_rep():
     return Representation(pres, SL2, [a, b, b, a])
 
 
-@pytest.fixture(scope="session")
-def f2_rep():
+def f2_point():
     """Irreducible pair of SL(2) matrices on the free group F_2."""
     pres = Presentation.free(["a", "b"])
     a = np.diag([2.0, 0.5])
     b = np.array([[1.0, 1.0], [1.0, 2.0]])
     return Representation(pres, SL2, [a, b])
+
+
+# The points above are built afresh by each call; the fixtures share one
+# per session.
+
+@pytest.fixture(scope="session")
+def torus_rep():
+    return torus_point()
+
+
+@pytest.fixture(scope="session")
+def genus2_rep():
+    return genus2_point()
+
+
+@pytest.fixture(scope="session")
+def f2_rep():
+    return f2_point()
 
 
 def diagonal_family():
@@ -128,3 +143,18 @@ def random_family(genus, n, seed, m=3, radius=0.2):
         images[name] = rows
     return FamilySpec(pres, GroupSpec("GL", n), tuple(f"s{k + 1}" for k in range(m)),
                       (radius,) * m, images)
+
+
+def family_payload(family):
+    """The CLI input of a family: its presentation, group and 'family'
+    object, whose entries list their {"coeff": [re, im], "powers"} terms."""
+    return {
+        "presentation": family.presentation.to_json(),
+        "group": {"kind": family.group.kind, "n": family.group.n},
+        "family": {
+            "params": list(family.params),
+            "domain_radius": list(family.domain_radius),
+            "images": {name: [[[{"coeff": [c.real, c.imag], "powers": list(p)}
+                                for p, c in sorted(entry.coeffs.items())]
+                               for entry in row] for row in rows]
+                       for name, rows in family.images.items()}}}

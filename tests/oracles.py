@@ -18,7 +18,7 @@ import sympy
 
 from charforms.errors import DegreeMismatch
 from charforms.families import Poly
-from charforms.matgroup import lie_algebra_basis
+from charforms.matgroup import Representation, lie_algebra_basis
 from charforms.words import fox_derivative
 
 
@@ -40,6 +40,14 @@ def adjoint_operator(rho, w):
             m, m_inv = m_inv, m
         g, g_inv = g @ m, m_inv @ g_inv
     return ad_by_products(rho.basis, g, g_inv)
+
+
+def conjugate_representation(rho, g):
+    """The point g rho g^-1: each image conjugated by g and its numpy inverse."""
+    g = np.asarray(g, dtype=np.complex128)
+    g_inv = np.linalg.inv(g)
+    return Representation(rho.presentation, rho.group,
+                          [g @ m @ g_inv for m in rho.images], tol=rho.tol)
 
 
 def exact_dims(presentation, group, images):

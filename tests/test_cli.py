@@ -1,14 +1,20 @@
+import contextlib
+import copy
 import functools
+import io
 import json
 import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charforms import GroupSpec, Presentation, Representation, cli, errors, forms, matgroup
 from charforms.cli import _COMMANDS, main
-from charforms.families import FamilySpec, Poly, family_to_json
+from charforms.families import FamilySpec, Poly
 from charforms.cohomology import cocycle_space
 from charforms.forms import _draws, eta, make_context, random_cocycle
 from charforms.invariants import trace_form
@@ -19,7 +25,13 @@ from charforms.matgroup import (
     representation_to_json,
 )
 
-from conftest import diagonal_family, random_family
+from conftest import (
+    diagonal_family,
+    f2_point,
+    family_payload,
+    genus2_point,
+    random_family,
+)
 
 
 @pytest.fixture(scope="module")
@@ -35,13 +47,8 @@ def inputs(tmp_path_factory, torus_rep, genus2_rep):
         "presentation": genus2_rep.presentation.to_json(),
         "representation": representation_to_json(genus2_rep),
     }))
-    fam = diagonal_family()
     family = base / "family.json"
-    family.write_text(json.dumps({
-        "presentation": fam.presentation.to_json(),
-        "group": {"kind": "GL", "n": 2},
-        "family": family_to_json(fam),
-    }))
+    family.write_text(json.dumps(family_payload(diagonal_family())))
     return {"torus": str(torus), "genus2": str(genus2),
             "family": str(family), "dir": base}
 
@@ -111,7 +118,7 @@ def test_suite_basic(inputs, tmp_path):
 
 def _vanishing_form(inputs, tmp_path) -> str:
     """The genus-2 input with phi = tr - Killing/4, which vanishes on sl(2)."""
-    data = json.loads(open(inputs["genus2"]).read())
+    data = json.loads(Path(inputs["genus2"]).read_text())
     data["phi"] = {"kind": "combo", "terms": [
         {"kind": "trace_form", "coeff": [1.0, 0.0]},
         {"kind": "killing", "coeff": [-0.25, 0.0]}]}
@@ -260,7 +267,7 @@ def test_family_exponents_are_bounded(inputs, tmp_path, capsys, power):
     """An exponent above 1024 exits 2 as InvalidInput: 2^63 no longer
     overflows int64 and 2^40 no longer asks for a table of 2^40 powers.
     1024 itself is accepted."""
-    data = json.loads(open(inputs["family"]).read())
+    data = json.loads(Path(inputs["family"]).read_text())
     data["family"]["images"]["a1"][0][0].append({"coeff": [0.5, 0.0],
                                                  "powers": [power, 0, 0]})
     path = tmp_path / "input.json"
@@ -306,9 +313,7 @@ def test_two_parameter_family_exits_1(tmp_path):
     its report is no pass, with finite numbers, and the exit code is 1."""
     fam = random_family(2, 2, 0, m=2)
     path = tmp_path / "family2.json"
-    path.write_text(json.dumps({"presentation": fam.presentation.to_json(),
-                                "group": {"kind": "GL", "n": 2},
-                                "family": family_to_json(fam)}))
+    path.write_text(json.dumps(family_payload(fam)))
     code, report = run(["family", "--input", str(path)], tmp_path / "r.json")
     assert code == 1 and report["pass"] is False
     assert report["max_d"] == 0.0 and report["scale"] > 0.1
@@ -533,10 +538,7 @@ def test_closedness_names_only_the_step_it_used(inputs, tmp_path):
 def _family_input(tmp_path, drop=None, **changes):
     """The diagonal family's CLI input with top-level ``changes`` and one
     key removed: ``drop`` = (object name, key)."""
-    fam = diagonal_family()
-    data = {"presentation": fam.presentation.to_json(),
-            "group": {"kind": "GL", "n": 2},
-            "family": family_to_json(fam)}
+    data = family_payload(diagonal_family())
     data.update(changes)
     if drop:
         del data[drop[0]][drop[1]]
@@ -549,7 +551,7 @@ def _family_power_input(tmp_path, command, power):
     """The diagonal family's input with the exponent 1 of s1 in a1[0][0] set
     to ``power``; for ``validate`` it also carries the family's point at 0."""
     fam = diagonal_family()
-    data = family_to_json(fam)
+    data = family_payload(fam)["family"]
     data["images"]["a1"][0][0][1]["powers"][0] = power
     point = {"representation": representation_to_json(fam.rep_at(np.zeros(3)))}
     return _family_input(tmp_path, family=data,
@@ -575,11 +577,10 @@ def test_family_repeated_monomial_is_invalid_input(tmp_path, capsys, command):
     """Two terms of one entry with the same powers are refused, naming the
     monomial, where the second used to replace the first."""
     path = _family_power_input(tmp_path, command, 1)
-    data = json.loads(open(path).read())
+    data = json.loads(Path(path).read_text())
     entry = data["family"]["images"]["a1"][0][0]
     entry.append({"coeff": [2.0, 0.0], "powers": list(entry[1]["powers"])})
-    with open(path, "w") as fh:
-        json.dump(data, fh)
+    Path(path).write_text(json.dumps(data))
     assert main([command, "--input", path, "--grid", "2"]) == 2
     error = json.loads(capsys.readouterr().out)
     assert error["error"] == "InvalidInput"
@@ -613,7 +614,7 @@ def test_family_missing_field_is_invalid_input(tmp_path, capsys, drop):
 
 
 def test_family_short_domain_radius_is_invalid_input(tmp_path, capsys):
-    data = family_to_json(diagonal_family())
+    data = family_payload(diagonal_family())["family"]
     data["domain_radius"] = data["domain_radius"][:2]
     path = _family_input(tmp_path, family=data)
     _assert_invalid_input(capsys, ["family", "--input", path])
@@ -776,9 +777,7 @@ def test_malformed_input_exits_2_with_one_error_line(genus2_rep, tmp_path,
     first two numbers or carried into the report as NaN."""
     command, keys, value, error = _MALFORMED[case]
     if command == "family":
-        fam = diagonal_family()
-        data = {"presentation": fam.presentation.to_json(),
-                "group": {"kind": "GL", "n": 2}, "family": family_to_json(fam)}
+        data = family_payload(diagonal_family())
     else:
         data = {"presentation": genus2_rep.presentation.to_json(),
                 "representation": representation_to_json(genus2_rep),
@@ -857,16 +856,18 @@ def test_closedness_needs_three_chart_directions(inputs, capsys):
 
 def test_family_singular_at_a_grid_point_names_it(tmp_path, capsys):
     """diag(s, 1) and I commute, so the family passes validation at its
-    random points, but its image is singular at the grid point s = 0."""
+    random points, but its image of a1 is singular at the grid point s = 0.
+    The error names that point and a1, not the index into the evaluated
+    stack of 4 points times 2 generators."""
     one, zero, s = Poly.const(1, 1.0), Poly(1), Poly.var(1, 0)
     fam = FamilySpec(Presentation.surface(1), GroupSpec("GL", 2), ("s",), (0.2,),
                      {"a1": [[s, zero], [zero, one]], "b1": [[one, zero], [zero, one]]})
     path = tmp_path / "family.json"
-    path.write_text(json.dumps({"presentation": fam.presentation.to_json(),
-                                "group": {"kind": "GL", "n": 2},
-                                "family": family_to_json(fam)}))
+    path.write_text(json.dumps(family_payload(fam)))
     error = _error(capsys, ["family", "--input", str(path), "--grid", "3"])
-    assert error["error"] == "SingularMatrix" and error["detail"].startswith("at s=[0.")
+    assert error["error"] == "SingularMatrix"
+    assert error["detail"].startswith("at s=[0.+0.j]: image of a1: ")
+    assert "of 8" not in error["detail"]
 
 
 def _torus_sl2_family(tmp_path, a1, b1):
@@ -875,9 +876,7 @@ def _torus_sl2_family(tmp_path, a1, b1):
     fam = FamilySpec(Presentation.surface(1), GroupSpec("SL", 2), ("s1", "s2"),
                      (0.2, 0.2), {"a1": a1, "b1": b1})
     path = tmp_path / "sl2_family.json"
-    path.write_text(json.dumps({"presentation": fam.presentation.to_json(),
-                                "group": {"kind": "SL", "n": 2},
-                                "family": family_to_json(fam)}))
+    path.write_text(json.dumps(family_payload(fam)))
     return str(path)
 
 
@@ -904,3 +903,77 @@ def test_unipotent_sl_family_is_accepted(tmp_path):
     code, report = run(["family", "--input", path, "--grid", "2"], tmp_path / "r.json")
     assert code != 2 and len(report["samples"]) == 4
     assert code == 1 and report["pass"] is False and report["scale"] == 0.0
+
+
+def _point_payload(rho):
+    """The CLI input of a point, with the trace form."""
+    return {"presentation": rho.presentation.to_json(),
+            "representation": representation_to_json(rho),
+            "phi": {"kind": "power_trace", "n": 2}}
+
+
+def _cocycles_payload(rho):
+    """The CLI input of a point with two seeded random cocycles at it."""
+    rng, names = np.random.default_rng(0), rho.presentation.generator_names
+    sigmas = [random_cocycle(cocycle_space(rho), rng) for _ in range(2)]
+    return {**_point_payload(rho), "cocycles": [
+        dict(zip(names, complex_to_json(np.reshape(s, (rho.p, -1))))) for s in sigmas]}
+
+
+# valid inputs and the commands that read each
+_VALID = {"point": _cocycles_payload(genus2_point()),
+          "free group": _point_payload(f2_point()),
+          "family": family_payload(diagonal_family())}
+_POINT_COMMANDS = sorted(set(_COMMANDS) - {"family", "demo-free-group"})
+_READERS = {"point": _POINT_COMMANDS, "free group": _POINT_COMMANDS,
+            "family": ["family"]}
+_LEAVES = [None, "x", 0, -1, 1e308, float("nan"), {}, [], "a1 b1^-1"]
+
+
+def _paths(node, path=()):
+    """The path of every key and list item below node."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def _mutated_inputs(draw):
+    """A command and its valid input with one key or list item deleted, or
+    its value replaced by one of _LEAVES."""
+    kind = draw(st.sampled_from(sorted(_VALID)))
+    data = copy.deepcopy(_VALID[kind])
+    path = draw(st.sampled_from(list(_paths(data))))
+    parent = functools.reduce(operator.getitem, path[:-1], data)
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(_LEAVES)))
+    return draw(st.sampled_from(_READERS[kind])), data
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutations")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mutated=_mutated_inputs())
+def test_mutated_input_exits_with_one_json_object(mutation_dir, mutated):
+    """A command on a mutated input exits 0, 1 or 2 with one JSON object on
+    stdout, and an exit of 2 names a CharformsError: no input ends in an
+    uncaught exception or a warning."""
+    command, data = mutated
+    path = mutation_dir / "input.json"
+    path.write_text(json.dumps(data))
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.chdir(mutation_dir)  # where the family command writes its CSV
+        code = main([command, "--input", str(path), "--seed", "1", "--trials", "2",
+                     "--grid", "2"])
+    report = json.loads(out.getvalue())
+    assert code in (0, 1, 2) and isinstance(report, dict)
+    if code == 2:
+        assert issubclass(getattr(errors, report["error"]), errors.CharformsError)

@@ -34,10 +34,9 @@ from charforms.families import (
     family_from_json,
     _walk,
     family_pullback,
-    family_to_json,
 )
 
-from conftest import diagonal_family, random_family
+from conftest import diagonal_family, family_payload, random_family
 from oracles import diff
 
 GL2 = GroupSpec("GL", 2)
@@ -158,7 +157,7 @@ class TestFamilySpec:
             fam.validate()
 
     def test_json_roundtrip(self, family):
-        data = family_to_json(family)
+        data = family_payload(family)["family"]
         back = family_from_json(data, family.presentation, family.group)
         s = np.array([0.03, -0.05, 0.02])
         for k in range(family.presentation.p):
@@ -167,8 +166,8 @@ class TestFamilySpec:
 
     def test_tolerances_travel_with_the_family(self, family):
         tol = Tolerances(rank_rel=1e-8, newton_tol=1e-11)
-        back = family_from_json(family_to_json(family), family.presentation,
-                                family.group, tol)
+        data = family_payload(family)["family"]
+        back = family_from_json(data, family.presentation, family.group, tol)
         subs = [Poly.var(2, 0), Poly.var(2, 1), Poly.const(2, 0.0)]
         moved = base_change(back, subs, ("u1", "u2"), (0.2, 0.2))
         assert family.tol is DEFAULT_TOL
@@ -398,14 +397,14 @@ class TestFamilyInput:
                 family_pullback(family, trace_form(), grid=grid)
 
     def test_short_domain_radius(self, family):
-        data = family_to_json(family)
+        data = family_payload(family)["family"]
         data["domain_radius"] = data["domain_radius"][:2]
         with pytest.raises(InvalidInput, match="domain_radius"):
             family_from_json(data, family.presentation, family.group)
 
     @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -0.2])
     def test_domain_radius_is_finite_and_positive(self, family, radius):
-        data = family_to_json(family)
+        data = family_payload(family)["family"]
         data["domain_radius"][1] = radius
         match = f"domain_radius .*{re.escape(str(radius))}"
         with pytest.raises(InvalidInput, match=match):
@@ -415,20 +414,20 @@ class TestFamilyInput:
                         ("u1", "u2"), (0.2, radius))
 
     def test_negative_power(self, family):
-        data = family_to_json(family)
+        data = family_payload(family)["family"]
         data["images"]["a1"][0][0][0]["powers"] = [-1, 0, 0]
         with pytest.raises(InvalidInput, match="powers"):
             family_from_json(data, family.presentation, family.group)
 
     def test_power_of_a_zero_term_is_checked_too(self, family):
-        data = family_to_json(family)
+        data = family_payload(family)["family"]
         data["images"]["a1"][0][0].append({"coeff": [0.0, 0.0],
                                            "powers": [1.5, 0, 0]})
         with pytest.raises(InvalidInput, match="'powers' entry"):
             family_from_json(data, family.presentation, family.group)
 
     def test_missing_params(self, family):
-        data = family_to_json(family)
+        data = family_payload(family)["family"]
         del data["params"]
         with pytest.raises(InvalidInput, match="params"):
             family_from_json(data, family.presentation, family.group)

@@ -40,13 +40,12 @@ from charforms.forms import (
 from charforms.invariants import symmetric_tensor
 from charforms.matgroup import (
     coboundary,
-    conjugate_representation,
     lie_algebra_basis,
     matrix_exp,
 )
 
 from conftest import random_point
-from oracles import reference_eta
+from oracles import conjugate_representation, reference_eta
 
 SL2 = GroupSpec("SL", 2)
 

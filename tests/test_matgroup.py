@@ -9,7 +9,6 @@ from charforms import (
     Representation,
     Word,
     coboundary,
-    conjugate_representation,
     evaluate_word,
     find_representation,
     is_irreducible,
@@ -32,7 +31,12 @@ from charforms.numeric import matrix_exp
 from charforms.words import GroupRingElement, fox_derivative
 
 from conftest import h0_dim, random_point
-from oracles import ad_by_products, adjoint_operator, evaluate_groupring
+from oracles import (
+    ad_by_products,
+    adjoint_operator,
+    conjugate_representation,
+    evaluate_groupring,
+)
 
 SL2 = GroupSpec("SL", 2)
 SL3 = GroupSpec("SL", 3)

@@ -33,7 +33,7 @@ API = [
     "Tolerances", "UnknownGenerator", "Word", "WordSyntaxError",
     "base_change", "chart_closedness", "check_invariance", "coboundary",
     "cocycle_space", "combination", "compare_base_change",
-    "conjugate_representation", "conjugation_invariance", "contraction_suite",
+    "conjugation_invariance", "contraction_suite",
     "endomorphism_pullback", "eta", "eta_coefficients", "evaluate_word",
     "family_pullback",
     "fd_exterior_derivative", "find_representation", "fox_derivative",

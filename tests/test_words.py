@@ -92,7 +92,7 @@ class TestPresentation:
         pres = Presentation.surface(2)
         assert pres.generator_names == ("a1", "b1", "a2", "b2")
         r = pres.relators[0]
-        assert len(r) == 8
+        assert len(r.letters) == 8
         assert all(sum(s for g, s in r.letters if g == k) == 0 for k in range(4))
 
     def test_duplicate_names_rejected(self):
