@@ -3,6 +3,7 @@ import pytest
 
 from charforms import GroupSpec, Presentation, Representation, cocycle_space
 from charforms.families import FamilySpec, Poly
+from charforms.matgroup import representation_to_json
 from charforms.numeric import matrix_exp
 
 SL2 = GroupSpec("SL", 2)
@@ -143,6 +144,12 @@ def random_family(genus, n, seed, m=3, radius=0.2):
         images[name] = rows
     return FamilySpec(pres, GroupSpec("GL", n), tuple(f"s{k + 1}" for k in range(m)),
                       (radius,) * m, images)
+
+
+def point_payload(rho):
+    """The CLI input of a point: its presentation and representation."""
+    return {"presentation": rho.presentation.to_json(),
+            "representation": representation_to_json(rho)}
 
 
 def family_payload(family):

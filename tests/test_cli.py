@@ -30,6 +30,7 @@ from conftest import (
     f2_point,
     family_payload,
     genus2_point,
+    point_payload,
     random_family,
 )
 
@@ -38,15 +39,9 @@ from conftest import (
 def inputs(tmp_path_factory, torus_rep, genus2_rep):
     base = tmp_path_factory.mktemp("cli")
     torus = base / "torus.json"
-    torus.write_text(json.dumps({
-        "presentation": torus_rep.presentation.to_json(),
-        "representation": representation_to_json(torus_rep),
-    }))
+    torus.write_text(json.dumps(point_payload(torus_rep)))
     genus2 = base / "genus2.json"
-    genus2.write_text(json.dumps({
-        "presentation": genus2_rep.presentation.to_json(),
-        "representation": representation_to_json(genus2_rep),
-    }))
+    genus2.write_text(json.dumps(point_payload(genus2_rep)))
     family = base / "family.json"
     family.write_text(json.dumps(family_payload(diagonal_family())))
     return {"torus": str(torus), "genus2": str(genus2),
@@ -905,24 +900,21 @@ def test_unipotent_sl_family_is_accepted(tmp_path):
     assert code == 1 and report["pass"] is False and report["scale"] == 0.0
 
 
-def _point_payload(rho):
-    """The CLI input of a point, with the trace form."""
-    return {"presentation": rho.presentation.to_json(),
-            "representation": representation_to_json(rho),
-            "phi": {"kind": "power_trace", "n": 2}}
-
-
-def _cocycles_payload(rho):
-    """The CLI input of a point with two seeded random cocycles at it."""
+def _phi_payload(rho, cocycles=0):
+    """The CLI input of a point with the trace form and ``cocycles``
+    seeded random cocycles at it."""
     rng, names = np.random.default_rng(0), rho.presentation.generator_names
-    sigmas = [random_cocycle(cocycle_space(rho), rng) for _ in range(2)]
-    return {**_point_payload(rho), "cocycles": [
-        dict(zip(names, complex_to_json(np.reshape(s, (rho.p, -1))))) for s in sigmas]}
+    sigmas = [random_cocycle(cocycle_space(rho), rng) for _ in range(cocycles)]
+    data = {**point_payload(rho), "phi": {"kind": "power_trace", "n": 2}}
+    if sigmas:
+        data["cocycles"] = [dict(zip(names, complex_to_json(s.reshape(rho.p, -1))))
+                            for s in sigmas]
+    return data
 
 
 # valid inputs and the commands that read each
-_VALID = {"point": _cocycles_payload(genus2_point()),
-          "free group": _point_payload(f2_point()),
+_VALID = {"point": _phi_payload(genus2_point(), cocycles=2),
+          "free group": _phi_payload(f2_point()),
           "family": family_payload(diagonal_family())}
 _POINT_COMMANDS = sorted(set(_COMMANDS) - {"family", "demo-free-group"})
 _READERS = {"point": _POINT_COMMANDS, "free group": _POINT_COMMANDS,

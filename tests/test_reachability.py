@@ -35,7 +35,6 @@ import pytest
 
 import charforms
 from charforms import cli, matgroup
-from charforms.matgroup import representation_to_json
 
 import test_acceptance
 from conftest import (
@@ -43,6 +42,7 @@ from conftest import (
     f2_point,
     family_payload,
     genus2_point,
+    point_payload,
     random_point,
     torus_point,
 )
@@ -104,11 +104,6 @@ def reached(run, package: str) -> set:
             if os.path.dirname(os.path.abspath(c.co_filename)) == package}
 
 
-def point_payload(rho) -> dict:
-    return {"presentation": rho.presentation.to_json(),
-            "representation": representation_to_json(rho)}
-
-
 def cli_traffic(base: Path) -> None:
     points = [torus_point(), genus2_point(), f2_point(),
               random_point(2, 0, kind="GL")[0], random_point(2, 0, n=3)[0]]
@@ -160,7 +155,8 @@ def record(tmp_path_factory):
         mp.setattr(matgroup, "_BASES", {})
         mp.setattr(sys, "__stdout__", io.StringIO())  # the criteria's lines
         for path in Path(PACKAGE).glob("*.py"):
-            for value in vars(importlib.import_module(f"charforms.{path.stem}")).values():
+            module = importlib.import_module(f"charforms.{path.stem}")
+            for value in vars(module).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
         return reached(traffic, PACKAGE)
@@ -180,8 +176,12 @@ def test_allowlist_is_current(record):
 
 def test_census_sees_nested_functions_and_skips_bodies(tmp_path):
     (tmp_path / "mod.py").write_text(
-        "class K:\n    def f(self):\n        def g():\n            return [x for x in ()]\n"
-        "        return g\n    h = lambda self: 0\n")
+        "class K:\n"
+        "    def f(self):\n"
+        "        def g():\n"
+        "            return [x for x in ()]\n"
+        "        return g\n"
+        "    h = lambda self: 0\n")
     assert defined_functions(str(tmp_path)) == {"mod.K.f", "mod.K.f.<locals>.g"}
     spec = importlib.util.spec_from_file_location("mod", tmp_path / "mod.py")
     module = importlib.util.module_from_spec(spec)
