@@ -128,7 +128,8 @@ def _solve(chart: Chart, t) -> tuple:
                                    jacobian, rho.tol)
     except NoConvergence as exc:
         raise NoConvergence(f"{where}: {exc}", exc.residual) from exc
-    bad = _violation(rho.group, points.images, points.rel, rho.tol.relator_bound)
+    bad = _violation(rho.presentation, rho.group, points.images, points.rel,
+                     rho.tol.relator_bound)
     if bad is not None:
         raise InvalidInput(f"{where}: {bad[1]}")
     pushed = start[1].images  # exp(S t) rho, before the correction
@@ -326,7 +327,7 @@ def free_group_demo(p: int, group: GroupSpec, rng,
 
     # genuine 2-cycle: boundary of a 3-chain, pairs to ~0 with the cup cocycle
     three = BarChain.of(3, {(a, b, a): 1, (b, a * b, b): 1})
-    cycle = bar_boundary(three)
+    cycle = bar_boundary(three, pres)
     s, t_ = dirs[:, 0], dirs[:, 1]
     cycle_value = abs(eta(make_context(rho, phi, cycle), s, t_))
     chain_value = abs(eta(make_context(rho, phi, non_cycle), s, t_))

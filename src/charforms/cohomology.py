@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import InvalidInput, NotSurfacePresentation, RankInstability
-from .matgroup import Representation, _read_only, identity_values
+from .matgroup import Representation, _read_only, coboundary, identity_values
 from .numeric import rank_and_gap
 from .words import Presentation, Word
 
@@ -87,12 +87,6 @@ class CocycleSpace:
         d = self.rho.dim_g
         return d - (self.rho.p * d - self.z1.shape[1])
 
-    def report(self) -> dict:
-        zi, bi, hi = self.dims
-        gap = self.rank_gap
-        return {"dims": [zi, bi, hi],
-                "rank_gap": gap if np.isfinite(gap) else None}
-
 
 def cocycle_space(rho: Representation) -> CocycleSpace:
     """Z^1 as the kernel of the Fox Jacobian and B^1 as the image of
@@ -103,9 +97,9 @@ def cocycle_space(rho: Representation) -> CocycleSpace:
     Raises RankInstability when a singular value of either decision lies
     within a factor 10 of its cutoff.
     """
-    p, d, tol = rho.p, rho.dim_g, rho.tol
+    tol = rho.tol
     z1 = rank_and_gap(fox_jacobian(rho), tol)
-    b1 = rank_and_gap((np.eye(d) - rho._at.ad).reshape(p * d, d), tol)
+    b1 = rank_and_gap(coboundary(rho, np.eye(rho.dim_g)), tol)
     for what, dec in (("fox_jacobian", z1), ("coboundary map", b1)):
         if dec.margin < 10:
             raise RankInstability(
@@ -196,11 +190,10 @@ class BarChain:
         return not self.terms
 
 
-def normal_form(w: Word, presentation: Presentation | None) -> Word:
+def normal_form(w: Word, presentation: Presentation) -> Word:
     """Deterministic normal form: freely reduced, with literal relator
-    subwords (and their inverses) deleted repeatedly, leftmost first."""
-    if presentation is None:
-        return w
+    subwords (and their inverses) deleted repeatedly, leftmost first; on a
+    free group (``Presentation.free``) the reduced word itself."""
     patterns = []
     for r in presentation.relators:
         if r.letters:
@@ -224,7 +217,7 @@ def normal_form(w: Word, presentation: Presentation | None) -> Word:
     return Word(letters)
 
 
-def bar_boundary(chain: BarChain, presentation: Presentation | None = None) -> BarChain:
+def bar_boundary(chain: BarChain, presentation: Presentation) -> BarChain:
     """Boundary with trivial coefficients, degree n >= 1 to n - 1:
     [g_2|...|g_n] + sum_i (-1)^i [...|g_i g_{i+1}|...] + (-1)^n [g_1|...|g_{n-1}],
     each word in its normal form."""
@@ -243,7 +236,7 @@ def bar_boundary(chain: BarChain, presentation: Presentation | None = None) -> B
     return BarChain.of(n - 1, acc)
 
 
-def verify_cycle(chain: BarChain, presentation: Presentation | None = None) -> bool:
+def verify_cycle(chain: BarChain, presentation: Presentation) -> bool:
     """True iff the boundary vanishes identically (exact integers)."""
     return bar_boundary(chain, presentation).is_zero()
 

@@ -22,7 +22,7 @@ class IndexOutOfRange(CharformsError, IndexError):
 class SingularMatrix(CharformsError, ValueError):
     """Inversion of a (numerically) singular matrix, ``index`` of a stack."""
 
-    def __init__(self, message, index=0):
+    def __init__(self, message, index):
         super().__init__(message)
         self.index = index
 

@@ -200,7 +200,7 @@ class FamilySpec:
         """Images and their derivatives d/ds_k, (P, 1 + m, p, n, n), at the
         points s (P, m), and the inverses of the images.  Raises
         SingularMatrix naming the first point with a singular image and the
-        generator of that image."""
+        generator of that image, with ``index`` point * p + generator."""
         p, n = self.presentation.p, self.group.n
         values = self._table(s).reshape(len(s), 1 + self.m, p, n, n)
         try:
@@ -208,8 +208,8 @@ class FamilySpec:
         except SingularMatrix as exc:
             point, k = divmod(exc.index, p)
             name = self.presentation.generator_names[k]
-            reason = str(exc).removeprefix(f"matrix {exc.index} of {p * len(s)}: ")
-            raise SingularMatrix(f"at s={s[point]}: image of {name}: {reason}") from exc
+            raise SingularMatrix(f"at s={s[point]}: image of {name}: {exc}",
+                                 exc.index) from exc
 
     def _images(self, s):
         """The points s (P, m) as one ``matgroup._Points`` record, and their
@@ -221,7 +221,8 @@ class FamilySpec:
 
     def rep_at(self, s) -> Representation:
         points = self._images(np.reshape(s, (1, -1)))[0]
-        bad = _violation(self.group, points.images, points.rel, _RELATOR_BOUND)
+        bad = _violation(self.presentation, self.group, points.images, points.rel,
+                         _RELATOR_BOUND)
         if bad is not None:
             raise NotTangent(f"family leaves Hom: {bad[1]} at s={s}")
         return Representation(self.presentation, self.group, points.images[0], self.tol,
@@ -235,7 +236,7 @@ class FamilySpec:
         s = v[..., 0] + 1j * v[..., 1]
         values, inverses = self._evaluate(s)
         rel = _word_values(self.presentation.relators, values[:, 0], inverses)
-        bad = _violation(self.group, values[:, 0], rel, _RELATOR_BOUND)
+        bad = _violation(self.presentation, self.group, values[:, 0], rel, _RELATOR_BOUND)
         if bad is not None:
             raise InvalidInput(f"family {bad[1]} at s={s[bad[0]]}")
         residual = np.linalg.norm(rel - np.eye(self.group.n), axis=(-2, -1))
@@ -257,7 +258,8 @@ def _walk(family: FamilySpec, s, words):
                         for r in relators))  # |J sigma_k|, (P, m)
     bad = _off_cocycle(resid, sigma)
     first = np.flatnonzero(bad.any(axis=1))
-    left = _violation(family.group, points.images, points.rel, _RELATOR_BOUND)
+    left = _violation(family.presentation, family.group, points.images, points.rel,
+                      _RELATOR_BOUND)
     if left is not None and (not len(first) or left[0] <= first[0]):
         raise NotTangent(f"family leaves Hom: {left[1]} at s={s[left[0]]}")
     for i in first[:1]:
@@ -281,8 +283,7 @@ def _coefficients(family: FamilySpec, tensor, cycle: BarChain, points) -> tuple:
     return np.concatenate(blocks), last
 
 
-def family_pullback(family: FamilySpec, phi: InvariantPolynomial,
-                    grid: int = 3) -> dict:
+def family_pullback(family: FamilySpec, phi: InvariantPolynomial, grid: int) -> dict:
     """Sample the pulled-back 2-form on a real grid and check closedness.
 
     Coefficients use exact polynomial tangents, at the grid and then s = 0,

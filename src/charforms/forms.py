@@ -172,8 +172,9 @@ def contraction_suite(ctx: EtaContext, trials: int, rng) -> dict:
     rest = tuple(range(1, n))
     worst = float(pairs[(slice(None), 0) + rest].max())
     scale = float(pairs[(slice(None), n) + rest].max())
-    return {"check": "contraction", "max_dev": worst, "scale": scale,
-            "pass": bool(worst <= 1e-9 * scale > 0), "trials": trials}
+    bound = 1e-9  # of max_dev, relative to the scale
+    return {"check": "contraction", "max_dev": worst, "scale": scale, "bound": bound,
+            "pass": bool(worst <= bound * scale > 0), "trials": trials}
 
 
 def gram_matrix(ctx: EtaContext, basis: np.ndarray):
@@ -205,7 +206,8 @@ def _conjugation_pairs(ctx: EtaContext, g, s):
     g_inv = matrix_inverse(g, rho.tol)
     images = g[:, None] @ rho._at.images @ g_inv[:, None]
     conj = _points(rho.presentation, rho.basis, images, matrix_inverse(images, rho.tol))
-    bad = _violation(rho.group, conj.images, conj.rel, rho.tol.relator_bound)
+    bad = _violation(rho.presentation, rho.group, conj.images, conj.rel,
+                     rho.tol.relator_bound)
     if bad is not None:
         raise InvalidInput(bad[1])
     s = s / np.linalg.norm(s, axis=-2, keepdims=True)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput, NoConvergence, malformed, positive_int
+from .errors import InvalidInput, NoConvergence, SingularMatrix, malformed, positive_int
 from .numeric import (
     DEFAULT_TOL,
     Tolerances,
@@ -145,7 +145,12 @@ class Representation:
                 raise InvalidInput(f"image shape {m.shape} != ({group.n},{group.n})")
         self.basis, n = lie_algebra_basis(group), group.n
         images = np.reshape(self.images, (-1, n, n))
-        self._at = _points(presentation, self.basis, images, matrix_inverse(images, tol))
+        try:
+            inverses = matrix_inverse(images, tol)
+        except SingularMatrix as exc:
+            name = presentation.generator_names[exc.index]
+            raise SingularMatrix(f"image of {name}: {exc}", exc.index) from exc
+        self._at = _points(presentation, self.basis, images, inverses)
         self._fox = None  # built on first use
         if check:
             self.validate()
@@ -159,8 +164,8 @@ class Representation:
         return self.basis.dim
 
     def validate(self):
-        bad = _violation(self.group, self._at.images, self._at.rel,
-                         self.tol.relator_bound)
+        bad = _violation(self.presentation, self.group, self._at.images,
+                         self._at.rel, self.tol.relator_bound)
         if bad is not None:
             raise InvalidInput(bad[1])
 
@@ -256,22 +261,25 @@ def identity_values(rho: Representation) -> np.ndarray:
     return np.eye(pd, dtype=np.complex128).reshape(rho.p, rho.dim_g, pd)
 
 
-def _violation(group: GroupSpec, images, values, relator_bound: float):
+def _violation(presentation: Presentation, group: GroupSpec, images, values,
+               relator_bound: float):
     """(index, reason) for the first point, by flat index over the leading
-    axes of images (..., p, n, n) and relator values (..., R, n, n), that
-    leaves Hom(Gamma, G): an SL image off det = 1, or a relator residual
-    above ``relator_bound``; None if none.  Hadamard: |det m| is at most the
-    product of the row norms of m, which scales the rounding error of det."""
+    axes of images (..., p, n, n) and relator values (..., R, n, n) of the
+    presentation, that leaves Hom(Gamma, G): an SL image off det = 1, or a
+    relator residual above ``relator_bound``, named by its generator or its
+    relator index; None if none.  Hadamard: |det m| is at most the product of
+    the row norms of m, which scales the rounding error of det."""
     size = int(np.prod(images.shape[:-3]))
     images, values = (np.reshape(a, (size,) + a.shape[-3:]) for a in (images, values))
     if group.kind == "SL":
         bound = 1e-10 * np.prod(np.linalg.norm(images, axis=-1), axis=-1)
         for k, j in np.argwhere(np.abs(np.linalg.det(images) - 1.0) > bound)[:1]:
-            return k, (f"SL image has |det - 1| > {bound[k, j]:.3e} "
-                       "(1e-10 times the product of its row norms)")
+            return k, (f"SL image has |det - 1| > {bound[k, j]:.3e} (1e-10 times "
+                       "the product of its row norms) in the image of "
+                       f"{presentation.generator_names[j]}")
     res = np.linalg.norm(values - np.eye(group.n), axis=(-2, -1))
     for k, j in np.argwhere(res > relator_bound)[:1]:
-        return k, f"relator residual {res[k, j]:.3e} exceeds tolerance"
+        return k, f"relator residual {res[k, j]:.3e} exceeds tolerance in relator {j}"
     return None
 
 

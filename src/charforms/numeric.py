@@ -3,6 +3,7 @@
 Built on numpy alone.  Every rank, column-space and null-space decision in the
 library is one call of ``rank_and_gap``: one SVD under one relative cutoff, so
 dimension counts elsewhere agree and each decision carries its gap and margin.
+``solve_lsq`` is LAPACK's gelsd under the same cutoff, rcond = rank_rel.
 ``matrix_exp`` is one path of Higham's Pade scaling and squaring (SIAM J.
 Matrix Anal. Appl. 26, 2005), degree 13 on every matrix of a stack.
 """
@@ -111,16 +112,10 @@ def rank_and_gap(m, tol: Tolerances = DEFAULT_TOL) -> RankDecision:
 
 def solve_lsq(a, b) -> np.ndarray:
     """Minimum-norm least-squares solution of one system a x = b, a (m, k)
-    and b (m,) or (m, q), from one SVD; singular values at most the default
-    relative rank cutoff times the largest count as zero.  A system of no
-    rows (m = 0) has x = 0."""
-    a, b = as_cmatrix(a), np.asarray(b, dtype=np.complex128)
-    column = b.ndim == 1
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    with np.errstate(divide="ignore"):
-        inv = np.where(s > DEFAULT_TOL.rank_rel * s[:1], 1.0 / s, 0.0)[:, None]
-    x = np.conj(vh).T @ (inv * (np.conj(u).T @ (b[:, None] if column else b)))
-    return x[:, 0] if column else x
+    and b (m,) or (m, q), by LAPACK's gelsd: singular values at most the
+    default relative rank cutoff times the largest count as zero.  A system
+    of no rows (m = 0) has x = 0."""
+    return np.linalg.lstsq(as_cmatrix(a), b, rcond=DEFAULT_TOL.rank_rel)[0]
 
 
 # theta_13, the 1-norm up to which the [13/13] Pade approximant of exp is
@@ -164,8 +159,8 @@ def matrix_inverse(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Inverse of a square matrix or of each matrix of a stack (..., n, n).
 
     A matrix whose smallest singular value is at most tol.rank_rel times its
-    largest raises SingularMatrix, naming its index in the (flattened)
-    stack.  The SVD that decides this runs only on the matrices whose
+    largest raises SingularMatrix, whose ``index`` is its position in the
+    (flattened) stack.  The SVD that decides this runs only on the matrices whose
     ||m||_F ||m^-1||_F >= kappa_2(m) reaches 0.5 / tol.rank_rel or is not
     finite, and on the whole stack when np.linalg.inv finds one exactly
     singular; one the cutoff passes, as rank_rel below rounding can, still
@@ -190,13 +185,10 @@ def matrix_inverse(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         singular = (s[:, -1] <= tol.rank_rel * s[:, 0]) | (s[:, -1] == 0.0)
         if singular.any():
             j = int(np.argmax(singular))
-            k = int(doubtful[j])
-            where = f"matrix {k} of {len(flat)}: " if m.ndim > 2 else ""
             raise SingularMatrix(
-                f"{where}smallest singular value {s[j, -1]:.3e} <= rank_rel times "
-                f"the largest, {s[j, 0]:.3e}", index=k)
+                f"smallest singular value {s[j, -1]:.3e} <= rank_rel times "
+                f"the largest, {s[j, 0]:.3e}", index=int(doubtful[j]))
     if inv is None:  # the cutoff passed a matrix whose LU has an exact zero pivot
-        k = int(np.argmax(np.linalg.slogdet(flat)[0] == 0))
-        where = f"matrix {k} of {len(flat)}: " if m.ndim > 2 else ""
-        raise SingularMatrix(f"{where}np.linalg.inv finds an exact zero pivot", index=k)
+        raise SingularMatrix("np.linalg.inv finds an exact zero pivot",
+                             index=int(np.argmax(np.linalg.slogdet(flat)[0] == 0)))
     return inv

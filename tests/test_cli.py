@@ -819,6 +819,30 @@ def test_no_input_flag_is_invalid_input(capsys):
     assert error["error"] == "InvalidInput" and "--input" in error["detail"]
 
 
+@pytest.mark.parametrize("command", ["cohomology", "validate", "family"])
+@pytest.mark.parametrize("text", ["5", "null", "true", "[]", '"x"'])
+def test_input_that_is_not_an_object_is_invalid_input(tmp_path, capsys, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    error = _error(capsys, [command, "--input", str(path)])
+    assert error["error"] == "InvalidInput" and "JSON object" in error["detail"]
+
+
+def test_singular_image_names_its_generator(tmp_path, capsys):
+    """On F_2 with a = I and b of rank one, the error names b, not the
+    position of its image in the stack of two."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({
+        "presentation": {"generators": ["a", "b"], "relators": []},
+        "representation": {"group": {"kind": "GL", "n": 2}, "images": {
+            "a": complex_to_json(np.eye(2, dtype=complex)),
+            "b": complex_to_json(np.array([[1, 2], [1, 2]], dtype=complex))}}}))
+    error = _error(capsys, ["cohomology", "--input", str(path)])
+    assert error["error"] == "SingularMatrix"
+    assert error["detail"].startswith("image of b: smallest singular value ")
+    assert "matrix" not in error["detail"]
+
+
 @pytest.mark.parametrize("command,drop", [("validate", "presentation"),
                                           ("cohomology", "representation"),
                                           ("family", "family")])

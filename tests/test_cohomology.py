@@ -422,8 +422,10 @@ class TestNormalForm:
         assert normal_form(pres.relators[0].inverse(), pres) == Word.identity()
 
     def test_no_presentation_is_identity_map(self):
+        """The free group, a presentation with no relators, keeps every
+        reduced word."""
         w = Word.of([(0, 1), (1, -1)])
-        assert normal_form(w, None) == w
+        assert normal_form(w, Presentation.free(["a", "b"])) == w
 
 
 class TestFundamentalCycle:
@@ -475,24 +477,27 @@ def _random_chain(rng, degree):
                                 i + 1 for i in range(3)})
 
 
+F2 = Presentation.free(["a", "b"])
+
+
 class TestBarBoundary:
     def test_boundary_squares_to_zero(self):
         rng = np.random.default_rng(1)
         for degree in (3, 4, 5):
             chain = _random_chain(rng, degree)
-            assert not bar_boundary(chain).is_zero()
-            assert bar_boundary(bar_boundary(chain)).is_zero()
+            assert not bar_boundary(chain, F2).is_zero()
+            assert bar_boundary(bar_boundary(chain, F2), F2).is_zero()
 
     def test_verify_cycle_above_degree_two(self):
         rng = np.random.default_rng(2)
         for degree in (4, 5):
-            assert verify_cycle(bar_boundary(_random_chain(rng, degree)))
+            assert verify_cycle(bar_boundary(_random_chain(rng, degree), F2), F2)
         a, b = Word.generator(0), Word.generator(1)
-        assert not verify_cycle(BarChain.of(3, {(a, b, a): 1}))
+        assert not verify_cycle(BarChain.of(3, {(a, b, a): 1}), F2)
 
     def test_boundary_below_degree_one(self):
         with pytest.raises(ValueError):
-            bar_boundary(BarChain.of(0, {(): 1}))
+            bar_boundary(BarChain.of(0, {(): 1}), F2)
 
     def test_words_of_every_term_in_term_order(self):
         """``BarChain.words``, the words a pairing walks: every slot of every

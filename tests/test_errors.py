@@ -48,7 +48,8 @@ CALLS = {
     "letter sign 2": lambda: Word(((0, 2),)),
     "unreduced word": lambda: Word(((0, 1), (0, -1))),
     "tuple of the wrong degree": lambda: BarChain.of(2, {(Word.generator(0),): 1}),
-    "boundary in degree 0": lambda: bar_boundary(BarChain.of(0, {(): 1})),
+    "boundary in degree 0": lambda: bar_boundary(BarChain.of(0, {(): 1}),
+                                                 Presentation.free(["a"])),
     "compose of the wrong length": lambda: Poly.var(2, 0).compose([Poly.var(1, 0)]),
     "matrix_exp of nan": lambda: matrix_exp(NAN),
     "solve_lsq of nan": lambda: solve_lsq(NAN, np.ones(2)),

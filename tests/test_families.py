@@ -23,7 +23,7 @@ from charforms.charts import _jet, _max_d, _stencil
 from charforms.cohomology import bar_boundary, fox_jacobian, fundamental_two_cycle
 from charforms.forms import EtaContext, eta
 from charforms.invariants import symmetric_tensor
-from charforms.errors import DegreeMismatch, InvalidInput, NotTangent
+from charforms.errors import DegreeMismatch, InvalidInput, NotTangent, SingularMatrix
 from charforms.matgroup import lie_algebra_basis
 from charforms.numeric import DEFAULT_TOL, Tolerances
 from charforms.families import (
@@ -155,6 +155,17 @@ class TestFamilySpec:
         fam = FamilySpec(pres, GL2, ("s1", "s2", "s3"), (0.2,) * 3, images)
         with pytest.raises(InvalidInput):
             fam.validate()
+
+    def test_singular_image_index_is_point_times_p_plus_generator(self):
+        """b1 = diag(s, 1) is singular at s = 0, the second of three points:
+        index 1 * 2 + 1 = 3, and the message names the point and b1."""
+        one, zero, s = Poly.const(1, 1.0), Poly(1), Poly.var(1, 0)
+        fam = FamilySpec(Presentation.surface(1), GL2, ("s",), (0.2,),
+                         {"a1": [[one, zero], [zero, one]], "b1": [[s, zero], [zero, one]]})
+        with pytest.raises(SingularMatrix) as info:
+            fam._evaluate(np.array([[0.1], [0.0], [0.05]], dtype=complex))
+        assert info.value.index == 3
+        assert str(info.value).startswith("at s=[0.+0.j]: image of b1: smallest ")
 
     def test_json_roundtrip(self, family):
         data = family_payload(family)["family"]
@@ -583,8 +594,10 @@ class TestExactClosedness:
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1)])
     def test_vanishes_on_a_bar_boundary(self, n, seed):
         a, b = self.A, self.B
-        cycle = bar_boundary(BarChain.of(3, {(a, b, a): 1, (b, a * b, b): 1}))
-        assert abs(_exact_d(_free_family(n, seed), cycle)) <= 1e-13
+        family = _free_family(n, seed)
+        cycle = bar_boundary(BarChain.of(3, {(a, b, a): 1, (b, a * b, b): 1}),
+                             family.presentation)
+        assert abs(_exact_d(family, cycle)) <= 1e-13
 
     @pytest.mark.parametrize("build", [
         diagonal_family, lambda: random_family(2, 2, 1), lambda: random_family(2, 3, 2),

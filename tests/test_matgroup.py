@@ -30,7 +30,7 @@ from charforms.matgroup import (
 from charforms.numeric import matrix_exp
 from charforms.words import GroupRingElement, fox_derivative
 
-from conftest import h0_dim, random_point
+from conftest import genus2_point, h0_dim, random_point
 from oracles import (
     ad_by_products,
     adjoint_operator,
@@ -142,15 +142,36 @@ class TestRepresentation:
         (2, 3) stack of good points it is named by its flat index 4."""
         pres, images = Presentation.surface(1), np.array(images, dtype=complex)
         rel = _word_values(pres.relators, images, np.linalg.inv(images))
-        one = _violation(SL2, images, rel, 1e-9)
+        one = _violation(pres, SL2, images, rel, 1e-9)
         assert one[0] == 0 and one[1].startswith(reason)
-        assert _violation(SL2, images[None], rel[None], 1e-9) == one
+        assert _violation(pres, SL2, images[None], rel[None], 1e-9) == one
         stack = np.broadcast_to(np.eye(2, dtype=complex), (2, 3, 2, 2, 2)).copy()
         rels = np.broadcast_to(np.eye(2, dtype=complex), (2, 3, 1, 2, 2)).copy()
-        assert _violation(SL2, stack, rels, 1e-9) is None
+        assert _violation(pres, SL2, stack, rels, 1e-9) is None
         stack[1, 1], rels[1, 1] = images, rel
-        assert _violation(SL2, stack, rels, 1e-9) == (4, one[1])
+        assert _violation(pres, SL2, stack, rels, 1e-9) == (4, one[1])
         with pytest.raises(InvalidInput, match=re.escape(reason)):
+            Representation(pres, SL2, images)
+
+    def test_off_det_image_is_named_by_its_generator(self):
+        """A genus-2 SL(2) point whose image of b1 is scaled to det 2: the
+        relator still holds, and the refusal names b1."""
+        rho = genus2_point()
+        images = list(rho.images)
+        images[1] = np.sqrt(2) * images[1]
+        with pytest.raises(InvalidInput, match=r"\|det - 1\| > .* in the image of b1$"):
+            Representation(rho.presentation, SL2, images)
+
+    @pytest.mark.parametrize("relators,images,broken", [
+        (None, [[[1.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 1.0]]], 0),
+        (["a b A B", "a a B B"], [np.diag([2.0, 0.5]), np.diag([3.0, 1 / 3])], 1),
+    ], ids=["torus", "second relator"])
+    def test_broken_relator_is_named_by_its_index(self, relators, images, broken):
+        """A torus point whose images do not commute, and commuting diagonal
+        images where a^2 b^-2 = I fails: the refusal names the relator."""
+        pres = (Presentation.parse(["a", "b"], relators) if relators
+                else Presentation.surface(1))
+        with pytest.raises(InvalidInput, match=f"exceeds tolerance in relator {broken}$"):
             Representation(pres, SL2, images)
 
     def test_evaluate_word(self, f2_rep):

@@ -91,9 +91,11 @@ def machine() -> str:
         versions.append(f"scipy {scipy.__version__}")
     except ImportError:
         pass
+    # when set, no .pyc is written: each run compiles src/ anew inside setup_s
+    bytecode = os.environ.get("PYTHONDONTWRITEBYTECODE") or "unset"
     return (f"{os.cpu_count()} CPUs, {cpu}, {', '.join(versions)}, "
-            "OPENBLAS_NUM_THREADS=1; parent and change each ran from their own "
-            "git archive of the committed files")
+            f"OPENBLAS_NUM_THREADS=1, PYTHONDONTWRITEBYTECODE={bytecode}; parent and "
+            "change each ran from their own git archive of the committed files")
 
 
 def summarize(pairs: list, spec: dict) -> dict:
