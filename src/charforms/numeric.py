@@ -3,7 +3,7 @@
 Built on numpy alone.  Every rank, column-space and null-space decision in the
 library is one call of ``rank_and_gap``: one SVD under one relative cutoff, so
 dimension counts elsewhere agree and each decision carries its gap and margin.
-``solve_lsq`` is LAPACK's gelsd under the same cutoff, rcond = rank_rel.
+``solve_lsq`` is LAPACK's gelsd with that cutoff: rcond is the default rank_rel.
 ``matrix_exp`` is one path of Higham's Pade scaling and squaring (SIAM J.
 Matrix Anal. Appl. 26, 2005), degree 13 on every matrix of a stack.
 """

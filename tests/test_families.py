@@ -160,8 +160,8 @@ class TestFamilySpec:
         """b1 = diag(s, 1) is singular at s = 0, the second of three points:
         index 1 * 2 + 1 = 3, and the message names the point and b1."""
         one, zero, s = Poly.const(1, 1.0), Poly(1), Poly.var(1, 0)
-        fam = FamilySpec(Presentation.surface(1), GL2, ("s",), (0.2,),
-                         {"a1": [[one, zero], [zero, one]], "b1": [[s, zero], [zero, one]]})
+        images = {"a1": [[one, zero], [zero, one]], "b1": [[s, zero], [zero, one]]}
+        fam = FamilySpec(Presentation.surface(1), GL2, ("s",), (0.2,), images)
         with pytest.raises(SingularMatrix) as info:
             fam._evaluate(np.array([[0.1], [0.0], [0.05]], dtype=complex))
         assert info.value.index == 3

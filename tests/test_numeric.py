@@ -176,13 +176,13 @@ def test_solve_lsq_matches_gelsd_on_stacks(rows, cols):
         assert np.abs(x_vec - ref[:, 0]).max() <= bound
 
 
-@pytest.mark.parametrize("columns", [None, 2])
-def test_solve_lsq_is_the_exact_minimum_norm_solution(columns):
+@pytest.mark.parametrize("b", [np.array([3, -1, 4, 2]), np.arange(1, 9).reshape(4, 2)],
+                         ids=["vector", "matrix"])
+def test_solve_lsq_is_the_exact_minimum_norm_solution(b):
     """Against sympy's pseudo-inverse in exact rationals: a rank-2 integer
     4 x 3 system whose third column is the sum of the first two, so it has
     a line of least-squares solutions and A.pinv() b is the shortest."""
     a = np.array([[1, 2, 3], [0, 1, 1], [2, -1, 1], [1, 1, 2]])
-    b = np.arange(1, 9).reshape(4, 2)[:, :columns] if columns else np.array([3, -1, 4, 2])
     exact = sympy.Matrix(a).pinv() * sympy.Matrix(b)
     ref = np.array(exact.tolist(), dtype=float).reshape(3, *b.shape[1:])
     x = solve_lsq(a, b)

@@ -84,10 +84,10 @@ def test_traced_method_is_a_class_attribute(layer, cls, attr):
 
 # The most settable values the library may hold: defaulted positional and
 # keyword-only parameters, plus annotated class fields with a default other
-# than field(...), over every module but __init__.py.  26 = charts 1, cli 1,
-# cohomology 3, errors 2, families 4, forms 2, invariants 1, matgroup 4,
+# than field(...), over every module but __init__.py.  22 = charts 1, cli 1,
+# cohomology 1, errors 1, families 3, forms 2, invariants 1, matgroup 4,
 # numeric 4, words 4.
-CENSUS = 26
+CENSUS = 22
 
 
 def settable_values(source: str) -> int:
