@@ -14,7 +14,8 @@ the center, so by the implicit-function theorem c(t) is unique and
 holomorphic in t: the chart is a holomorphic map, independent of how the
 solve proceeds.  The tangents come from the same theorem rather than from
 differencing: c'(t) = -(M C)^+ M S, and the i-th tangent is
-phi(ad Y) (S e_i + C c'_i).
+phi(ad Y) (S e_i + C c'_i).  At the center M = J, so c'(0) = -C^H S and the
+tangents are S - C C^H S, the directions projected onto Z^1.
 
 The FD cross-check ``fd_exterior_derivative`` (the holomorphic difference
 rule ``_fd_d``) evaluates ``eta_coefficients`` one stencil point at a time:
@@ -22,8 +23,7 @@ a Newton solve (``_solve``), a tangent solve (``_tangents``) and a
 ``forms._pair`` per point.  ``chart_closedness`` needs none of it:
 d(f* eta) = f*(d eta) reads only the 1-jet at the center, which ``_jet``
 pairs exactly over the dual numbers C[eps]/eps^2, as it does a family's at
-s = 0.
-"""
+s = 0."""
 
 from __future__ import annotations
 
@@ -143,7 +143,7 @@ def _solve(chart: Chart, t) -> tuple:
 
 def _tangents(chart: Chart, phi: np.ndarray, points: _Points) -> np.ndarray:
     """Values (p, d, dim) of the exact chart tangents at one point of the
-    chart, from its record and phi(ad Y) (p, d, d), I at the center:
+    chart, from its record and phi(ad Y) (p, d, d), for the FD cross-check:
     c'(t) = -(M C)^+ M S, and the i-th tangent is phi(ad Y)(S e_i + C c'_i)."""
     rho, span, comp = chart.center, chart.directions, chart._complement
     shape = (rho.p, rho.dim_g, -1)
@@ -233,12 +233,13 @@ def _closed(max_d: float, scale: float, m: int, floor: float) -> bool:
 
 
 def _floor(tensor: np.ndarray, top: dict, cycle: BarChain) -> float:
-    """1e3 eps |T| sum_t |c_t| |s(g_1)| |Ad g_1| |s(g_2)| over the terms [g_1|g_2]
-    of the walk ``top``: the rounding floor of |omega|, below which an
-    isotropic chart or family, with exact d omega 0, would pass."""
-    ad, s = (dict(zip(top, np.linalg.norm([x[i] for x in top.values()], axis=(1, 2))))
-             for i in (0, 1))
-    size = sum(abs(c) * s[g] * ad[g] * s[h] for (g, h), c in cycle.terms)
+    """1e3 eps |T| sum_t |c_t| |s(h_1)| (|s(h_1)| + |s(h_2)|), s(h) in the walk
+    ``top``, which bound the two slots of ``_cycle_pairing``: the rounding
+    floor of |omega|, below which an isotropic chart or family, with exact
+    d omega 0, would pass."""
+    slots, c = cycle._slots
+    s1, s2 = (np.linalg.norm([top[w][1] for w in h], axis=(1, 2)) for h in slots)
+    size = np.abs(c) @ (s1 * (s1 + s2))
     return float(1e3 * np.finfo(float).eps * np.linalg.norm(tensor) * size)
 
 
@@ -285,10 +286,11 @@ def _jet(basis: LieAlgebraBasis, point: _Points, v: np.ndarray, tensor: np.ndarr
 
 def chart_closedness(chart: Chart, phi: InvariantPolynomial, cycle: BarChain) -> dict:
     """Exact d omega at the chart's center: ``_max_d`` of ``_jet`` on the
-    tangents there (no solve, no step, no exponential), scale max |omega(0)|
-    and the ``_closed`` verdict above the ``_floor`` as ``pass``."""
-    tensor, rho, d = _pullback(chart, phi, cycle), chart.center, chart.center.dim_g
-    v = _tangents(chart, np.eye(d), rho._at)  # (p, d, m)
+    tangents there, S - C C^H S (no solve, no step, no exponential), scale
+    max |omega(0)| and the ``_closed`` verdict above the ``_floor`` as ``pass``."""
+    tensor, rho, comp = _pullback(chart, phi, cycle), chart.center, chart._complement
+    s = chart.directions
+    v = (s - comp @ (comp.conj().T @ s)).reshape(rho.p, rho.dim_g, -1)
     jet, top = _jet(rho.basis, rho._at, v, tensor, cycle)
     max_d = _max_d(jet)
     scale = _scale(_alternated(_cycle_pairing(cycle, tensor, top)))  # of omega(0)

@@ -31,6 +31,7 @@ from .errors import (
     NoConvergence,
     RankInstability,
     malformed,
+    natural_int,
 )
 from .families import family_from_json, family_pullback
 from .forms import (
@@ -100,9 +101,8 @@ def _phi(data: dict):
 
 
 def _rng(args):
-    if args.seed is None:
-        raise InvalidInput("--seed is mandatory for randomized commands")
-    return np.random.default_rng(args.seed)
+    return np.random.default_rng(natural_int(args.seed, "--seed, mandatory for "
+                                             "randomized commands,"))
 
 
 def _write_report(args, tol: Tolerances, report: dict) -> None:

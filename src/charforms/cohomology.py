@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -177,10 +178,17 @@ class BarChain:
         items.sort(key=lambda t: tuple((len(w.letters), w.letters) for w in t[0]))
         return BarChain(degree, tuple(items))
 
-    @property
-    def words(self) -> list:
-        """The words a pairing walks: those of every term, in term order."""
-        return [w for gammas, _ in self.terms for w in gammas]
+    @cached_property
+    def _slots(self) -> tuple:
+        """The partial products h_i = g_1...g_i of the terms [g_1|...|g_n],
+        one tuple of T words per slot i, and the coefficients (T,)."""
+        prefixes = [accumulate(gammas, Word.__mul__) for gammas, _ in self.terms]
+        return tuple(zip(*prefixes)), np.array([c for _, c in self.terms], dtype=float)
+
+    @cached_property
+    def words(self) -> tuple:
+        """The words a pairing walks: the partial products, each once."""
+        return tuple(dict.fromkeys(w for h in self._slots[0] for w in h))
 
     def drop_term(self, index: int) -> "BarChain":
         return BarChain(self.degree,
@@ -266,11 +274,7 @@ def fundamental_two_cycle(presentation: Presentation) -> BarChain:
     """
     g = _surface_genus(presentation)
     letters = presentation.relators[0].letters
-    acc, prefix = {}, Word.of(letters[:1])  # every term below is distinct
-    for j in range(1, 4 * g):
-        y = Word.generator(*letters[j])
-        acc[prefix, y] = 1
-        prefix = prefix * y
+    acc = {(Word(letters[:j]), Word(letters[j:j + 1])): 1 for j in range(1, 4 * g)}
     for k in range(2 * g):
         acc[Word.generator(k), Word.generator(k, -1)] = -1
     acc[Word.identity(), Word.identity()] = -(2 * g - 1)

@@ -42,14 +42,12 @@ __all__ = [
 
 
 def _cycle_pairing(cycle: BarChain, tensor: np.ndarray, table: dict):
-    """sum_t c_t tilde-Phi(s(g_1), Ad(g_1) s(g_2), ..., Ad(g_1..g_n-1) s(g_n))
-    over the terms [g_1|...|g_n] of a degree-n cycle, tilde-Phi = tensor, from
-    the ``walk_words`` table of k cocycles: (..., k, ..., k), batched over the
-    table's leading axes.
-
-    Slot 1 contracts into the tensor and each middle slot into its remaining
-    axes; the terms that end in the same word share the closing product with
-    it.  Ad(g_1..g_j) is formed for the middle slots only.  Raises
+    """sum_t c_t tilde-Phi(s(h_1) - s(h_0), ..., s(h_n) - s(h_n-1)) over the
+    terms of a degree-n chain, h_i their partial products (``BarChain.words``,
+    h_0 = e), tilde-Phi = tensor, from the ``walk_words`` table of k cocycles:
+    (..., k, ..., k), batched over its leading axes.  By the walk's rule
+    s(uv) = s(u) + Ad(u) s(v), slot i is Ad(g_1..g_i-1) s(g_i) for any values,
+    dual numbers included; each slot is one product over all terms.  Raises
     DegreeMismatch unless tensor.ndim == cycle.degree, and InvalidInput on
     the zero chain, whose table cannot give the shape of a zero value."""
     n = tensor.ndim
@@ -58,26 +56,23 @@ def _cycle_pairing(cycle: BarChain, tensor: np.ndarray, table: dict):
                              f"not degree {n}")
     if not cycle.terms:
         raise InvalidInput(f"cannot pair with the zero {n}-chain")
+    slots, c = cycle._slots
+    first = np.stack([np.swapaxes(table[w][1], -1, -2) for w in slots[0]], axis=-2)
+    (k, terms, d), batch = first.shape[-3:], first.shape[:-3]  # first (..., k, T, d)
+    acc, prev = first.reshape(-1, d) @ tensor.reshape(d, -1), np.moveaxis(first, -3, -1)
+    for i, h in enumerate(slots[1:-1], 1):  # acc (..., k^i, T, d^(n-i)) after slot i
+        cur = np.stack([table[w][1] for w in h], axis=-3)  # (..., T, d, k)
+        step, prev = np.swapaxes(cur - prev, -1, -2)[..., None, :, :, :], cur
+        acc = step @ acc.reshape(batch + (k ** i, terms, d, d ** (n - 1 - i)))
+        acc = np.swapaxes(acc, -3, -2)
     if n == 1:
-        return sum(c * (tensor @ table[g][1]) for (g,), c in cycle.terms)
-    d = len(tensor)
-    flat, closing = tensor.reshape(d, d ** (n - 1)), {}
-    for gammas, c in cycle.terms:
-        ad, s = table[gammas[0]]
-        s = np.swapaxes(s, -1, -2)  # one 2-D product over the whole stack
-        acc = (s.reshape(-1, d) @ flat).reshape(s.shape[:-1] + flat.shape[-1:])
-        for w in gammas[1:-1]:
-            ad_w, s = table[w]
-            batch, rows, width = acc.shape[:-2], acc.shape[-2], acc.shape[-1] // d
-            acc = (np.swapaxes(ad @ s, -1, -2)[..., None, :, :]
-                   @ acc.reshape(batch + (rows, d, width)))
-            acc = acc.reshape(batch + (rows * s.shape[-1], width))
-            ad = ad @ ad_w
-        # the terms that end in the same word share its closing product
-        acc, w = c * (acc @ ad), gammas[-1]
-        closing[w] = closing[w] + acc if w in closing else acc
-    total = sum(m @ table[w][1] for w, m in closing.items())
-    return total.reshape(total.shape[:-2] + (total.shape[-1],) * n)
+        return acc.reshape(batch + (k, terms)) @ c
+    last = np.stack([table[w][1] for w in slots[-1]], axis=-3, dtype=complex)
+    last -= prev
+    last *= c[:, None, None]  # the sum over the terms joins the last product
+    total = (acc.reshape(batch + (k ** (n - 1), terms * d))
+             @ last.reshape(batch + (terms * d, k)))
+    return total.reshape(batch + (k,) * n)
 
 
 def _pair(point: _Points, values: np.ndarray, cycle: BarChain,
@@ -120,8 +115,7 @@ def make_context(rho: Representation, phi: InvariantPolynomial,
     cycle automatically."""
     if cycle is None:
         if phi.degree != 2:
-            raise DegreeMismatch(
-                "automatic cycle only available in degree 2; supply one")
+            raise DegreeMismatch("automatic cycle only available in degree 2; supply one")
         cycle = fundamental_two_cycle(rho.presentation)
     if cycle.degree != phi.degree:
         raise DegreeMismatch(

@@ -6,7 +6,8 @@ g B_a g^-1 (not ``matgroup._ad_matrix`` or the Fox walk), a cocycle's value
 on a word from exact Fox derivatives (not ``cohomology.walk_words``), Phi
 from matrix powers and the polarization tilde-Phi from evaluations of Phi
 (not ``invariants.symmetric_tensor``) and the pairing with a chain from one
-evaluation per term (not ``forms._cycle_pairing``).
+evaluation per term, with the Ad products of each term (not
+``forms._cycle_pairing``).
 ``test_oracle_independence.py`` checks that it stays so.
 """
 
@@ -193,3 +194,26 @@ def reference_eta(ctx, *sigmas):
     ev = cup_cocycle(ctx, *sigmas)
     scale = sum(abs(c * ev(*tup)) for tup, c in ctx.cycle.terms)
     return pair(ev, ctx.cycle), scale
+
+
+def ad_product_pairing(rho, values, tensor, chain):
+    """sum_t c_t T(s(g_1), Ad(g_1) s(g_2), ..., Ad(g_1...g_n-1) s(g_n)) over
+    the terms [g_1|...|g_n] of any bar chain, term by term, for k columns of
+    generator values (p, d, k) at rho that need not be cocycles: s(g) is
+    J_g applied to them (``fox_blocks``), Ad(g) is ``adjoint_operator`` and
+    T = tensor (d, ..., d) takes slot i on its i-th axis.  Returns the
+    pairing (k, ..., k), entry [a_1, ..., a_n] from column a_i in slot i,
+    and the sum over the terms of |c_t| |T| prod_i |slot i|, the scale that
+    rounding errors are relative to."""
+    flat = np.asarray(values).reshape(-1, values.shape[-1])
+    total, scale = 0, 0.0
+    for gammas, c in chain.terms:
+        acc, term = np.eye(rho.dim_g, dtype=complex), tensor
+        size = np.linalg.norm(tensor)
+        for g in gammas:
+            slot = acc @ np.concatenate(fox_blocks(rho, g), axis=1) @ flat
+            term = np.tensordot(term, slot, axes=([0], [0]))  # its axis joins the end
+            size *= np.linalg.norm(slot)
+            acc = acc @ adjoint_operator(rho, g)
+        total, scale = total + c * term, scale + abs(c) * size
+    return total, scale

@@ -828,6 +828,18 @@ def test_input_that_is_not_an_object_is_invalid_input(tmp_path, capsys, command,
     assert error["error"] == "InvalidInput" and "JSON object" in error["detail"]
 
 
+@pytest.mark.parametrize("command", ["eta", "suite-basic", "suite-invariance",
+                                     "demo-free-group"])
+def test_negative_seed_is_invalid_input(inputs, capsys, command):
+    """--seed -1 on the acceptance point exits 2 with one JSON line naming
+    InvalidInput and --seed, not numpy's uncaught ValueError."""
+    argv = [command, "--seed", "-1"]
+    if command != "demo-free-group":
+        argv += ["--input", inputs["genus2"]]
+    error = _error(capsys, argv)
+    assert error["error"] == "InvalidInput" and "--seed" in error["detail"]
+
+
 def test_singular_image_names_its_generator(tmp_path, capsys):
     """On F_2 with a = I and b of rank one, the error names b, not the
     position of its image in the stack of two."""

@@ -45,7 +45,7 @@ from charforms.matgroup import (
 )
 
 from conftest import random_point
-from oracles import conjugate_representation, reference_eta
+from oracles import ad_product_pairing, conjugate_representation, reference_eta
 
 SL2 = GroupSpec("SL", 2)
 
@@ -239,7 +239,7 @@ class TestCyclePairing:
                              parse_word("a b^-1", "ab")): -1,
                             (Word.identity(), parse_word("a", "ab"),
                              parse_word("b", "ab")): 1})
-    words = {w for gammas, _ in cycle.terms for w in gammas}
+    words = cycle.words
 
     def test_stack_gives_the_values_at_each_point(self):
         tensor = symmetric_tensor(power_trace(3), lie_algebra_basis(GroupSpec("SL", 3)))
@@ -289,8 +289,8 @@ def test_degree_three_eta_walks_once_per_context(monkeypatch):
 def _substituted_identity_walk(ctx, stacked):
     """The pairing as the form context once built it: the identity walk
     (Ad rho(w), J_w) of the cycle words, each J_w replaced by J_w S."""
-    rho, words = ctx.rho, [w for gammas, _ in ctx.cycle.terms for w in gammas]
-    table = walk_words(rho._at.ad, rho._at.ad_inv, identity_values(rho), words)
+    rho = ctx.rho
+    table = walk_words(rho._at.ad, rho._at.ad_inv, identity_values(rho), ctx.cycle.words)
     return _cycle_pairing(ctx.cycle, ctx.tensor,
                           {w: (ad, jac @ stacked) for w, (ad, jac) in table.items()})
 
@@ -312,6 +312,36 @@ def test_paired_equals_the_substituted_identity_walk(degree, shape):
     lib, ref = _paired(ctx, s), _substituted_identity_walk(ctx, s)
     assert lib.shape == ref.shape == shape + (5,) * degree
     assert np.abs(lib - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(degree=st.integers(1, 3), n=st.sampled_from([2, 3]),
+       batch=st.sampled_from([(), (3,)]), seed=st.integers(0, 2 ** 16))
+def test_pairing_of_partial_products_is_the_ad_product_formula(degree, n, batch, seed):
+    """``_cycle_pairing`` on the ``walk_words`` table of random generator
+    values, no cocycles, equals the term-by-term Ad-product formula of
+    ``oracles.ad_product_pairing`` to 1e-12 of its scale, on a random bar
+    chain over F_2 (not a cycle: 1-4 terms of words of up to 3 letters,
+    coefficients -3..3) in SL(n), unstacked and on a stack of 3 points."""
+    rng = np.random.default_rng(seed)
+    word = lambda: Word.of([(int(rng.integers(0, 2)), int(rng.choice([-1, 1])))
+                            for _ in range(rng.integers(0, 4))])
+    chain = BarChain.of(degree, {tuple(word() for _ in range(degree)):
+                                 int(rng.choice([-3, -2, -1, 1, 2, 3]))
+                                 for _ in range(rng.integers(1, 5))})
+    points = [random_point(0, int(s), "SL", n, free=2)[0]
+              for s in rng.integers(0, 2 ** 16, batch[0] if batch else 1)]
+    d, k = points[0].dim_g, 2
+    draw = lambda *s: rng.standard_normal(s) + 1j * rng.standard_normal(s)
+    tensor, values = draw(*(d,) * degree), draw(len(points), 2, d, k)
+    ad, ad_inv = (np.stack([getattr(rho._at, a) for rho in points]) for a in ("ad", "ad_inv"))
+    if not batch:
+        ad, ad_inv, values = ad[0], ad_inv[0], values[0]
+    lib = _cycle_pairing(chain, tensor, walk_words(ad, ad_inv, values, chain.words))
+    assert lib.shape == batch + (k,) * degree
+    for i, rho in enumerate(points):
+        ref, scale = ad_product_pairing(rho, values[i] if batch else values, tensor, chain)
+        assert np.abs((lib[i] if batch else lib) - ref).max() <= 1e-12 * scale
 
 
 class TestOracleEquivalence:
