@@ -503,11 +503,11 @@ class TestBarBoundary:
         with pytest.raises(ValueError):
             bar_boundary(BarChain.of(0, {(): 1}), F2)
 
-    def test_words_are_the_partial_products_in_term_order(self):
+    def test_words_are_the_partial_products_each_once(self):
         """``BarChain.words``, the words a pairing walks: the partial products
-        g_1...g_i of every term, in the sorted term order, each once; a zero
-        coefficient drops its term.  On the surface cycle they are the
-        relator prefixes, the full relator among them, the generators and e."""
+        g_1...g_i of every term, each once; a zero coefficient drops its
+        term.  On the surface cycle they are the relator prefixes, the full
+        relator among them, the generators and e."""
         e, a, b = Word.identity(), Word.generator(0), Word.generator(1)
         chain = BarChain.of(2, {(a * b, a): 2, (a, b): -1, (e, a): 1, (b, b): 0})
         assert chain.words == (e, a, a * b, a * b * a)
